@@ -14,6 +14,9 @@
 //! * [`comm`] — the communication-cost record of the distributed (MPC)
 //!   evaluation layer: rounds, messages, bytes-on-the-wire, and per-round
 //!   load, the wire-side siblings of the reversal/space budgets;
+//! * [`frame`] — the one `[u32 LE len][body]` codec under the serve
+//!   protocol and the MPC exchange wire and journal: size cap, torn-frame
+//!   errors, a lenient drain, one write per frame;
 //! * [`pool`] — the shared work-stealing `pool_map` primitive under the
 //!   experiment runner, the conformance fuzzer, and the MPC supersteps;
 //! * [`theorems`] — the parameter calculators of the paper's quantitative
@@ -41,6 +44,7 @@ pub mod bounds;
 pub mod classes;
 pub mod comm;
 pub mod error;
+pub mod frame;
 pub mod math;
 pub mod pool;
 pub mod theorems;

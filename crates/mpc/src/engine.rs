@@ -46,7 +46,7 @@
 
 use crate::fault::{FaultKind, NetFaultPlan};
 use crate::wire::{self, Envelope, NET_HEADER};
-use st_core::{pool_map, CommUsage, ResourceUsage, StError};
+use st_core::{frame, pool_map, CommUsage, ResourceUsage, StError};
 use st_extmem::durable::Wal;
 use st_trace::TraceBuffer;
 use std::path::PathBuf;
@@ -402,7 +402,7 @@ fn encode_envelopes(envs: &[Envelope]) -> Result<Vec<u8>, StError> {
         let body = env
             .encode()
             .map_err(|e| StError::Io(format!("journal encode: {e}")))?;
-        wire::write_frame(&mut out, &body)
+        frame::put_frame(&mut out, &body)
             .map_err(|e| StError::Io(format!("journal frame: {e}")))?;
     }
     Ok(out)
@@ -413,7 +413,7 @@ fn decode_envelopes(record: &[u8]) -> Result<Vec<Envelope>, StError> {
     let mut cursor = record;
     let mut envs = Vec::new();
     while let Some(body) =
-        wire::read_frame(&mut cursor).map_err(|e| StError::Io(format!("journal read: {e}")))?
+        frame::read_frame(&mut cursor).map_err(|e| StError::Io(format!("journal read: {e}")))?
     {
         envs.push(
             Envelope::decode(&body)

@@ -3,26 +3,20 @@
 //! Every message crossing the [`Exchange`](crate::engine::Exchange)
 //! serializes through this codec, and its framed length is what the
 //! communication meter charges — bytes-on-the-wire are codec bytes, not
-//! an abstract record count. The frame discipline is the one the
-//! `st-serve` protocol uses (deliberately re-stated here rather than
-//! imported, to keep the crate graph acyclic): a frame is
-//! `[u32 LE body length][body]`, bodies over [`MAX_FRAME`] are rejected
-//! on both sides before any allocation, a clean EOF at a frame boundary
-//! is `Ok(None)`, and an EOF inside a header or body is an error — a
-//! torn frame must never panic or silently truncate.
+//! an abstract record count. Frames are [`st_core::frame`]'s
+//! `[u32 LE body length][body]`, the codec the `st-serve` protocol
+//! uses too, re-exported here.
 //!
 //! The body is `[from u32][to u32][payload]` where the payload is one of
 //! the [`Payload`] variants, tagged by a leading byte. Integers are
 //! little-endian; records travel as `u32`-length-prefixed ASCII bit
 //! strings (the instance alphabet), so empty values round-trip exactly.
 
+use st_core::frame::checked_len;
+pub use st_core::frame::{read_frame, write_frame, MAX_FRAME};
 use st_extmem::durable::crc32;
 use st_problems::BitStr;
-use std::io::{self, Read, Write};
-
-/// Largest accepted frame body (16 MiB) — a malformed length prefix
-/// must not drive an allocation.
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+use std::io;
 
 /// Full per-message wire overhead on the exchange: the `u32` length
 /// prefix plus the [`seal_net`] header (`[seq u32][crc u32]`). The
@@ -77,14 +71,9 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn oversize_frame() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidInput, "frame body over MAX_FRAME")
-}
-
 fn put_record(out: &mut Vec<u8>, r: &BitStr) -> io::Result<()> {
     let text = r.to_string();
-    let len = u32::try_from(text.len()).map_err(|_| oversize_frame())?;
-    put_u32(out, len);
+    put_u32(out, checked_len(text.len())?);
     out.extend_from_slice(text.as_bytes());
     Ok(())
 }
@@ -165,8 +154,7 @@ impl Envelope {
             Payload::Records { tape, records } => {
                 out.push(2);
                 out.push(*tape);
-                let count = u32::try_from(records.len()).map_err(|_| oversize_frame())?;
-                put_u32(&mut out, count);
+                put_u32(&mut out, checked_len(records.len())?);
                 for r in records {
                     put_record(&mut out, r)?;
                 }
@@ -176,9 +164,7 @@ impl Envelope {
                 put_u64(&mut out, *v);
             }
         }
-        if out.len() > MAX_FRAME as usize {
-            return Err(oversize_frame());
-        }
+        checked_len(out.len())?;
         Ok(out)
     }
 
@@ -217,47 +203,6 @@ impl Envelope {
     pub fn wire_len(&self) -> io::Result<u64> {
         Ok(4 + self.encode()?.len() as u64)
     }
-}
-
-/// Write one frame: `[u32 LE len][body]`.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
-    if len > MAX_FRAME {
-        return Err(oversize_frame());
-    }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)
-}
-
-/// Read one frame. `Ok(None)` on a clean EOF at a frame boundary; an
-/// EOF inside the header or body is an `UnexpectedEof` error.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let got = r.read(&mut len_bytes[filled..])?;
-        if got == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF inside frame header",
-            ));
-        }
-        filled += got;
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame over MAX_FRAME",
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
 }
 
 /// Encode worker `w`'s initial shard — its chunk of the first list
@@ -417,28 +362,6 @@ mod tests {
             env
         );
         assert!(read_frame(&mut cur).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn torn_header_and_torn_body_error_without_panicking() {
-        // Two bytes of a four-byte header.
-        let mut cur = Cursor::new(vec![9u8, 0]);
-        assert!(read_frame(&mut cur).is_err());
-        // Complete header promising more body than exists.
-        let mut framed = Vec::new();
-        write_frame(&mut framed, b"hello").unwrap();
-        framed.truncate(framed.len() - 2);
-        let mut cur = Cursor::new(framed);
-        assert!(read_frame(&mut cur).is_err());
-    }
-
-    #[test]
-    fn oversize_length_prefix_is_rejected_before_allocation() {
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut cur = Cursor::new(framed);
-        let err = read_frame(&mut cur).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -1,12 +1,8 @@
 //! Property battery for the exchange wire: every encodable envelope
 //! round-trips bit-exactly through the length-framed codec, and every
-//! torn frame — truncated at *any* byte — errors instead of panicking.
-//!
-//! The frame layer itself is payload-agnostic (the serve discipline:
-//! `[u32 LE len][body]`), so it is also exercised with arbitrary byte
-//! bodies including multi-byte UTF-8 such as U+3000 — the exchange must
-//! never assume ASCII on the wire even though the envelope bodies it
-//! produces happen to be.
+//! envelope body truncated at *any* byte errors instead of panicking.
+//! The payload-agnostic frame cases (torn frames, empty and multi-byte
+//! bodies, order, caps) are tested once, in `st_core::frame`.
 
 use proptest::prelude::*;
 use st_mpc::wire::{read_frame, write_frame, Envelope, Payload};
@@ -66,58 +62,11 @@ proptest! {
     }
 
     #[test]
-    fn torn_frames_error_never_panic(env in arb_envelope(), cut_sel in 0usize..1 << 20) {
-        let body = env.encode().unwrap();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &body).unwrap();
-        // Cut strictly inside the frame: header-torn and body-torn alike.
-        let cut = 1 + cut_sel % (wire.len() - 1);
-        let torn = &wire[..cut];
-        let mut cursor = torn;
-        prop_assert!(read_frame(&mut cursor).is_err(), "cut at {cut}");
-    }
-
-    #[test]
     fn truncated_bodies_error_never_panic(env in arb_envelope(), cut_sel in 0usize..1 << 20) {
         // Every envelope body is non-empty (8 bytes of routing + 1 tag),
         // so a strict prefix always exists.
         let body = env.encode().unwrap();
         let cut = cut_sel % body.len();
         prop_assert!(Envelope::decode(&body[..cut]).is_err(), "cut at {cut}");
-    }
-
-    #[test]
-    fn frames_carry_arbitrary_bytes_including_multibyte_utf8(
-        mut blob in proptest::collection::vec(any::<u8>(), 0..=512),
-        spaces in 0usize..4,
-    ) {
-        // Splice in U+3000 (ideographic space, 3 bytes in UTF-8) — the
-        // historical torn-frame trigger for byte-naive framing.
-        for _ in 0..spaces {
-            blob.extend_from_slice("\u{3000}word".as_bytes());
-        }
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &blob).unwrap();
-        let mut cursor = wire.as_slice();
-        let read = read_frame(&mut cursor).unwrap().expect("one frame");
-        prop_assert_eq!(read, blob);
-        // Clean EOF at a frame boundary is "no more frames", not an error.
-        prop_assert!(read_frame(&mut cursor).unwrap().is_none());
-    }
-
-    #[test]
-    fn back_to_back_frames_preserve_order(
-        bodies in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=64), 0..=6)
-    ) {
-        let mut wire = Vec::new();
-        for b in &bodies {
-            write_frame(&mut wire, b).unwrap();
-        }
-        let mut cursor = wire.as_slice();
-        let mut seen = Vec::new();
-        while let Some(b) = read_frame(&mut cursor).unwrap() {
-            seen.push(b);
-        }
-        prop_assert_eq!(seen, bodies);
     }
 }

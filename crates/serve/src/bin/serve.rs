@@ -22,7 +22,7 @@
 //! TCP until the process is killed; scripted sessions are not run.
 
 use st_bench::cli::{take_flag, take_jobs_flag, take_path_flag, take_switch, take_u64_flag};
-use st_serve::{handle_stream, run_script, Script, ServeOptions, Service};
+use st_serve::{run_script, serve_listener, Script, ServeOptions, Service};
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -82,32 +82,11 @@ fn main() {
             std::process::exit(1);
         });
         eprintln!("serving {} tenant(s) on {addr}", script.tenants.len());
-        std::thread::scope(|scope| {
-            for stream in listener.incoming() {
-                match stream {
-                    Ok(stream) => {
-                        // A stalled peer must not pin a handler thread
-                        // forever: past the deadline the handler answers
-                        // a typed error and closes orderly (0 = no
-                        // timeout).
-                        if read_timeout > 0 {
-                            if let Err(e) = stream.set_read_timeout(Some(
-                                std::time::Duration::from_secs(read_timeout),
-                            )) {
-                                eprintln!("setting read timeout: {e}");
-                            }
-                        }
-                        let service = &service;
-                        scope.spawn(move || {
-                            if let Err(e) = handle_stream(service, stream) {
-                                eprintln!("connection error: {e}");
-                            }
-                        });
-                    }
-                    Err(e) => eprintln!("accept error: {e}"),
-                }
-            }
-        });
+        // A stalled peer must not pin a handler thread forever: past the
+        // deadline the handler answers a typed error and closes orderly
+        // (0 = no timeout).
+        let read_timeout = (read_timeout > 0).then(|| std::time::Duration::from_secs(read_timeout));
+        serve_listener(&service, listener.incoming(), read_timeout);
         return;
     }
 

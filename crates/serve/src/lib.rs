@@ -25,11 +25,11 @@
 //!   tracer; verdicts replay-audit bit-for-bit like batch runs.
 //! - [`admission`] — reservations from the paper's bounds, rejection
 //!   bills, the tenant ledger glue.
-//! - [`protocol`] — the framed request/response wire format, usable
-//!   over any `Read + Write` transport.
+//! - [`protocol`] — the request/response wire format, framed by
+//!   [`st_core::frame`], usable over any `Read + Write` transport.
 //! - [`service`] — the deterministic script runner (admission →
-//!   parallel stepping → settlement) and the online [`service::Service`]
-//!   request handler.
+//!   parallel stepping → settlement), the online [`service::Service`]
+//!   request handler and its TCP accept loop.
 //! - [`script`] — the script format: tenants, sessions, literal words
 //!   or seeded traffic families (Zipf, bursty, …).
 //!
@@ -53,6 +53,7 @@ pub use admission::{declared_input_len, rejection_bill, reserve, sort_pass_bound
 pub use protocol::{read_frame, read_frame_lenient, write_frame, FrameRead, Request, Response};
 pub use script::{Script, SessionSpec, TenantSpec, TrafficFamily, WordSpec};
 pub use service::{
-    handle_stream, run_script, ScriptRun, ServeOptions, Service, ServiceLimits, SessionResult,
+    configure_accepted, handle_stream, run_script, serve_listener, ScriptRun, ServeOptions,
+    Service, ServiceLimits, SessionResult,
 };
 pub use session::{DeciderKind, Session, SessionAudit};

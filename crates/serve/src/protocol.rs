@@ -2,18 +2,14 @@
 //!
 //! A frame is `[u32 LE body length][body]`; the body is
 //! `[tag u8][payload]`. Integers are little-endian `u64`, strings and
-//! byte blobs are `u32 LE` length-prefixed. The format is transport
-//! agnostic — [`write_frame`]/[`read_frame`] work over any
-//! `Write`/`Read`, so the same codec drives a TCP socket and an
-//! in-process `Cursor` test. Frames over [`MAX_FRAME`] are rejected
-//! before allocation.
+//! byte blobs are `u32 LE` length-prefixed. The frame codec is
+//! [`st_core::frame`], re-exported here; it is transport agnostic, so
+//! the same codec drives a TCP socket and an in-process `Cursor` test.
 
+use st_core::frame::checked_len;
+pub use st_core::frame::{read_frame, read_frame_lenient, write_frame, FrameRead, MAX_FRAME};
 use st_core::{ResourceBill, SignedBill};
-use std::io::{self, Read, Write};
-
-/// Largest accepted frame body (16 MiB) — a malformed length prefix
-/// must not drive an allocation.
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+use std::io;
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,10 +116,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> io::Result<()> {
     // A blob that cannot fit a frame body must fail the encode, not
     // panic the server: tenants control feed sizes.
-    if b.len() > MAX_FRAME as usize {
-        return Err(oversize_frame());
-    }
-    let len = u32::try_from(b.len()).map_err(|_| oversize_frame())?;
+    let len = checked_len(b.len())?;
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(b);
     Ok(())
@@ -131,19 +124,6 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> io::Result<()> {
 
 fn put_str(out: &mut Vec<u8>, s: &str) -> io::Result<()> {
     put_bytes(out, s.as_bytes())
-}
-
-/// The symmetric encode-side cap: [`read_frame`] refuses bodies over
-/// [`MAX_FRAME`], so producing one would be an unsendable frame.
-fn check_frame_len(out: Vec<u8>) -> io::Result<Vec<u8>> {
-    if out.len() > MAX_FRAME as usize {
-        return Err(oversize_frame());
-    }
-    Ok(out)
-}
-
-fn oversize_frame() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidInput, "frame body over MAX_FRAME")
 }
 
 fn put_signed_bill(out: &mut Vec<u8>, sb: &SignedBill) -> io::Result<()> {
@@ -281,7 +261,8 @@ impl Request {
                 put_u64(&mut out, *session);
             }
         }
-        check_frame_len(out)
+        checked_len(out.len())?;
+        Ok(out)
     }
 
     /// Decode a frame body.
@@ -359,7 +340,8 @@ impl Response {
                 put_u64(&mut out, *session);
             }
         }
-        check_frame_len(out)
+        checked_len(out.len())?;
+        Ok(out)
     }
 
     /// Decode a frame body.
@@ -393,100 +375,6 @@ impl Response {
         rd.done()?;
         Ok(resp)
     }
-}
-
-/// Write one length-prefixed frame.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame over MAX_FRAME",
-        ));
-    }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)
-}
-
-/// Read one frame. `Ok(None)` on a clean EOF at a frame boundary.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let got = r.read(&mut len_bytes[filled..])?;
-        if got == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF inside frame header",
-            ));
-        }
-        filled += got;
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame over MAX_FRAME",
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
-}
-
-/// What [`read_frame_lenient`] saw on the wire.
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameRead {
-    /// Clean EOF at a frame boundary.
-    Eof,
-    /// A complete frame body within the cap.
-    Frame(Vec<u8>),
-    /// A header declaring `len` bytes over [`MAX_FRAME`]; the body was
-    /// drained and discarded so the stream stays framed.
-    Oversize(u32),
-}
-
-/// Like [`read_frame`], but an oversize length prefix drains the
-/// declared body instead of poisoning the transport — the caller can
-/// answer with a typed [`Response::Error`] and keep the connection.
-/// Torn frames (EOF mid-header or mid-body) are still hard errors: once
-/// bytes go missing there is no frame boundary left to recover to.
-pub fn read_frame_lenient<R: Read>(r: &mut R) -> io::Result<FrameRead> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let got = r.read(&mut len_bytes[filled..])?;
-        if got == 0 {
-            if filled == 0 {
-                return Ok(FrameRead::Eof);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF inside frame header",
-            ));
-        }
-        filled += got;
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        // Drain and discard the declared body; the next frame header
-        // follows it.
-        let drained = io::copy(&mut r.take(u64::from(len)), &mut io::sink())?;
-        if drained < u64::from(len) {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF inside oversize frame body",
-            ));
-        }
-        return Ok(FrameRead::Oversize(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(FrameRead::Frame(body))
 }
 
 #[cfg(test)]
@@ -563,33 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_reader_survives_an_oversize_frame() {
-        let mut wire = Vec::new();
-        // An oversize header followed by its (junk) body, then a valid
-        // frame: the reader must discard the former and return the
-        // latter intact.
-        let huge = MAX_FRAME + 3;
-        wire.extend_from_slice(&huge.to_le_bytes());
-        wire.extend(std::iter::repeat_n(0xAAu8, huge as usize));
-        write_frame(&mut wire, b"still-here").unwrap();
-        let mut cursor = Cursor::new(wire);
-        assert_eq!(
-            read_frame_lenient(&mut cursor).unwrap(),
-            FrameRead::Oversize(huge)
-        );
-        assert_eq!(
-            read_frame_lenient(&mut cursor).unwrap(),
-            FrameRead::Frame(b"still-here".to_vec())
-        );
-        assert_eq!(read_frame_lenient(&mut cursor).unwrap(), FrameRead::Eof);
-        // A torn oversize body is still fatal — no boundary to resync.
-        let mut torn = Vec::new();
-        torn.extend_from_slice(&huge.to_le_bytes());
-        torn.extend_from_slice(&[0u8; 16]);
-        assert!(read_frame_lenient(&mut Cursor::new(torn)).is_err());
-    }
-
-    #[test]
     fn signatures_survive_the_wire() {
         let key = BillingKey::new(0xfeed);
         let resp = Response::Done {
@@ -602,17 +463,6 @@ mod tests {
         };
         assert!(key.verify(&bill));
         assert!(!BillingKey::new(1).verify(&bill));
-    }
-
-    #[test]
-    fn frames_round_trip_and_eof_is_clean() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"alpha").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        let mut cursor = Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"alpha");
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
     #[test]
@@ -648,14 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_and_oversized_frames_are_rejected() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"alpha").unwrap();
-        wire.truncate(wire.len() - 2);
-        let mut cursor = Cursor::new(wire);
-        assert!(read_frame(&mut cursor).is_err());
-        let huge = (MAX_FRAME + 1).to_le_bytes();
-        assert!(read_frame(&mut Cursor::new(huge.to_vec())).is_err());
+    fn truncated_and_padded_bodies_are_rejected() {
         assert!(Request::decode(&[1, 0]).is_err());
         assert!(Request::decode(&[99]).is_err());
         let mut padded = Request::Finish { session: 4 }.encode().unwrap();

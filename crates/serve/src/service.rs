@@ -24,22 +24,24 @@
 //!
 //! [`Service`] is the online counterpart: a [`Request`] in, a
 //! [`Response`] out, usable over any framed transport via
-//! [`handle_stream`].
+//! [`handle_stream`], and served over TCP by [`serve_listener`].
 
 use crate::admission::{declared_input_len, rejection_bill, reserve};
-use crate::protocol::{read_frame_lenient, write_frame, FrameRead, Request, Response, MAX_FRAME};
+use crate::protocol::{read_frame_lenient, FrameRead, Request, Response, MAX_FRAME};
 use crate::script::Script;
 use crate::session::{DeciderKind, Session};
 use st_algo::StepOutcome;
 use st_conformance::prng::derive_seed;
+use st_core::frame::put_frame;
 use st_core::{BillingKey, BudgetLedger, SignedBill, StError, TenantBudget};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Options for [`run_script`].
 #[derive(Debug, Clone)]
@@ -683,14 +685,17 @@ impl Service {
 /// transport (`WouldBlock`/`TimedOut`, as set by a socket read
 /// deadline) closes the connection orderly after a final typed error —
 /// never a silent drop mid-frame.
-pub fn handle_stream<RW: Read + Write>(service: &Service, mut rw: RW) -> std::io::Result<()> {
+pub fn handle_stream<RW: Read + Write>(service: &Service, mut rw: RW) -> io::Result<()> {
+    // Each reply is framed in this one per-connection buffer and leaves
+    // in a single write.
+    let mut frame = Vec::new();
     loop {
         let read = match read_frame_lenient(&mut rw) {
             Ok(read) => read,
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
                 // Idle past the read deadline: tell the peer why the
@@ -699,7 +704,7 @@ pub fn handle_stream<RW: Read + Write>(service: &Service, mut rw: RW) -> std::io
                     session: 0,
                     message: "read timeout: closing idle connection".into(),
                 };
-                let _ = write_frame(&mut rw, &bye.encode()?);
+                let _ = send(&mut rw, &mut frame, &bye);
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -718,13 +723,57 @@ pub fn handle_stream<RW: Read + Write>(service: &Service, mut rw: RW) -> std::io
                 },
             },
         };
-        write_frame(&mut rw, &response.encode()?)?;
+        send(&mut rw, &mut frame, &response)?;
     }
+}
+
+fn send<W: Write>(w: &mut W, frame: &mut Vec<u8>, response: &Response) -> io::Result<()> {
+    frame.clear();
+    put_frame(frame, &response.encode()?)?;
+    w.write_all(frame)
+}
+
+/// Set up an accepted TCP connection for [`handle_stream`]: Nagle off,
+/// so a reply is sent when it is written instead of waiting for the
+/// peer's delayed ACK, and the read deadline (`None` = none) past which
+/// an idle connection is closed.
+pub fn configure_accepted(stream: &TcpStream, read_timeout: Option<Duration>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)
+}
+
+/// Serve every connection `incoming` yields (a listener's
+/// `incoming()`, which never ends), each on its own thread, and return
+/// once `incoming` is exhausted and every connection has closed.
+pub fn serve_listener<I>(service: &Service, incoming: I, read_timeout: Option<Duration>)
+where
+    I: IntoIterator<Item = io::Result<TcpStream>>,
+{
+    std::thread::scope(|scope| {
+        for stream in incoming {
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) => {
+                    eprintln!("accept error: {e}");
+                    continue;
+                }
+            };
+            if let Err(e) = configure_accepted(&stream, read_timeout) {
+                eprintln!("configuring connection: {e}");
+            }
+            scope.spawn(move || {
+                if let Err(e) = handle_stream(service, stream) {
+                    eprintln!("connection error: {e}");
+                }
+            });
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_frame;
     use crate::script::{SessionSpec, TenantSpec, TrafficFamily, WordSpec};
     use st_algo::SortRoute;
 

@@ -21,6 +21,9 @@ use st_conformance::corpus::write_repro;
 use st_core::StError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static CAMPAIGN_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Iterations dispatched to the pool per block. Soak iterations are
 /// heavier than conformance fuzz cases (durable sorts, fault storms),
@@ -51,7 +54,7 @@ pub struct SoakOptions {
     pub timing: TimingMode,
     /// Active failure injection, if any.
     pub inject: Option<Injection>,
-    /// Scratch directory for WAL journals. `None` = a per-process
+    /// Scratch directory for WAL journals. `None` = a per-campaign
     /// directory under the system temp dir, removed after the campaign.
     pub scratch_dir: Option<PathBuf>,
 }
@@ -240,10 +243,13 @@ impl SoakReport {
 pub fn run_campaign(opts: &SoakOptions) -> Result<SoakReport, StError> {
     let started = std::time::Instant::now();
     let owns_scratch = opts.scratch_dir.is_none();
-    let scratch = opts
-        .scratch_dir
-        .clone()
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("st-soak-{}", std::process::id())));
+    // The default dir is unique per campaign, not just per process: it
+    // is removed when the campaign ends, which must not pull journals
+    // from under a concurrent campaign in the same process.
+    let scratch = opts.scratch_dir.clone().unwrap_or_else(|| {
+        let id = CAMPAIGN_ID.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("st-soak-{}-{id}", std::process::id()))
+    });
     std::fs::create_dir_all(&scratch)
         .map_err(|e| StError::Io(format!("create {}: {e}", scratch.display())))?;
     let ctx = SoakContext {
