@@ -71,7 +71,7 @@ pub struct FingerprintRun {
 /// `b"01#"`).
 #[must_use]
 pub fn tape_encoding(inst: &Instance) -> Vec<u8> {
-    inst.encode().into_bytes()
+    inst.encode_bytes()
 }
 
 /// Sample a uniform prime `≤ k` by rejection; `None` after `tries`

@@ -634,9 +634,7 @@ impl SortRouteStepper {
         let RouteState::Buffering(buf) = &self.state else {
             return Err(StError::Machine("sort-route stepper finished twice".into()));
         };
-        let word = std::str::from_utf8(buf)
-            .map_err(|_| StError::InvalidInstance("input word is not valid UTF-8".into()))?;
-        let inst = Instance::parse(word)?;
+        let inst = Instance::parse_bytes(buf)?;
         // The batch machine layout: tape 0 = first list, tape 1 =
         // second list, tapes 2–3 = merge scratch.
         let n = inst.size();

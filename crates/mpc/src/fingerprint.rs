@@ -28,6 +28,7 @@ use st_core::math::{add_mod, mul_mod, pow_mod};
 use st_core::{ResourceUsage, StError};
 use st_extmem::meter::bits_for;
 use st_extmem::TapeMachine;
+use st_problems::instance::write_values;
 use st_problems::{BitStr, Instance};
 use st_trace::Tracer;
 
@@ -58,16 +59,6 @@ impl Worker for FpWorker {
     fn usage(&self) -> ResourceUsage {
         self.machine.usage()
     }
-}
-
-/// Encode a shard (first-half then second-half values) as the tape word.
-fn shard_word(xs: &[BitStr], ys: &[BitStr]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for v in xs.iter().chain(ys.iter()) {
-        out.extend_from_slice(v.to_string().as_bytes());
-        out.push(b'#');
-    }
-    out
 }
 
 /// The worker-local compute: one forward write scan landing the shard
@@ -180,10 +171,13 @@ pub fn decide_multiset_equality<R: Rng>(
         let (tracer, buf) = Tracer::in_memory();
         let mut machine = TapeMachine::new_traced(0, tracer);
         machine.add_tape("input");
+        // The shard's tape word: first-half then second-half values.
+        let mut word = Vec::new();
+        write_values(&mut word, xs.iter().chain(&ys));
         Ok((
             FpWorker {
                 machine,
-                word: shard_word(&xs, &ys),
+                word,
                 ys_count: ys.len() as u64,
                 sums: (0, 0),
             },

@@ -11,6 +11,9 @@
 //! the [`Payload`] variants, tagged by a leading byte. Integers are
 //! little-endian; records travel as `u32`-length-prefixed ASCII bit
 //! strings (the instance alphabet), so empty values round-trip exactly.
+//! They are written and read by `st-problems`' byte codec
+//! ([`BitStr::write_ascii`], [`BitStr::parse_bytes`]); any byte other
+//! than `0`/`1` in a record is a `bad record` error.
 
 use st_core::frame::checked_len;
 pub use st_core::frame::{read_frame, write_frame, MAX_FRAME};
@@ -71,10 +74,11 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// `[u32 LE ASCII length][ASCII bits]` — the text form is one byte per
+/// bit, so the prefix is the value's length.
 fn put_record(out: &mut Vec<u8>, r: &BitStr) -> io::Result<()> {
-    let text = r.to_string();
-    put_u32(out, checked_len(text.len())?);
-    out.extend_from_slice(text.as_bytes());
+    put_u32(out, checked_len(r.len())?);
+    r.write_ascii(out);
     Ok(())
 }
 
@@ -121,8 +125,7 @@ impl<'a> Rd<'a> {
         let end = self.pos.checked_add(len).ok_or("truncated frame")?;
         let data = self.buf.get(self.pos..end).ok_or("truncated frame")?;
         self.pos = end;
-        let text = std::str::from_utf8(data).map_err(|_| "record is not UTF-8".to_string())?;
-        BitStr::parse(text).map_err(|e| format!("bad record: {e}"))
+        BitStr::parse_bytes(data).map_err(|e| format!("bad record: {e}"))
     }
 
     fn done(self) -> Result<(), String> {

@@ -10,6 +10,13 @@
 //! short in every experiment; clarity beats packing). `Ord` derives to
 //! bitwise lexicographic order. Equal-length strings additionally expose
 //! numeric conversions for `n ≤ 128`.
+//!
+//! The text form is a byte map: bit `b` is the ASCII byte `b'0' + b`.
+//! [`BitStr::write_ascii`] appends it to a caller's buffer and
+//! [`BitStr::parse_bytes`] reads it back after one validation sweep;
+//! every other reader and writer of values (the instance word, the MPC
+//! wire records, `Display` as a single `write_str`, [`BitStr::parse`])
+//! goes through these two, so no value is ever formatted bit by bit.
 
 use st_core::StError;
 use std::fmt;
@@ -29,19 +36,31 @@ impl BitStr {
 
     /// Parse from ASCII `'0'`/`'1'`.
     pub fn parse(s: &str) -> Result<Self, StError> {
-        let mut bits = Vec::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '0' => bits.push(0),
-                '1' => bits.push(1),
-                other => {
-                    return Err(StError::InvalidInstance(format!(
-                        "bitstring contains {other:?}, expected 0/1"
-                    )))
-                }
-            }
+        Self::parse_bytes(s.as_bytes())
+    }
+
+    /// Parse from ASCII bytes `b'0'`/`b'1'`: one validation sweep, then
+    /// the byte map `b - b'0'`. The error names the first offending
+    /// character, or the raw byte where the input is not UTF-8 there.
+    pub fn parse_bytes(bytes: &[u8]) -> Result<Self, StError> {
+        // `b'0'` and `b'1'` differ only in the low bit. The sweep has no
+        // early exit so it vectorizes; only a bad input searches again.
+        let is_bad = |b: u8| b | 1 != b'1';
+        if !bytes.iter().fold(false, |bad, &b| bad | is_bad(b)) {
+            return Ok(BitStr {
+                bits: bytes.iter().map(|&b| b - b'0').collect(),
+            });
         }
-        Ok(BitStr { bits })
+        let i = bytes.iter().position(|&b| is_bad(b)).unwrap_or_default();
+        Err(StError::InvalidInstance(format!(
+            "bitstring contains {}, expected 0/1",
+            describe_symbol(&bytes[i..])
+        )))
+    }
+
+    /// Append the ASCII text form (`b'0' + bit` per bit) to `out`.
+    pub fn write_ascii(&self, out: &mut Vec<u8>) {
+        out.extend(self.bits.iter().map(|&b| b'0' + b));
     }
 
     /// The `n`-bit binary representation of `value` (MSB first). Errors if
@@ -134,12 +153,26 @@ impl BitStr {
     }
 }
 
+/// The leading symbol of `rest` for an error message: the char in
+/// `Debug` form when `rest` starts with a complete UTF-8 sequence (at
+/// most four bytes), else the raw byte.
+fn describe_symbol(rest: &[u8]) -> String {
+    let window = &rest[..rest.len().min(4)];
+    let valid = match std::str::from_utf8(window) {
+        Ok(s) => s,
+        Err(e) => std::str::from_utf8(&window[..e.valid_up_to()]).unwrap_or_default(),
+    };
+    match valid.chars().next() {
+        Some(c) => format!("{c:?}"),
+        None => format!("byte {:#04x}", rest[0]),
+    }
+}
+
 impl fmt::Display for BitStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in &self.bits {
-            write!(f, "{b}")?;
-        }
-        Ok(())
+        let mut text = Vec::with_capacity(self.bits.len());
+        self.write_ascii(&mut text);
+        f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
     }
 }
 

@@ -59,11 +59,15 @@ impl Instance {
     /// Encode as the paper's input word `v₁#…#v_m#v′₁#…#v′_m#`.
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut out = String::with_capacity(self.size());
-        for v in self.xs.iter().chain(self.ys.iter()) {
-            out.push_str(&v.to_string());
-            out.push('#');
-        }
+        String::from_utf8(self.encode_bytes()).expect("an input word is ASCII")
+    }
+
+    /// [`Instance::encode`] as bytes over `b"01#"` — the input-tape
+    /// symbol sequence.
+    #[must_use]
+    pub fn encode_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.size());
+        write_values(&mut out, self.xs.iter().chain(self.ys.iter()));
         out
     }
 
@@ -71,18 +75,25 @@ impl Instance {
     /// blocks for some `m ≥ 0` (in particular it must end with `#` unless
     /// empty).
     pub fn parse(word: &str) -> Result<Self, StError> {
-        if word.is_empty() {
+        Self::parse_bytes(word.as_bytes())
+    }
+
+    /// [`Instance::parse`] over raw bytes; each value goes through
+    /// [`BitStr::parse_bytes`], so a non-UTF-8 word is an error like any
+    /// other bad symbol.
+    pub fn parse_bytes(word: &[u8]) -> Result<Self, StError> {
+        let Some((&last, body)) = word.split_last() else {
             return Ok(Instance {
                 xs: Vec::new(),
                 ys: Vec::new(),
             });
-        }
-        if !word.ends_with('#') {
+        };
+        if last != b'#' {
             return Err(StError::InvalidInstance(
                 "input word must end with '#'".into(),
             ));
         }
-        let blocks: Vec<&str> = word[..word.len() - 1].split('#').collect();
+        let blocks: Vec<&[u8]> = body.split(|&b| b == b'#').collect();
         if !blocks.len().is_multiple_of(2) {
             return Err(StError::InvalidInstance(format!(
                 "odd number of blocks ({}) — cannot split into two lists",
@@ -92,11 +103,11 @@ impl Instance {
         let m = blocks.len() / 2;
         let xs = blocks[..m]
             .iter()
-            .map(|b| BitStr::parse(b))
+            .map(|b| BitStr::parse_bytes(b))
             .collect::<Result<Vec<_>, _>>()?;
         let ys = blocks[m..]
             .iter()
-            .map(|b| BitStr::parse(b))
+            .map(|b| BitStr::parse_bytes(b))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Instance { xs, ys })
     }
@@ -106,6 +117,17 @@ impl Instance {
     #[must_use]
     pub fn uniform_length(&self, n: usize) -> bool {
         self.xs.iter().chain(self.ys.iter()).all(|v| v.len() == n)
+    }
+}
+
+/// Append `v#` for each value to `out`, each value through
+/// [`BitStr::write_ascii`] — the one writer of `{0,1,#}` words, shared by
+/// [`Instance::encode_bytes`] and callers that hold the two lists apart
+/// (an MPC worker's shard).
+pub fn write_values<'a>(out: &mut Vec<u8>, values: impl IntoIterator<Item = &'a BitStr>) {
+    for v in values {
+        v.write_ascii(out);
+        out.push(b'#');
     }
 }
 

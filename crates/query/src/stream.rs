@@ -30,7 +30,7 @@ use st_problems::{BitStr, Instance};
 /// of the production itself (one forward pass over the instance, one
 /// forward write of the event tape).
 pub fn document_tape(inst: &Instance) -> Result<(Tape<XmlEvent>, ResourceUsage), StError> {
-    let word: Vec<u8> = inst.encode().into_bytes();
+    let word: Vec<u8> = inst.encode_bytes();
     let n = word.len();
     let mut machine: TapeMachine<u8> = TapeMachine::with_input(word, n.max(1));
     let mut events: Tape<XmlEvent> = Tape::new("events");
