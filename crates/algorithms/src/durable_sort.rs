@@ -25,8 +25,8 @@
 //! recovered sort's output is byte-identical to the uninterrupted run's.
 
 use st_core::{ResourceUsage, StError};
+use st_extmem::block::{distribute_runs, merge_runs, DEFAULT_BLOCK};
 use st_extmem::durable::{DurableRecord, Recovery, Wal};
-use st_extmem::scan::{distribute_runs, merge_runs};
 use st_extmem::TapeMachine;
 use st_trace::TraceEvent;
 use std::path::Path;
@@ -171,7 +171,7 @@ fn sort_incarnation<S: Clone + Ord + DurableRecord>(
             }
             {
                 let (a, b, d) = machine.trio_mut(s1, s2, 0);
-                merge_runs(a, b, d, run_len, &meter)?;
+                merge_runs(a, b, d, run_len, &meter, DEFAULT_BLOCK)?;
             }
             tracer.emit(|| TraceEvent::PhaseEnd {
                 name: format!("durable merge pass run_len={run_len}"),

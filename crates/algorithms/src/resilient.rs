@@ -37,8 +37,8 @@ use rand::Rng;
 use st_core::math::{add_mod, mul_mod, next_prime, pow_mod};
 use st_core::theorems::theorem8a_k;
 use st_core::{ResourceUsage, RetryBudget, StError, Verdict};
+use st_extmem::block::{copy_tape, tapes_equal, DEFAULT_BLOCK};
 use st_extmem::meter::{bits_for, MemoryMeter};
-use st_extmem::scan::{copy_tape, tapes_equal};
 use st_extmem::sort::merge_sort;
 use st_extmem::{FaultPlan, FaultStats, Tape, TapeMachine};
 use st_problems::{BitStr, Instance};
@@ -199,7 +199,7 @@ pub fn resilient_sort<R: Rng>(
     for attempt in 1..=budget.max_attempts {
         {
             let (master, w) = machine.pair_mut(0, work);
-            copy_tape(master, w, &meter)?;
+            copy_tape(master, w, &meter, DEFAULT_BLOCK)?;
         }
         merge_sort(&mut machine, work, s1, s2)?;
         if !sorted_scan(machine.tape_mut(work), &meter) {
@@ -263,7 +263,7 @@ fn equality_attempt<R: Rng>(
     for (master, work) in [(0usize, 2usize), (1, 3)] {
         {
             let (src, dst) = machine.pair_mut(master, work);
-            copy_tape(src, dst, &meter)?;
+            copy_tape(src, dst, &meter, DEFAULT_BLOCK)?;
         }
         merge_sort(machine, work, 4, 5)?;
         if !sorted_scan(machine.tape_mut(work), &meter) {
@@ -276,7 +276,7 @@ fn equality_attempt<R: Rng>(
         }
     }
     let (a, b) = machine.pair_mut(2, 3);
-    Ok(Some(tapes_equal(a, b, &meter)))
+    Ok(Some(tapes_equal(a, b, &meter, DEFAULT_BLOCK)))
 }
 
 /// The oracle cross-check on the fault-free masters: `false` is **exact**

@@ -16,11 +16,7 @@
 
 use crate::stepper::{drive_to_verdict, SortRoute, SortRouteStepper, Stepper};
 use st_core::{ResourceUsage, StError};
-use st_extmem::block;
-use st_extmem::meter::bits_for;
-use st_extmem::tape::Tape;
-use st_extmem::TapeMachine;
-use st_problems::{BitStr, Instance};
+use st_problems::Instance;
 
 /// A decider verdict plus its resource accounting.
 #[derive(Debug, Clone)]
@@ -58,154 +54,6 @@ pub fn decide_check_sort(inst: &Instance) -> Result<DeciderRun, StError> {
 /// the deduplicated streams in one parallel scan.
 pub fn decide_set_equality(inst: &Instance) -> Result<DeciderRun, StError> {
     run_sort_route(inst, SortRoute::SetEquality)
-}
-
-/// Block-oriented [`decide_multiset_equality`]: the same machine layout
-/// and bit-for-bit the same verdict, [`ResourceUsage`] and trace stream,
-/// but every sort pass and compare scan moves records in `block_len`
-/// slices via [`st_extmem::block`] instead of one cell per call.
-pub fn decide_multiset_equality_block(
-    inst: &Instance,
-    block_len: usize,
-) -> Result<DeciderRun, StError> {
-    run_sort_route_block(inst, SortRoute::Multiset, block_len)
-}
-
-/// Block-oriented [`decide_check_sort`] (see
-/// [`decide_multiset_equality_block`]).
-pub fn decide_check_sort_block(inst: &Instance, block_len: usize) -> Result<DeciderRun, StError> {
-    run_sort_route_block(inst, SortRoute::CheckSort, block_len)
-}
-
-/// Block-oriented [`decide_set_equality`] (see
-/// [`decide_multiset_equality_block`]).
-pub fn decide_set_equality_block(inst: &Instance, block_len: usize) -> Result<DeciderRun, StError> {
-    run_sort_route_block(inst, SortRoute::SetEquality, block_len)
-}
-
-/// The block-path twin of [`run_sort_route`]: builds the identical
-/// 4-tape machine (input, second, scratch1, scratch2), sorts via
-/// [`block::merge_sort`] (pinned to the stepper's pass/charge/trace
-/// sequence) and runs the route's compare scan through the zero-copy
-/// slice API with the per-cell path's exact accounting.
-fn run_sort_route_block(
-    inst: &Instance,
-    route: SortRoute,
-    block_len: usize,
-) -> Result<DeciderRun, StError> {
-    assert!(block_len > 0, "block length must be positive");
-    let n = inst.size();
-    let mut machine = TapeMachine::with_input_traced(inst.xs.clone(), n, st_trace::current());
-    machine.add_tape_with("second", inst.ys.clone());
-    machine.add_tape("scratch1");
-    machine.add_tape("scratch2");
-    block::merge_sort(&mut machine, 0, 2, 3, block_len)?;
-    let meter = machine.meter().clone();
-    let accepted = match route {
-        SortRoute::Multiset => {
-            block::merge_sort(&mut machine, 1, 2, 3, block_len)?;
-            let (a, b) = machine.pair_mut(0, 1);
-            block::tapes_equal(a, b, &meter, block_len)
-        }
-        SortRoute::CheckSort => {
-            // The *second* list is the one checked for sortedness, so it
-            // is the `a` argument (and rewinds/reads first).
-            let (second, first) = machine.pair_mut(1, 0);
-            let (equal, sorted) = block::compare_sorted(second, first, &meter, block_len);
-            equal && sorted
-        }
-        SortRoute::SetEquality => {
-            block::merge_sort(&mut machine, 1, 2, 3, block_len)?;
-            // The batch dedup compare holds its frontier charge until
-            // after the usage snapshot; finish inside the helper.
-            return set_equality_compare_block(machine, block_len);
-        }
-    };
-    let usage = machine.usage();
-    Ok(DeciderRun { accepted, usage })
-}
-
-/// Read the next record (if any) through the zero-copy API with the
-/// exact accounting of `read_fwd`: one head move per record, the
-/// trailing end-of-tape probe free.
-fn next_record(t: &mut Tape<BitStr>) -> Option<BitStr> {
-    let s = t.peek_slice(1);
-    if s.is_empty() {
-        return None;
-    }
-    let v = s[0].clone();
-    t.advance_fwd(1);
-    Some(v)
-}
-
-/// Advance past duplicates of `x` in `block_len` chunks, returning the
-/// first differing record (the cell path's read-ahead) or `None` at the
-/// end of the tape.
-fn skip_duplicates(t: &mut Tape<BitStr>, x: &BitStr, block_len: usize) -> Option<BitStr> {
-    loop {
-        let s = t.peek_slice(block_len);
-        if s.is_empty() {
-            return None;
-        }
-        match s.iter().position(|v| v != x) {
-            Some(k) => {
-                let v = s[k].clone();
-                t.advance_fwd(k + 1);
-                return Some(v);
-            }
-            None => {
-                let len = s.len();
-                t.advance_fwd(len);
-            }
-        }
-    }
-}
-
-/// The SET-EQUALITY dedup compare over sorted tapes 0/1, block-at-a-time
-/// but move-for-move the incremental stepper's scan: rewinds, frontier
-/// charge, one read-ahead per tape, skip runs of duplicates, early exit
-/// on the first frontier mismatch. Batch order: the usage snapshot
-/// precedes the frontier-charge release.
-fn set_equality_compare_block(
-    mut machine: TapeMachine<BitStr>,
-    block_len: usize,
-) -> Result<DeciderRun, StError> {
-    let n = machine.input_len();
-    let meter = machine.meter().clone();
-    let charge;
-    let mut equal = true;
-    {
-        let (a, b) = machine.pair_mut(0, 1);
-        a.rewind();
-        b.rewind();
-        charge = meter.charge(2 + bits_for(n.max(2) as u64));
-        let mut cur_a = next_record(a);
-        let mut cur_b = next_record(b);
-        loop {
-            match (cur_a.take(), cur_b.take()) {
-                (Some(x), Some(y)) => {
-                    if x != y {
-                        equal = false;
-                        break;
-                    }
-                    cur_a = skip_duplicates(a, &x, block_len);
-                    cur_b = skip_duplicates(b, &x, block_len);
-                }
-                (ca, cb) => {
-                    if ca.is_some() || cb.is_some() {
-                        equal = false;
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    let usage = machine.usage();
-    drop(charge);
-    Ok(DeciderRun {
-        accepted: equal,
-        usage,
-    })
 }
 
 #[cfg(test)]
@@ -316,48 +164,6 @@ mod tests {
         let (slope, _, r2) = st_core::math::log_fit(&pts);
         assert!(r2 > 0.98, "not log-shaped: r² = {r2}, {pts:?}");
         assert!(slope > 0.0 && slope < 30.0);
-    }
-
-    #[test]
-    fn block_deciders_are_bit_for_bit_the_cell_deciders() {
-        type CellFn = fn(&Instance) -> Result<DeciderRun, StError>;
-        type BlockFn = fn(&Instance, usize) -> Result<DeciderRun, StError>;
-        let routes: [(CellFn, BlockFn); 3] = [
-            (decide_multiset_equality, decide_multiset_equality_block),
-            (decide_check_sort, decide_check_sort_block),
-            (decide_set_equality, decide_set_equality_block),
-        ];
-        let mut rng = StdRng::seed_from_u64(53);
-        let mut instances = vec![
-            inst(""),
-            inst("0#0#"),
-            inst("0#0#1#0#1#1#"),
-            inst("10#01#11#01#11#10#"),
-            inst("0#0#0#0#"),
-        ];
-        for _ in 0..6 {
-            instances.push(generate::yes_multiset(9, 5, &mut rng));
-            instances.push(generate::no_multiset_one_bit(9, 5, &mut rng));
-            instances.push(generate::random_instance(7, 3, &mut rng));
-            instances.push(generate::yes_checksort(8, 4, &mut rng));
-        }
-        for i in &instances {
-            for (cell, block) in routes {
-                let (tr_cell, buf_cell) = st_trace::Tracer::in_memory();
-                let cell_run = st_trace::scoped(tr_cell.clone(), || cell(i)).unwrap();
-                for blk in [1usize, 2, 3, 7, 64, 4096] {
-                    let (tr_blk, buf_blk) = st_trace::Tracer::in_memory();
-                    let blk_run = st_trace::scoped(tr_blk, || block(i, blk)).unwrap();
-                    assert_eq!(cell_run.accepted, blk_run.accepted, "verdict blk={blk}");
-                    assert_eq!(cell_run.usage, blk_run.usage, "usage blk={blk}");
-                    assert_eq!(
-                        buf_cell.snapshot(),
-                        buf_blk.snapshot(),
-                        "trace stream diverged at blk={blk}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use rand::Rng;
 use st_core::{ResourceUsage, StError};
-use st_extmem::scan::tapes_equal;
+use st_extmem::block::{tapes_equal, DEFAULT_BLOCK};
 use st_extmem::sort::sort_with_usage;
 use st_problems::{BitStr, Instance};
 
@@ -57,7 +57,7 @@ pub fn check_sort_via_sorting(inst: &Instance) -> Result<(bool, ResourceUsage), 
     let meter = st_extmem::MemoryMeter::new();
     let mut a = st_extmem::Tape::from_items("sorted", sorted);
     let mut b = st_extmem::Tape::from_items("second", inst.ys.clone());
-    let equal = tapes_equal(&mut a, &mut b, &meter);
+    let equal = tapes_equal(&mut a, &mut b, &meter, DEFAULT_BLOCK);
     let extra = ResourceUsage {
         input_len: inst.size(),
         reversals_per_tape: vec![a.reversals(), b.reversals()],

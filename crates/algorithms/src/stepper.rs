@@ -21,9 +21,10 @@ use crate::sortcheck::DeciderRun;
 use rand::Rng;
 use st_core::math::{add_mod, mul_mod, pow_mod};
 use st_core::StError;
+use st_extmem::block::{scan_tracer, Lockstep, DEFAULT_BLOCK};
 use st_extmem::meter::bits_for;
 use st_extmem::step::{SortStepper, StepBudget, StepProgress};
-use st_extmem::{MemoryCharge, TapeMachine};
+use st_extmem::{MemoryCharge, Tape, TapeMachine};
 use st_problems::{BitStr, Instance};
 use st_trace::{TraceEvent, Tracer};
 use std::task::Poll;
@@ -68,19 +69,6 @@ pub fn drive_to_verdict<S: Stepper + ?Sized>(stepper: &mut S) -> Result<DeciderR
             }
             StepOutcome::Yielded => {}
         }
-    }
-}
-
-/// The tracer a compare scan emits to: the ambient scope when one is
-/// installed, else the machine's own — the [`st_extmem::scan`]
-/// resolution, re-stated here because every tape of the stepper's
-/// machine carries the machine tracer.
-fn ambient_or(machine_tracer: &Tracer) -> Tracer {
-    let ambient = st_trace::current();
-    if ambient.is_enabled() {
-        ambient
-    } else {
-        machine_tracer.clone()
     }
 }
 
@@ -160,10 +148,11 @@ impl<R: Rng> FingerprintStepper<R> {
         }
     }
 
-    /// Override the backward-scan slice length (`1` = the per-cell
-    /// path). Any value yields bit-for-bit the same verdict, usage,
-    /// trace stream, *and* budget consumption — the parity tests pin
-    /// this — so the knob exists for those tests and for benchmarks.
+    /// Override the backward-scan slice length (`1` = one symbol per
+    /// slice, the per-cell scan). Any value yields bit-for-bit the same
+    /// verdict, usage, trace stream, *and* budget consumption — the
+    /// parity tests pin this — so the knob exists for those tests and
+    /// for benchmarks.
     pub fn set_backward_block(&mut self, block: usize) {
         assert!(block > 0, "block length must be positive");
         self.backward_block = block;
@@ -275,84 +264,19 @@ impl<R: Rng> FingerprintStepper<R> {
         Ok(())
     }
 
-    /// One backward-scan micro-operation (one `read_bwd`).
-    fn advance_backward(&mut self) -> Result<(), StError> {
-        let params = self
-            .params
-            .ok_or_else(|| StError::Machine("backward scan without parameters".into()))?;
-        let FpState::Backward {
-            m,
-            sum_second,
-            sum_first,
-            e,
-            pow2,
-            seen_hashes,
-        } = &mut self.state
-        else {
-            return Ok(());
-        };
-        let flush = |seen: u64, e: u64, sum_second: &mut u64, sum_first: &mut u64, m: u64| {
-            let term = pow_mod(params.x, e, params.p2);
-            if seen <= m {
-                *sum_second = add_mod(*sum_second, term, params.p2);
-            } else {
-                *sum_first = add_mod(*sum_first, term, params.p2);
-            }
-        };
-        let tape = self.machine.tape_mut(0);
-        let pos_before = tape.head();
-        let finished;
-        match tape.read_bwd() {
-            Some(b'#') => {
-                // Terminator of some value; if this is not the very
-                // first symbol read, the accumulated value is complete.
-                if *seen_hashes > 0 {
-                    flush(*seen_hashes, *e, sum_second, sum_first, *m);
-                }
-                *seen_hashes += 1;
-                *e = 0;
-                *pow2 = 1;
-                finished = pos_before == 0;
-            }
-            Some(bit @ (b'0' | b'1')) => {
-                if bit == b'1' {
-                    *e = add_mod(*e, *pow2, params.p1);
-                }
-                *pow2 = mul_mod(*pow2, 2, params.p1);
-                finished = pos_before == 0;
-            }
-            Some(other) => {
-                return Err(StError::InvalidInstance(format!(
-                    "unexpected tape symbol {:?}",
-                    other as char
-                )))
-            }
-            None => finished = true,
-        }
-        if finished {
-            // The leftmost value has no preceding '#'; flush it.
-            if *seen_hashes > 0 {
-                flush(*seen_hashes, *e, sum_second, sum_first, *m);
-            }
-            let accepted = *sum_first == *sum_second;
-            self.final_residues = Some((*sum_first, *sum_second));
-            let usage = self.machine.usage();
-            self.state = FpState::Done(DeciderRun { accepted, usage });
-        }
-        Ok(())
-    }
-
-    /// Backward-scan micro-operations in bulk: read `count` symbols as
-    /// one zero-copy slice and fold them into the residue accumulators
-    /// with **word-parallel** arithmetic — up to 8 bits of a value are
-    /// absorbed per modular multiply (`e += (Σ bitⱼ·2ʲ)·pow2 mod p₁;
-    /// pow2 ·= 2ᵗᵃᵏᵉ`), which distributes over the per-bit recurrence
-    /// exactly, so residues, verdict, usage and budget consumption are
-    /// bit-for-bit those of `count` calls to
-    /// [`advance_backward`](Self::advance_backward).
+    /// Backward-scan micro-operations in bulk: read up to `count`
+    /// symbols as one slice (one symbol under a fault plan) and fold them
+    /// into the residue accumulators with **word-parallel** arithmetic —
+    /// up to 63 bits of a value are absorbed per modular multiply
+    /// (`e += (Σ bitⱼ·2ʲ)·pow2 mod p₁; pow2 ·= 2ᵗᵃᵏᵉ`), which distributes
+    /// over the per-bit recurrence exactly, so residues, verdict, usage
+    /// and budget consumption are bit-for-bit those of one `read_bwd`
+    /// per symbol. Returns the micro-operations performed: the symbols
+    /// read, or 1 for the free `None` read that ends an empty tape's
+    /// scan.
     ///
     /// `count` must not exceed the unread symbols (the caller caps it).
-    fn advance_backward_block(&mut self, count: usize) -> Result<(), StError> {
+    fn advance_backward(&mut self, count: usize) -> Result<usize, StError> {
         let params = self
             .params
             .ok_or_else(|| StError::Machine("backward scan without parameters".into()))?;
@@ -365,7 +289,7 @@ impl<R: Rng> FingerprintStepper<R> {
             seen_hashes,
         } = &mut self.state
         else {
-            return Ok(());
+            return Ok(0);
         };
         let flush = |seen: u64, e: u64, sum_second: &mut u64, sum_first: &mut u64, m: u64| {
             let term = pow_mod(params.x, e, params.p2);
@@ -383,6 +307,7 @@ impl<R: Rng> FingerprintStepper<R> {
         // `finished` iff the slice reached cell 0 (or the tape is empty
         // and the single free `None` read ends the scan).
         let finished = chunk.len() > head_before || tape_empty;
+        let used = chunk.len().max(usize::from(tape_empty));
         // One vectorizable validation sweep up front keeps the hot bit
         // loop below branch-free. (Unreachable through the public API:
         // `feed` already rejects anything outside the tape alphabet.)
@@ -438,7 +363,7 @@ impl<R: Rng> FingerprintStepper<R> {
             let usage = self.machine.usage();
             self.state = FpState::Done(DeciderRun { accepted, usage });
         }
-        Ok(())
+        Ok(used)
     }
 }
 
@@ -457,27 +382,18 @@ impl<R: Rng> Stepper for FingerprintStepper<R> {
                 FpState::Ingest { .. } => return Ok(StepOutcome::NeedInput),
                 FpState::Done(v) => return Ok(StepOutcome::Done(v.clone())),
                 FpState::Backward { .. } => {
-                    // The zero-copy slice read cannot roll per-cell
-                    // fault dice; faulted tapes take the per-cell path
-                    // so fault semantics stay exact.
-                    if self.backward_block == 1 || self.machine.tape(0).faults_enabled() {
-                        if !budget.take() {
-                            return Ok(StepOutcome::Yielded);
-                        }
-                        self.advance_backward()?;
-                    } else {
-                        // Unread symbols left in the scan: everything at
-                        // or left of the head (plus the single free
-                        // `None` read that ends an empty tape's scan).
-                        let tape = self.machine.tape(0);
-                        let unread = if tape.is_empty() { 1 } else { tape.head() + 1 };
-                        let want = unread.min(self.backward_block) as u64;
-                        let got = budget.take_up_to(want);
-                        if got == 0 {
-                            return Ok(StepOutcome::Yielded);
-                        }
-                        self.advance_backward_block(got as usize)?;
+                    // Unread symbols left in the scan: everything at or
+                    // left of the head (plus the single free `None` read
+                    // that ends an empty tape's scan).
+                    let tape = self.machine.tape(0);
+                    let unread = if tape.is_empty() { 1 } else { tape.head() + 1 };
+                    let want = unread.min(self.backward_block) as u64;
+                    let max = budget.remaining().min(want);
+                    if max == 0 {
+                        return Ok(StepOutcome::Yielded);
                     }
+                    let used = self.advance_backward(max as usize)?;
+                    budget.take_up_to(used as u64);
                 }
             }
         }
@@ -527,13 +443,10 @@ impl SortRoute {
 enum CompareState {
     /// Scan preamble not yet run (rewinds, memory charge, scan event).
     Init,
-    /// Mid `tapes_equal` (MULTISET-EQUALITY).
-    Equal { charge: Option<MemoryCharge> },
-    /// Mid `compare_sorted` (CHECK-SORT).
-    Sorted {
-        equal: bool,
-        sorted: bool,
-        prev: Option<BitStr>,
+    /// Mid the lockstep scan: `tapes_equal` (MULTISET-EQUALITY) or
+    /// `compare_sorted` (CHECK-SORT).
+    Lockstep {
+        scan: Lockstep<BitStr>,
         charge: Option<MemoryCharge>,
     },
     /// Mid the dedup compare (SET-EQUALITY).
@@ -554,6 +467,37 @@ enum SetEqPos {
     SkipA(BitStr),
     /// Skipping duplicates of the frontier value on the second tape.
     SkipB(BitStr),
+}
+
+/// Read past the records equal to `x` at the head of `t`, in slices, at
+/// one budget unit per record read — the per-cell loop's price. Returns
+/// the first read that is not `x` (a differing record, or `None` at the
+/// end of the tape), or `None` when the budget ran out first.
+fn skip_run(t: &mut Tape<BitStr>, x: &BitStr, budget: &mut StepBudget) -> Option<Option<BitStr>> {
+    loop {
+        let max = budget.remaining().min(DEFAULT_BLOCK as u64) as usize;
+        if max == 0 {
+            return None;
+        }
+        let s = t.peek_slice(max);
+        if s.is_empty() {
+            budget.take();
+            return Some(None);
+        }
+        match s.iter().position(|v| v != x) {
+            Some(k) => {
+                let next = s[k].clone();
+                t.advance_fwd(k + 1);
+                budget.take_up_to(k as u64 + 1);
+                return Some(Some(next));
+            }
+            None => {
+                let n = s.len();
+                t.advance_fwd(n);
+                budget.take_up_to(n as u64);
+            }
+        }
+    }
 }
 
 enum RoutePhase {
@@ -586,8 +530,8 @@ enum Advance {
 /// are record-level: their tapes hold parsed values, not symbols) and
 /// parses at [`Stepper::finish`]; from there every sort pass and the
 /// final compare scan run under the step budget via the
-/// [`st_extmem::step::SortStepper`] and a resumable replica of the
-/// batch compare scans.
+/// [`st_extmem::step::SortStepper`] and the resumable block compare
+/// kernels of [`st_extmem::block`].
 pub struct SortRouteStepper {
     route: SortRoute,
     tracer: Tracer,
@@ -652,7 +596,7 @@ impl SortRouteStepper {
 
 impl Running {
     /// Advance by one bounded unit of work: a sort-stepper batch, a
-    /// compare-scan micro-operation, or a phase transition.
+    /// compare-scan batch, or a phase transition.
     fn advance(&mut self, route: SortRoute, budget: &mut StepBudget) -> Result<Advance, StError> {
         match &mut self.phase {
             RoutePhase::Sort1(stepper) => match stepper.step(&mut self.machine, budget)? {
@@ -674,62 +618,60 @@ impl Running {
                     Ok(Advance::Continue)
                 }
             },
-            RoutePhase::Compare(_) => {
-                if !budget.take() {
-                    return Ok(Advance::Yielded);
-                }
-                self.advance_compare(route)
-            }
+            RoutePhase::Compare(_) => self.advance_compare(route, budget),
         }
     }
 
-    /// One micro-operation of the final compare scan, replicating the
-    /// batch deciders' scan sequences operation for operation.
-    fn advance_compare(&mut self, route: SortRoute) -> Result<Advance, StError> {
+    /// Advance the final compare scan within the budget: the batch
+    /// deciders' scan sequences, one unit for the preamble and then the
+    /// per-cell price of each read.
+    fn advance_compare(
+        &mut self,
+        route: SortRoute,
+        budget: &mut StepBudget,
+    ) -> Result<Advance, StError> {
         let RoutePhase::Compare(state) = &mut self.phase else {
             return Ok(Advance::Continue);
         };
         match state {
             CompareState::Init => {
+                if !budget.take() {
+                    return Ok(Advance::Yielded);
+                }
                 let meter = self.machine.meter().clone();
+                let tracer = scan_tracer(&[self.machine.tracer()]);
                 match route {
                     SortRoute::Multiset => {
-                        // `scan::tapes_equal` preamble.
-                        let tracer = ambient_or(self.machine.tracer());
+                        // The `tapes_equal` preamble.
                         tracer.emit(|| TraceEvent::ScanStart {
                             op: "tapes_equal".to_string(),
                         });
                         let (a, b) = self.machine.pair_mut(0, 1);
                         a.rewind();
                         b.rewind();
-                        let charge = meter.charge(2);
-                        *state = CompareState::Equal {
-                            charge: Some(charge),
+                        *state = CompareState::Lockstep {
+                            scan: Lockstep::new(DEFAULT_BLOCK),
+                            charge: Some(meter.charge(2)),
                         };
                     }
                     SortRoute::CheckSort => {
-                        // `scan::compare_sorted(second, first)` preamble:
+                        // The `compare_sorted(second, first)` preamble:
                         // the *second* list is the one checked for
                         // sortedness, so it rewinds first.
-                        let tracer = ambient_or(self.machine.tracer());
                         tracer.emit(|| TraceEvent::ScanStart {
                             op: "compare_sorted".to_string(),
                         });
                         let (b, a) = self.machine.pair_mut(1, 0);
                         b.rewind();
                         a.rewind();
-                        let charge = meter.charge(3);
-                        *state = CompareState::Sorted {
-                            equal: true,
-                            sorted: true,
-                            prev: None,
-                            charge: Some(charge),
+                        *state = CompareState::Lockstep {
+                            scan: Lockstep::new(DEFAULT_BLOCK),
+                            charge: Some(meter.charge(3)),
                         };
                     }
                     SortRoute::SetEquality => {
-                        // The batch dedup compare is inline (no scan
-                        // event): rewinds, frontier charge, initial
-                        // reads.
+                        // The dedup compare is inline (no scan event):
+                        // rewinds, frontier charge, initial reads.
                         let n = self.machine.input_len();
                         let (a, b) = self.machine.pair_mut(0, 1);
                         a.rewind();
@@ -748,64 +690,25 @@ impl Running {
                 }
                 Ok(Advance::Continue)
             }
-            CompareState::Equal { charge } => {
-                let (a, b) = self.machine.pair_mut(0, 1);
-                let equal = match (a.read_fwd(), b.read_fwd()) {
-                    (None, None) => Some(true),
-                    (Some(x), Some(y)) if x == y => None,
-                    _ => Some(false),
+            CompareState::Lockstep { scan, charge } => {
+                let (accepted, op) = if route == SortRoute::CheckSort {
+                    let (b, a) = self.machine.pair_mut(1, 0);
+                    let Some((equal, sorted)) = scan.step_sorted(b, a, budget) else {
+                        return Ok(Advance::Yielded);
+                    };
+                    (equal && sorted, "compare_sorted")
+                } else {
+                    let (a, b) = self.machine.pair_mut(0, 1);
+                    let Some(equal) = scan.step_equal(a, b, budget) else {
+                        return Ok(Advance::Yielded);
+                    };
+                    (equal, "tapes_equal")
                 };
-                if let Some(equal) = equal {
-                    let tracer = ambient_or(self.machine.tracer());
-                    tracer.emit(|| TraceEvent::ScanEnd {
-                        op: "tapes_equal".to_string(),
-                    });
-                    drop(charge.take());
-                    let usage = self.machine.usage();
-                    return Ok(Advance::Finished(DeciderRun {
-                        accepted: equal,
-                        usage,
-                    }));
-                }
-                Ok(Advance::Continue)
-            }
-            CompareState::Sorted {
-                equal,
-                sorted,
-                prev,
-                charge,
-            } => {
-                let (b, a) = self.machine.pair_mut(1, 0);
-                let finished = match (b.read_fwd(), a.read_fwd()) {
-                    (None, None) => true,
-                    (Some(x), Some(y)) => {
-                        if x != y {
-                            *equal = false;
-                        }
-                        if let Some(p) = prev {
-                            if *p > x {
-                                *sorted = false;
-                            }
-                        }
-                        *prev = Some(x);
-                        false
-                    }
-                    _ => {
-                        *equal = false;
-                        true
-                    }
-                };
-                if finished {
-                    let accepted = *equal && *sorted;
-                    let tracer = ambient_or(self.machine.tracer());
-                    tracer.emit(|| TraceEvent::ScanEnd {
-                        op: "compare_sorted".to_string(),
-                    });
-                    drop(charge.take());
-                    let usage = self.machine.usage();
-                    return Ok(Advance::Finished(DeciderRun { accepted, usage }));
-                }
-                Ok(Advance::Continue)
+                scan_tracer(&[self.machine.tracer()])
+                    .emit(|| TraceEvent::ScanEnd { op: op.to_string() });
+                drop(charge.take());
+                let usage = self.machine.usage();
+                Ok(Advance::Finished(DeciderRun { accepted, usage }))
             }
             CompareState::SetEq {
                 equal,
@@ -813,54 +716,47 @@ impl Running {
                 cur_b,
                 pos,
                 charge,
-            } => {
+            } => loop {
                 let (a, b) = self.machine.pair_mut(0, 1);
-                let finished = match pos {
-                    SetEqPos::Head => match (cur_a.as_ref(), cur_b.as_ref()) {
-                        (Some(x), Some(y)) => {
-                            if x != y {
-                                *equal = false;
-                                true
-                            } else {
-                                let x = x.clone();
-                                *pos = SetEqPos::SkipA(x);
-                                false
-                            }
+                match std::mem::replace(pos, SetEqPos::Head) {
+                    SetEqPos::Head => {
+                        if !budget.take() {
+                            return Ok(Advance::Yielded);
                         }
-                        _ => {
-                            if *equal && (cur_a.is_some() || cur_b.is_some()) {
-                                *equal = false;
+                        match (cur_a.as_ref(), cur_b.as_ref()) {
+                            (Some(x), Some(y)) if x == y => {
+                                *pos = SetEqPos::SkipA(x.clone());
+                                continue;
                             }
-                            true
+                            (Some(_), Some(_)) => *equal = false,
+                            (a, b) => *equal &= a.is_none() && b.is_none(),
                         }
-                    },
-                    SetEqPos::SkipA(x) => {
-                        let x = x.clone();
-                        *cur_a = a.read_fwd();
-                        if cur_a.as_ref() != Some(&x) {
+                        let accepted = *equal;
+                        // Batch order: usage first, frontier charge
+                        // released at function exit.
+                        let usage = self.machine.usage();
+                        drop(charge.take());
+                        return Ok(Advance::Finished(DeciderRun { accepted, usage }));
+                    }
+                    SetEqPos::SkipA(x) => match skip_run(a, &x, budget) {
+                        Some(next) => {
+                            *cur_a = next;
                             *pos = SetEqPos::SkipB(x);
                         }
-                        false
-                    }
-                    SetEqPos::SkipB(x) => {
-                        let x = x.clone();
-                        *cur_b = b.read_fwd();
-                        if cur_b.as_ref() != Some(&x) {
-                            *pos = SetEqPos::Head;
+                        None => {
+                            *pos = SetEqPos::SkipA(x);
+                            return Ok(Advance::Yielded);
                         }
-                        false
-                    }
-                };
-                if finished {
-                    let accepted = *equal;
-                    // Batch order: usage first, frontier charge released
-                    // at function exit.
-                    let usage = self.machine.usage();
-                    drop(charge.take());
-                    return Ok(Advance::Finished(DeciderRun { accepted, usage }));
+                    },
+                    SetEqPos::SkipB(x) => match skip_run(b, &x, budget) {
+                        Some(next) => *cur_b = next,
+                        None => {
+                            *pos = SetEqPos::SkipB(x);
+                            return Ok(Advance::Yielded);
+                        }
+                    },
                 }
-                Ok(Advance::Continue)
-            }
+            },
         }
     }
 }

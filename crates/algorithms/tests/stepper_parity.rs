@@ -176,3 +176,95 @@ fn one_shot_feed_matches_batch_on_the_empty_instance() {
     assert!(inc.accepted && batch.accepted);
     assert_eq!(inc.usage, batch.usage);
 }
+
+/// Seeded instances for the budget sweep, from trivial to a 2000-record
+/// sort whose run outlasts a 65 536-unit budget.
+fn sweep_instances() -> Vec<Instance> {
+    vec![
+        Instance::parse("").unwrap(),
+        Instance::parse("0#0#1#0#1#1#").unwrap(),
+        generate::yes_multiset(40, 9, &mut StdRng::seed_from_u64(1501)),
+        generate::no_multiset_one_bit(40, 9, &mut StdRng::seed_from_u64(1502)),
+        generate::random_instance(33, 3, &mut StdRng::seed_from_u64(1503)),
+        generate::yes_checksort(48, 7, &mut StdRng::seed_from_u64(1504)),
+        generate::no_checksort_sorted_but_wrong(48, 7, &mut StdRng::seed_from_u64(1505)),
+        generate::yes_set_distinct(300, 12, &mut StdRng::seed_from_u64(1506)),
+        generate::yes_multiset(2000, 10, &mut StdRng::seed_from_u64(1507)),
+    ]
+}
+
+/// Yields at per-call budgets 1, 2, 3, 7, 64, 4096 and 65 536, as the
+/// cell-at-a-time steppers gave them: one unit per record moved and one
+/// per scan boundary, whatever slice the kernels move.
+#[rustfmt::skip]
+const PINNED_YIELDS: [(usize, SortRoute, [u64; 7]); 27] = [
+    (0, SortRoute::Multiset, [3, 1, 1, 0, 0, 0, 0]),
+    (0, SortRoute::CheckSort, [2, 1, 0, 0, 0, 0, 0]),
+    (0, SortRoute::SetEquality, [3, 1, 1, 0, 0, 0, 0]),
+    (1, SortRoute::Multiset, [42, 21, 14, 6, 0, 0, 0]),
+    (1, SortRoute::CheckSort, [24, 12, 8, 3, 0, 0, 0]),
+    (1, SortRoute::SetEquality, [49, 24, 16, 7, 0, 0, 0]),
+    (2, SortRoute::Multiset, [1109, 554, 369, 158, 17, 0, 0]),
+    (2, SortRoute::CheckSort, [575, 287, 191, 82, 8, 0, 0]),
+    (2, SortRoute::SetEquality, [1188, 594, 396, 169, 18, 0, 0]),
+    (3, SortRoute::Multiset, [1097, 548, 365, 156, 17, 0, 0]),
+    (3, SortRoute::CheckSort, [575, 287, 191, 82, 8, 0, 0]),
+    (3, SortRoute::SetEquality, [1151, 575, 383, 164, 17, 0, 0]),
+    (4, SortRoute::Multiset, [895, 447, 298, 127, 13, 0, 0]),
+    (4, SortRoute::CheckSort, [480, 240, 160, 68, 7, 0, 0]),
+    (4, SortRoute::SetEquality, [967, 483, 322, 138, 15, 0, 0]),
+    (5, SortRoute::Multiset, [1323, 661, 441, 189, 20, 0, 0]),
+    (5, SortRoute::CheckSort, [686, 343, 228, 98, 10, 0, 0]),
+    (5, SortRoute::SetEquality, [1413, 706, 471, 201, 22, 0, 0]),
+    (6, SortRoute::Multiset, [1287, 643, 429, 183, 20, 0, 0]),
+    (6, SortRoute::CheckSort, [686, 343, 228, 98, 10, 0, 0]),
+    (6, SortRoute::SetEquality, [1309, 654, 436, 187, 20, 0, 0]),
+    (7, SortRoute::Multiset, [11745, 5872, 3915, 1677, 183, 2, 0]),
+    (7, SortRoute::CheckSort, [6023, 3011, 2007, 860, 94, 1, 0]),
+    (7, SortRoute::SetEquality, [12345, 6172, 4115, 1763, 192, 3, 0]),
+    (8, SortRoute::Multiset, [94049, 47024, 31349, 13435, 1469, 22, 1]),
+    (8, SortRoute::CheckSort, [48025, 24012, 16008, 6860, 750, 11, 0]),
+    (8, SortRoute::SetEquality, [96949, 48474, 32316, 13849, 1514, 23, 1]),
+];
+
+/// Run `route` on `inst` with `budget` units per step call (`None` =
+/// unlimited), tracing into a fresh buffer: the verdict, the number of
+/// yields, and the trace.
+fn traced_run(
+    inst: &Instance,
+    route: SortRoute,
+    budget: Option<u64>,
+) -> (DeciderRun, u64, Vec<st_trace::TraceEvent>) {
+    let (tracer, buf) = st_trace::Tracer::in_memory();
+    let mut stepper = SortRouteStepper::new_traced(route, tracer);
+    let _ = stepper.feed(&inst.encode_bytes()).unwrap();
+    stepper.finish().unwrap();
+    let mut yields = 0u64;
+    let run = loop {
+        let mut b = budget.map_or_else(StepBudget::unlimited, StepBudget::new);
+        match stepper.step(&mut b).unwrap() {
+            StepOutcome::Done(v) => break v,
+            StepOutcome::Yielded => yields += 1,
+            StepOutcome::NeedInput => unreachable!("stream already finished"),
+        }
+    };
+    (run, yields, buf.snapshot())
+}
+
+#[test]
+fn every_budget_gives_the_same_run_and_the_pinned_yields() {
+    let insts = sweep_instances();
+    for (i, route, pinned) in PINNED_YIELDS {
+        let (want, unlimited_yields, want_trace) = traced_run(&insts[i], route, None);
+        assert_eq!(unlimited_yields, 0, "an unlimited budget never yields");
+        let budgets = [1u64, 2, 3, 7, 64, 4096, 65536];
+        for (budget, pinned_yields) in budgets.into_iter().zip(pinned) {
+            let (got, yields, trace) = traced_run(&insts[i], route, Some(budget));
+            let at = format!("instance {i}, {route:?}, budget {budget}");
+            assert_eq!(got.accepted, want.accepted, "verdict, {at}");
+            assert_eq!(got.usage, want.usage, "usage, {at}");
+            assert_eq!(trace, want_trace, "trace, {at}");
+            assert_eq!(yields, pinned_yields, "yields, {at}");
+        }
+    }
+}

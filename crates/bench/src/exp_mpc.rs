@@ -152,11 +152,8 @@ pub fn e25_mpc_sort_rounds() -> Report {
     );
     let inst_yes = generate::yes_checksort(64, 10, &mut StdRng::seed_from_u64(2501));
     let inst_no = generate::no_checksort_sorted_but_wrong(64, 10, &mut StdRng::seed_from_u64(2502));
-    let block = st_extmem::block::DEFAULT_BLOCK;
-    let single_yes =
-        st_algo::sortcheck::decide_check_sort_block(&inst_yes, block).expect("single-tape");
-    let single_no =
-        st_algo::sortcheck::decide_check_sort_block(&inst_no, block).expect("single-tape");
+    let single_yes = st_algo::sortcheck::decide_check_sort(&inst_yes).expect("single-tape");
+    let single_no = st_algo::sortcheck::decide_check_sort(&inst_no).expect("single-tape");
 
     let mut shape_ok = true;
     let mut verdicts_ok = true;

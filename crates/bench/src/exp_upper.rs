@@ -264,7 +264,7 @@ pub fn e6_sorting() -> Report {
 /// the registry-wide regression tests fast while still pinning the same
 /// log shape and bounds.
 pub fn e23_out_of_core() -> Report {
-    use st_extmem::{block, TapeMachine};
+    use st_extmem::{sort, TapeMachine};
     let full = std::env::var("ST_E23_FULL").is_ok_and(|v| v != "0");
     let mut r = Report::new(
         "e23",
@@ -290,7 +290,7 @@ pub fn e23_out_of_core() -> Report {
         let mut machine = TapeMachine::with_input(data, n);
         machine.add_tape("scratch1");
         machine.add_tape("scratch2");
-        block::merge_sort(&mut machine, 0, 1, 2, 4096).expect("block sort");
+        sort::merge_sort(&mut machine, 0, 1, 2).expect("block sort");
         let usage = machine.usage();
         let sorted = (0..n as i64).collect::<Vec<_>>();
         assert_eq!(machine.tape(0).snapshot(), sorted, "block sort must sort");

@@ -609,15 +609,14 @@ pub(crate) fn mpc_swept_multiset(word: &str, seed: u64) -> Result<Option<bool>, 
 }
 
 /// CHECK-SORT on the simulated cluster, swept over worker counts: every
-/// p must agree with the single-tape block decider and climb its merge
+/// p must agree with the single-tape decider and climb its merge
 /// tree in exactly ⌈log₂p⌉ rounds; any drift is an error the comparator
 /// flags. Both sides are deterministic, so the pairing is exact.
 pub(crate) fn mpc_swept_checksort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
-    let reference =
-        st_algo::sortcheck::decide_check_sort_block(&inst, st_extmem::block::DEFAULT_BLOCK)?;
+    let reference = st_algo::sortcheck::decide_check_sort(&inst)?;
     for p in MPC_ORACLE_SWEEP {
         let run = st_mpc::decide_check_sort(&inst, &st_mpc::MpcOptions::with_workers(p))?;
         if run.accepted != reference.accepted {

@@ -1,17 +1,13 @@
-//! Block-oriented counterparts of the scan combinators and the merge
-//! sort: same machine, same accounting, slices instead of cells.
+//! The scan combinators and merge-pass kernels: the one production
+//! implementation, moving records in slices.
 //!
-//! The paper's external-memory model moves data in blocks/pages; the
-//! cell-at-a-time combinators in [`crate::scan`] and the
-//! [`crate::step::SortStepper`] pay per-record call overhead (an
-//! `Option` shuffle, a fault-layer check, a head-movement note) that
-//! dominates wall-clock time long before N reaches the out-of-core
-//! regime the lower bounds are about. The functions here drive the same
-//! [`Tape`]s through the zero-copy slice API
-//! ([`Tape::peek_slice`]/[`Tape::read_slice_fwd`]/
-//! [`Tape::write_slice_fwd`]), charging each sustained sweep **once per
-//! block** the way `StepBatch@1024` batches step events — while keeping
-//! every observable exactly equal to the cell-at-a-time path:
+//! The paper's external-memory model moves data in blocks/pages, and it
+//! meters a computation in cells, reversals and internal memory — never
+//! in call granularity. The functions here drive [`Tape`]s through the
+//! slice API ([`Tape::peek_slice`]/[`Tape::read_slice_fwd`]/
+//! [`Tape::write_slice_fwd`]/`Tape::write_merged_runs_fwd`), charging
+//! each sustained sweep **once per block**, while every observable is
+//! exactly that of the cell-at-a-time reference in [`crate::scan`]:
 //!
 //! * **verdicts/content** — each combinator computes the identical
 //!   function (same tie-breaking in merges, same early-exit points in
@@ -19,39 +15,83 @@
 //! * **`ResourceUsage`** — `moves`, reversal counts, and memory charges
 //!   are bit-for-bit those of the per-cell path (a bulk slice op is one
 //!   sustained sweep, which is how [`Tape`] already accounts `rewind`);
-//! * **trace stream** — the same `ScanStart`/`ScanEnd`/`PhaseBegin`/
-//!   `PhaseEnd`/`Reversal` events in the same order (per-record events
-//!   do not exist on either path; reversals are emitted by the tape
-//!   itself at direction changes).
+//! * **trace stream** — the same `ScanStart`/`ScanEnd`/`MemCharge`/
+//!   `Reversal`/`Fault` events in the same order. Within a scan every
+//!   head moves one way, so the only order-sensitive head events are
+//!   each tape's first moves; the kernels replay the per-cell openings
+//!   literally (the merge reads one opening record per input, the
+//!   lockstep compare reads its first pair cell by cell).
 //!
-//! Property tests in this module and in `tests/` pin that equivalence.
+//! **Faults.** The tape owns fault injection: under a plan its slice
+//! reads hand out one cell at a time and roll each cell's dice when it
+//! is first handed out, and its slice writes degrade to per-cell
+//! writes. The kernels peek a side only when the per-cell loop would
+//! read it, so fault dice and `Fault` events fall exactly where the
+//! reference puts them — without any caller branching on the plan.
 //!
-//! **Fault interaction.** The zero-copy read path cannot roll per-cell
-//! fault dice against a borrowed slice, so every entry point falls back
-//! to its per-cell twin when any involved tape has
-//! [`Tape::faults_enabled`] — fault semantics (dice order, injected
-//! corruption) are preserved exactly rather than approximately.
+//! **Budgets.** The kernels are resumable: [`Lockstep`], `Distribute`
+//! and `Merge` advance by at most a [`StepBudget`], at the per-cell
+//! price of one unit per record moved (or pair compared) and one per
+//! scan boundary, so a stepped run yields at the same points whatever
+//! the block length. The batch combinators run them with an unlimited
+//! budget; [`crate::step::SortStepper`] and the sort-route stepper of
+//! `st-algo` run them under the caller's budget.
 //!
-//! The merge buffer is an I/O staging buffer of at most `2·block`
-//! records — the block-device transfer buffer of the model, matching
-//! the documented substitution in the crate root (the *metered* internal
-//! memory is still the per-cell path's charge; see `DESIGN.md`).
+//! Nothing here buffers more than one opening record per merge input:
+//! merges stream straight from the input slices onto the output tape.
 
-use crate::machine::TapeMachine;
 use crate::meter::{bits_for, MemoryMeter};
-use crate::scan;
-use crate::sort;
+use crate::step::StepBudget;
 use crate::tape::Tape;
 use st_core::StError;
-use st_trace::TraceEvent;
+use st_trace::{TraceEvent, Tracer};
 
-/// Default block length, in records. Large enough to amortize per-block
-/// bookkeeping, small enough that a merge staging buffer of `2·block`
-/// records stays cache-friendly.
+/// Default block length, in records: large enough to amortize per-block
+/// bookkeeping, small enough that a slice stays cache-friendly.
 pub const DEFAULT_BLOCK: usize = 4096;
 
-/// Block-oriented [`scan::copy_tape`]: identical accounting and trace
-/// stream, `block`-record sweeps instead of cell moves.
+/// The tracer a combinator's `ScanStart`/`ScanEnd` events go to: the
+/// thread's ambient [`st_trace::scoped`] tracer when one is installed,
+/// else the first enabled tracer among the tapes being driven. Emitting
+/// only on the *source* tape's tracer loses the events whenever the
+/// destination belongs to a different tracer scope (e.g. a cross-machine
+/// `copy_tape` whose source machine is untraced).
+#[must_use]
+pub fn scan_tracer(tapes: &[&Tracer]) -> Tracer {
+    let ambient = st_trace::current();
+    if ambient.is_enabled() {
+        return ambient;
+    }
+    tapes
+        .iter()
+        .find(|t| t.is_enabled())
+        .map_or_else(Tracer::disabled, |t| (*t).clone())
+}
+
+fn scan_start(tracer: &Tracer, op: &str) {
+    tracer.emit(|| TraceEvent::ScanStart { op: op.to_string() });
+}
+
+fn scan_end(tracer: &Tracer, op: &str) {
+    tracer.emit(|| TraceEvent::ScanEnd { op: op.to_string() });
+}
+
+/// The budget's remaining units, capped at `max`, as a slice length.
+fn cap(budget: &StepBudget, max: usize) -> usize {
+    usize::try_from(budget.remaining()).map_or(max, |r| r.min(max))
+}
+
+/// Charge `n` units a kernel has just spent.
+fn spend(budget: &mut StepBudget, n: usize) {
+    budget.take_up_to(n as u64);
+}
+
+const UNLIMITED: &str = "an unlimited budget never yields";
+
+/// Copy all of `src` onto `dst` (overwriting `dst` from its start).
+///
+/// Cost: ≤ 1 reversal on `src` (rewind) + ≤ 1 on `dst` (rewind), then one
+/// forward scan of each. Internal memory: one record buffer.
 pub fn copy_tape<S: Clone>(
     src: &mut Tape<S>,
     dst: &mut Tape<S>,
@@ -59,13 +99,8 @@ pub fn copy_tape<S: Clone>(
     block: usize,
 ) -> Result<(), StError> {
     assert!(block > 0, "block length must be positive");
-    if src.faults_enabled() || dst.faults_enabled() {
-        return scan::copy_tape(src, dst, meter);
-    }
-    let tracer = scan::scan_tracer(&[src.tracer(), dst.tracer()]);
-    tracer.emit(|| TraceEvent::ScanStart {
-        op: "copy_tape".to_string(),
-    });
+    let tracer = scan_tracer(&[src.tracer(), dst.tracer()]);
+    scan_start(&tracer, "copy_tape");
     src.rewind();
     dst.reset_for_overwrite();
     let _buf = meter.charge(1);
@@ -76,15 +111,16 @@ pub fn copy_tape<S: Clone>(
         }
         dst.write_slice_fwd(chunk)?;
     }
-    tracer.emit(|| TraceEvent::ScanEnd {
-        op: "copy_tape".to_string(),
-    });
+    scan_end(&tracer, "copy_tape");
     Ok(())
 }
 
-/// Block-oriented [`scan::tapes_equal`]: same verdict and the same
-/// early-exit head positions (the mismatching cells are consumed, then
-/// the scan stops — exactly where the per-cell loop stops).
+/// Compare `a` and `b` cell-for-cell in one parallel forward scan.
+///
+/// Returns `true` iff they hold identical sequences; the scan stops
+/// right after the first mismatching pair. Cost: ≤ 1 reversal on each
+/// tape (rewind), then one forward scan of each. Internal memory: two
+/// record buffers.
 pub fn tapes_equal<S: Clone + PartialEq>(
     a: &mut Tape<S>,
     b: &mut Tape<S>,
@@ -92,54 +128,24 @@ pub fn tapes_equal<S: Clone + PartialEq>(
     block: usize,
 ) -> bool {
     assert!(block > 0, "block length must be positive");
-    if a.faults_enabled() || b.faults_enabled() {
-        return scan::tapes_equal(a, b, meter);
-    }
-    let tracer = scan::scan_tracer(&[a.tracer(), b.tracer()]);
-    tracer.emit(|| TraceEvent::ScanStart {
-        op: "tapes_equal".to_string(),
-    });
+    let tracer = scan_tracer(&[a.tracer(), b.tracer()]);
+    scan_start(&tracer, "tapes_equal");
     a.rewind();
     b.rewind();
     let _buf = meter.charge(2);
-    let equal = loop {
-        let ca = a.peek_slice(block);
-        let cb = b.peek_slice(block);
-        let n = ca.len().min(cb.len());
-        let mismatch = ca[..n].iter().zip(&cb[..n]).position(|(x, y)| x != y);
-        if let Some(k) = mismatch {
-            // The per-cell loop reads the k-th pair (consuming both
-            // cells) before breaking.
-            a.advance_fwd(k + 1);
-            b.advance_fwd(k + 1);
-            break false;
-        }
-        a.advance_fwd(n);
-        b.advance_fwd(n);
-        match (a.at_end(), b.at_end()) {
-            (true, true) => break true,
-            (false, false) => continue,
-            // Length mismatch: the longer tape pays one more read, just
-            // like the per-cell `(Some, None)` arm.
-            (true, false) => {
-                b.advance_fwd(1);
-                break false;
-            }
-            (false, true) => {
-                a.advance_fwd(1);
-                break false;
-            }
-        }
-    };
-    tracer.emit(|| TraceEvent::ScanEnd {
-        op: "tapes_equal".to_string(),
-    });
+    let equal = Lockstep::new(block)
+        .step_equal(a, b, &mut StepBudget::unlimited())
+        .expect(UNLIMITED);
+    scan_end(&tracer, "tapes_equal");
     equal
 }
 
-/// Block-oriented [`scan::compare_sorted`]: `(equal, a_sorted)` with the
-/// per-cell path's exact accounting (full lockstep scan; only a length
-/// mismatch exits early).
+/// Check in one parallel forward scan that `a` is sorted and equal to `b`
+/// (the final phase of CHECK-SORT after sorting): returns
+/// `(equal, a_sorted)`. Only a length mismatch ends the scan early.
+///
+/// Cost: ≤ 1 reversal on each tape + one forward scan. Internal memory:
+/// three record buffers (current of each tape + previous of `a`).
 pub fn compare_sorted<S: Clone + Ord>(
     a: &mut Tape<S>,
     b: &mut Tape<S>,
@@ -147,64 +153,24 @@ pub fn compare_sorted<S: Clone + Ord>(
     block: usize,
 ) -> (bool, bool) {
     assert!(block > 0, "block length must be positive");
-    if a.faults_enabled() || b.faults_enabled() {
-        return scan::compare_sorted(a, b, meter);
-    }
-    let tracer = scan::scan_tracer(&[a.tracer(), b.tracer()]);
-    tracer.emit(|| TraceEvent::ScanStart {
-        op: "compare_sorted".to_string(),
-    });
+    let tracer = scan_tracer(&[a.tracer(), b.tracer()]);
+    scan_start(&tracer, "compare_sorted");
     a.rewind();
     b.rewind();
     let _buf = meter.charge(3);
-    let mut equal = true;
-    let mut sorted = true;
-    let mut prev: Option<S> = None;
-    loop {
-        let ca = a.peek_slice(block);
-        let cb = b.peek_slice(block);
-        let n = ca.len().min(cb.len());
-        if n > 0 {
-            if equal && ca[..n] != cb[..n] {
-                equal = false;
-            }
-            if sorted {
-                if let Some(p) = &prev {
-                    if p > &ca[0] {
-                        sorted = false;
-                    }
-                }
-                if sorted && ca[..n].windows(2).any(|w| w[0] > w[1]) {
-                    sorted = false;
-                }
-            }
-            prev = Some(ca[n - 1].clone());
-        }
-        a.advance_fwd(n);
-        b.advance_fwd(n);
-        match (a.at_end(), b.at_end()) {
-            (true, true) => break,
-            (false, false) => continue,
-            (true, false) => {
-                b.advance_fwd(1);
-                equal = false;
-                break;
-            }
-            (false, true) => {
-                a.advance_fwd(1);
-                equal = false;
-                break;
-            }
-        }
-    }
-    tracer.emit(|| TraceEvent::ScanEnd {
-        op: "compare_sorted".to_string(),
-    });
-    (equal, sorted)
+    let flags = Lockstep::new(block)
+        .step_sorted(a, b, &mut StepBudget::unlimited())
+        .expect(UNLIMITED);
+    scan_end(&tracer, "compare_sorted");
+    flags
 }
 
-/// Block-oriented [`scan::distribute_runs`]: whole runs move as zero-copy
-/// slices.
+/// Distribute the runs of `src` (blocks of length `run_len`; the final
+/// run may be shorter) alternately onto `out1` and `out2`.
+///
+/// Cost: ≤ 1 reversal on each of the three tapes (rewinds), then one
+/// forward scan of each. Internal memory: one record buffer + one run
+/// counter of `O(log N)` bits.
 pub fn distribute_runs<S: Clone>(
     src: &mut Tape<S>,
     out1: &mut Tape<S>,
@@ -212,51 +178,26 @@ pub fn distribute_runs<S: Clone>(
     run_len: usize,
     meter: &MemoryMeter,
 ) -> Result<(), StError> {
-    assert!(run_len > 0, "run length must be positive");
-    if src.faults_enabled() || out1.faults_enabled() || out2.faults_enabled() {
-        return scan::distribute_runs(src, out1, out2, run_len, meter);
-    }
-    let tracer = scan::scan_tracer(&[src.tracer(), out1.tracer(), out2.tracer()]);
-    tracer.emit(|| TraceEvent::ScanStart {
-        op: "distribute_runs".to_string(),
-    });
+    let tracer = scan_tracer(&[src.tracer(), out1.tracer(), out2.tracer()]);
+    scan_start(&tracer, "distribute_runs");
     src.rewind();
     out1.reset_for_overwrite();
     out2.reset_for_overwrite();
     let _buf = meter.charge(1 + bits_for(src.len() as u64));
-    distribute_blocks(src, out1, out2, run_len)?;
-    tracer.emit(|| TraceEvent::ScanEnd {
-        op: "distribute_runs".to_string(),
-    });
+    let done = Distribute::new(run_len).step(src, out1, out2, &mut StepBudget::unlimited())?;
+    debug_assert!(done, "{UNLIMITED}");
+    scan_end(&tracer, "distribute_runs");
     Ok(())
 }
 
-/// The distribute inner loop, shared with [`merge_sort`]: `src` is
-/// already rewound, `out1`/`out2` reset.
-fn distribute_blocks<S: Clone>(
-    src: &mut Tape<S>,
-    out1: &mut Tape<S>,
-    out2: &mut Tape<S>,
-    run_len: usize,
-) -> Result<(), StError> {
-    let mut to_first = true;
-    loop {
-        let chunk = src.read_slice_fwd(run_len);
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        if to_first {
-            out1.write_slice_fwd(chunk)?;
-        } else {
-            out2.write_slice_fwd(chunk)?;
-        }
-        to_first = !to_first;
-    }
-}
-
-/// Block-oriented [`scan::merge_runs`]: merges paired runs through
-/// `block`-record staging chunks, with the per-cell path's stable
-/// tie-breaking (`in1` wins ties) and accounting.
+/// Merge paired runs of length `run_len` from `in1`/`in2` onto `out`,
+/// producing runs of length `2·run_len`. Assumes the layout produced by
+/// [`distribute_runs`]: the `i`-th run of `in1` pairs with the `i`-th run
+/// of `in2` (which may be missing or short at the tail). Ties go to
+/// `in1`, so the merge is stable.
+///
+/// Cost: ≤ 1 reversal on each of the three tapes + one forward scan of
+/// each. Internal memory: two record buffers + two run counters.
 pub fn merge_runs<S: Clone + Ord>(
     in1: &mut Tape<S>,
     in2: &mut Tape<S>,
@@ -265,419 +206,420 @@ pub fn merge_runs<S: Clone + Ord>(
     meter: &MemoryMeter,
     block: usize,
 ) -> Result<(), StError> {
-    assert!(run_len > 0, "run length must be positive");
-    assert!(block > 0, "block length must be positive");
-    if in1.faults_enabled() || in2.faults_enabled() || out.faults_enabled() {
-        return scan::merge_runs(in1, in2, out, run_len, meter);
-    }
-    let tracer = scan::scan_tracer(&[in1.tracer(), in2.tracer(), out.tracer()]);
-    tracer.emit(|| TraceEvent::ScanStart {
-        op: "merge_runs".to_string(),
-    });
+    let tracer = scan_tracer(&[in1.tracer(), in2.tracer(), out.tracer()]);
+    scan_start(&tracer, "merge_runs");
     in1.rewind();
     in2.rewind();
     out.reset_for_overwrite();
     let _buf = meter.charge(2 + 2 * bits_for(run_len as u64));
-    merge_blocks(in1, in2, out, run_len, block)?;
-    tracer.emit(|| TraceEvent::ScanEnd {
-        op: "merge_runs".to_string(),
-    });
+    let mut merge = Merge::open(in1, in2, run_len, block);
+    let done = merge.step(in1, in2, out, &mut StepBudget::unlimited())?;
+    debug_assert!(done, "{UNLIMITED}");
+    scan_end(&tracer, "merge_runs");
     Ok(())
 }
 
-/// The merge inner loop, shared with [`merge_sort`]: inputs are already
-/// rewound, `out` reset. Pairs the `i`-th runs of `in1`/`in2` and merges
-/// each pair through staging chunks of at most `block` records per side.
+/// The resumable parallel forward scan behind [`tapes_equal`] and
+/// [`compare_sorted`]. The caller positions the tapes (rewinds) first.
+/// One budget unit per pair read, including the final read that finds
+/// a mismatch or the end of a tape.
+#[derive(Debug, Clone)]
+pub struct Lockstep<S> {
+    block: usize,
+    opened: bool,
+    equal: bool,
+    sorted: bool,
+    prev: Option<S>,
+}
+
+impl<S: Clone> Lockstep<S> {
+    /// A fresh scan moving up to `block` records per slice.
+    #[must_use]
+    pub fn new(block: usize) -> Self {
+        assert!(block > 0, "block length must be positive");
+        Lockstep {
+            block,
+            opened: false,
+            equal: true,
+            sorted: true,
+            prev: None,
+        }
+    }
+
+    /// Walk both tapes in lockstep, handing each common chunk to
+    /// `inspect`, which returns the index of a pair that ends the scan.
+    /// `None` when the budget ran out; `Some(true)` iff both tapes ended
+    /// together without `inspect` stopping the scan.
+    fn walk(
+        &mut self,
+        a: &mut Tape<S>,
+        b: &mut Tape<S>,
+        budget: &mut StepBudget,
+        mut inspect: impl FnMut(&mut Self, &[S], &[S]) -> Option<usize>,
+    ) -> Option<bool> {
+        if !self.opened {
+            // The first pair is read cell by cell, `a` then `b`, so each
+            // tape's turn-around reversal (and a fault on its first
+            // cell) lands where the per-cell loop puts it.
+            if !budget.take() {
+                return None;
+            }
+            self.opened = true;
+            let x = a.read_slice_fwd(1);
+            let y = b.read_slice_fwd(1);
+            return match (x.is_empty(), y.is_empty()) {
+                (true, true) => Some(true),
+                (false, false) if inspect(self, x, y).is_none() => self.walk(a, b, budget, inspect),
+                _ => Some(false),
+            };
+        }
+        loop {
+            let max = cap(budget, self.block);
+            if max == 0 {
+                return None;
+            }
+            let ca = a.peek_slice(max);
+            let cb = b.peek_slice(max);
+            let n = ca.len().min(cb.len());
+            if let Some(k) = inspect(self, &ca[..n], &cb[..n]) {
+                a.advance_fwd(k + 1);
+                b.advance_fwd(k + 1);
+                spend(budget, k + 1);
+                return Some(false);
+            }
+            a.advance_fwd(n);
+            b.advance_fwd(n);
+            spend(budget, n);
+            let (a_end, b_end) = (a.at_end(), b.at_end());
+            if !a_end && !b_end {
+                continue;
+            }
+            // The read that finds an end: the longer tape pays one more
+            // cell, like the per-cell `(Some, None)` arm.
+            if !budget.take() {
+                return None;
+            }
+            if !a_end {
+                a.advance_fwd(1);
+            } else if !b_end {
+                b.advance_fwd(1);
+            }
+            return Some(a_end && b_end);
+        }
+    }
+}
+
+impl<S: Clone + PartialEq> Lockstep<S> {
+    /// Advance the [`tapes_equal`] scan; `Some(equal)` once it is over.
+    pub fn step_equal(
+        &mut self,
+        a: &mut Tape<S>,
+        b: &mut Tape<S>,
+        budget: &mut StepBudget,
+    ) -> Option<bool> {
+        self.walk(a, b, budget, |_, x, y| {
+            x.iter().zip(y).position(|(p, q)| p != q)
+        })
+    }
+}
+
+impl<S: Clone + Ord> Lockstep<S> {
+    /// Advance the [`compare_sorted`] scan; `Some((equal, a_sorted))`
+    /// once it is over.
+    pub fn step_sorted(
+        &mut self,
+        a: &mut Tape<S>,
+        b: &mut Tape<S>,
+        budget: &mut StepBudget,
+    ) -> Option<(bool, bool)> {
+        let same_length = self.walk(a, b, budget, |st, x, y| {
+            let last = x.last()?;
+            st.equal &= x == y;
+            if st.sorted {
+                let after_prev = st.prev.as_ref().is_none_or(|p| p <= &x[0]);
+                st.sorted = after_prev && x.windows(2).all(|w| w[0] <= w[1]);
+            }
+            st.prev = Some(last.clone());
+            None
+        })?;
+        Some((self.equal && same_length, self.sorted))
+    }
+}
+
+/// The resumable distribute pass: runs of `run_len` records from a
+/// rewound `src` go alternately onto the reset `out1`/`out2`, as
+/// zero-copy slices. One budget unit per record, and one for the read
+/// that finds the end of `src`.
+#[derive(Debug, Clone)]
+pub(crate) struct Distribute {
+    run_len: usize,
+    to_first: bool,
+    in_run: usize,
+}
+
+impl Distribute {
+    /// A fresh pass over runs of `run_len` records.
+    #[must_use]
+    pub fn new(run_len: usize) -> Self {
+        assert!(run_len > 0, "run length must be positive");
+        Distribute {
+            run_len,
+            to_first: true,
+            in_run: 0,
+        }
+    }
+
+    /// Advance within the budget; `true` once `src` is exhausted.
+    pub fn step<S: Clone>(
+        &mut self,
+        src: &mut Tape<S>,
+        out1: &mut Tape<S>,
+        out2: &mut Tape<S>,
+        budget: &mut StepBudget,
+    ) -> Result<bool, StError> {
+        loop {
+            let max = cap(budget, self.run_len - self.in_run);
+            if max == 0 {
+                return Ok(false);
+            }
+            let chunk = src.read_slice_fwd(max);
+            if chunk.is_empty() {
+                budget.take();
+                return Ok(true);
+            }
+            spend(budget, chunk.len());
+            self.in_run += chunk.len();
+            if self.to_first {
+                out1.write_slice_fwd(chunk)?;
+            } else {
+                out2.write_slice_fwd(chunk)?;
+            }
+            if self.in_run == self.run_len {
+                self.in_run = 0;
+                self.to_first = !self.to_first;
+            }
+        }
+    }
+}
+
+/// The resumable merge pass: pairs the `i`-th runs of `in1`/`in2` and
+/// merges each pair onto `out`, ties to `in1`. One budget unit per record
+/// written and one per run-pair boundary (the last boundary ends the
+/// pass).
 ///
-/// The per-cell [`scan::merge_runs`] opens by buffering one record from
-/// `in1`, then one from `in2`, before its first write — fixing the order
-/// of the three turn-around `Reversal` events. We replay those two head
-/// movements as *carry* records up front; after them every head only
-/// moves right, so the chunked interleaving below is trace-invisible.
-fn merge_blocks<S: Clone + Ord>(
-    in1: &mut Tape<S>,
-    in2: &mut Tape<S>,
-    out: &mut Tape<S>,
+/// The merge streams from input slices straight onto `out`; the only
+/// records it holds are the two it reads when the pass opens (the
+/// per-cell merge's opening reads, which fix the order of the inputs'
+/// turn-around reversals). After them, a side is peeked only when the
+/// per-cell loop would read it: right after its previous record is
+/// written, or at a run-pair boundary.
+#[derive(Debug, Clone)]
+pub(crate) struct Merge<S> {
     run_len: usize,
     block: usize,
-) -> Result<(), StError> {
-    let (len1, len2) = (in1.len(), in2.len());
-    let mut staging: Vec<S> = Vec::with_capacity(2 * block.min(run_len).max(1));
-    let mut carry1: Option<S> = (len1 > 0).then(|| {
-        let v = in1.peek_slice(1)[0].clone();
-        in1.advance_fwd(1);
-        v
-    });
-    let mut carry2: Option<S> = (len2 > 0).then(|| {
-        let v = in2.peek_slice(1)[0].clone();
-        in2.advance_fwd(1);
-        v
-    });
-    // Logical records of each input consumed (written out) so far. The
-    // carried records are *not* yet consumed even though the heads have
-    // passed them.
-    let (mut done1, mut done2) = (0usize, 0usize);
-    while done1 < len1 || done2 < len2 {
-        // This pair's runs (the carry, if still pending, belongs to the
-        // current run: it is always the next unconsumed record).
-        let mut rem1 = run_len.min(len1 - done1);
-        let mut rem2 = run_len.min(len2 - done2);
-        // Two-pointer merge of the run pair, one staging chunk at a
-        // time. Only the side whose *chunk* ran out stalls; the side
-        // whose *run* ran out is drained below.
-        while rem1 > 0 && rem2 > 0 {
-            let avail1 = rem1 - usize::from(carry1.is_some());
-            let avail2 = rem2 - usize::from(carry2.is_some());
-            let ca = in1.peek_slice(avail1.min(block));
-            let cb = in2.peek_slice(avail2.min(block));
-            staging.clear();
-            let (mut i, mut j) = (0usize, 0usize);
-            let (had1, had2) = (carry1.is_some(), carry2.is_some());
-            // Settle the pending carries first so the hot two-pointer
-            // loop below is carry-free. Runs are not assumed sorted —
-            // every comparison is the per-cell front compare, ties to
-            // in1 (`x <= y`).
-            loop {
-                match (&carry1, &carry2) {
-                    (Some(x), Some(y)) => {
-                        if x <= y {
-                            staging.push(carry1.take().expect("checked"));
-                        } else {
-                            staging.push(carry2.take().expect("checked"));
-                        }
-                    }
-                    (Some(x), None) => {
-                        while j < cb.len() && cb[j] < *x {
-                            staging.push(cb[j].clone());
-                            j += 1;
-                        }
-                        if j < cb.len() {
-                            staging.push(carry1.take().expect("checked"));
-                        } else {
-                            break;
-                        }
-                    }
-                    (None, Some(y)) => {
-                        while i < ca.len() && ca[i] <= *y {
-                            staging.push(ca[i].clone());
-                            i += 1;
-                        }
-                        if i < ca.len() {
-                            staging.push(carry2.take().expect("checked"));
-                        } else {
-                            break;
-                        }
-                    }
-                    (None, None) => break,
-                }
-            }
-            out.write_slice_fwd(&staging)?;
-            // The hot two-pointer interleave streams straight into `out`
-            // with no staging round-trip.
-            let (di, dj) = out.write_merged_runs_fwd(&ca[i..], &cb[j..])?;
-            i += di;
-            j += dj;
-            let took1 = i + usize::from(had1 && carry1.is_none());
-            let took2 = j + usize::from(had2 && carry2.is_none());
-            in1.advance_fwd(i);
-            in2.advance_fwd(j);
-            rem1 -= took1;
-            rem2 -= took2;
-            done1 += took1;
-            done2 += took2;
-        }
-        // Drain whichever run still has records: the pending carry as a
-        // staged single, the rest zero-copy.
-        while rem1 > 0 {
-            if let Some(c) = carry1.take() {
-                staging.clear();
-                staging.push(c);
-                out.write_slice_fwd(&staging)?;
-                rem1 -= 1;
-                done1 += 1;
-                continue;
-            }
-            let ca = in1.peek_slice(rem1.min(block));
-            out.write_slice_fwd(ca)?;
-            let n = ca.len();
-            in1.advance_fwd(n);
-            rem1 -= n;
-            done1 += n;
-        }
-        while rem2 > 0 {
-            if let Some(c) = carry2.take() {
-                staging.clear();
-                staging.push(c);
-                out.write_slice_fwd(&staging)?;
-                rem2 -= 1;
-                done2 += 1;
-                continue;
-            }
-            let cb = in2.peek_slice(rem2.min(block));
-            out.write_slice_fwd(cb)?;
-            let n = cb.len();
-            in2.advance_fwd(n);
-            rem2 -= n;
-            done2 += n;
-        }
-        // Refill the carries for the next pair, in the per-cell order.
-        if carry1.is_none() && done1 < len1 {
-            carry1 = Some(in1.peek_slice(1)[0].clone());
-            in1.advance_fwd(1);
-        }
-        if carry2.is_none() && done2 < len2 {
-            carry2 = Some(in2.peek_slice(1)[0].clone());
-            in2.advance_fwd(1);
-        }
-    }
-    Ok(())
+    /// The opening record of each input, until it is written.
+    carry: [Option<S>; 2],
+    /// Records of each input written so far.
+    done: [usize; 2],
+    /// Records of each input left in the current run pair.
+    rem: [usize; 2],
 }
 
-/// Block-oriented [`sort::merge_sort`]: the identical balanced 3-tape
-/// merge sort — same passes, same `PhaseBegin`/`ScanStart`/… event
-/// stream, same memory charges, same `12·⌈log₂ m⌉ + 12` reversal bound —
-/// moving records in `block`-sized sweeps.
-///
-/// Falls back to the cell-at-a-time [`sort::merge_sort`] when any of the
-/// three tapes has faults enabled, preserving fault-dice order exactly.
-pub fn merge_sort<S: Clone + Ord>(
-    machine: &mut TapeMachine<S>,
-    data_idx: usize,
-    scratch1_idx: usize,
-    scratch2_idx: usize,
+impl<S: Clone + Ord> Merge<S> {
+    /// Open a pass over the rewound inputs: read the first record of
+    /// `in1`, then of `in2`.
+    pub fn open(in1: &mut Tape<S>, in2: &mut Tape<S>, run_len: usize, block: usize) -> Self {
+        assert!(run_len > 0, "run length must be positive");
+        assert!(block > 0, "block length must be positive");
+        let carry = [
+            in1.read_slice_fwd(1).first().cloned(),
+            in2.read_slice_fwd(1).first().cloned(),
+        ];
+        Merge {
+            run_len,
+            block,
+            carry,
+            done: [0, 0],
+            rem: [run_len.min(in1.len()), run_len.min(in2.len())],
+        }
+    }
+
+    /// Advance within the budget; `true` once both inputs are spent.
+    pub fn step(
+        &mut self,
+        in1: &mut Tape<S>,
+        in2: &mut Tape<S>,
+        out: &mut Tape<S>,
+        budget: &mut StepBudget,
+    ) -> Result<bool, StError> {
+        loop {
+            if self.rem == [0, 0] {
+                if !budget.take() {
+                    return Ok(false);
+                }
+                self.rem = [
+                    self.run_len.min(in1.len() - self.done[0]),
+                    self.run_len.min(in2.len() - self.done[1]),
+                ];
+                if self.rem == [0, 0] {
+                    return Ok(true);
+                }
+            }
+            let max = cap(budget, usize::MAX);
+            if max == 0 {
+                return Ok(false);
+            }
+            let taken = self.write_some(in1, in2, out, max)?;
+            spend(budget, taken[0] + taken[1]);
+            for (side, n) in taken.into_iter().enumerate() {
+                self.done[side] += n;
+                self.rem[side] -= n;
+            }
+        }
+    }
+
+    /// Write between 1 and `max` records of the current run pair;
+    /// returns how many came from each input.
+    fn write_some(
+        &mut self,
+        in1: &mut Tape<S>,
+        in2: &mut Tape<S>,
+        out: &mut Tape<S>,
+        max: usize,
+    ) -> Result<[usize; 2], StError> {
+        let [rem1, rem2] = self.rem;
+        let block = self.block;
+        if rem2 == 0 {
+            return Ok([
+                drain(in1, &mut self.carry[0], out, rem1.min(max), block)?,
+                0,
+            ]);
+        }
+        if rem1 == 0 {
+            return Ok([
+                0,
+                drain(in2, &mut self.carry[1], out, rem2.min(max), block)?,
+            ]);
+        }
+        match (&self.carry[0], &self.carry[1]) {
+            (Some(x), Some(y)) => {
+                let side = usize::from(x > y);
+                let rec = self.carry[side].take().expect("matched above");
+                out.write_fwd(rec)?;
+                let mut taken = [0, 0];
+                taken[side] = 1;
+                Ok(taken)
+            }
+            (Some(x), None) => {
+                // `in2` records strictly below the pending `in1` record
+                // go first; the first one that is not lets it out.
+                let cb = in2.peek_slice(rem2.min(block).min(max));
+                let n = cb.iter().take_while(|y| *y < x).count();
+                let lets_out = n < cb.len();
+                out.write_slice_fwd(&cb[..n])?;
+                in2.advance_fwd(n);
+                if lets_out {
+                    out.write_fwd(self.carry[0].take().expect("matched above"))?;
+                    return Ok([1, n]);
+                }
+                Ok([0, n])
+            }
+            (None, Some(y)) => {
+                let ca = in1.peek_slice(rem1.min(block).min(max));
+                let n = ca.iter().take_while(|x| *x <= y).count();
+                let lets_out = n < ca.len();
+                out.write_slice_fwd(&ca[..n])?;
+                in1.advance_fwd(n);
+                if lets_out {
+                    out.write_fwd(self.carry[1].take().expect("matched above"))?;
+                    return Ok([n, 1]);
+                }
+                Ok([n, 0])
+            }
+            (None, None) => {
+                let ca = in1.peek_slice(rem1.min(block));
+                let cb = in2.peek_slice(rem2.min(block));
+                let (i, j) = out.write_merged_runs_fwd(ca, cb, max)?;
+                in1.advance_fwd(i);
+                in2.advance_fwd(j);
+                Ok([i, j])
+            }
+        }
+    }
+}
+
+/// Copy up to `max` records of one input's run onto `out` once the other
+/// run of the pair is spent: its pending opening record first, then one
+/// slice. Returns how many records moved.
+fn drain<S: Clone>(
+    input: &mut Tape<S>,
+    carry: &mut Option<S>,
+    out: &mut Tape<S>,
+    max: usize,
     block: usize,
-) -> Result<(), StError> {
-    assert!(block > 0, "block length must be positive");
-    if machine.tape(data_idx).faults_enabled()
-        || machine.tape(scratch1_idx).faults_enabled()
-        || machine.tape(scratch2_idx).faults_enabled()
-    {
-        return sort::merge_sort(machine, data_idx, scratch1_idx, scratch2_idx);
+) -> Result<usize, StError> {
+    if let Some(rec) = carry.take() {
+        out.write_fwd(rec)?;
+        return Ok(1);
     }
-    let m = machine.tape(data_idx).len();
-    let meter = machine.meter().clone();
-    let mut run_len = 1usize;
-    while run_len < m {
-        machine.tracer().emit(|| TraceEvent::PhaseBegin {
-            name: format!("merge pass run_len={run_len}"),
-        });
-        // Distribute, opened exactly as `SortStepper`/`scan` do.
-        let tracer = scan::scan_tracer(&[machine.tracer()]);
-        tracer.emit(|| TraceEvent::ScanStart {
-            op: "distribute_runs".to_string(),
-        });
-        let charge = {
-            let (data, s1, s2) = machine.trio_mut(data_idx, scratch1_idx, scratch2_idx);
-            data.rewind();
-            s1.reset_for_overwrite();
-            s2.reset_for_overwrite();
-            let charge = meter.charge(1 + bits_for(data.len() as u64));
-            distribute_blocks(data, s1, s2, run_len)?;
-            charge
-        };
-        tracer.emit(|| TraceEvent::ScanEnd {
-            op: "distribute_runs".to_string(),
-        });
-        // The stepper releases the scan's working memory after ScanEnd.
-        drop(charge);
-        // Merge back.
-        tracer.emit(|| TraceEvent::ScanStart {
-            op: "merge_runs".to_string(),
-        });
-        let charge = {
-            let (in1, in2, out) = machine.trio_mut(scratch1_idx, scratch2_idx, data_idx);
-            in1.rewind();
-            in2.rewind();
-            out.reset_for_overwrite();
-            let charge = meter.charge(2 + 2 * bits_for(run_len as u64));
-            merge_blocks(in1, in2, out, run_len, block)?;
-            charge
-        };
-        tracer.emit(|| TraceEvent::ScanEnd {
-            op: "merge_runs".to_string(),
-        });
-        drop(charge);
-        machine.tracer().emit(|| TraceEvent::PhaseEnd {
-            name: format!("merge pass run_len={run_len}"),
-        });
-        run_len = run_len.saturating_mul(2);
-    }
-    Ok(())
+    let chunk = input.peek_slice(max.min(block));
+    out.write_slice_fwd(chunk)?;
+    let n = chunk.len();
+    input.advance_fwd(n);
+    Ok(n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
 
     fn tape(items: &[i32]) -> Tape<i32> {
         Tape::from_items("t", items.to_vec())
     }
 
-    fn usage_tuple<S: Clone>(t: &Tape<S>) -> (u64, u64, usize, Vec<S>) {
-        (t.reversals(), t.moves(), t.head(), t.snapshot())
+    #[test]
+    fn cross_machine_copy_traces_via_the_ambient_scope() {
+        // Regression: neither tape carries an enabled tracer (they belong
+        // to no traced machine), so emitting only on the source tape's
+        // tracer would lose both scan events. The ambient scoped tracer
+        // must receive them.
+        let (tracer, buf) = st_trace::Tracer::in_memory();
+        st_trace::scoped(tracer, || {
+            let meter = MemoryMeter::new();
+            let mut src = tape(&[3, 1, 2]);
+            let mut dst: Tape<i32> = Tape::new("dst");
+            copy_tape(&mut src, &mut dst, &meter, DEFAULT_BLOCK).unwrap();
+            assert_eq!(dst.snapshot(), vec![3, 1, 2]);
+        });
+        let events = buf.snapshot();
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::ScanStart { op } if op == "copy_tape"))
+            .count();
+        let ends = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::ScanEnd { op } if op == "copy_tape"))
+            .count();
+        assert_eq!((starts, ends), (1, 1), "events: {events:?}");
     }
 
     #[test]
-    fn block_copy_matches_cell_copy_exactly() {
-        for block in [1usize, 3, 64, 4096] {
-            let meter_a = MemoryMeter::new();
-            let meter_b = MemoryMeter::new();
-            let items: Vec<i32> = (0..257).rev().collect();
-            let mut src_a = tape(&items);
-            let mut dst_a: Tape<i32> = Tape::new("d");
-            scan::copy_tape(&mut src_a, &mut dst_a, &meter_a).unwrap();
-            let mut src_b = tape(&items);
-            let mut dst_b: Tape<i32> = Tape::new("d");
-            copy_tape(&mut src_b, &mut dst_b, &meter_b, block).unwrap();
-            assert_eq!(usage_tuple(&src_a), usage_tuple(&src_b), "block={block}");
-            assert_eq!(usage_tuple(&dst_a), usage_tuple(&dst_b), "block={block}");
-            assert_eq!(meter_a.high_water_bits(), meter_b.high_water_bits());
-        }
-    }
-
-    #[test]
-    fn block_equality_matches_cell_equality_on_all_shapes() {
-        let cases: Vec<(Vec<i32>, Vec<i32>)> = vec![
-            (vec![], vec![]),
-            (vec![1], vec![]),
-            (vec![], vec![1]),
-            ((0..100).collect(), (0..100).collect()),
-            ((0..100).collect(), (0..99).collect()),
-            ((0..99).collect(), (0..100).collect()),
-            ((0..100).collect(), {
-                let mut v: Vec<i32> = (0..100).collect();
-                v[37] = -1;
-                v
-            }),
-            (vec![5; 7], vec![5; 7]),
-        ];
-        for (xs, ys) in cases {
-            for block in [1usize, 2, 33, 4096] {
-                let meter = MemoryMeter::new();
-                let (mut a1, mut b1) = (tape(&xs), tape(&ys));
-                let v_cell = scan::tapes_equal(&mut a1, &mut b1, &meter);
-                let (mut a2, mut b2) = (tape(&xs), tape(&ys));
-                let v_block = tapes_equal(&mut a2, &mut b2, &meter, block);
-                assert_eq!(v_cell, v_block, "verdict xs={xs:?} ys={ys:?}");
-                assert_eq!(
-                    usage_tuple(&a1),
-                    usage_tuple(&a2),
-                    "a accounting, block={block} xs={xs:?} ys={ys:?}"
-                );
-                assert_eq!(usage_tuple(&b1), usage_tuple(&b2), "b accounting");
-            }
-        }
-    }
-
-    #[test]
-    fn block_compare_sorted_matches_cell_compare() {
-        let cases: Vec<(Vec<i32>, Vec<i32>)> = vec![
-            (vec![], vec![]),
-            ((0..64).collect(), (0..64).collect()),
-            (vec![2, 1, 3], vec![2, 1, 3]),
-            (vec![1, 2, 3], vec![1, 9, 3]),
-            (vec![1, 2], vec![1, 2, 3]),
-            (vec![1, 2, 3, 4], vec![1, 2]),
-            (vec![3, 3, 3], vec![3, 3, 3]),
-        ];
-        for (xs, ys) in cases {
-            for block in [1usize, 2, 5, 4096] {
-                let meter = MemoryMeter::new();
-                let (mut a1, mut b1) = (tape(&xs), tape(&ys));
-                let v_cell = scan::compare_sorted(&mut a1, &mut b1, &meter);
-                let (mut a2, mut b2) = (tape(&xs), tape(&ys));
-                let v_block = compare_sorted(&mut a2, &mut b2, &meter, block);
-                assert_eq!(v_cell, v_block, "flags xs={xs:?} ys={ys:?} block={block}");
-                assert_eq!(usage_tuple(&a1), usage_tuple(&a2), "a accounting");
-                assert_eq!(usage_tuple(&b1), usage_tuple(&b2), "b accounting");
-            }
-        }
-    }
-
-    #[test]
-    fn block_distribute_and_merge_match_cell_versions() {
-        let items: Vec<i32> = (0..123).map(|i| (i * 37) % 100).collect();
-        for run_len in [1usize, 2, 7, 64, 200] {
-            for block in [1usize, 3, 4096] {
-                let meter = MemoryMeter::new();
-                let mut src1 = tape(&items);
-                let (mut o11, mut o12): (Tape<i32>, Tape<i32>) = (Tape::new("o1"), Tape::new("o2"));
-                scan::distribute_runs(&mut src1, &mut o11, &mut o12, run_len, &meter).unwrap();
-                let mut src2 = tape(&items);
-                let (mut o21, mut o22): (Tape<i32>, Tape<i32>) = (Tape::new("o1"), Tape::new("o2"));
-                distribute_runs(&mut src2, &mut o21, &mut o22, run_len, &meter).unwrap();
-                assert_eq!(usage_tuple(&src1), usage_tuple(&src2));
-                assert_eq!(usage_tuple(&o11), usage_tuple(&o21));
-                assert_eq!(usage_tuple(&o12), usage_tuple(&o22));
-
-                // Merge the distributed runs back (runs of run_len are
-                // sorted only for run_len=1, but merge parity holds for
-                // arbitrary content: it only compares).
-                let mut out1: Tape<i32> = Tape::new("out");
-                scan::merge_runs(&mut o11, &mut o12, &mut out1, run_len, &meter).unwrap();
-                let mut out2: Tape<i32> = Tape::new("out");
-                merge_runs(&mut o21, &mut o22, &mut out2, run_len, &meter, block).unwrap();
-                assert_eq!(
-                    usage_tuple(&out1),
-                    usage_tuple(&out2),
-                    "run_len={run_len} block={block}"
-                );
-                assert_eq!(usage_tuple(&o11), usage_tuple(&o21), "in1 accounting");
-                assert_eq!(usage_tuple(&o12), usage_tuple(&o22), "in2 accounting");
-            }
-        }
-    }
-
-    #[test]
-    fn block_sort_matches_cell_sort_on_usage_and_trace() {
-        for (n, block) in [(0usize, 16usize), (1, 16), (2, 1), (100, 7), (257, 4096)] {
-            let items: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 512).collect();
-
-            let (tr_cell, buf_cell) = st_trace::Tracer::in_memory();
-            let mut mc = TapeMachine::with_input_traced(items.clone(), n.max(1), tr_cell);
-            let s1 = mc.add_tape("s1");
-            let s2 = mc.add_tape("s2");
-            sort::merge_sort(&mut mc, 0, s1, s2).unwrap();
-            let usage_cell = mc.usage();
-
-            let (tr_blk, buf_blk) = st_trace::Tracer::in_memory();
-            let mut mb = TapeMachine::with_input_traced(items.clone(), n.max(1), tr_blk);
-            let b1 = mb.add_tape("s1");
-            let b2 = mb.add_tape("s2");
-            merge_sort(&mut mb, 0, b1, b2, block).unwrap();
-            let usage_blk = mb.usage();
-
-            let mut expect = items;
-            expect.sort();
-            assert_eq!(mb.tape(0).snapshot(), expect, "n={n} block={block}");
-            assert_eq!(usage_cell, usage_blk, "ResourceUsage n={n} block={block}");
-            assert_eq!(
-                buf_cell.snapshot(),
-                buf_blk.snapshot(),
-                "trace stream n={n} block={block}"
-            );
-        }
-    }
-
-    #[test]
-    fn faulty_tapes_fall_back_to_the_cell_path() {
-        let plan = FaultPlan::uniform(17, 0.3);
-        let items: Vec<i32> = (0..50).collect();
+    fn explicitly_traced_tapes_still_emit_outside_any_scope() {
+        // The fallback path: no ambient scope, but the destination tape
+        // carries a tracer (e.g. its machine was built `_traced`). The
+        // old code looked only at the source and dropped the events.
+        let (tracer, buf) = st_trace::Tracer::in_memory();
         let meter = MemoryMeter::new();
-        let mut src_cell = tape(&items);
-        let mut dst_cell: Tape<i32> = Tape::new("d");
-        src_cell.enable_faults(&plan);
-        scan::copy_tape(&mut src_cell, &mut dst_cell, &meter).unwrap();
-        let mut src_blk = tape(&items);
-        let mut dst_blk: Tape<i32> = Tape::new("d");
-        src_blk.enable_faults(&plan);
-        copy_tape(&mut src_blk, &mut dst_blk, &meter, 64).unwrap();
-        assert_eq!(
-            dst_cell.snapshot(),
-            dst_blk.snapshot(),
-            "fault dice must roll identically through the fallback"
+        let mut src = tape(&[1, 2]);
+        let mut dst: Tape<i32> = Tape::new("dst");
+        dst.set_tracer(tracer, 1);
+        copy_tape(&mut src, &mut dst, &meter, DEFAULT_BLOCK).unwrap();
+        let events = buf.snapshot();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::ScanStart { op } if op == "copy_tape")),
+            "events: {events:?}"
         );
-        assert_eq!(src_cell.fault_stats(), src_blk.fault_stats());
     }
 }

@@ -13,25 +13,27 @@
 //!   high-water mark of live internal bits, with RAII charging;
 //! * [`machine::TapeMachine`] — a bundle of tapes plus a meter that
 //!   reports a [`st_core::ResourceUsage`] after a run;
+//! * [`block`] — the scan combinators (copy, parallel compare,
+//!   distribute, merge) and the resumable merge-pass kernels, with
+//!   per-combinator reversal costs documented: records move in slices
+//!   (`Tape::{peek_slice, read_slice_fwd, write_slice_fwd}`) while
+//!   verdicts, `ResourceUsage` and the trace stream stay bit-for-bit
+//!   those of one cell per call — the only production scan path;
 //! * [`sort`] — reversal-bounded external merge sort (the engine behind
 //!   Corollary 7, Corollary 10 and Theorem 11): a 3-tape balanced merge
 //!   with `Θ(log N)` reversals, plus a k-tape variant for ablation;
-//! * [`scan`] — scan combinators (copy, parallel compare, distribute)
-//!   with per-combinator reversal costs documented and tested;
 //! * [`step`] — bounded-step resumable execution: [`step::StepBudget`]
-//!   and the [`step::SortStepper`] state machine that lets a serving
-//!   layer interleave thousands of in-flight sorts on few threads while
-//!   keeping the batch accounting bit-for-bit;
+//!   and the [`step::SortStepper`] state machine over the block kernels
+//!   (the one sort engine: [`sort::merge_sort`] drives it unbounded),
+//!   which lets a serving layer interleave thousands of in-flight sorts
+//!   on few threads while keeping the batch accounting bit-for-bit;
 //! * [`fault`] — opt-in, seed-deterministic fault injection (bit rot,
-//!   transient reads, stuck/torn writes) under the same tapes, so the
-//!   resilient upper-bound algorithms of `st-algo` can be attacked and
-//!   measured without touching the reversal accounting;
-//! * [`block`] — block-oriented counterparts of the scan combinators and
-//!   the merge sort: the same tapes and bit-for-bit the same
-//!   verdict/`ResourceUsage`/trace stream, but records move in zero-copy
-//!   slices (`Tape::{peek_slice, read_slice_fwd, write_slice_fwd}`)
-//!   instead of one cell per call — the page-granularity fast path that
-//!   reaches out-of-core N;
+//!   transient reads, stuck/torn writes) applied inside [`tape::Tape`],
+//!   so the resilient upper-bound algorithms of `st-algo` can be attacked
+//!   and measured without touching the reversal accounting — and without
+//!   any caller branching on it;
+//! * [`scan`] — the cell-at-a-time reference the block kernels are
+//!   pinned to by the parity tests; no production code calls it;
 //! * [`durable`] — file-backed tapes with checksummed block frames and a
 //!   write-ahead journal whose commit records are atomic recovery points,
 //!   plus deterministic crash injection ("kill after the k-th journaled

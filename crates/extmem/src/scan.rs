@@ -1,31 +1,21 @@
-//! Scan combinators with documented reversal costs.
+//! The cell-at-a-time reference for the scan combinators.
 //!
-//! Every combinator states its worst-case reversal cost in its doc
-//! comment; the unit tests assert those costs exactly. These are the
-//! building blocks of the Corollary 7 deciders and the Theorem 11
-//! relational operators.
+//! Production code runs the block kernels of [`crate::block`]; nothing
+//! outside tests and benchmarks calls this module. It stays as the
+//! specification those kernels are pinned to: each combinator here reads
+//! and writes one cell per call through [`Tape::read_fwd`]/
+//! [`Tape::write_fwd`], the literal form of the per-record loops whose
+//! reversal costs the doc comments state. The parity tests of
+//! `st-extmem` (and the `bt1` throughput bench's "cell" column) compare
+//! [`crate::block`] against these functions on content, `ResourceUsage`,
+//! fault statistics and the full trace stream, clean and under fault
+//! plans.
 
+use crate::block::scan_tracer;
 use crate::meter::{bits_for, MemoryMeter};
 use crate::tape::Tape;
 use st_core::StError;
-use st_trace::{TraceEvent, Tracer};
-
-/// The tracer a combinator's `ScanStart`/`ScanEnd` events go to: the
-/// thread's ambient [`st_trace::scoped`] tracer when one is installed,
-/// else the first enabled tracer among the tapes being driven. Emitting
-/// only on the *source* tape's tracer loses the events whenever the
-/// destination belongs to a different tracer scope (e.g. a cross-machine
-/// `copy_tape` whose source machine is untraced).
-pub(crate) fn scan_tracer(tapes: &[&Tracer]) -> Tracer {
-    let ambient = st_trace::current();
-    if ambient.is_enabled() {
-        return ambient;
-    }
-    tapes
-        .iter()
-        .find(|t| t.is_enabled())
-        .map_or_else(Tracer::disabled, |t| (*t).clone())
-}
+use st_trace::TraceEvent;
 
 /// Copy all of `src` onto `dst` (overwriting `dst` from its start).
 ///
@@ -351,52 +341,6 @@ mod tests {
         let mut out: Tape<i32> = Tape::new("out");
         merge_runs(&mut i1, &mut i2, &mut out, 4, &meter).unwrap();
         assert_eq!(out.snapshot(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cross_machine_copy_traces_via_the_ambient_scope() {
-        // Regression: neither tape carries an enabled tracer (they belong
-        // to no traced machine), so emitting only on the source tape's
-        // tracer would lose both scan events. The ambient scoped tracer
-        // must receive them.
-        let (tracer, buf) = st_trace::Tracer::in_memory();
-        st_trace::scoped(tracer, || {
-            let meter = MemoryMeter::new();
-            let mut src = tape(&[3, 1, 2]);
-            let mut dst: Tape<i32> = Tape::new("dst");
-            copy_tape(&mut src, &mut dst, &meter).unwrap();
-            assert_eq!(dst.snapshot(), vec![3, 1, 2]);
-        });
-        let events = buf.snapshot();
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::ScanStart { op } if op == "copy_tape"))
-            .count();
-        let ends = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::ScanEnd { op } if op == "copy_tape"))
-            .count();
-        assert_eq!((starts, ends), (1, 1), "events: {events:?}");
-    }
-
-    #[test]
-    fn explicitly_traced_tapes_still_emit_outside_any_scope() {
-        // The fallback path: no ambient scope, but the destination tape
-        // carries a tracer (e.g. its machine was built `_traced`). The
-        // old code looked only at the source and dropped the events.
-        let (tracer, buf) = st_trace::Tracer::in_memory();
-        let meter = MemoryMeter::new();
-        let mut src = tape(&[1, 2]);
-        let mut dst: Tape<i32> = Tape::new("dst");
-        dst.set_tracer(tracer, 1);
-        copy_tape(&mut src, &mut dst, &meter).unwrap();
-        let events = buf.snapshot();
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, TraceEvent::ScanStart { op } if op == "copy_tape")),
-            "events: {events:?}"
-        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! (sorting), and Theorem 11(a) (each relational-algebra operator = a
 //! constant number of scans and sorts).
 //!
-//! [`merge_sort`] is the classic balanced 3-tape merge sort: each pass
+//! [`merge_sort`] is the classic balanced 3-tape merge sort — the one
+//! sort engine of the workspace, shared by the batch deciders, the
+//! serving steppers and the MPC workers: each pass
 //! distributes the current runs to two scratch tapes and merges pairs
 //! back, doubling the run length; `⌈log₂ m⌉` passes, a constant number of
 //! reversals per pass, hence `Θ(log m) = Θ(log N)` reversals total — the
@@ -31,7 +33,11 @@ use st_trace::TraceEvent;
 /// This is the batch entry point of the resumable
 /// [`SortStepper`](crate::step::SortStepper): it drives the stepper
 /// with an unlimited [`StepBudget`], so a batch sort and an incremental
-/// one perform the identical operation sequence by construction.
+/// one perform the identical operation sequence by construction. The
+/// passes run the block kernels `Distribute` and `Merge` of
+/// [`crate::block`]; under a fault plan the tapes hand them one
+/// cell at a time, so fault dice fall exactly where per-cell passes put
+/// them.
 pub fn merge_sort<S: Clone + Ord>(
     machine: &mut TapeMachine<S>,
     data_idx: usize,

@@ -5,19 +5,21 @@
 //! bounded batch of head operations, hand the thread back, and resume
 //! later exactly where it stopped. [`StepBudget`] is the batch
 //! allowance and [`SortStepper`] is the reversal-bounded merge sort of
-//! [`crate::sort`] re-expressed as a resumable state machine.
+//! [`crate::sort`] as a resumable state machine over the block kernels
+//! `Distribute` and `Merge` of [`crate::block`].
 //!
 //! The stepper is **the** sort implementation — [`crate::sort::merge_sort`]
 //! drives it with an unlimited budget — so batch and incremental runs
 //! perform bit-for-bit the same tape operations, memory charges and
-//! trace events by construction, not by parallel maintenance of two
-//! code paths.
+//! trace events by construction. Each kernel call moves one slice
+//! capped by the remaining budget, at one unit per record moved and one
+//! per scan boundary, so every budget yields at the same points.
 
+use crate::block::{scan_tracer, Distribute, Merge, DEFAULT_BLOCK};
 use crate::machine::TapeMachine;
 use crate::meter::{bits_for, MemoryCharge};
-use crate::scan::scan_tracer;
 use st_core::StError;
-use st_trace::{TraceEvent, Tracer};
+use st_trace::TraceEvent;
 
 /// An allowance of micro-operations for one [`SortStepper::step`] call
 /// (one record moved, one scan boundary crossed ≈ one unit).
@@ -85,28 +87,23 @@ impl StepProgress {
 }
 
 /// One pass of the balanced merge sort is a distribute scan followed by
-/// a merge scan; the stepper holds the scan's loop variables between
-/// yields. The buffered records and the RAII memory charge live here —
-/// *not* on the machine — so several steppers could in principle
-/// time-share one machine's scratch space (they do not today; one
-/// session owns one machine).
+/// a merge scan; the stepper holds the running kernel and its RAII memory
+/// charge between yields — *not* the machine — so several steppers could
+/// in principle time-share one machine's scratch space (they do not
+/// today; one session owns one machine).
 enum Phase<S> {
     /// Decide whether another pass is needed; open it if so.
     NextPass,
     /// Mid-distribute: alternating runs from `data` onto the scratch
     /// tapes.
     Distribute {
-        to_first: bool,
-        in_run: usize,
-        charge: Option<MemoryCharge>,
+        scan: Distribute,
+        _charge: MemoryCharge,
     },
     /// Mid-merge: pairing runs from the scratch tapes back onto `data`.
     Merge {
-        a: Option<S>,
-        b: Option<S>,
-        left1: usize,
-        left2: usize,
-        charge: Option<MemoryCharge>,
+        scan: Merge<S>,
+        _charge: MemoryCharge,
     },
     /// Sorted; further steps are no-ops.
     Done,
@@ -157,13 +154,6 @@ impl<S: Clone + Ord> SortStepper<S> {
         }
     }
 
-    /// The tracer scan events go to: ambient scope first, else the
-    /// machine's own — the same resolution [`crate::scan`] combinators
-    /// apply, since every tape of `machine` carries the machine tracer.
-    fn scan_tracer_of(machine: &TapeMachine<S>) -> Tracer {
-        scan_tracer(&[machine.tracer()])
-    }
-
     /// Advance by at most the budget's allowance of micro-operations.
     ///
     /// Returns [`StepProgress::Done`] once the data tape is sorted
@@ -174,211 +164,90 @@ impl<S: Clone + Ord> SortStepper<S> {
         machine: &mut TapeMachine<S>,
         budget: &mut StepBudget,
     ) -> Result<StepProgress, StError> {
+        let (data, s1, s2) = (self.data, self.s1, self.s2);
         loop {
-            if matches!(self.phase, Phase::Done) {
-                return Ok(StepProgress::Done);
+            match &mut self.phase {
+                Phase::Done => return Ok(StepProgress::Done),
+                Phase::NextPass => {
+                    if !budget.take() {
+                        return Ok(StepProgress::Yielded);
+                    }
+                    self.open_pass(machine);
+                }
+                Phase::Distribute { scan, .. } => {
+                    let (d, o1, o2) = machine.trio_mut(data, s1, s2);
+                    if !scan.step(d, o1, o2, budget)? {
+                        return Ok(StepProgress::Yielded);
+                    }
+                    let tracer = scan_tracer(&[machine.tracer()]);
+                    tracer.emit(|| TraceEvent::ScanEnd {
+                        op: "distribute_runs".to_string(),
+                    });
+                    // Release the distribute charge before the merge
+                    // takes its own.
+                    self.phase = Phase::Done;
+                    tracer.emit(|| TraceEvent::ScanStart {
+                        op: "merge_runs".to_string(),
+                    });
+                    let meter = machine.meter().clone();
+                    let (in1, in2, out) = machine.trio_mut(s1, s2, data);
+                    in1.rewind();
+                    in2.rewind();
+                    out.reset_for_overwrite();
+                    let charge = meter.charge(2 + 2 * bits_for(self.run_len as u64));
+                    self.phase = Phase::Merge {
+                        scan: Merge::open(in1, in2, self.run_len, DEFAULT_BLOCK),
+                        _charge: charge,
+                    };
+                }
+                Phase::Merge { scan, .. } => {
+                    let (in1, in2, out) = machine.trio_mut(s1, s2, data);
+                    if !scan.step(in1, in2, out, budget)? {
+                        return Ok(StepProgress::Yielded);
+                    }
+                    scan_tracer(&[machine.tracer()]).emit(|| TraceEvent::ScanEnd {
+                        op: "merge_runs".to_string(),
+                    });
+                    self.phase = Phase::NextPass;
+                    let run_len = self.run_len;
+                    machine.tracer().emit(|| TraceEvent::PhaseEnd {
+                        name: format!("merge pass run_len={run_len}"),
+                    });
+                    // Saturating like sort.rs: once run_len covers the
+                    // data the NextPass check stops the loop, and on
+                    // 32-bit usize the last doubling near usize::MAX
+                    // must not wrap.
+                    self.run_len = run_len.saturating_mul(2);
+                }
             }
-            if !budget.take() {
-                return Ok(StepProgress::Yielded);
-            }
-            self.advance(machine)?;
         }
     }
 
-    /// Perform exactly one micro-operation.
-    fn advance(&mut self, machine: &mut TapeMachine<S>) -> Result<(), StError> {
-        match std::mem::replace(&mut self.phase, Phase::Done) {
-            Phase::Done => {}
-            Phase::NextPass => {
-                let m = match self.m {
-                    Some(m) => m,
-                    None => {
-                        let m = machine.tape(self.data).len();
-                        self.m = Some(m);
-                        m
-                    }
-                };
-                if m <= 1 || self.run_len >= m {
-                    self.phase = Phase::Done;
-                    return Ok(());
-                }
-                let run_len = self.run_len;
-                machine.tracer().emit(|| TraceEvent::PhaseBegin {
-                    name: format!("merge pass run_len={run_len}"),
-                });
-                // Open the distribute scan exactly as
-                // `scan::distribute_runs` does.
-                let tracer = Self::scan_tracer_of(machine);
-                tracer.emit(|| TraceEvent::ScanStart {
-                    op: "distribute_runs".to_string(),
-                });
-                let meter = machine.meter().clone();
-                let (data, s1, s2) = machine.trio_mut(self.data, self.s1, self.s2);
-                data.rewind();
-                s1.reset_for_overwrite();
-                s2.reset_for_overwrite();
-                let charge = meter.charge(1 + bits_for(data.len() as u64));
-                self.phase = Phase::Distribute {
-                    to_first: true,
-                    in_run: 0,
-                    charge: Some(charge),
-                };
-            }
-            Phase::Distribute {
-                mut to_first,
-                mut in_run,
-                charge,
-            } => {
-                let (data, s1, s2) = machine.trio_mut(self.data, self.s1, self.s2);
-                match data.read_fwd() {
-                    Some(x) => {
-                        if to_first {
-                            s1.write_fwd(x)?;
-                        } else {
-                            s2.write_fwd(x)?;
-                        }
-                        in_run += 1;
-                        if in_run == self.run_len {
-                            in_run = 0;
-                            to_first = !to_first;
-                        }
-                        self.phase = Phase::Distribute {
-                            to_first,
-                            in_run,
-                            charge,
-                        };
-                    }
-                    None => {
-                        let tracer = Self::scan_tracer_of(machine);
-                        tracer.emit(|| TraceEvent::ScanEnd {
-                            op: "distribute_runs".to_string(),
-                        });
-                        drop(charge);
-                        // Open the merge scan exactly as
-                        // `scan::merge_runs` does.
-                        tracer.emit(|| TraceEvent::ScanStart {
-                            op: "merge_runs".to_string(),
-                        });
-                        let meter = machine.meter().clone();
-                        let run_len = self.run_len;
-                        let (in1, in2, out) = machine.trio_mut(self.s1, self.s2, self.data);
-                        in1.rewind();
-                        in2.rewind();
-                        out.reset_for_overwrite();
-                        let charge = meter.charge(2 + 2 * bits_for(run_len as u64));
-                        let a = in1.read_fwd();
-                        let b = in2.read_fwd();
-                        let left1 = if a.is_some() { run_len } else { 0 };
-                        let left2 = if b.is_some() { run_len } else { 0 };
-                        self.phase = Phase::Merge {
-                            a,
-                            b,
-                            left1,
-                            left2,
-                            charge: Some(charge),
-                        };
-                    }
-                }
-            }
-            Phase::Merge {
-                mut a,
-                mut b,
-                mut left1,
-                mut left2,
-                charge,
-            } => {
-                let run_len = self.run_len;
-                let (in1, in2, out) = machine.trio_mut(self.s1, self.s2, self.data);
-                // The same selection rule as the inner loop of
-                // `scan::merge_runs`; `None` is that loop's `break` —
-                // the boundary between run pairs.
-                let take_first = match (&a, &b) {
-                    (Some(x), Some(y)) if left1 > 0 && left2 > 0 => Some(x <= y),
-                    (Some(_), _) if left1 > 0 => Some(true),
-                    (_, Some(_)) if left2 > 0 => Some(false),
-                    _ => None,
-                };
-                match take_first {
-                    Some(true) => {
-                        let rec = a.take().ok_or_else(|| {
-                            StError::Machine("merge selected an empty first buffer".into())
-                        })?;
-                        out.write_fwd(rec)?;
-                        left1 -= 1;
-                        if left1 > 0 {
-                            a = in1.read_fwd();
-                            if a.is_none() {
-                                left1 = 0;
-                            }
-                        }
-                        self.phase = Phase::Merge {
-                            a,
-                            b,
-                            left1,
-                            left2,
-                            charge,
-                        };
-                    }
-                    Some(false) => {
-                        let rec = b.take().ok_or_else(|| {
-                            StError::Machine("merge selected an empty second buffer".into())
-                        })?;
-                        out.write_fwd(rec)?;
-                        left2 -= 1;
-                        if left2 > 0 {
-                            b = in2.read_fwd();
-                            if b.is_none() {
-                                left2 = 0;
-                            }
-                        }
-                        self.phase = Phase::Merge {
-                            a,
-                            b,
-                            left1,
-                            left2,
-                            charge,
-                        };
-                    }
-                    None => {
-                        // Refill for the next pair of runs, or close the
-                        // pass when both inputs are exhausted.
-                        if a.is_none() {
-                            a = in1.read_fwd();
-                        }
-                        if b.is_none() {
-                            b = in2.read_fwd();
-                        }
-                        if a.is_none() && b.is_none() {
-                            let tracer = Self::scan_tracer_of(machine);
-                            tracer.emit(|| TraceEvent::ScanEnd {
-                                op: "merge_runs".to_string(),
-                            });
-                            drop(charge);
-                            machine.tracer().emit(|| TraceEvent::PhaseEnd {
-                                name: format!("merge pass run_len={run_len}"),
-                            });
-                            // Saturating like sort.rs: once run_len
-                            // covers the data the NextPass check stops
-                            // the loop, and on 32-bit usize the last
-                            // doubling near usize::MAX must not wrap.
-                            self.run_len = self.run_len.saturating_mul(2);
-                            self.phase = Phase::NextPass;
-                        } else {
-                            left1 = if a.is_some() { run_len } else { 0 };
-                            left2 = if b.is_some() { run_len } else { 0 };
-                            self.phase = Phase::Merge {
-                                a,
-                                b,
-                                left1,
-                                left2,
-                                charge,
-                            };
-                        }
-                    }
-                }
-            }
+    /// The `NextPass` unit: finish, or open the next pass's distribute
+    /// scan.
+    fn open_pass(&mut self, machine: &mut TapeMachine<S>) {
+        let m = *self.m.get_or_insert_with(|| machine.tape(self.data).len());
+        if m <= 1 || self.run_len >= m {
+            self.phase = Phase::Done;
+            return;
         }
-        Ok(())
+        let run_len = self.run_len;
+        machine.tracer().emit(|| TraceEvent::PhaseBegin {
+            name: format!("merge pass run_len={run_len}"),
+        });
+        scan_tracer(&[machine.tracer()]).emit(|| TraceEvent::ScanStart {
+            op: "distribute_runs".to_string(),
+        });
+        let meter = machine.meter().clone();
+        let (data, s1, s2) = machine.trio_mut(self.data, self.s1, self.s2);
+        data.rewind();
+        s1.reset_for_overwrite();
+        s2.reset_for_overwrite();
+        let charge = meter.charge(1 + bits_for(data.len() as u64));
+        self.phase = Phase::Distribute {
+            scan: Distribute::new(run_len),
+            _charge: charge,
+        };
     }
 }
 

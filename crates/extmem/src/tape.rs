@@ -11,6 +11,21 @@
 //! sustained sweep and therefore charge at most one reversal (two for a
 //! `seek` that overshoots — matching the paper's observation that a random
 //! access costs at most two reversals).
+//!
+//! ## Slice API and the fault layer
+//!
+//! Block callers move records through `peek_slice`/`advance_fwd`,
+//! `read_slice_fwd`/`read_slice_bwd`, `write_slice_fwd` and
+//! `write_merged_runs_fwd`; each bills one sustained sweep, identical
+//! to the same number of single-cell calls. Fault injection lives here
+//! and nowhere else: with a [`FaultPlan`] attached, every slice read
+//! hands out **one cell at a time**, and a cell's read dice are rolled
+//! the first time it is handed out (its `Fault` event is emitted then,
+//! and a persistent fault is stored back). A peeked cell stays handed
+//! out until the head moves past it, so peek-then-advance callers roll
+//! the dice exactly where per-cell [`Tape::read_fwd`] calls would, and
+//! slice writes degrade to per-cell writes. Callers never branch on
+//! the plan.
 
 use crate::fault::{Corrupt, FaultPlan, FaultStats, ReadFault, TapeFaults, WriteFault};
 use st_core::StError;
@@ -35,6 +50,11 @@ pub struct Tape<S> {
     reversals: u64,
     moves: u64,
     faults: Option<TapeFaults<S>>,
+    /// Under a fault plan: the value of the last cell handed out (dice
+    /// already rolled), so slice reads can lend it out.
+    handout: Vec<S>,
+    /// The cell whose handed-out value in `handout` is not yet consumed.
+    pending: Option<usize>,
     tracer: Tracer,
     trace_id: usize,
 }
@@ -51,6 +71,8 @@ impl<S: Clone> Tape<S> {
             reversals: 0,
             moves: 0,
             faults: None,
+            handout: Vec::new(),
+            pending: None,
             tracer: Tracer::disabled(),
             trace_id: 0,
         }
@@ -68,6 +90,8 @@ impl<S: Clone> Tape<S> {
             reversals: 0,
             moves: 0,
             faults: None,
+            handout: Vec::new(),
+            pending: None,
             tracer: Tracer::disabled(),
             trace_id: 0,
         }
@@ -139,6 +163,8 @@ impl<S: Clone> Tape<S> {
         if distance == 0 {
             return;
         }
+        // A handed-out cell the head leaves unconsumed is read afresh.
+        self.pending = None;
         if let Some(prev) = self.last_move {
             if prev != dir {
                 self.reversals += 1;
@@ -152,7 +178,7 @@ impl<S: Clone> Tape<S> {
 
     /// The symbol under the head, if any (None = blank). `peek` is a
     /// diagnostic view and bypasses the fault layer: algorithmic reads go
-    /// through [`Tape::read_fwd`]/[`Tape::read_bwd`].
+    /// through [`Tape::read_fwd`]/[`Tape::read_bwd`] or the slice API.
     #[must_use]
     pub fn peek(&self) -> Option<&S> {
         self.cells.get(self.head)
@@ -161,37 +187,55 @@ impl<S: Clone> Tape<S> {
     /// Read the cell under the head through the fault layer (if enabled),
     /// without moving. Persistent faults are stored back into the cell.
     fn read_cell(&mut self) -> Option<S> {
-        let pos = self.head;
-        if pos >= self.cells.len() {
+        if self.faults.is_none() {
+            return self.cells.get(self.head).cloned();
+        }
+        if !self.hand_out() {
             return None;
         }
-        let fault = match self.faults.as_mut() {
-            None => None,
-            Some(f) => match f.decide_read() {
-                ReadFault::Clean => None,
-                other => Some((other, f.corrupt)),
-            },
-        };
-        if fault.is_some() {
-            let (tape, kind) = (
-                self.trace_id,
-                match fault {
-                    Some((ReadFault::Persistent(_), _)) => FaultKind::BitFlip,
-                    _ => FaultKind::TransientRead,
-                },
-            );
-            self.tracer.emit(|| TraceEvent::Fault { tape, kind });
+        self.pending = None;
+        Some(self.handout[0].clone())
+    }
+
+    /// Under a fault plan: make the cell under the head the handed-out
+    /// one, rolling its read dice unless it is already pending. `false`
+    /// on blank (a blank read rolls no dice).
+    fn hand_out(&mut self) -> bool {
+        let pos = self.head;
+        if pos >= self.cells.len() {
+            return false;
         }
-        match fault {
-            None => self.cells.get(pos).cloned(),
-            Some((ReadFault::Persistent(e), corrupt)) => {
+        if self.pending == Some(pos) {
+            return true;
+        }
+        let Some(f) = self.faults.as_mut() else {
+            unreachable!("hand_out is only called under a fault plan")
+        };
+        let (fault, corrupt) = (f.decide_read(), f.corrupt);
+        let tape = self.trace_id;
+        let value = match fault {
+            ReadFault::Clean => self.cells[pos].clone(),
+            ReadFault::Persistent(e) => {
+                self.tracer.emit(|| TraceEvent::Fault {
+                    tape,
+                    kind: FaultKind::BitFlip,
+                });
                 let bad = corrupt(&self.cells[pos], e);
                 self.cells[pos] = bad.clone();
-                Some(bad)
+                bad
             }
-            Some((ReadFault::Transient(e), corrupt)) => Some(corrupt(&self.cells[pos], e)),
-            Some((ReadFault::Clean, _)) => unreachable!("Clean filtered above"),
-        }
+            ReadFault::Transient(e) => {
+                self.tracer.emit(|| TraceEvent::Fault {
+                    tape,
+                    kind: FaultKind::TransientRead,
+                });
+                corrupt(&self.cells[pos], e)
+            }
+        };
+        self.handout.clear();
+        self.handout.push(value);
+        self.pending = Some(pos);
+        true
     }
 
     /// Overwrite the cell under the head. Writing on blank directly past
@@ -205,15 +249,11 @@ impl<S: Clone> Tape<S> {
         let is_append = match self.head.cmp(&self.cells.len()) {
             Less => false,
             Equal => true,
-            Greater => {
-                return Err(StError::Machine(format!(
-                    "tape '{}': write at {} beyond end-of-data {}",
-                    self.name,
-                    self.head,
-                    self.cells.len()
-                )))
-            }
+            Greater => return Err(self.beyond_end()),
         };
+        if self.pending == Some(self.head) {
+            self.pending = None;
+        }
         let fault = match self.faults.as_mut() {
             None => None,
             Some(f) => match f.decide_write(is_append) {
@@ -293,22 +333,30 @@ impl<S: Clone> Tape<S> {
         Ok(())
     }
 
-    /// Zero-copy block view of up to `max` cells from the head forward.
-    /// Charges nothing and does not move; pair with [`Tape::advance_fwd`]
-    /// to consume what was actually used. Bypasses the fault layer, so
-    /// block-oriented callers must fall back to the per-cell API when
-    /// [`Tape::faults_enabled`] — per-cell fault dice cannot be rolled
-    /// against a borrowed slice.
-    #[must_use]
-    pub fn peek_slice(&self, max: usize) -> &[S] {
+    /// Block view of up to `max` cells from the head forward, without
+    /// moving; pair with [`Tape::advance_fwd`] to consume what was used.
+    /// Clean tapes lend the cells themselves and charge nothing. Under a
+    /// fault plan the view is the single cell under the head, handed out
+    /// through the fault layer (see the module docs): its dice roll on
+    /// the first peek, and later peeks return the same value until the
+    /// head moves.
+    pub fn peek_slice(&mut self, max: usize) -> &[S] {
+        if self.faults.is_some() {
+            return if max > 0 && self.hand_out() {
+                &self.handout
+            } else {
+                &[]
+            };
+        }
         let lo = self.head.min(self.cells.len());
         let hi = self.head.saturating_add(max).min(self.cells.len());
         &self.cells[lo..hi]
     }
 
-    /// Consume `n` cells previously seen via [`Tape::peek_slice`]: one
-    /// sustained rightward sweep, so the accounting (moves, reversals,
-    /// trace events) is identical to `n` single [`Tape::read_fwd`] calls.
+    /// Consume `n` cells: one sustained rightward sweep, so the
+    /// accounting (moves, reversals, trace events) is identical to `n`
+    /// single [`Tape::read_fwd`] calls — under a fault plan it *is* those
+    /// calls, so a cell not yet handed out rolls its dice here.
     ///
     /// # Panics
     /// If `n` would carry the head past end-of-data (a real head cannot
@@ -321,21 +369,26 @@ impl<S: Clone> Tape<S> {
             self.head,
             self.cells.len()
         );
+        if self.faults.is_some() {
+            for _ in 0..n {
+                self.read_fwd();
+            }
+            return;
+        }
         self.note_move(Dir::Right, n as u64);
         self.head += n;
     }
 
     /// Block forward read: [`Tape::peek_slice`] + [`Tape::advance_fwd`]
-    /// over the full returned length in one call.
-    ///
-    /// # Panics
-    /// If the fault layer is enabled (see [`Tape::peek_slice`]).
+    /// over the full returned length in one call (one cell under a
+    /// fault plan).
     pub fn read_slice_fwd(&mut self, max: usize) -> &[S] {
-        assert!(
-            self.faults.is_none(),
-            "tape '{}': block reads bypass the fault layer; use read_fwd",
-            self.name
-        );
+        if self.faults.is_some() {
+            if max == 0 || self.read_fwd().is_none() {
+                return &[];
+            }
+            return &self.handout;
+        }
         let lo = self.head.min(self.cells.len());
         let hi = self.head.saturating_add(max).min(self.cells.len());
         self.note_move(Dir::Right, (hi - lo) as u64);
@@ -349,18 +402,14 @@ impl<S: Clone> Tape<S> {
     /// [`Tape::read_bwd`] calls would leave them: on cell 0 the last
     /// read does not move, so a scan that reaches the left end charges
     /// one move fewer than its cell count. Empty when the head is on
-    /// blank.
-    ///
-    /// # Panics
-    /// If the fault layer is enabled (see [`Tape::peek_slice`]).
+    /// blank; one cell under a fault plan.
     pub fn read_slice_bwd(&mut self, max: usize) -> &[S] {
-        assert!(
-            self.faults.is_none(),
-            "tape '{}': block reads bypass the fault layer; use read_bwd",
-            self.name
-        );
         if self.head >= self.cells.len() || max == 0 {
             return &[];
+        }
+        if self.faults.is_some() {
+            self.read_bwd();
+            return &self.handout;
         }
         let take = max.min(self.head + 1);
         let lo = self.head + 1 - take;
@@ -373,8 +422,8 @@ impl<S: Clone> Tape<S> {
     /// Block forward write: `items` land from the head rightward in one
     /// sustained sweep (overwriting, then appending once past the old
     /// end), with accounting identical to per-item [`Tape::write_fwd`]
-    /// calls. With the fault layer enabled this degrades internally to
-    /// the per-cell path so the fault dice are rolled in the same order.
+    /// calls. Under a fault plan this degrades to those calls, so the
+    /// write dice are rolled in per-cell order.
     pub fn write_slice_fwd(&mut self, items: &[S]) -> Result<(), StError> {
         if self.faults.is_some() {
             for s in items {
@@ -383,12 +432,7 @@ impl<S: Clone> Tape<S> {
             return Ok(());
         }
         if self.head > self.cells.len() {
-            return Err(StError::Machine(format!(
-                "tape '{}': write at {} beyond end-of-data {}",
-                self.name,
-                self.head,
-                self.cells.len()
-            )));
+            return Err(self.beyond_end());
         }
         let overwrite = (self.cells.len() - self.head).min(items.len());
         self.cells[self.head..self.head + overwrite].clone_from_slice(&items[..overwrite]);
@@ -399,57 +443,61 @@ impl<S: Clone> Tape<S> {
     }
 
     /// Two-pointer merge of `a` and `b` written straight onto the tape
-    /// (no staging round-trip), stopping when either slice is exhausted.
-    /// Ties go to `a`. Returns how many records were taken from each
-    /// slice. Accounting is identical to a [`Self::write_slice_fwd`] of
-    /// the same records: one sustained rightward move of `i + j` cells.
-    ///
-    /// Only for the fault-free fast path — callers must fall back to
-    /// per-cell writes under fault injection (the block combinators
-    /// already do, one level up).
+    /// (no staging round-trip), stopping when either slice is exhausted
+    /// or `max` records are written. Ties go to `a`. Returns how many
+    /// records were taken from each slice. Accounting is identical to a
+    /// [`Self::write_slice_fwd`] of the same records; under a fault plan
+    /// the writes degrade to per-cell [`Tape::write_fwd`] calls.
     pub(crate) fn write_merged_runs_fwd(
         &mut self,
         a: &[S],
         b: &[S],
+        max: usize,
     ) -> Result<(usize, usize), StError>
     where
         S: Ord,
     {
-        debug_assert!(self.faults.is_none(), "fault-free fast path only");
         if self.head > self.cells.len() {
-            return Err(StError::Machine(format!(
-                "tape '{}': write at {} beyond end-of-data {}",
-                self.name,
-                self.head,
-                self.cells.len()
-            )));
+            return Err(self.beyond_end());
         }
         let (mut i, mut j) = (0usize, 0usize);
-        let mut head = self.head;
-        while head < self.cells.len() && i < a.len() && j < b.len() {
-            self.cells[head] = if a[i] <= b[j] {
-                i += 1;
-                a[i - 1].clone()
+        let pick = |i: &mut usize, j: &mut usize| {
+            if a[*i] <= b[*j] {
+                *i += 1;
+                a[*i - 1].clone()
             } else {
-                j += 1;
-                b[j - 1].clone()
-            };
+                *j += 1;
+                b[*j - 1].clone()
+            }
+        };
+        if self.faults.is_some() {
+            while i < a.len() && j < b.len() && i + j < max {
+                self.write_fwd(pick(&mut i, &mut j))?;
+            }
+            return Ok((i, j));
+        }
+        let mut head = self.head;
+        while head < self.cells.len() && i < a.len() && j < b.len() && i + j < max {
+            self.cells[head] = pick(&mut i, &mut j);
             head += 1;
         }
         if head == self.cells.len() {
-            while i < a.len() && j < b.len() {
-                self.cells.push(if a[i] <= b[j] {
-                    i += 1;
-                    a[i - 1].clone()
-                } else {
-                    j += 1;
-                    b[j - 1].clone()
-                });
+            while i < a.len() && j < b.len() && i + j < max {
+                self.cells.push(pick(&mut i, &mut j));
             }
         }
         self.note_move(Dir::Right, (i + j) as u64);
         self.head += i + j;
         Ok((i, j))
+    }
+
+    fn beyond_end(&self) -> StError {
+        StError::Machine(format!(
+            "tape '{}': write at {} beyond end-of-data {}",
+            self.name,
+            self.head,
+            self.cells.len()
+        ))
     }
 
     /// Sweep the head to cell 0 in one sustained leftward move: at most
@@ -537,12 +585,14 @@ impl<S: Clone> Tape<S> {
     /// types without a [`Corrupt`] impl).
     pub fn enable_faults_with(&mut self, plan: &FaultPlan, corrupt: fn(&S, u64) -> S) {
         self.faults = Some(TapeFaults::new(plan, &self.name, corrupt));
+        self.pending = None;
     }
 
     /// Detach the fault layer; the tape keeps any corruption already
     /// stored in its cells.
     pub fn disable_faults(&mut self) {
         self.faults = None;
+        self.pending = None;
     }
 
     /// `true` iff a fault plan is attached.
@@ -561,6 +611,7 @@ impl<S: Clone> Tape<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_trace::Tracer;
 
     #[test]
     fn fresh_tape_has_no_reversals() {
@@ -768,6 +819,104 @@ mod tests {
         );
         assert_eq!(cell.fault_stats(), block.fault_stats());
         assert_eq!(cell.moves(), block.moves());
+    }
+
+    /// A faulted tape and its per-cell twin, tracing into two streams.
+    fn faulted_pair(items: &[u32]) -> [(Tape<u32>, st_trace::TraceBuffer); 2] {
+        let plan = FaultPlan::uniform(29, 0.3);
+        [0, 1].map(|_| {
+            let (tracer, buf) = Tracer::in_memory();
+            let mut t = Tape::from_items("t", items.to_vec());
+            t.set_tracer(tracer, 0);
+            t.enable_faults(&plan);
+            (t, buf)
+        })
+    }
+
+    fn assert_same_tape(a: &Tape<u32>, b: &Tape<u32>) {
+        assert_eq!(a.snapshot(), b.snapshot(), "stored corruption");
+        assert_eq!(a.fault_stats(), b.fault_stats());
+        assert_eq!(
+            (a.head(), a.moves(), a.reversals()),
+            (b.head(), b.moves(), b.reversals())
+        );
+    }
+
+    #[test]
+    fn slice_reads_under_a_plan_roll_dice_in_cell_order() {
+        let items: Vec<u32> = (0..300).collect();
+        let [(mut cell, cell_buf), (mut block, block_buf)] = faulted_pair(&items);
+        let mut want = Vec::new();
+        while let Some(x) = cell.read_fwd() {
+            want.push(x);
+        }
+        // Forward: peek (twice — a pending cell is not re-rolled), then
+        // advance; slice reads; and advances over cells never peeked.
+        let mut got = Vec::new();
+        while !block.at_end() {
+            let x = block.peek_slice(7)[0];
+            assert_eq!(
+                block.peek_slice(3),
+                [x],
+                "a handed-out cell keeps its value"
+            );
+            got.push(x);
+            block.advance_fwd(1);
+            let chunk = block.read_slice_fwd(64);
+            assert!(chunk.len() <= 1, "one cell at a time under a plan");
+            got.extend_from_slice(chunk);
+            if block.len() - block.head() >= 2 {
+                // Skipped cells are still read: their dice roll here.
+                block.advance_fwd(2);
+                got.extend_from_slice(&want[got.len()..got.len() + 2]);
+            }
+        }
+        assert_eq!(got, want);
+        assert_same_tape(&cell, &block);
+        assert_eq!(cell_buf.snapshot(), block_buf.snapshot(), "fault events");
+
+        // Backward from the last cell down to cell 0.
+        for t in [&mut cell, &mut block] {
+            t.move_left().unwrap();
+        }
+        let mut want = Vec::new();
+        loop {
+            let at_start = cell.at_start();
+            want.push(cell.read_bwd().unwrap());
+            if at_start {
+                break;
+            }
+        }
+        let mut got = Vec::new();
+        loop {
+            let at_start = block.at_start();
+            let chunk = block.read_slice_bwd(5);
+            assert_eq!(chunk.len(), 1, "one cell at a time under a plan");
+            got.push(chunk[0]);
+            if at_start {
+                break;
+            }
+        }
+        assert_eq!(got, want);
+        assert_same_tape(&cell, &block);
+        assert_eq!(cell_buf.snapshot(), block_buf.snapshot(), "fault events");
+        assert!(cell.fault_stats().unwrap().total_injected() > 0);
+    }
+
+    #[test]
+    fn merged_writes_under_a_plan_match_cell_writes() {
+        let a: Vec<u32> = (0..40).map(|i| 3 * i).collect();
+        let b: Vec<u32> = (0..40).map(|i| 2 * i + 1).collect();
+        let [(mut cell, cell_buf), (mut block, block_buf)] = faulted_pair(&[7; 10]);
+        let (i, j) = block.write_merged_runs_fwd(&a, &b, 55).unwrap();
+        assert_eq!(i + j, 55, "stops at the cap");
+        let mut merged: Vec<u32> = a[..i].iter().chain(&b[..j]).copied().collect();
+        merged.sort_unstable();
+        for x in merged {
+            cell.write_fwd(x).unwrap();
+        }
+        assert_same_tape(&cell, &block);
+        assert_eq!(cell_buf.snapshot(), block_buf.snapshot(), "fault events");
     }
 
     #[test]

@@ -26,7 +26,8 @@ use crate::engine::{Cluster, MpcOptions, MpcRun, Worker};
 use crate::partition::range_shard;
 use crate::wire::{Envelope, Payload};
 use st_core::{ResourceUsage, StError};
-use st_extmem::block;
+use st_extmem::block::{self, DEFAULT_BLOCK};
+use st_extmem::sort;
 use st_extmem::TapeMachine;
 use st_problems::{BitStr, Instance};
 use st_trace::Tracer;
@@ -51,8 +52,8 @@ impl Worker for CsWorker {
 }
 
 /// Local phase: sort this worker's shard in place.
-fn local_sort(state: &mut CsWorker, block_len: usize) -> Result<(), StError> {
-    block::merge_sort(&mut state.machine, DATA, SCRATCH1, SCRATCH2, block_len)
+fn local_sort(state: &mut CsWorker) -> Result<(), StError> {
+    sort::merge_sort(&mut state.machine, DATA, SCRATCH1, SCRATCH2)
 }
 
 /// The sender side of merge-tree round `step`: workers at odd multiples
@@ -90,7 +91,7 @@ fn send_for_step(w: usize, step: usize, p: usize, state: &CsWorker) -> Vec<Envel
 /// indices precede the partner's, so concatenation preserves the
 /// original index order. The `xs` run concatenates when the boundary
 /// keys already agree, and otherwise merges through the scratch tapes.
-fn absorb(state: &mut CsWorker, inbox: Vec<Envelope>, block_len: usize) -> Result<(), StError> {
+fn absorb(state: &mut CsWorker, inbox: Vec<Envelope>) -> Result<(), StError> {
     if inbox.is_empty() {
         return Ok(());
     }
@@ -135,11 +136,11 @@ fn absorb(state: &mut CsWorker, inbox: Vec<Envelope>, block_len: usize) -> Resul
     }
     {
         let (data, s1, s2) = state.machine.trio_mut(DATA, SCRATCH1, SCRATCH2);
-        block::merge_runs(data, s1, s2, run_len, &meter, block_len)?;
+        block::merge_runs(data, s1, s2, run_len, &meter, DEFAULT_BLOCK)?;
     }
     {
         let (s2, data) = state.machine.pair_mut(SCRATCH2, DATA);
-        block::copy_tape(s2, data, &meter, block_len)?;
+        block::copy_tape(s2, data, &meter, DEFAULT_BLOCK)?;
     }
     state.machine.tape_mut(SCRATCH1).reset_for_overwrite();
     state.machine.tape_mut(SCRATCH2).reset_for_overwrite();
@@ -154,7 +155,6 @@ fn absorb(state: &mut CsWorker, inbox: Vec<Envelope>, block_len: usize) -> Resul
 /// `p`).
 pub fn decide_check_sort(inst: &Instance, opts: &MpcOptions) -> Result<MpcRun, StError> {
     let p = opts.workers.max(1);
-    let block_len = opts.block_len;
 
     // Serial plan: contiguous index shards of both lists.
     let shards: Vec<Vec<Envelope>> = (0..p)
@@ -180,7 +180,7 @@ pub fn decide_check_sort(inst: &Instance, opts: &MpcOptions) -> Result<MpcRun, S
     // Parallel execute: every worker sorts its shard locally and stages
     // the first merge-tree round's messages.
     cluster.compute(move |w, state, _inbox| {
-        local_sort(state, block_len)?;
+        local_sort(state)?;
         Ok(send_for_step(w, 1, p, state))
     })?;
 
@@ -192,7 +192,7 @@ pub fn decide_check_sort(inst: &Instance, opts: &MpcOptions) -> Result<MpcRun, S
         let span = step * 2;
         cluster.exchange()?;
         cluster.compute(move |w, state, inbox| {
-            absorb(state, inbox, block_len)?;
+            absorb(state, inbox)?;
             Ok(send_for_step(w, span, p, state))
         })?;
         step = span;
@@ -204,7 +204,7 @@ pub fn decide_check_sort(inst: &Instance, opts: &MpcOptions) -> Result<MpcRun, S
         let root = &mut cluster.state_mut(0).machine;
         let meter = root.meter().clone();
         let (second, first) = root.pair_mut(SECOND, DATA);
-        let (equal, sorted) = block::compare_sorted(second, first, &meter, block_len);
+        let (equal, sorted) = block::compare_sorted(second, first, &meter, DEFAULT_BLOCK);
         equal && sorted
     };
 
@@ -238,9 +238,7 @@ mod tests {
                 1 => generate::no_checksort_sorted_but_wrong(11, 7, &mut rng),
                 _ => generate::random_instance(11, 7, &mut rng),
             };
-            let single =
-                st_algo::sortcheck::decide_check_sort_block(&inst, st_extmem::block::DEFAULT_BLOCK)
-                    .unwrap();
+            let single = st_algo::sortcheck::decide_check_sort(&inst).unwrap();
             for p in [1usize, 2, 3, 7, 16] {
                 let dist = decide_check_sort(&inst, &MpcOptions::with_workers(p)).unwrap();
                 assert_eq!(dist.accepted, single.accepted, "p={p} trial={trial}");

@@ -53,8 +53,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// How a distributed run is shaped: worker count, host threads, block
-/// length of the tape-level scans, and an optional seeded fault plan.
+/// How a distributed run is shaped: worker count, host threads, and an
+/// optional seeded fault plan. Workers' tape scans move
+/// [`st_extmem::block::DEFAULT_BLOCK`]-record slices.
 #[derive(Debug, Clone)]
 pub struct MpcOptions {
     /// Simulated workers `p` (≥ 1).
@@ -62,8 +63,6 @@ pub struct MpcOptions {
     /// Host threads driving the parallel phases; `0` = available
     /// parallelism. Any value yields byte-identical artifacts.
     pub jobs: usize,
-    /// Block length for the workers' tape scans (records per slice).
-    pub block_len: usize,
     /// Seeded network fault schedule. `None` runs the plain exchange;
     /// `Some` engages the ack/retry protocol (and, if kills are
     /// scheduled, superstep journaling). Verdicts and clean meters are
@@ -76,7 +75,6 @@ impl Default for MpcOptions {
         MpcOptions {
             workers: 4,
             jobs: 1,
-            block_len: st_extmem::block::DEFAULT_BLOCK,
             fault_plan: None,
         }
     }

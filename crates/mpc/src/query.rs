@@ -21,7 +21,7 @@ use crate::engine::{Cluster, MpcOptions, MpcRun, Worker};
 use crate::partition::{hash_partition, range_shard};
 use crate::wire::{Envelope, Payload};
 use st_core::{ResourceUsage, StError};
-use st_extmem::block;
+use st_extmem::sort;
 use st_extmem::tape::Tape;
 use st_extmem::TapeMachine;
 use st_problems::{BitStr, Instance};
@@ -78,13 +78,13 @@ fn next_unique(t: &mut Tape<BitStr>) -> Option<BitStr> {
 /// Local phase after the shuffle: land both fragments on tape, sort
 /// them, and count the local symmetric difference over the deduplicated
 /// streams in one parallel scan.
-fn local_symdiff(state: &mut QWorker, block_len: usize) -> Result<(), StError> {
+fn local_symdiff(state: &mut QWorker) -> Result<(), StError> {
     let r1 = std::mem::take(&mut state.r1_in);
     let r2 = std::mem::take(&mut state.r2_in);
     state.machine.tape_mut(R1).write_slice_fwd(&r1)?;
     state.machine.tape_mut(R2).write_slice_fwd(&r2)?;
-    block::merge_sort(&mut state.machine, R1, SCRATCH1, SCRATCH2, block_len)?;
-    block::merge_sort(&mut state.machine, R2, SCRATCH1, SCRATCH2, block_len)?;
+    sort::merge_sort(&mut state.machine, R1, SCRATCH1, SCRATCH2)?;
+    sort::merge_sort(&mut state.machine, R2, SCRATCH1, SCRATCH2)?;
     let (a, b) = state.machine.pair_mut(R1, R2);
     a.rewind();
     b.rewind();
@@ -124,7 +124,6 @@ fn local_symdiff(state: &mut QWorker, block_len: usize) -> Result<(), StError> {
 /// cluster; accept iff the symmetric difference is empty.
 pub fn evaluate_sym_diff(inst: &Instance, opts: &MpcOptions) -> Result<MpcQueryRun, StError> {
     let p = opts.workers.max(1);
-    let block_len = opts.block_len;
 
     // Serial plan: each worker starts with its contiguous index shard
     // of both relations.
@@ -207,7 +206,7 @@ pub fn evaluate_sym_diff(inst: &Instance, opts: &MpcOptions) -> Result<MpcQueryR
                 _ => return Err(StError::Machine("unexpected payload in shuffle".into())),
             }
         }
-        local_symdiff(state, block_len)?;
+        local_symdiff(state)?;
         Ok(vec![Envelope {
             from: w as u32,
             to: 0,

@@ -66,10 +66,7 @@ proptest! {
     fn check_sort_verdict_is_shard_invariant_and_exact(
         inst in arb_instance(10, 6),
     ) {
-        let single = st_algo::sortcheck::decide_check_sort_block(
-            &inst,
-            st_extmem::block::DEFAULT_BLOCK,
-        ).unwrap();
+        let single = st_algo::sortcheck::decide_check_sort(&inst).unwrap();
         prop_assert_eq!(single.accepted, predicates::is_check_sorted(&inst));
         for p in WORKER_SWEEP {
             let dist = decide_check_sort(&inst, &MpcOptions::with_workers(p)).unwrap();
