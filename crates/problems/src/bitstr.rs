@@ -4,34 +4,189 @@
 //! lexicographically; when all strings share the length `n` (as in every
 //! proof construction) the lexicographic order coincides with the order
 //! of the numbers they represent in binary — the identification
-//! `I = {0,1}ⁿ ≅ {0,…,2ⁿ−1}` used by Lemma 21.
+//! `I = {0,1}ⁿ ≅ {0,…,2ⁿ−1}` used by Lemma 21. Equal-length strings
+//! additionally expose numeric conversions for `n ≤ 128`.
 //!
-//! Bits are stored most-significant-first, one byte per bit (values are
-//! short in every experiment; clarity beats packing). `Ord` derives to
-//! bitwise lexicographic order. Equal-length strings additionally expose
-//! numeric conversions for `n ≤ 128`.
+//! # Layout
+//!
+//! Bits are packed most-significant-first into `u64` words: bit `i` is
+//! bit `63 − i mod 64` of word `⌊i/64⌋`. Strings of up to 128 bits keep
+//! their two words inline, so moving a record through a sort pass, a
+//! merge or an MPC exchange is a 32-byte copy with no allocation; longer
+//! strings (the 511-bit fingerprint values) spill to a boxed slice of
+//! `⌈len/64⌉` words. Which of the two a string uses is a function of its
+//! length alone.
+//!
+//! **Invariant: padding bits are zero** — the bits past `len` in the last
+//! word, and an unused inline word. Every constructor builds on zeroed
+//! words, every whole-word write clears the padding again, and the bit
+//! accessors panic at `i ≥ len` instead of reading padding.
+//!
+//! # Order
+//!
+//! `Ord` is the lexicographic order on bit sequences in which a proper
+//! prefix sorts first (`"01" < "010"`). It is written by hand because
+//! the derived order of the fields would compare lengths first. With
+//! zero padding the comparison needs no masking: compare the word slices
+//! as slices, then the lengths. Where the strings differ inside their
+//! common prefix, the first differing word decides exactly as the first
+//! differing bit does. Where one string prefixes the other, its padding
+//! zeros are at most the other's bits, so the words tie or the shorter
+//! slice is less, and the length puts the prefix first either way.
+//! `Eq` and `Hash` read the same `(words, len)` pair, so they agree
+//! with `Ord`.
+//!
+//! # Text form
 //!
 //! The text form is a byte map: bit `b` is the ASCII byte `b'0' + b`.
-//! [`BitStr::write_ascii`] appends it to a caller's buffer and
-//! [`BitStr::parse_bytes`] reads it back after one validation sweep;
-//! every other reader and writer of values (the instance word, the MPC
-//! wire records, `Display` as a single `write_str`, [`BitStr::parse`])
-//! goes through these two, so no value is ever formatted bit by bit.
+//! [`BitStr::write_ascii`] appends it to a caller's buffer a word at a
+//! time, and [`BitStr::parse_bytes`] reads it back after one validation
+//! sweep, eight bytes per multiply. Every other reader and writer of
+//! values (the instance word, the MPC wire records, `Display` as a
+//! single `write_str`, [`BitStr::parse`]) goes through these two, so no
+//! value is ever formatted bit by bit.
 
 use st_core::StError;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Bits per storage word.
+const WORD: usize = 64;
+/// Words kept inline before a string spills to the heap.
+const INLINE_WORDS: usize = 2;
+
+/// The storage words: inline for `len ≤ 128`, boxed beyond.
+#[derive(Clone)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Spilled(Box<[u64]>),
+}
 
 /// A bitstring over `{0,1}` of explicit length (possibly 0).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone)]
 pub struct BitStr {
-    bits: Vec<u8>,
+    len: usize,
+    words: Words,
+}
+
+/// The mask of the top `bits` bits of a word, for `1 ≤ bits ≤ 64`.
+fn high_mask(bits: usize) -> u64 {
+    !0u64 << (WORD - bits)
+}
+
+/// `ASCII[b]`: the text bytes of byte `b`'s eight bits, MSB first, as a
+/// little-endian word (its first byte in memory is `b`'s top bit).
+const ASCII: [u64; 256] = ascii_table();
+
+const fn ascii_table() -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= (b'0' as u64 + ((b as u64 >> (7 - i)) & 1)) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
+/// Eight `b'0'`/`b'1'` bytes as eight bits, the first byte most
+/// significant. Only the low bit of each byte matters; one multiply by
+/// `Σ 2^(63−9i)` moves byte `i`'s bit to bit `63 − i`, and since every
+/// partial product lands on its own bit position nothing carries.
+fn gather8(group: &[u8]) -> u64 {
+    let group: [u8; 8] = group.try_into().expect("a group is eight bytes");
+    let low_bits = u64::from_le_bytes(group) & 0x0101_0101_0101_0101;
+    low_bits.wrapping_mul(0x8040_2010_0804_0201) >> 56
+}
+
+/// 64 validated text bytes as one word, the first byte most significant.
+fn pack_word(chunk: &[u8]) -> u64 {
+    chunk
+        .chunks_exact(8)
+        .fold(0, |word, group| (word << 8) | gather8(group))
+}
+
+/// One word's 64 text bytes, eight table entries at a time.
+fn expand_word(word: u64) -> [u8; WORD] {
+    let mut text = [0u8; WORD];
+    for (k, slot) in text.chunks_exact_mut(8).enumerate() {
+        slot.copy_from_slice(&ASCII[((word >> (56 - 8 * k)) & 0xff) as usize].to_le_bytes());
+    }
+    text
 }
 
 impl BitStr {
     /// The empty bitstring.
     #[must_use]
     pub fn empty() -> Self {
-        BitStr { bits: Vec::new() }
+        Self::zeros(0)
+    }
+
+    /// The all-zero string of length `len`: the one place storage is
+    /// chosen, so inline-or-spilled follows from the length alone.
+    fn zeros(len: usize) -> Self {
+        let words = if len <= INLINE_WORDS * WORD {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Spilled(vec![0; len.div_ceil(WORD)].into_boxed_slice())
+        };
+        BitStr { len, words }
+    }
+
+    /// The `⌈len/64⌉` words holding the bits.
+    fn words(&self) -> &[u64] {
+        let used = self.len.div_ceil(WORD);
+        match &self.words {
+            Words::Inline(w) => &w[..used],
+            Words::Spilled(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        let used = self.len.div_ceil(WORD);
+        match &mut self.words {
+            Words::Inline(w) => &mut w[..used],
+            Words::Spilled(w) => w,
+        }
+    }
+
+    /// Restore the padding invariant after whole words were written.
+    fn clear_padding(&mut self) {
+        let tail = self.len % WORD;
+        if tail != 0 {
+            let words = self.words_mut();
+            words[words.len() - 1] &= high_mask(tail);
+        }
+    }
+
+    /// OR `src`'s bits into positions `[at, at + src.len)`, which must
+    /// lie inside `self`. `src`'s padding is zero, so the bits it shifts
+    /// past its end (or past `self`'s last word) add nothing.
+    fn or_at(&mut self, at: usize, src: &BitStr) {
+        debug_assert!(at + src.len <= self.len);
+        let (base, shift) = (at / WORD, at % WORD);
+        let dst = self.words_mut();
+        for (k, &w) in src.words().iter().enumerate() {
+            dst[base + k] |= w >> shift;
+            if shift != 0 {
+                if let Some(next) = dst.get_mut(base + k + 1) {
+                    *next |= w << (WORD - shift);
+                }
+            }
+        }
+    }
+
+    /// Panic unless `i` names a bit (never read or write padding).
+    fn check_index(&self, i: usize) {
+        assert!(
+            i < self.len,
+            "bit index {i} out of range for a {}-bit string",
+            self.len
+        );
     }
 
     /// Parse from ASCII `'0'`/`'1'`.
@@ -40,16 +195,28 @@ impl BitStr {
     }
 
     /// Parse from ASCII bytes `b'0'`/`b'1'`: one validation sweep, then
-    /// the byte map `b - b'0'`. The error names the first offending
-    /// character, or the raw byte where the input is not UTF-8 there.
+    /// each 64-byte chunk packed into a word eight bytes per multiply.
+    /// The error names the first offending character, or the raw byte
+    /// where the input is not UTF-8 there.
     pub fn parse_bytes(bytes: &[u8]) -> Result<Self, StError> {
         // `b'0'` and `b'1'` differ only in the low bit. The sweep has no
         // early exit so it vectorizes; only a bad input searches again.
         let is_bad = |b: u8| b | 1 != b'1';
         if !bytes.iter().fold(false, |bad, &b| bad | is_bad(b)) {
-            return Ok(BitStr {
-                bits: bytes.iter().map(|&b| b - b'0').collect(),
-            });
+            let mut out = Self::zeros(bytes.len());
+            let chunks = bytes.chunks_exact(WORD);
+            let tail = chunks.remainder();
+            let words = out.words_mut();
+            for (word, chunk) in words.iter_mut().zip(chunks) {
+                *word = pack_word(chunk);
+            }
+            if !tail.is_empty() {
+                // Pad the tail with `0` bytes, which pack to zero bits.
+                let mut padded = [b'0'; WORD];
+                padded[..tail.len()].copy_from_slice(tail);
+                words[words.len() - 1] = pack_word(&padded);
+            }
+            return Ok(out);
         }
         let i = bytes.iter().position(|&b| is_bad(b)).unwrap_or_default();
         Err(StError::InvalidInstance(format!(
@@ -58,9 +225,20 @@ impl BitStr {
         )))
     }
 
-    /// Append the ASCII text form (`b'0' + bit` per bit) to `out`.
+    /// Append the ASCII text form (`b'0' + bit` per bit) to `out`: each
+    /// word expands through the byte table into a 64-byte buffer that
+    /// lands with one `extend_from_slice`.
     pub fn write_ascii(&self, out: &mut Vec<u8>) {
-        out.extend(self.bits.iter().map(|&b| b'0' + b));
+        let Some((&last, full)) = self.words().split_last() else {
+            return;
+        };
+        // Reserve exactly: a caller that sized `out` for its whole word
+        // must not see it grow on the last value.
+        out.reserve(self.len);
+        for &word in full {
+            out.extend_from_slice(&expand_word(word));
+        }
+        out.extend_from_slice(&expand_word(last)[..self.len - full.len() * WORD]);
     }
 
     /// The `n`-bit binary representation of `value` (MSB first). Errors if
@@ -71,85 +249,181 @@ impl BitStr {
                 "value {value} does not fit in {n} bits"
             )));
         }
-        let bits = (0..n).rev().map(|i| ((value >> i) & 1) as u8).collect();
-        Ok(BitStr { bits })
+        if n == 0 {
+            return Ok(Self::empty());
+        }
+        // The low `bits` bits of `value`, left-aligned in two words.
+        let bits = n.min(128);
+        let aligned = value << (128 - bits);
+        let low = BitStr {
+            len: bits,
+            words: Words::Inline([(aligned >> 64) as u64, aligned as u64]),
+        };
+        if n == bits {
+            return Ok(low);
+        }
+        let mut out = Self::zeros(n);
+        out.or_at(n - bits, &low);
+        Ok(out)
     }
 
     /// The numeric value for `len ≤ 128`.
     pub fn to_value(&self) -> Result<u128, StError> {
-        if self.bits.len() > 128 {
+        if self.len > 128 {
             return Err(StError::InvalidInstance(format!(
                 "bitstring of length {} exceeds the u128 fast path",
-                self.bits.len()
+                self.len
             )));
         }
-        Ok(self
-            .bits
-            .iter()
-            .fold(0u128, |acc, &b| (acc << 1) | u128::from(b)))
+        let Words::Inline([hi, lo]) = self.words else {
+            unreachable!("strings of at most 128 bits are inline");
+        };
+        if self.len == 0 {
+            return Ok(0);
+        }
+        Ok(((u128::from(hi) << 64) | u128::from(lo)) >> (128 - self.len))
     }
 
     /// Length in bits.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     /// `true` iff the string has length 0.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.len == 0
     }
 
-    /// Bit `i` (0 = most significant).
+    /// Bit `i` (0 = most significant). Panics if `i ≥ len`.
     #[must_use]
     pub fn bit(&self, i: usize) -> u8 {
-        self.bits[i]
+        self.check_index(i);
+        ((self.words()[i / WORD] >> (WORD - 1 - i % WORD)) & 1) as u8
     }
 
     /// Iterator over bits, MSB first.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        self.bits.iter().copied()
+        let words = self.words();
+        (0..self.len).map(move |i| ((words[i / WORD] >> (WORD - 1 - i % WORD)) & 1) as u8)
     }
 
     /// Flip bit `i` in place (adversarial no-instance construction).
+    /// Panics if `i ≥ len`.
     pub fn flip_bit(&mut self, i: usize) {
-        self.bits[i] ^= 1;
+        self.check_index(i);
+        self.words_mut()[i / WORD] ^= 1 << (WORD - 1 - i % WORD);
     }
 
     /// Concatenate two bitstrings (used by the SHORT reduction's
     /// `BIN(i)·BIN′(j)·block` assembly).
     #[must_use]
     pub fn concat(&self, other: &BitStr) -> BitStr {
-        let mut bits = self.bits.clone();
-        bits.extend_from_slice(&other.bits);
-        BitStr { bits }
+        let mut out = Self::zeros(self.len + other.len);
+        out.or_at(0, self);
+        out.or_at(self.len, other);
+        out
     }
 
-    /// The slice `[from, to)` as a new bitstring.
+    /// The slice `[from, to)` as a new bitstring. Panics unless
+    /// `from ≤ to ≤ len`.
     #[must_use]
     pub fn slice(&self, from: usize, to: usize) -> BitStr {
-        BitStr {
-            bits: self.bits[from..to].to_vec(),
+        assert!(
+            from <= to && to <= self.len,
+            "slice [{from}, {to}) out of range for a {}-bit string",
+            self.len
+        );
+        let mut out = Self::zeros(to - from);
+        let src = self.words();
+        let (base, shift) = (from / WORD, from % WORD);
+        for (k, word) in out.words_mut().iter_mut().enumerate() {
+            let next = match (shift, src.get(base + k + 1)) {
+                (0, _) | (_, None) => 0,
+                (_, Some(&n)) => n >> (WORD - shift),
+            };
+            *word = (src[base + k] << shift) | next;
         }
+        out.clear_padding();
+        out
     }
 
     /// Left-pad with zeros to length `n` (the Appendix E block padding).
     #[must_use]
     pub fn pad_left(&self, n: usize) -> BitStr {
-        if self.bits.len() >= n {
+        if self.len >= n {
             return self.clone();
         }
-        let mut bits = vec![0u8; n - self.bits.len()];
-        bits.extend_from_slice(&self.bits);
-        BitStr { bits }
+        let mut out = Self::zeros(n);
+        out.or_at(n - self.len, self);
+        out
     }
 
     /// Does `prefix` prefix this string? (Interval membership reduces to a
     /// prefix test; see [`crate::checkphi`].)
     #[must_use]
     pub fn has_prefix(&self, prefix: &BitStr) -> bool {
-        self.bits.len() >= prefix.bits.len() && self.bits[..prefix.bits.len()] == prefix.bits[..]
+        if self.len < prefix.len {
+            return false;
+        }
+        let (full, tail) = (prefix.len / WORD, prefix.len % WORD);
+        let (mine, theirs) = (self.words(), prefix.words());
+        mine[..full] == theirs[..full]
+            && (tail == 0 || (mine[full] ^ theirs[full]) & high_mask(tail) == 0)
+    }
+}
+
+impl Default for BitStr {
+    fn default() -> Self {
+        Self::empty()
+    }
+}
+
+impl PartialEq for BitStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitStr {}
+
+impl Ord for BitStr {
+    /// Lexicographic, a proper prefix first; see the module doc for why
+    /// the word slices need no mask.
+    fn cmp(&self, other: &Self) -> Ordering {
+        let words = match (&self.words, &other.words) {
+            // Unused inline words are zero padding too.
+            (Words::Inline(a), Words::Inline(b)) => a.cmp(b),
+            _ => self.words().cmp(other.words()),
+        };
+        words.then(self.len.cmp(&other.len))
+    }
+}
+
+impl PartialOrd for BitStr {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for BitStr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.len.hash(state);
+        self.words().hash(state);
+    }
+}
+
+impl fmt::Debug for BitStr {
+    /// The bits as a list, `BitStr { bits: [0, 1, …] }`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Bits<'a>(&'a BitStr);
+        impl fmt::Debug for Bits<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("BitStr").field("bits", &Bits(self)).finish()
     }
 }
 
@@ -170,7 +444,7 @@ fn describe_symbol(rest: &[u8]) -> String {
 
 impl fmt::Display for BitStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut text = Vec::with_capacity(self.bits.len());
+        let mut text = Vec::with_capacity(self.len);
         self.write_ascii(&mut text);
         f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
     }
@@ -181,13 +455,13 @@ impl st_extmem::Corrupt for BitStr {
     /// empty string (no bit to flip) grows a spurious `1` — still a value
     /// different from the original, as the `Corrupt` contract requires.
     fn corrupted(&self, entropy: u64) -> Self {
-        let mut c = self.clone();
-        if c.bits.is_empty() {
-            c.bits.push(1);
-        } else {
-            let i = (entropy as usize) % c.bits.len();
-            c.bits[i] ^= 1;
+        if self.is_empty() {
+            let mut one = Self::zeros(1);
+            one.flip_bit(0);
+            return one;
         }
+        let mut c = self.clone();
+        c.flip_bit((entropy as usize) % c.len);
         c
     }
 }
