@@ -16,6 +16,35 @@
 //! suffices. Internal state is a fixed set of `O(log N)`-bit registers,
 //! charged to the memory meter.
 //!
+//! # The residue-fold kernel
+//!
+//! [`ResidueFold`] is the one implementation of step 5. The incremental
+//! [`FingerprintStepper`] (and so the batch decider) and `st-mpc`'s
+//! fingerprint worker both hand it tape slices from their backward
+//! scans. It is word-parallel, and its per-cell cost is a constant
+//! factor below the per-bit recurrence it computes exactly:
+//!
+//! * *`e = v mod p₁`:* the bits between two `#`s are taken from the
+//!   right in groups of up to 64, packed eight bytes per multiply
+//!   ([`st_problems::bitstr::pack_bits`]). A group of `t` bits with
+//!   value `g` costs `e += g·pow2` and `pow2 ·= 2ᵗ`: two `u128`
+//!   reductions per group, where the per-bit loop needs one or two per
+//!   bit. Plain `u128`
+//!   arithmetic is right for every `p₁`, `p₁ = 2` included.
+//! * *`x^e mod p₂`:* one [`MontModulus`] ladder per value. `p₂` is odd,
+//!   its Montgomery constants and `x`'s Montgomery form are computed
+//!   once per run, and the two sums stay in Montgomery form until
+//!   [`ResidueFold::finish`].
+//! * *Scanning:* a slice is validated by one branch-free fold, and `#`
+//!   is found eight bytes at a time.
+//!
+//! The kernel holds only the charged registers (`e`, `pow2`, the `#`
+//! counter, the two sums) plus constants derived from `p₁`, `p₂` and
+//! `x`. It deliberately keeps no table of powers of `x`: a fixed-base or
+//! windowed table would be an uncharged register file, or `Θ(log² N)`
+//! bits, and the run would no longer be the `O(log N)`-space machine the
+//! theorem describes.
+//!
 //! Correctness (paper, Claim 1 + polynomial identity testing): if the
 //! multisets are equal the test **always** accepts; if they differ it
 //! accepts with probability `≤ ⅓ + O(1/m)` — a one-sided error on the
@@ -23,9 +52,10 @@
 
 use crate::stepper::{drive_to_verdict, FingerprintStepper, Stepper};
 use rand::Rng;
-use st_core::math::{add_mod, is_prime, mul_mod, next_prime};
+use st_core::math::{add_mod, add_mod_reduced, is_prime, mul_mod, next_prime, MontModulus};
 use st_core::theorems::theorem8a_k;
 use st_core::{ResourceUsage, StError};
+use st_problems::bitstr::pack_bits;
 use st_problems::Instance;
 
 /// The sampled randomness and derived moduli of one fingerprint run.
@@ -99,6 +129,10 @@ pub(crate) fn sample_prime<R: Rng>(k: u64, tries: u32, rng: &mut R) -> Option<u6
 /// without touching `rng`; a prime-sampling failure returns a
 /// [degenerate](FingerprintParams::degenerate) tuple (`p1 == 0`) telling
 /// the caller to accept unconditionally.
+///
+/// Errors with [`StError::Precondition`] when `k` or the Bertrand bound
+/// `6k` overflows `u64` (for example at `m = 2¹⁶, n = 511`), before
+/// drawing from `rng`.
 pub fn sample_params<R: Rng>(
     m: u64,
     n_max: u64,
@@ -113,6 +147,13 @@ pub fn sample_params<R: Rng>(
         });
     }
     let k = theorem8a_k(m, n_max.max(1))?;
+    // p₂ ≤ 6k by Bertrand, so a 6k that fits keeps next_prime(3k) and the
+    // callers' 7·bits_for(6k) register charge in range.
+    if k.checked_mul(6).is_none() {
+        return Err(StError::Precondition(format!(
+            "Bertrand bound 6k overflows u64 for k={k} (m={m}, n={n_max})"
+        )));
+    }
     let Some(p1) = sample_prime(k, 4096, rng) else {
         return Ok(FingerprintParams {
             k,
@@ -128,8 +169,8 @@ pub fn sample_params<R: Rng>(
 
 /// Run the Theorem 8(a) decider on `inst` with randomness from `rng`.
 ///
-/// Errors only on parameter overflow (`k` beyond `u64`); never on
-/// instance content.
+/// Errors only on parameter overflow (`k` or `6k` beyond `u64`, see
+/// [`sample_params`]); never on instance content.
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -209,6 +250,166 @@ pub fn lsb_first_mod(bits_lsb_first: &[u8], p: u64) -> u64 {
         pow2 = mul_mod(pow2, 2, p);
     }
     e
+}
+
+/// Bit 4 of every byte: set in `b'0'` (0x30) and `b'1'` (0x31), clear
+/// in `b'#'` (0x23). In validated tape symbols a clear bit marks a `#`.
+const VALUE_BIT: u64 = 0x1010_1010_1010_1010;
+
+/// The position of the first byte outside the tape alphabet `{0,1,#}`.
+/// The all-valid case is one fold with no early exit (so it
+/// vectorizes); only a bad slice searches again.
+pub(crate) fn first_invalid(symbols: &[u8]) -> Option<usize> {
+    let is_bad = |b: u8| (b != b'#') & (b | 1 != b'1');
+    if !symbols.iter().fold(false, |bad, &b| bad | is_bad(b)) {
+        return None;
+    }
+    symbols.iter().position(|&b| is_bad(b))
+}
+
+/// The error for a byte outside the tape alphabet.
+pub(crate) fn unexpected_symbol(b: u8) -> StError {
+    StError::InvalidInstance(format!("unexpected tape symbol {:?}", b as char))
+}
+
+/// The `#` marks of eight validated symbols, one bit per `#`.
+fn hash_marks(group: &[u8]) -> u64 {
+    let group: [u8; 8] = group.try_into().expect("a group is eight bytes");
+    !u64::from_le_bytes(group) & VALUE_BIT
+}
+
+/// The position of the first `#` in validated `symbols`, eight bytes
+/// per step.
+pub(crate) fn find_hash(symbols: &[u8]) -> Option<usize> {
+    let mut groups = symbols.chunks_exact(8);
+    for (i, group) in (&mut groups).enumerate() {
+        let marks = hash_marks(group);
+        if marks != 0 {
+            return Some(8 * i + marks.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = groups.remainder();
+    let tail_start = symbols.len() - tail.len();
+    tail.iter().position(|&b| b == b'#').map(|p| tail_start + p)
+}
+
+/// The position of the last `#` in validated `symbols`, eight bytes per
+/// step.
+fn rfind_hash(symbols: &[u8]) -> Option<usize> {
+    let mut groups = symbols.rchunks_exact(8);
+    for (i, group) in (&mut groups).enumerate() {
+        let marks = hash_marks(group);
+        if marks != 0 {
+            let in_group = (63 - marks.leading_zeros()) as usize / 8;
+            return Some(symbols.len() - 8 * (i + 1) + in_group);
+        }
+    }
+    groups.remainder().iter().rposition(|&b| b == b'#')
+}
+
+/// Step 5 of Theorem 8(a), the backward fold, as one word-parallel
+/// kernel (see the [module docs](self#the-residue-fold-kernel)).
+///
+/// A word `v₁#v₂#…#v₂ₘ#` is handed over as consecutive tape slices from
+/// right to left, the way the backward scan reads it. Every `#` but the
+/// rightmost ends the value to its right; the leftmost value ends at
+/// [`ResidueFold::finish`]. The rightmost `second_half` values fold into
+/// the second sum, the rest into the first.
+#[derive(Debug, Clone, Copy)]
+pub struct ResidueFold {
+    p1: u64,
+    p2: MontModulus,
+    /// `x` in Montgomery form.
+    x: u64,
+    second_half: u64,
+    /// `v mod p₁` of the bits read so far of the current value.
+    e: u64,
+    /// `2^(bits read so far of the current value) mod p₁`.
+    pow2: u64,
+    seen_hashes: u64,
+    /// The two sums, in Montgomery form until [`ResidueFold::finish`].
+    sum_first: u64,
+    sum_second: u64,
+}
+
+impl ResidueFold {
+    /// A fold under non-[degenerate](FingerprintParams::degenerate)
+    /// `params`, whose rightmost `second_half` values are the second
+    /// list.
+    #[must_use]
+    pub fn new(params: FingerprintParams, second_half: u64) -> Self {
+        let p2 = MontModulus::new(params.p2);
+        ResidueFold {
+            p1: params.p1,
+            x: p2.to_mont(params.x),
+            p2,
+            second_half,
+            e: 0,
+            pow2: 1,
+            seen_hashes: 0,
+            sum_first: 0,
+            sum_second: 0,
+        }
+    }
+
+    /// Fold the next slice leftward, given in tape order. A slice may
+    /// start or end anywhere, inside a value too. A symbol outside
+    /// `{0,1,#}` is an [`StError::InvalidInstance`].
+    pub fn fold(&mut self, slice: &[u8]) -> Result<(), StError> {
+        if let Some(i) = first_invalid(slice) {
+            return Err(unexpected_symbol(slice[i]));
+        }
+        let mut end = slice.len();
+        loop {
+            let start = rfind_hash(&slice[..end]).map_or(0, |h| h + 1);
+            self.absorb_bits(&slice[start..end]);
+            if start == 0 {
+                return Ok(());
+            }
+            self.flush();
+            self.seen_hashes += 1;
+            self.e = 0;
+            self.pow2 = 1;
+            end = start - 1;
+        }
+    }
+
+    /// Flush the leftmost value (no `#` precedes it) and return the sums
+    /// `(Σ first, Σ second) mod p₂`.
+    #[must_use]
+    pub fn finish(mut self) -> (u64, u64) {
+        self.flush();
+        (
+            self.p2.from_mont(self.sum_first),
+            self.p2.from_mont(self.sum_second),
+        )
+    }
+
+    /// Add `x^e` for the value just completed, if a `#` closed one.
+    fn flush(&mut self) {
+        if self.seen_hashes == 0 {
+            return;
+        }
+        let term = self.p2.pow(self.x, self.e);
+        let sum = if self.seen_hashes <= self.second_half {
+            &mut self.sum_second
+        } else {
+            &mut self.sum_first
+        };
+        *sum = self.p2.add(*sum, term);
+    }
+
+    /// Bits of the current value in tape order, continuing leftward from
+    /// the bits already folded: groups of up to 64 from the right, the
+    /// rightmost bit of each group at weight `pow2`.
+    fn absorb_bits(&mut self, bits: &[u8]) {
+        let p1 = u128::from(self.p1);
+        for group in bits.rchunks(64) {
+            let term = u128::from(pack_bits(group)) * u128::from(self.pow2) % p1;
+            self.e = add_mod_reduced(self.e, term as u64, self.p1);
+            self.pow2 = ((u128::from(self.pow2) << group.len()) % p1) as u64;
+        }
+    }
 }
 
 /// Ablation baseline: the *sum-of-residues* test — accept iff
@@ -336,6 +537,26 @@ mod tests {
         assert!(run.params.p2 > 3 * k && run.params.p2 <= 6 * k);
         assert!(is_prime(run.params.p2));
         assert!(run.params.x >= 1 && run.params.x < run.params.p2);
+    }
+
+    #[test]
+    fn parameters_past_the_bertrand_bound_are_a_precondition_error() {
+        // From these (m, n) on, 6k no longer fits a u64 (k itself still
+        // does), so the prime p₂ ∈ (3k, 6k] has no u64 home.
+        for (m, n) in [(1u64 << 16, 511u64), (1 << 17, 32), (1 << 19, 1)] {
+            let k = theorem8a_k(m, n).unwrap();
+            assert!(k.checked_mul(6).is_none(), "m={m} n={n} k={k}");
+            let mut rng = StdRng::seed_from_u64(40);
+            match sample_params(m, n, &mut rng) {
+                Err(StError::Precondition(msg)) => assert!(msg.contains("6k"), "{msg}"),
+                other => panic!("m={m} n={n}: {other:?}"),
+            }
+        }
+        // Just below: the largest power-of-two m at n = 1 still samples
+        // a p₂ inside (3k, 6k].
+        let mut rng = StdRng::seed_from_u64(41);
+        let params = sample_params(1 << 18, 1, &mut rng).unwrap();
+        assert!(params.p2 > 3 * params.k && params.p2 <= 6 * params.k);
     }
 
     #[test]

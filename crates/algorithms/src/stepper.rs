@@ -15,11 +15,22 @@
 //! batch* holds by construction for the tape operations, and the
 //! property tests in `tests/stepper_parity.rs` pin it for the verdict
 //! and the full [`st_core::ResourceUsage`] record.
+//!
+//! [`FingerprintStepper`] does no residue arithmetic of its own. Its
+//! ingest validates each fed chunk with one branch-free fold and counts
+//! `m` and `n` from `#` to `#` (found eight bytes at a time); its
+//! backward scan hands `read_slice_bwd` slices to
+//! [`crate::fingerprint::ResidueFold`], the word-parallel kernel that
+//! `st-mpc`'s fingerprint worker drives as well. The kernel's state is
+//! the charged registers plus constants of `p₁`, `p₂` and `x`, with no
+//! table of powers: such a table would be internal memory the
+//! meter does not see (see the [`crate::fingerprint`] module docs).
 
-use crate::fingerprint::{sample_params, FingerprintParams};
+use crate::fingerprint::{
+    find_hash, first_invalid, sample_params, unexpected_symbol, FingerprintParams, ResidueFold,
+};
 use crate::sortcheck::DeciderRun;
 use rand::Rng;
-use st_core::math::{add_mod, mul_mod, pow_mod};
 use st_core::StError;
 use st_extmem::block::{scan_tracer, Lockstep, DEFAULT_BLOCK};
 use st_extmem::meter::bits_for;
@@ -86,14 +97,7 @@ enum FpState {
         cur: u64,
     },
     /// Scan 2: the backward accumulation of `Σ x^{eᵢ}` per half.
-    Backward {
-        m: u64,
-        sum_second: u64,
-        sum_first: u64,
-        e: u64,
-        pow2: u64,
-        seen_hashes: u64,
-    },
+    Backward(ResidueFold),
     Done(DeciderRun),
 }
 
@@ -175,38 +179,27 @@ impl<R: Rng> FingerprintStepper<R> {
     fn feed_impl(&mut self, bytes: &[u8]) -> Result<Poll<DeciderRun>, StError> {
         match &mut self.state {
             FpState::Ingest { m2, n_max, cur } => {
-                // Validate and count in one pass over the chunk, then
-                // land the whole valid prefix on the tape as one slice
-                // write — the per-cell loop wrote exactly that prefix
-                // before erroring, so accounting is unchanged.
-                let mut bad: Option<u8> = None;
-                let mut valid = bytes.len();
-                for (i, &sym) in bytes.iter().enumerate() {
-                    match sym {
-                        b'#' => {
-                            *m2 += 1;
-                            *n_max = (*n_max).max(*cur);
-                            *cur = 0;
-                        }
-                        b'0' | b'1' => *cur += 1,
-                        other => {
-                            bad = Some(other);
-                            valid = i;
-                            break;
-                        }
-                    }
+                // Validate the chunk in one fold, count the valid prefix
+                // from `#` to `#`, then land that prefix on the tape as
+                // one slice write — the per-cell loop wrote exactly that
+                // prefix before erroring, so accounting is unchanged.
+                let bad = first_invalid(bytes);
+                let valid = &bytes[..bad.unwrap_or(bytes.len())];
+                let mut rest = valid;
+                while let Some(h) = find_hash(rest) {
+                    *m2 += 1;
+                    *n_max = (*n_max).max(*cur + h as u64);
+                    *cur = 0;
+                    rest = &rest[h + 1..];
                 }
-                let tape = self.machine.tape_mut(0);
-                tape.write_slice_fwd(&bytes[..valid])?;
-                if let Some(other) = bad {
-                    return Err(StError::InvalidInstance(format!(
-                        "unexpected tape symbol {:?}",
-                        other as char
-                    )));
+                *cur += rest.len() as u64;
+                self.machine.tape_mut(0).write_slice_fwd(valid)?;
+                if let Some(i) = bad {
+                    return Err(unexpected_symbol(bytes[i]));
                 }
                 Ok(Poll::Pending)
             }
-            FpState::Backward { .. } => Err(StError::Machine(
+            FpState::Backward(_) => Err(StError::Machine(
                 "fingerprint stepper fed after finish".into(),
             )),
             FpState::Done(v) => Ok(Poll::Ready(v.clone())),
@@ -253,115 +246,40 @@ impl<R: Rng> FingerprintStepper<R> {
         if !tape.at_start() {
             tape.move_left()?;
         }
-        self.state = FpState::Backward {
-            m,
-            sum_second: 0,
-            sum_first: 0,
-            e: 0,
-            pow2: 1,
-            seen_hashes: 0,
-        };
+        self.state = FpState::Backward(ResidueFold::new(params, m));
         Ok(())
     }
 
     /// Backward-scan micro-operations in bulk: read up to `count`
-    /// symbols as one slice (one symbol under a fault plan) and fold them
-    /// into the residue accumulators with **word-parallel** arithmetic —
-    /// up to 63 bits of a value are absorbed per modular multiply
-    /// (`e += (Σ bitⱼ·2ʲ)·pow2 mod p₁; pow2 ·= 2ᵗᵃᵏᵉ`), which distributes
-    /// over the per-bit recurrence exactly, so residues, verdict, usage
-    /// and budget consumption are bit-for-bit those of one `read_bwd`
-    /// per symbol. Returns the micro-operations performed: the symbols
-    /// read, or 1 for the free `None` read that ends an empty tape's
-    /// scan.
+    /// symbols as one slice (one symbol under a fault plan) and hand it to
+    /// the [`ResidueFold`] kernel, whose word-parallel fold equals the
+    /// per-bit recurrence exactly — so residues, verdict, usage and
+    /// budget consumption are bit-for-bit those of one `read_bwd` per
+    /// symbol. Returns the micro-operations performed: the symbols read,
+    /// or 1 for the free `None` read that ends an empty tape's scan.
     ///
     /// `count` must not exceed the unread symbols (the caller caps it).
     fn advance_backward(&mut self, count: usize) -> Result<usize, StError> {
-        let params = self
-            .params
-            .ok_or_else(|| StError::Machine("backward scan without parameters".into()))?;
-        let FpState::Backward {
-            m,
-            sum_second,
-            sum_first,
-            e,
-            pow2,
-            seen_hashes,
-        } = &mut self.state
-        else {
+        let FpState::Backward(fold) = &mut self.state else {
             return Ok(0);
-        };
-        let flush = |seen: u64, e: u64, sum_second: &mut u64, sum_first: &mut u64, m: u64| {
-            let term = pow_mod(params.x, e, params.p2);
-            if seen <= m {
-                *sum_second = add_mod(*sum_second, term, params.p2);
-            } else {
-                *sum_first = add_mod(*sum_first, term, params.p2);
-            }
         };
         let tape = self.machine.tape_mut(0);
         let head_before = tape.head();
         let tape_empty = tape.is_empty();
         let chunk = tape.read_slice_bwd(count);
-        // Scan order is from the head leftward: the slice reversed.
         // `finished` iff the slice reached cell 0 (or the tape is empty
         // and the single free `None` read ends the scan).
         let finished = chunk.len() > head_before || tape_empty;
         let used = chunk.len().max(usize::from(tape_empty));
-        // One vectorizable validation sweep up front keeps the hot bit
-        // loop below branch-free. (Unreachable through the public API:
-        // `feed` already rejects anything outside the tape alphabet.)
-        if let Some(&bad) = chunk.iter().find(|&&b| b != b'#' && b != b'0' && b != b'1') {
-            return Err(StError::InvalidInstance(format!(
-                "unexpected tape symbol {:?}",
-                bad as char
-            )));
-        }
-        let mut idx = chunk.len();
-        while idx > 0 {
-            if chunk[idx - 1] == b'#' {
-                if *seen_hashes > 0 {
-                    flush(*seen_hashes, *e, sum_second, sum_first, *m);
-                }
-                *seen_hashes += 1;
-                *e = 0;
-                *pow2 = 1;
-                idx -= 1;
-            } else {
-                // The maximal run of bit symbols ending at idx, absorbed
-                // 63 backward-read bits per modular step (the most that
-                // keeps v = Σ bitⱼ·2ʲ inside u64). Folding the group
-                // left-to-right puts backward-read bit j (j = 0 at the
-                // run's right end) at weight 2^j, matching the per-cell
-                // accumulation bit for bit.
-                let start = chunk[..idx]
-                    .iter()
-                    .rposition(|&b| b == b'#')
-                    .map_or(0, |p| p + 1);
-                let run = &chunk[start..idx];
-                let mut i = run.len();
-                while i > 0 {
-                    let take = i.min(63);
-                    let mut v = 0u64;
-                    for &b in &run[i - take..i] {
-                        v = (v << 1) | u64::from(b & 1);
-                    }
-                    *e = add_mod(*e, mul_mod(v % params.p1, *pow2, params.p1), params.p1);
-                    *pow2 = mul_mod(*pow2, (1u64 << take) % params.p1, params.p1);
-                    i -= take;
-                }
-                idx = start;
-            }
-        }
+        fold.fold(chunk)?;
         if finished {
-            // The leftmost value has no preceding '#'; flush it.
-            if *seen_hashes > 0 {
-                flush(*seen_hashes, *e, sum_second, sum_first, *m);
-            }
-            let accepted = *sum_first == *sum_second;
-            self.final_residues = Some((*sum_first, *sum_second));
+            let (sum_first, sum_second) = fold.finish();
+            self.final_residues = Some((sum_first, sum_second));
             let usage = self.machine.usage();
-            self.state = FpState::Done(DeciderRun { accepted, usage });
+            self.state = FpState::Done(DeciderRun {
+                accepted: sum_first == sum_second,
+                usage,
+            });
         }
         Ok(used)
     }
@@ -381,7 +299,7 @@ impl<R: Rng> Stepper for FingerprintStepper<R> {
             match &self.state {
                 FpState::Ingest { .. } => return Ok(StepOutcome::NeedInput),
                 FpState::Done(v) => return Ok(StepOutcome::Done(v.clone())),
-                FpState::Backward { .. } => {
+                FpState::Backward(_) => {
                     // Unread symbols left in the scan: everything at or
                     // left of the head (plus the single free `None` read
                     // that ends an empty tape's scan).
@@ -934,6 +852,19 @@ mod tests {
         };
         assert!(verdict.accepted);
         assert!(yields > 10, "a 16-record sort must take many 7-op batches");
+    }
+
+    #[test]
+    fn finish_rejects_parameters_past_the_bertrand_bound() {
+        // m = 2¹⁹ one-bit pairs: a 2 MB word whose 6k overflows u64.
+        let word = b"1#".repeat(1 << 20);
+        let mut stepper = FingerprintStepper::new(StdRng::seed_from_u64(5));
+        let _ = stepper.feed(&word).unwrap();
+        match stepper.finish() {
+            Err(StError::Precondition(msg)) => assert!(msg.contains("6k"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(stepper.params().is_none());
     }
 
     #[test]

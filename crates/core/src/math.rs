@@ -71,6 +71,20 @@ pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 + b as u128) % m as u128) as u64
 }
 
+/// `(a + b) mod m` for already reduced `a, b < m`: one add and a
+/// conditional subtract instead of a division.
+#[inline]
+#[must_use]
+pub fn add_mod_reduced(a: u64, b: u64, m: u64) -> u64 {
+    let (sum, carry) = a.overflowing_add(b);
+    let (reduced, borrow) = sum.overflowing_sub(m);
+    if carry | !borrow {
+        reduced
+    } else {
+        sum
+    }
+}
+
 /// `(a · b) mod m` without overflow.
 #[must_use]
 pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
@@ -79,18 +93,17 @@ pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
 
 /// `a^e mod m` by square-and-multiply. `m = 1` yields 0.
 ///
-/// Odd moduli take a Montgomery-form fast path: every step of the
-/// square-and-multiply ladder is two 64×64→128 multiplies and a shift
-/// instead of a 128-bit division, which is what makes the per-record
-/// `x^e mod p₂` flush of the Theorem 8(a) fingerprint cheap at
-/// out-of-core record counts. Even moduli use the plain `u128` ladder.
+/// Odd moduli go through [`MontModulus`]: every ladder step is
+/// 64×64→128 multiplies and a shift instead of a 128-bit division.
+/// Even moduli use the plain `u128` ladder.
 #[must_use]
 pub fn pow_mod(mut a: u64, mut e: u64, m: u64) -> u64 {
     if m == 1 {
         return 0;
     }
     if m & 1 == 1 {
-        return mont_pow(a % m, e, m);
+        let mont = MontModulus::new(m);
+        return mont.from_mont(mont.pow(mont.to_mont(a), e));
     }
     let mut acc: u64 = 1;
     a %= m;
@@ -104,45 +117,109 @@ pub fn pow_mod(mut a: u64, mut e: u64, m: u64) -> u64 {
     acc
 }
 
-/// Montgomery REDC: `(t · 2⁻⁶⁴) mod m` for odd `m` and `t < m · 2⁶⁴`.
-/// `neg_inv` is `-m⁻¹ mod 2⁶⁴`.
-#[inline]
-fn mont_redc(t: u128, m: u64, neg_inv: u64) -> u64 {
-    let q = (t as u64).wrapping_mul(neg_inv);
-    let (sum, carry) = t.overflowing_add(q as u128 * m as u128);
-    let hi = (sum >> 64) as u64;
-    // The true value is hi + carry·2⁶⁴ and is < 2m; a carry implies
-    // m > 2⁶³, so the wrapping subtraction lands back in [0, m).
-    if carry {
-        hi.wrapping_sub(m)
-    } else if hi >= m {
-        hi - m
-    } else {
-        hi
-    }
+/// Montgomery arithmetic modulo one odd `m`, with `R = 2⁶⁴`.
+///
+/// `−m⁻¹ mod 2⁶⁴` and `R² mod m` are computed once in
+/// [`MontModulus::new`]; afterwards a modular multiply is two
+/// 64×64→128 multiplies, an add and a shift, with no division. Values
+/// in Montgomery form are `a·R mod m`: convert in with
+/// [`MontModulus::to_mont`], out with [`MontModulus::from_mont`].
+/// Sums of Montgomery forms are the Montgomery form of the sum, so an
+/// accumulator can stay in Montgomery form until it is read.
+#[derive(Debug, Clone, Copy)]
+pub struct MontModulus {
+    m: u64,
+    neg_inv: u64,
+    r2: u64,
+    one: u64,
 }
 
-/// `a^e mod m` for odd `m` in Montgomery form. Requires `a < m`.
-fn mont_pow(a: u64, mut e: u64, m: u64) -> u64 {
-    // -m⁻¹ mod 2⁶⁴ by Newton iteration (five steps double the
-    // correct low bits from 5 to ≥64).
-    let mut inv: u64 = m;
-    for _ in 0..5 {
-        inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
-    }
-    let neg_inv = inv.wrapping_neg();
-    // r² = 2¹²⁸ mod m, used to bring operands into Montgomery form.
-    let r2 = (((u128::MAX % m as u128) + 1) % m as u128) as u64;
-    let mut x = mont_redc(a as u128 * r2 as u128, m, neg_inv);
-    let mut acc = mont_redc(r2 as u128, m, neg_inv); // 1 in Montgomery form
-    while e > 0 {
-        if e & 1 == 1 {
-            acc = mont_redc(acc as u128 * x as u128, m, neg_inv);
+impl MontModulus {
+    /// The constants for odd `m`. Panics if `m` is even.
+    #[must_use]
+    pub fn new(m: u64) -> Self {
+        assert!(
+            m & 1 == 1,
+            "Montgomery arithmetic needs an odd modulus, got {m}"
+        );
+        // m⁻¹ mod 2⁶⁴ by Newton iteration: m·m ≡ 1 (mod 8) seeds three
+        // correct bits and five steps double them past 64.
+        let mut inv: u64 = m;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
         }
-        x = mont_redc(x as u128 * x as u128, m, neg_inv);
-        e >>= 1;
+        let r1 = ((u128::from(u64::MAX) + 1) % u128::from(m)) as u64;
+        let r2 = mul_mod(r1, r1, m);
+        MontModulus {
+            m,
+            neg_inv: inv.wrapping_neg(),
+            r2,
+            one: r1,
+        }
     }
-    mont_redc(acc as u128, m, neg_inv)
+
+    /// Montgomery REDC: `t · 2⁻⁶⁴ mod m` for `t < m · 2⁶⁴`.
+    #[inline]
+    fn redc(&self, t: u128) -> u64 {
+        let q = (t as u64).wrapping_mul(self.neg_inv);
+        let (sum, carry) = t.overflowing_add(u128::from(q) * u128::from(self.m));
+        let hi = (sum >> 64) as u64;
+        // The true value is hi + carry·2⁶⁴ and is < 2m; a carry implies
+        // m > 2⁶³, so the wrapping subtraction lands back in [0, m).
+        let (reduced, borrow) = hi.overflowing_sub(self.m);
+        if carry | !borrow {
+            reduced
+        } else {
+            hi
+        }
+    }
+
+    /// `a · R mod m`, the Montgomery form of any `a` (also `a ≥ m`).
+    #[inline]
+    #[must_use]
+    pub fn to_mont(&self, a: u64) -> u64 {
+        self.redc(u128::from(a) * u128::from(self.r2))
+    }
+
+    /// The plain value of Montgomery-form `a`.
+    #[inline]
+    #[must_use]
+    pub fn from_mont(&self, a: u64) -> u64 {
+        self.redc(u128::from(a))
+    }
+
+    /// Product of two Montgomery-form values `< m`, in Montgomery form.
+    #[inline]
+    #[must_use]
+    pub fn mul(&self, a: u64, b: u64) -> u64 {
+        self.redc(u128::from(a) * u128::from(b))
+    }
+
+    /// `(a + b) mod m` for `a, b < m` (either form), without a division.
+    #[inline]
+    #[must_use]
+    pub fn add(&self, a: u64, b: u64) -> u64 {
+        add_mod_reduced(a, b, self.m)
+    }
+
+    /// `base^e` for Montgomery-form `base < m`, in Montgomery form.
+    ///
+    /// The ladder multiplies on every exponent bit and keeps the product
+    /// through a mask, so the bits of `e` never steer a branch: the
+    /// exponents of a fingerprint scan are random, and a branch on each
+    /// bit would mispredict about half the time.
+    #[must_use]
+    pub fn pow(&self, mut base: u64, mut e: u64) -> u64 {
+        let mut acc = self.one;
+        while e != 0 {
+            let product = self.mul(acc, base);
+            let keep = (e & 1).wrapping_neg();
+            acc = (product & keep) | (acc & !keep);
+            base = self.mul(base, base);
+            e >>= 1;
+        }
+        acc
+    }
 }
 
 /// Deterministic Miller–Rabin for `u64`.
@@ -267,49 +344,113 @@ pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
 mod tests {
     use super::*;
 
+    /// Reference ladder, always via `u128` division.
+    fn slow_pow(mut a: u64, mut e: u64, m: u64) -> u64 {
+        let mut acc = 1 % m;
+        a %= m;
+        while e > 0 {
+            if e & 1 == 1 {
+                acc = mul_mod(acc, a, m);
+            }
+            a = mul_mod(a, a, m);
+            e >>= 1;
+        }
+        acc
+    }
+
+    /// xorshift: a cheap deterministic operand stream.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Odd moduli from 3 to `u64::MAX`, on both sides of 2⁶³ (REDC's
+    /// carry path only fires above it).
+    const ODD_MODULI: [u64; 12] = [
+        3,
+        5,
+        7,
+        97,
+        65_537,
+        1_000_000_007,
+        (1 << 57) - 13,
+        (1 << 61) - 1,
+        (1 << 63) + 29,
+        u64::MAX - 58,
+        u64::MAX - 2,
+        u64::MAX,
+    ];
+
+    #[test]
+    fn mont_modulus_matches_u128_arithmetic() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for &m in &ODD_MODULI {
+            let mont = MontModulus::new(m);
+            assert_eq!(mont.from_mont(mont.to_mont(1)), 1, "m={m}");
+            for _ in 0..64 {
+                // Raw operands reach far above m: to_mont reduces them.
+                let (a, b) = (xorshift(&mut x), xorshift(&mut x));
+                let (am, bm) = (mont.to_mont(a), mont.to_mont(b));
+                assert!(am < m && bm < m, "m={m}");
+                assert_eq!(mont.from_mont(am), a % m, "a={a} m={m}");
+                assert_eq!(mont.from_mont(mont.mul(am, bm)), mul_mod(a, b, m));
+                assert_eq!(
+                    mont.add(a % m, b % m),
+                    add_mod(a, b, m),
+                    "a={a} b={b} m={m}"
+                );
+                assert_eq!(mont.from_mont(mont.add(am, bm)), add_mod(a, b, m));
+            }
+            // The largest residues: sums that carry out of u64 when m > 2⁶³.
+            assert_eq!(mont.add(m - 1, m - 1), add_mod(m - 1, m - 1, m));
+            assert_eq!(
+                mont.from_mont(mont.mul(mont.to_mont(m - 1), mont.to_mont(m - 1))),
+                1 % m
+            );
+        }
+    }
+
     #[test]
     fn montgomery_pow_matches_the_plain_ladder() {
-        // Reference ladder, always via u128 division.
-        fn slow_pow(mut a: u64, mut e: u64, m: u64) -> u64 {
-            if m == 1 {
-                return 0;
-            }
-            let mut acc = 1u64;
-            a %= m;
-            while e > 0 {
-                if e & 1 == 1 {
-                    acc = mul_mod(acc, a, m);
-                }
-                a = mul_mod(a, a, m);
-                e >>= 1;
-            }
-            acc
-        }
-        // Odd moduli spanning both sides of 2⁶³ (the carry path in
-        // REDC only fires above it), even moduli, and tiny edges.
-        let moduli = [
-            1u64,
-            2,
-            3,
-            5,
-            97,
-            1_000_000_007,
-            (1 << 61) - 1,
-            u64::MAX - 58, // odd, > 2⁶³
-            u64::MAX,      // odd, > 2⁶³
-            1 << 40,       // even: plain-ladder path
-        ];
         let mut x = 0x243F_6A88_85A3_08D3u64;
-        for &m in &moduli {
-            for e in [0u64, 1, 2, 63, 64, 1 << 20, u64::MAX] {
-                for _ in 0..8 {
-                    // xorshift: cheap deterministic operand stream.
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    assert_eq!(pow_mod(x, e, m), slow_pow(x, e, m), "a={x} e={e} m={m}");
+        for &m in &ODD_MODULI {
+            let mont = MontModulus::new(m);
+            for e in [0u64, 1, 2, 3, 63, 64, 65, 1 << 20, (1 << 57) - 1, u64::MAX] {
+                for a in [
+                    0,
+                    1,
+                    m - 1,
+                    m,
+                    m.wrapping_add(1),
+                    u64::MAX,
+                    xorshift(&mut x),
+                ] {
+                    let got = mont.from_mont(mont.pow(mont.to_mont(a), e));
+                    assert_eq!(got, slow_pow(a, e, m), "a={a} e={e} m={m}");
                 }
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "odd modulus")]
+    fn mont_modulus_rejects_even_moduli() {
+        let _ = MontModulus::new(1 << 40);
+    }
+
+    #[test]
+    fn pow_mod_keeps_even_and_unit_moduli() {
+        let mut x = 0x1357_9BDF_2468_ACE0u64;
+        for m in [2u64, 4, 6, 1 << 40, u64::MAX - 1] {
+            for e in [0u64, 1, 2, 63, 64, 1 << 20, u64::MAX] {
+                let a = xorshift(&mut x);
+                assert_eq!(pow_mod(a, e, m), slow_pow(a, e, m), "a={a} e={e} m={m}");
+            }
+        }
+        for e in [0u64, 1, 117, u64::MAX] {
+            assert_eq!(pow_mod(5, e, 1), 0, "e={e}");
         }
     }
 

@@ -16,15 +16,18 @@
 //! term `x^{v mod p₁} mod p₂` is position-independent, and modular
 //! addition is commutative — so the combined `(Σ first, Σ second)`
 //! equals the single-tape residues for every `p`, and the property
-//! tests hold it there.
+//! tests hold it there. The fold itself is not a copy: each worker feeds
+//! its backward-scan slices to [`st_algo::fingerprint::ResidueFold`],
+//! the kernel the single-tape stepper drives.
 
 use crate::engine::{Cluster, MpcOptions, MpcRun, Worker};
 use crate::partition::range_shard;
 use crate::wire::{Envelope, Payload};
 use rand::Rng;
-use st_algo::fingerprint::sample_params;
+use st_algo::fingerprint::{sample_params, ResidueFold};
+use st_algo::stepper::DEFAULT_BACKWARD_BLOCK;
 use st_algo::FingerprintParams;
-use st_core::math::{add_mod, mul_mod, pow_mod};
+use st_core::math::add_mod;
 use st_core::{ResourceUsage, StError};
 use st_extmem::meter::bits_for;
 use st_extmem::TapeMachine;
@@ -76,57 +79,24 @@ fn local_partial(w: &mut FpWorker, params: FingerprintParams) -> Result<(), StEr
     meter.charge_static(3 * bits_for(n.max(2) as u64));
     meter.charge_static(7 * bits_for(6 * params.k));
 
-    let (mut sum_first, mut sum_second) = (0u64, 0u64);
-    let (mut e, mut pow2) = (0u64, 1u64);
-    let mut seen_hashes = 0u64;
-    let flush = |seen: u64, e: u64, sum_first: &mut u64, sum_second: &mut u64| {
-        let term = pow_mod(params.x, e, params.p2);
-        if seen <= w.ys_count {
-            *sum_second = add_mod(*sum_second, term, params.p2);
-        } else {
-            *sum_first = add_mod(*sum_first, term, params.p2);
-        }
-    };
+    // The backward scan: slices leftward into the shared kernel, one
+    // sustained sweep billed exactly as per-cell reads would be.
+    let mut fold = ResidueFold::new(params, w.ys_count);
     let tape = w.machine.tape_mut(0);
     if !tape.at_start() {
         tape.move_left()?;
     }
     loop {
-        let pos_before = tape.head();
-        let finished;
-        match tape.read_bwd() {
-            Some(b'#') => {
-                if seen_hashes > 0 {
-                    flush(seen_hashes, e, &mut sum_first, &mut sum_second);
-                }
-                seen_hashes += 1;
-                e = 0;
-                pow2 = 1;
-                finished = pos_before == 0;
-            }
-            Some(bit @ (b'0' | b'1')) => {
-                if bit == b'1' {
-                    e = add_mod(e, pow2, params.p1);
-                }
-                pow2 = mul_mod(pow2, 2, params.p1);
-                finished = pos_before == 0;
-            }
-            Some(other) => {
-                return Err(StError::InvalidInstance(format!(
-                    "unexpected tape symbol {:?}",
-                    other as char
-                )))
-            }
-            None => finished = true,
-        }
+        let head_before = tape.head();
+        let chunk = tape.read_slice_bwd(DEFAULT_BACKWARD_BLOCK);
+        // Done once a slice reaches cell 0 (an empty tape reads nothing).
+        let finished = chunk.len() > head_before || chunk.is_empty();
+        fold.fold(chunk)?;
         if finished {
-            if seen_hashes > 0 {
-                flush(seen_hashes, e, &mut sum_first, &mut sum_second);
-            }
             break;
         }
     }
-    w.sums = (sum_first, sum_second);
+    w.sums = fold.finish();
     Ok(())
 }
 
@@ -281,6 +251,20 @@ mod tests {
                 assert_eq!(dist.residues, single.residues, "p={p} trial={trial}");
                 assert_eq!(dist.run.accepted, single.accepted, "p={p} trial={trial}");
             }
+        }
+    }
+
+    #[test]
+    fn parameters_past_the_bertrand_bound_are_a_precondition_error() {
+        // m = 2¹⁹ one-bit pairs: 6k overflows u64, so no p₂ is sampled.
+        let inst = Instance::parse_bytes(&b"0#".repeat(1 << 20)).unwrap();
+        match decide_multiset_equality(
+            &inst,
+            &mut StdRng::seed_from_u64(1),
+            &MpcOptions::with_workers(4),
+        ) {
+            Err(StError::Precondition(msg)) => assert!(msg.contains("6k"), "{msg}"),
+            other => panic!("{:?}", other.map(|run| run.params)),
         }
     }
 

@@ -103,11 +103,19 @@ fn gather8(group: &[u8]) -> u64 {
     low_bits.wrapping_mul(0x8040_2010_0804_0201) >> 56
 }
 
-/// 64 validated text bytes as one word, the first byte most significant.
-fn pack_word(chunk: &[u8]) -> u64 {
-    chunk
-        .chunks_exact(8)
-        .fold(0, |word, group| (word << 8) | gather8(group))
+/// Up to 64 text bytes as the low bits of one word, the first byte most
+/// significant: the leading `len mod 8` bytes one at a time, the rest
+/// eight per multiply. Only the low bit of each byte is read, so the
+/// caller validates (and keeps `b'#'` out).
+#[must_use]
+pub fn pack_bits(text: &[u8]) -> u64 {
+    debug_assert!(text.len() <= WORD, "{} bytes do not fit a word", text.len());
+    let (head, body) = text.split_at(text.len() % 8);
+    let word = head
+        .iter()
+        .fold(0, |word, &b| (word << 1) | u64::from(b & 1));
+    body.chunks_exact(8)
+        .fold(word, |word, group| (word << 8) | gather8(group))
 }
 
 /// One word's 64 text bytes, eight table entries at a time.
@@ -208,13 +216,13 @@ impl BitStr {
             let tail = chunks.remainder();
             let words = out.words_mut();
             for (word, chunk) in words.iter_mut().zip(chunks) {
-                *word = pack_word(chunk);
+                *word = pack_bits(chunk);
             }
             if !tail.is_empty() {
                 // Pad the tail with `0` bytes, which pack to zero bits.
                 let mut padded = [b'0'; WORD];
                 padded[..tail.len()].copy_from_slice(tail);
-                words[words.len() - 1] = pack_word(&padded);
+                words[words.len() - 1] = pack_bits(&padded);
             }
             return Ok(out);
         }
