@@ -36,7 +36,8 @@
 //!   once per run, and the two sums stay in Montgomery form until
 //!   [`ResidueFold::finish`].
 //! * *Scanning:* a slice is validated by one branch-free fold, and `#`
-//!   is found eight bytes at a time.
+//!   is found eight bytes at a time, by the word scanners of
+//!   [`st_problems::instance`] that the instance parser uses too.
 //!
 //! The kernel holds only the charged registers (`e`, `pow2`, the `#`
 //! counter, the two sums) plus constants derived from `p₁`, `p₂` and
@@ -56,6 +57,7 @@ use st_core::math::{add_mod, add_mod_reduced, is_prime, mul_mod, next_prime, Mon
 use st_core::theorems::theorem8a_k;
 use st_core::{ResourceUsage, StError};
 use st_problems::bitstr::pack_bits;
+use st_problems::instance::{first_invalid, rfind_hash};
 use st_problems::Instance;
 
 /// The sampled randomness and derived moduli of one fingerprint run.
@@ -193,7 +195,7 @@ pub fn decide_multiset_equality<R: Rng>(
     // unlimited budget, so batch and incremental runs are the same code
     // path and account identically.
     let mut stepper = FingerprintStepper::new(&mut *rng);
-    let _ = stepper.feed(&tape_encoding(inst))?;
+    let _ = stepper.feed_owned(tape_encoding(inst))?;
     stepper.finish()?;
     let run = drive_to_verdict(&mut stepper)?;
     let params = stepper
@@ -252,59 +254,9 @@ pub fn lsb_first_mod(bits_lsb_first: &[u8], p: u64) -> u64 {
     e
 }
 
-/// Bit 4 of every byte: set in `b'0'` (0x30) and `b'1'` (0x31), clear
-/// in `b'#'` (0x23). In validated tape symbols a clear bit marks a `#`.
-const VALUE_BIT: u64 = 0x1010_1010_1010_1010;
-
-/// The position of the first byte outside the tape alphabet `{0,1,#}`.
-/// The all-valid case is one fold with no early exit (so it
-/// vectorizes); only a bad slice searches again.
-pub(crate) fn first_invalid(symbols: &[u8]) -> Option<usize> {
-    let is_bad = |b: u8| (b != b'#') & (b | 1 != b'1');
-    if !symbols.iter().fold(false, |bad, &b| bad | is_bad(b)) {
-        return None;
-    }
-    symbols.iter().position(|&b| is_bad(b))
-}
-
 /// The error for a byte outside the tape alphabet.
 pub(crate) fn unexpected_symbol(b: u8) -> StError {
     StError::InvalidInstance(format!("unexpected tape symbol {:?}", b as char))
-}
-
-/// The `#` marks of eight validated symbols, one bit per `#`.
-fn hash_marks(group: &[u8]) -> u64 {
-    let group: [u8; 8] = group.try_into().expect("a group is eight bytes");
-    !u64::from_le_bytes(group) & VALUE_BIT
-}
-
-/// The position of the first `#` in validated `symbols`, eight bytes
-/// per step.
-pub(crate) fn find_hash(symbols: &[u8]) -> Option<usize> {
-    let mut groups = symbols.chunks_exact(8);
-    for (i, group) in (&mut groups).enumerate() {
-        let marks = hash_marks(group);
-        if marks != 0 {
-            return Some(8 * i + marks.trailing_zeros() as usize / 8);
-        }
-    }
-    let tail = groups.remainder();
-    let tail_start = symbols.len() - tail.len();
-    tail.iter().position(|&b| b == b'#').map(|p| tail_start + p)
-}
-
-/// The position of the last `#` in validated `symbols`, eight bytes per
-/// step.
-fn rfind_hash(symbols: &[u8]) -> Option<usize> {
-    let mut groups = symbols.rchunks_exact(8);
-    for (i, group) in (&mut groups).enumerate() {
-        let marks = hash_marks(group);
-        if marks != 0 {
-            let in_group = (63 - marks.leading_zeros()) as usize / 8;
-            return Some(symbols.len() - 8 * (i + 1) + in_group);
-        }
-    }
-    groups.remainder().iter().rposition(|&b| b == b'#')
 }
 
 /// Step 5 of Theorem 8(a), the backward fold, as one word-parallel

@@ -33,7 +33,7 @@ pub struct DeciderRun {
 /// construction.
 fn run_sort_route(inst: &Instance, route: SortRoute) -> Result<DeciderRun, StError> {
     let mut stepper = SortRouteStepper::new(route);
-    let _ = stepper.feed(&inst.encode_bytes())?;
+    let _ = stepper.feed_owned(inst.encode_bytes())?;
     stepper.finish()?;
     drive_to_verdict(&mut stepper)
 }

@@ -16,9 +16,16 @@
 //! property tests in `tests/stepper_parity.rs` pin it for the verdict
 //! and the full [`st_core::ResourceUsage`] record.
 //!
+//! [`Stepper::feed_owned`] takes the input as an owned buffer. The batch
+//! deciders feed their whole encoded word this way: the fingerprint
+//! stepper lands it as its input tape ([`Tape::write_vec_fwd`]) and the
+//! sort-route stepper adopts it as its buffer, so neither copies the
+//! word. Results, usage and traces are those of [`Stepper::feed`].
+//!
 //! [`FingerprintStepper`] does no residue arithmetic of its own. Its
 //! ingest validates each fed chunk with one branch-free fold and counts
-//! `m` and `n` from `#` to `#` (found eight bytes at a time); its
+//! `m` and `n` from `#` to `#`, with the word scanners of
+//! [`st_problems::instance`] (eight bytes per step); its
 //! backward scan hands `read_slice_bwd` slices to
 //! [`crate::fingerprint::ResidueFold`], the word-parallel kernel that
 //! `st-mpc`'s fingerprint worker drives as well. The kernel's state is
@@ -26,9 +33,7 @@
 //! table of powers: such a table would be internal memory the
 //! meter does not see (see the [`crate::fingerprint`] module docs).
 
-use crate::fingerprint::{
-    find_hash, first_invalid, sample_params, unexpected_symbol, FingerprintParams, ResidueFold,
-};
+use crate::fingerprint::{sample_params, unexpected_symbol, FingerprintParams, ResidueFold};
 use crate::sortcheck::DeciderRun;
 use rand::Rng;
 use st_core::StError;
@@ -36,6 +41,7 @@ use st_extmem::block::{scan_tracer, Lockstep, DEFAULT_BLOCK};
 use st_extmem::meter::bits_for;
 use st_extmem::step::{SortStepper, StepBudget, StepProgress};
 use st_extmem::{MemoryCharge, Tape, TapeMachine};
+use st_problems::instance::{find_hash, first_invalid};
 use st_problems::{BitStr, Instance};
 use st_trace::{TraceEvent, Tracer};
 use std::task::Poll;
@@ -59,6 +65,13 @@ pub trait Stepper {
     /// result back is allowed; feeding *new* bytes after
     /// [`Stepper::finish`] is an error).
     fn feed(&mut self, bytes: &[u8]) -> Result<Poll<DeciderRun>, StError>;
+
+    /// [`Stepper::feed`] of an owned buffer, with the same result, usage
+    /// and trace. A stepper may keep the buffer instead of copying it:
+    /// the batch deciders hand over a whole encoded word this way.
+    fn feed_owned(&mut self, bytes: Vec<u8>) -> Result<Poll<DeciderRun>, StError> {
+        self.feed(&bytes)
+    }
 
     /// Declare the end of the input stream.
     fn finish(&mut self) -> Result<(), StError>;
@@ -177,32 +190,54 @@ impl<R: Rng> FingerprintStepper<R> {
     }
 
     fn feed_impl(&mut self, bytes: &[u8]) -> Result<Poll<DeciderRun>, StError> {
-        match &mut self.state {
-            FpState::Ingest { m2, n_max, cur } => {
-                // Validate the chunk in one fold, count the valid prefix
-                // from `#` to `#`, then land that prefix on the tape as
-                // one slice write — the per-cell loop wrote exactly that
-                // prefix before erroring, so accounting is unchanged.
-                let bad = first_invalid(bytes);
-                let valid = &bytes[..bad.unwrap_or(bytes.len())];
-                let mut rest = valid;
-                while let Some(h) = find_hash(rest) {
-                    *m2 += 1;
-                    *n_max = (*n_max).max(*cur + h as u64);
-                    *cur = 0;
-                    rest = &rest[h + 1..];
-                }
-                *cur += rest.len() as u64;
-                self.machine.tape_mut(0).write_slice_fwd(valid)?;
-                if let Some(i) = bad {
-                    return Err(unexpected_symbol(bytes[i]));
-                }
-                Ok(Poll::Pending)
-            }
-            FpState::Backward(_) => Err(StError::Machine(
+        let Some(valid) = self.count(bytes) else {
+            return self.fed_late();
+        };
+        // The per-cell loop wrote exactly the valid prefix before
+        // erroring, so one slice write accounts identically.
+        self.machine.tape_mut(0).write_slice_fwd(&bytes[..valid])?;
+        fed(&bytes[valid..])
+    }
+
+    /// [`Self::feed_impl`] of an owned buffer: its valid prefix lands
+    /// with [`Tape::write_vec_fwd`], so on the still-empty tape the
+    /// buffer becomes the tape.
+    fn feed_owned_impl(&mut self, mut bytes: Vec<u8>) -> Result<Poll<DeciderRun>, StError> {
+        let Some(valid) = self.count(&bytes) else {
+            return self.fed_late();
+        };
+        let answer = fed(&bytes[valid..]);
+        bytes.truncate(valid);
+        self.machine.tape_mut(0).write_vec_fwd(bytes)?;
+        answer
+    }
+
+    /// Scan 1 over a fed chunk: validate it in one fold and count `m`
+    /// and `n` over its valid prefix, from `#` to `#`. Returns the prefix
+    /// length; `None` once the stream is finished.
+    fn count(&mut self, bytes: &[u8]) -> Option<usize> {
+        let FpState::Ingest { m2, n_max, cur } = &mut self.state else {
+            return None;
+        };
+        let valid = first_invalid(bytes).unwrap_or(bytes.len());
+        let mut rest = &bytes[..valid];
+        while let Some(h) = find_hash(rest) {
+            *m2 += 1;
+            *n_max = (*n_max).max(*cur + h as u64);
+            *cur = 0;
+            rest = &rest[h + 1..];
+        }
+        *cur += rest.len() as u64;
+        Some(valid)
+    }
+
+    /// The answer to a feed after [`Stepper::finish`].
+    fn fed_late(&self) -> Result<Poll<DeciderRun>, StError> {
+        match &self.state {
+            FpState::Done(v) => Ok(Poll::Ready(v.clone())),
+            _ => Err(StError::Machine(
                 "fingerprint stepper fed after finish".into(),
             )),
-            FpState::Done(v) => Ok(Poll::Ready(v.clone())),
         }
     }
 
@@ -285,9 +320,22 @@ impl<R: Rng> FingerprintStepper<R> {
     }
 }
 
+/// The answer to an ingesting feed whose chunk ends with `bad` after its
+/// valid prefix: the first bad symbol's error, or pending.
+fn fed(bad: &[u8]) -> Result<Poll<DeciderRun>, StError> {
+    match bad.first() {
+        Some(&b) => Err(unexpected_symbol(b)),
+        None => Ok(Poll::Pending),
+    }
+}
+
 impl<R: Rng> Stepper for FingerprintStepper<R> {
     fn feed(&mut self, bytes: &[u8]) -> Result<Poll<DeciderRun>, StError> {
         self.feed_impl(bytes)
+    }
+
+    fn feed_owned(&mut self, bytes: Vec<u8>) -> Result<Poll<DeciderRun>, StError> {
+        self.feed_owned_impl(bytes)
     }
 
     fn finish(&mut self) -> Result<(), StError> {
@@ -682,6 +730,17 @@ impl Running {
 impl Stepper for SortRouteStepper {
     fn feed(&mut self, bytes: &[u8]) -> Result<Poll<DeciderRun>, StError> {
         self.feed_impl(bytes)
+    }
+
+    fn feed_owned(&mut self, bytes: Vec<u8>) -> Result<Poll<DeciderRun>, StError> {
+        match &mut self.state {
+            // Nothing buffered yet: adopt the buffer instead of copying.
+            RouteState::Buffering(buf) if buf.is_empty() => {
+                *buf = bytes;
+                Ok(Poll::Pending)
+            }
+            _ => self.feed_impl(&bytes),
+        }
     }
 
     fn finish(&mut self) -> Result<(), StError> {

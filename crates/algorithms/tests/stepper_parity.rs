@@ -235,9 +235,25 @@ fn traced_run(
     route: SortRoute,
     budget: Option<u64>,
 ) -> (DeciderRun, u64, Vec<st_trace::TraceEvent>) {
+    traced_run_fed(inst, route, budget, false)
+}
+
+/// [`traced_run`], the word fed as a slice or (`owned`) as the owned
+/// buffer the batch deciders hand over.
+fn traced_run_fed(
+    inst: &Instance,
+    route: SortRoute,
+    budget: Option<u64>,
+    owned: bool,
+) -> (DeciderRun, u64, Vec<st_trace::TraceEvent>) {
     let (tracer, buf) = st_trace::Tracer::in_memory();
     let mut stepper = SortRouteStepper::new_traced(route, tracer);
-    let _ = stepper.feed(&inst.encode_bytes()).unwrap();
+    let word = inst.encode_bytes();
+    let _ = if owned {
+        stepper.feed_owned(word).unwrap()
+    } else {
+        stepper.feed(&word).unwrap()
+    };
     stepper.finish().unwrap();
     let mut yields = 0u64;
     let run = loop {
@@ -257,6 +273,15 @@ fn every_budget_gives_the_same_run_and_the_pinned_yields() {
     for (i, route, pinned) in PINNED_YIELDS {
         let (want, unlimited_yields, want_trace) = traced_run(&insts[i], route, None);
         assert_eq!(unlimited_yields, 0, "an unlimited budget never yields");
+        // The batch deciders' row: their owned feed gives the same run.
+        let (owned, _, owned_trace) = traced_run_fed(&insts[i], route, None, true);
+        let at = format!("instance {i}, {route:?}, owned feed");
+        assert_eq!(owned.accepted, want.accepted, "verdict, {at}");
+        assert_eq!(owned.usage, want.usage, "usage, {at}");
+        assert_eq!(owned_trace, want_trace, "trace, {at}");
+        let batch = sort_batch(&insts[i], route);
+        assert_eq!(batch.accepted, want.accepted, "batch verdict, {at}");
+        assert_eq!(batch.usage, want.usage, "batch usage, {at}");
         let budgets = [1u64, 2, 3, 7, 64, 4096, 65536];
         for (budget, pinned_yields) in budgets.into_iter().zip(pinned) {
             let (got, yields, trace) = traced_run(&insts[i], route, Some(budget));
@@ -265,6 +290,139 @@ fn every_budget_gives_the_same_run_and_the_pinned_yields() {
             assert_eq!(got.usage, want.usage, "usage, {at}");
             assert_eq!(trace, want_trace, "trace, {at}");
             assert_eq!(yields, pinned_yields, "yields, {at}");
+        }
+    }
+}
+
+/// How a word reaches a stepper: one slice, one owned buffer, or a
+/// slice prefix followed by the rest as an owned buffer (the owned
+/// write then lands on a non-empty tape or buffer).
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    Slice,
+    Owned,
+    PrefixThenOwned(usize),
+}
+
+impl Feed {
+    fn all(word_len: usize) -> Vec<Feed> {
+        let mut feeds = vec![Feed::Slice, Feed::Owned];
+        for cut in [1, word_len / 2, word_len.saturating_sub(1)] {
+            feeds.push(Feed::PrefixThenOwned(cut.min(word_len)));
+        }
+        feeds
+    }
+
+    /// Feed `word`; the first error's text, if any.
+    fn run<S: Stepper>(self, stepper: &mut S, word: &[u8]) -> Option<String> {
+        let fed = match self {
+            Feed::Slice => stepper.feed(word).map(|_| ()),
+            Feed::Owned => stepper.feed_owned(word.to_vec()).map(|_| ()),
+            Feed::PrefixThenOwned(cut) => stepper
+                .feed(&word[..cut])
+                .and_then(|_| stepper.feed_owned(word[cut..].to_vec()))
+                .map(|_| ()),
+        };
+        fed.err().map(|e| e.to_string())
+    }
+}
+
+/// Everything a fingerprint run exposes after `feed`: the feed error,
+/// the finish result, verdict, usage, parameters, residues and trace.
+type FingerprintObserved = (
+    Option<String>,
+    Result<(bool, st_core::ResourceUsage), String>,
+    Option<st_algo::fingerprint::FingerprintParams>,
+    Option<(u64, u64)>,
+    Vec<st_trace::TraceEvent>,
+);
+
+fn observe_fingerprint(word: &[u8], feed: Feed, budget: u64) -> FingerprintObserved {
+    let (tracer, buf) = st_trace::Tracer::in_memory();
+    let mut stepper = FingerprintStepper::new_traced(StdRng::seed_from_u64(41), tracer);
+    let fed = feed.run(&mut stepper, word);
+    // Finish and drive even after a bad symbol: the scan then runs over
+    // the valid prefix the feed left on the tape, so its usage and
+    // residues pin that prefix.
+    let run = stepper.finish().and_then(|()| loop {
+        match stepper.step(&mut StepBudget::new(budget))? {
+            StepOutcome::Done(v) => break Ok((v.accepted, v.usage)),
+            StepOutcome::Yielded => {}
+            StepOutcome::NeedInput => unreachable!("stream already finished"),
+        }
+    });
+    (
+        fed,
+        run.map_err(|e| e.to_string()),
+        stepper.params(),
+        stepper.residues(),
+        buf.snapshot(),
+    )
+}
+
+/// A valid word, and copies with a bad symbol early, mid-word and last.
+fn owned_feed_words() -> Vec<Vec<u8>> {
+    let mut words = vec![Vec::new(), b"#".to_vec(), b"0101#0101#".to_vec()];
+    for (m, n, seed) in [(7usize, 9usize, 1601u64), (40, 17, 1602)] {
+        let word = generate::random_instance(m, n, &mut StdRng::seed_from_u64(seed)).encode_bytes();
+        for at in [0, word.len() / 2, word.len() - 1] {
+            for bad in [b'x', b' ', 0xff] {
+                let mut w = word.clone();
+                w[at] = bad;
+                words.push(w);
+            }
+        }
+        words.push(word);
+    }
+    words
+}
+
+#[test]
+fn fingerprint_owned_feed_matches_the_slice_feed() {
+    for word in owned_feed_words() {
+        let want = observe_fingerprint(&word, Feed::Slice, 5);
+        for feed in Feed::all(word.len()) {
+            for budget in [5u64, u64::MAX] {
+                let got = observe_fingerprint(&word, feed, budget);
+                assert_eq!(
+                    got,
+                    want,
+                    "{feed:?}, budget {budget}, word {:?}",
+                    String::from_utf8_lossy(&word)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sort_route_owned_feed_matches_the_slice_feed() {
+    let observe = |route: SortRoute, word: &[u8], feed: Feed| {
+        let (tracer, buf) = st_trace::Tracer::in_memory();
+        let mut stepper = SortRouteStepper::new_traced(route, tracer);
+        let fed = feed.run(&mut stepper, word);
+        let run = stepper
+            .finish()
+            .and_then(|()| drive_to_verdict(&mut stepper))
+            .map(|v| (v.accepted, v.usage))
+            .map_err(|e| e.to_string());
+        (fed, run, buf.snapshot())
+    };
+    for word in owned_feed_words() {
+        for route in [
+            SortRoute::Multiset,
+            SortRoute::CheckSort,
+            SortRoute::SetEquality,
+        ] {
+            let want = observe(route, &word, Feed::Slice);
+            for feed in Feed::all(word.len()) {
+                assert_eq!(
+                    observe(route, &word, feed),
+                    want,
+                    "{route:?}, {feed:?}, word {:?}",
+                    String::from_utf8_lossy(&word)
+                );
+            }
         }
     }
 }

@@ -5,8 +5,8 @@
 //! meters a computation in cells, reversals and internal memory — never
 //! in call granularity. The functions here drive [`Tape`]s through the
 //! slice API ([`Tape::peek_slice`]/[`Tape::read_slice_fwd`]/
-//! [`Tape::write_slice_fwd`]/`Tape::write_merged_runs_fwd`), charging
-//! each sustained sweep **once per block**, while every observable is
+//! [`Tape::write_slice_fwd`]/`Tape::append_with`), charging each
+//! sustained sweep **once per block**, while every observable is
 //! exactly that of the cell-at-a-time reference in [`crate::scan`]:
 //!
 //! * **verdicts/content** — each combinator computes the identical
@@ -36,6 +36,13 @@
 //! the block length. The batch combinators run them with an unlimited
 //! budget; [`crate::step::SortStepper`] and the sort-route stepper of
 //! `st-algo` run them under the caller's budget.
+//!
+//! **Runs in bulk.** The sort passes move records per slice, not per
+//! run: a distribute call splits one source slice into its run pieces
+//! and appends each output's pieces once, and a merge call merges
+//! across as many run pairs as its two input slices hold. The early
+//! passes of a sort (runs of 1, 2, 4 … records) therefore cost a few
+//! kernel calls per block instead of one or more per run.
 //!
 //! Nothing here buffers more than one opening record per merge input:
 //! merges stream straight from the input slices onto the output tape.
@@ -347,9 +354,11 @@ impl<S: Clone + Ord> Lockstep<S> {
 }
 
 /// The resumable distribute pass: runs of `run_len` records from a
-/// rewound `src` go alternately onto the reset `out1`/`out2`, as
-/// zero-copy slices. One budget unit per record, and one for the read
-/// that finds the end of `src`.
+/// rewound `src` go alternately onto the reset `out1`/`out2`. Each call
+/// reads one slice of up to [`DEFAULT_BLOCK`] records, however many runs
+/// it spans, and appends its run pieces to each output once, `out1`
+/// first. One budget unit per record, and one for the read that finds
+/// the end of `src`.
 #[derive(Debug, Clone)]
 pub(crate) struct Distribute {
     run_len: usize,
@@ -378,7 +387,7 @@ impl Distribute {
         budget: &mut StepBudget,
     ) -> Result<bool, StError> {
         loop {
-            let max = cap(budget, self.run_len - self.in_run);
+            let max = cap(budget, DEFAULT_BLOCK);
             if max == 0 {
                 return Ok(false);
             }
@@ -388,16 +397,25 @@ impl Distribute {
                 return Ok(true);
             }
             spend(budget, chunk.len());
-            self.in_run += chunk.len();
-            if self.to_first {
-                out1.write_slice_fwd(chunk)?;
-            } else {
-                out2.write_slice_fwd(chunk)?;
-            }
-            if self.in_run == self.run_len {
-                self.in_run = 0;
-                self.to_first = !self.to_first;
-            }
+            // The slice starts `in_run` records into a run of the output
+            // `to_first` names; the pieces after that run alternate.
+            let head = chunk.len().min(self.run_len - self.in_run);
+            let (first, rest) = chunk.split_at(head);
+            let pieces = |to_first: bool, cells: &mut Vec<S>| {
+                let owns_head = to_first == self.to_first;
+                if owns_head {
+                    cells.extend_from_slice(first);
+                }
+                let skip = usize::from(owns_head);
+                for piece in rest.chunks(self.run_len).skip(skip).step_by(2) {
+                    cells.extend_from_slice(piece);
+                }
+            };
+            out1.append_with(|cells| pieces(true, cells))?;
+            out2.append_with(|cells| pieces(false, cells))?;
+            let pos = self.in_run + chunk.len();
+            self.to_first ^= (pos / self.run_len) % 2 == 1;
+            self.in_run = pos % self.run_len;
         }
     }
 }
@@ -412,7 +430,10 @@ impl Distribute {
 /// per-cell merge's opening reads, which fix the order of the inputs'
 /// turn-around reversals). After them, a side is peeked only when the
 /// per-cell loop would read it: right after its previous record is
-/// written, or at a run-pair boundary.
+/// written, or at a run-pair boundary. While both runs of a pair are
+/// live and no opening record is pending, one call merges across as
+/// many run pairs as the two peeked slices and the budget cover, and
+/// stops where its next step would need a record it did not peek.
 #[derive(Debug, Clone)]
 pub(crate) struct Merge<S> {
     run_len: usize,
@@ -469,6 +490,10 @@ impl<S: Clone + Ord> Merge<S> {
             if max == 0 {
                 return Ok(false);
             }
+            if matches!(self.carry, [None, None]) && self.rem[0] > 0 && self.rem[1] > 0 {
+                self.merge_pairs(in1, in2, out, budget)?;
+                continue;
+            }
             let taken = self.write_some(in1, in2, out, max)?;
             spend(budget, taken[0] + taken[1]);
             for (side, n) in taken.into_iter().enumerate() {
@@ -478,8 +503,74 @@ impl<S: Clone + Ord> Merge<S> {
         }
     }
 
-    /// Write between 1 and `max` records of the current run pair;
-    /// returns how many came from each input.
+    /// The batched merge: with both runs live and nothing carried, peek
+    /// one slice of each input and merge across run pairs until a slice
+    /// or the budget runs out, or the pass ends (whose boundary unit is
+    /// left to [`Merge::step`]). Inside a pair one record is picked per
+    /// step by a pointer select; once a run is spent the rest of the
+    /// other goes in one piece.
+    fn merge_pairs(
+        &mut self,
+        in1: &mut Tape<S>,
+        in2: &mut Tape<S>,
+        out: &mut Tape<S>,
+        budget: &mut StepBudget,
+    ) -> Result<(), StError> {
+        let left = [in1.len() - self.done[0], in2.len() - self.done[1]];
+        let (run_len, mut rem) = (self.run_len, self.rem);
+        let mut units = cap(budget, usize::MAX);
+        let ca = in1.peek_slice(self.block);
+        let cb = in2.peek_slice(self.block);
+        let (mut i, mut j, mut boundaries) = (0usize, 0usize, 0usize);
+        out.append_with(|cells| loop {
+            if rem[0] > 0 && rem[1] > 0 {
+                let (i0, j0) = (i, j);
+                let end_i = i + rem[0].min(ca.len() - i);
+                let end_j = j + rem[1].min(cb.len() - j);
+                let steps = units.min(end_i - i + end_j - j);
+                let stop = i + j + steps;
+                while i < end_i && j < end_j && i + j < stop {
+                    let (x, y) = (&ca[i], &cb[j]);
+                    let take_b = x > y;
+                    cells.push(if take_b { y } else { x }.clone());
+                    i += usize::from(!take_b);
+                    j += usize::from(take_b);
+                }
+                rem = [rem[0] - (i - i0), rem[1] - (j - j0)];
+                units -= i - i0 + j - j0;
+                if rem[0] > 0 && rem[1] > 0 {
+                    return;
+                }
+            }
+            for (side, slice, pos) in [(0, ca, &mut i), (1, cb, &mut j)] {
+                let n = rem[side].min(slice.len() - *pos).min(units);
+                cells.extend_from_slice(&slice[*pos..*pos + n]);
+                *pos += n;
+                rem[side] -= n;
+                units -= n;
+            }
+            if rem != [0, 0] || units == 0 {
+                return;
+            }
+            let next = [run_len.min(left[0] - i), run_len.min(left[1] - j)];
+            if next == [0, 0] {
+                return;
+            }
+            rem = next;
+            units -= 1;
+            boundaries += 1;
+        })?;
+        in1.advance_fwd(i);
+        in2.advance_fwd(j);
+        spend(budget, i + j + boundaries);
+        self.done = [self.done[0] + i, self.done[1] + j];
+        self.rem = rem;
+        Ok(())
+    }
+
+    /// Write between 1 and `max` records of the current run pair while
+    /// one run is spent or an opening record is pending; returns how
+    /// many came from each input.
     fn write_some(
         &mut self,
         in1: &mut Tape<S>,
@@ -536,14 +627,7 @@ impl<S: Clone + Ord> Merge<S> {
                 }
                 Ok([n, 0])
             }
-            (None, None) => {
-                let ca = in1.peek_slice(rem1.min(block));
-                let cb = in2.peek_slice(rem2.min(block));
-                let (i, j) = out.write_merged_runs_fwd(ca, cb, max)?;
-                in1.advance_fwd(i);
-                in2.advance_fwd(j);
-                Ok([i, j])
-            }
+            (None, None) => unreachable!("both runs live with nothing carried: merge_pairs"),
         }
     }
 }

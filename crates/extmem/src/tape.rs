@@ -15,8 +15,10 @@
 //! ## Slice API and the fault layer
 //!
 //! Block callers move records through `peek_slice`/`advance_fwd`,
-//! `read_slice_fwd`/`read_slice_bwd`, `write_slice_fwd` and
-//! `write_merged_runs_fwd`; each bills one sustained sweep, identical
+//! `read_slice_fwd`/`read_slice_bwd`, `write_slice_fwd`,
+//! `write_vec_fwd` (an owned input word becomes the cells of an empty
+//! tape without a copy) and `append_with` (a kernel pushes records
+//! straight onto the cells); each bills one sustained sweep, identical
 //! to the same number of single-cell calls. Fault injection lives here
 //! and nowhere else: with a [`FaultPlan`] attached, every slice read
 //! hands out **one cell at a time**, and a cell's read dice are rolled
@@ -442,53 +444,44 @@ impl<S: Clone> Tape<S> {
         Ok(())
     }
 
-    /// Two-pointer merge of `a` and `b` written straight onto the tape
-    /// (no staging round-trip), stopping when either slice is exhausted
-    /// or `max` records are written. Ties go to `a`. Returns how many
-    /// records were taken from each slice. Accounting is identical to a
-    /// [`Self::write_slice_fwd`] of the same records; under a fault plan
-    /// the writes degrade to per-cell [`Tape::write_fwd`] calls.
-    pub(crate) fn write_merged_runs_fwd(
-        &mut self,
-        a: &[S],
-        b: &[S],
-        max: usize,
-    ) -> Result<(usize, usize), StError>
-    where
-        S: Ord,
-    {
-        if self.head > self.cells.len() {
-            return Err(self.beyond_end());
+    /// [`Tape::write_slice_fwd`] of an owned `Vec`, with the same
+    /// accounting. On an empty tape with the head on cell 0 and no fault
+    /// plan the `Vec` becomes the cells, so an input word lands without
+    /// a copy; in every other case it is a slice write, and under a plan
+    /// the write dice roll per cell as usual.
+    pub fn write_vec_fwd(&mut self, items: Vec<S>) -> Result<(), StError> {
+        if !self.cells.is_empty() || self.head != 0 || self.faults.is_some() {
+            return self.write_slice_fwd(&items);
         }
-        let (mut i, mut j) = (0usize, 0usize);
-        let pick = |i: &mut usize, j: &mut usize| {
-            if a[*i] <= b[*j] {
-                *i += 1;
-                a[*i - 1].clone()
-            } else {
-                *j += 1;
-                b[*j - 1].clone()
-            }
-        };
-        if self.faults.is_some() {
-            while i < a.len() && j < b.len() && i + j < max {
-                self.write_fwd(pick(&mut i, &mut j))?;
-            }
-            return Ok((i, j));
+        let n = items.len();
+        self.cells = items;
+        self.note_move(Dir::Right, n as u64);
+        self.head = n;
+        Ok(())
+    }
+
+    /// Append the records `fill` pushes, from the head rightward, as one
+    /// sustained sweep with the accounting of per-record
+    /// [`Tape::write_fwd`] calls. With the head at end-of-data and no
+    /// fault plan, `fill` pushes straight onto the cells; otherwise the
+    /// records are staged and written with [`Tape::write_slice_fwd`]
+    /// (per cell under a plan). `fill` must only push.
+    pub(crate) fn append_with(&mut self, fill: impl FnOnce(&mut Vec<S>)) -> Result<(), StError> {
+        if self.head != self.cells.len() || self.faults.is_some() {
+            let mut staged = Vec::new();
+            fill(&mut staged);
+            return self.write_slice_fwd(&staged);
         }
-        let mut head = self.head;
-        while head < self.cells.len() && i < a.len() && j < b.len() && i + j < max {
-            self.cells[head] = pick(&mut i, &mut j);
-            head += 1;
-        }
-        if head == self.cells.len() {
-            while i < a.len() && j < b.len() && i + j < max {
-                self.cells.push(pick(&mut i, &mut j));
-            }
-        }
-        self.note_move(Dir::Right, (i + j) as u64);
-        self.head += i + j;
-        Ok((i, j))
+        let before = self.cells.len();
+        fill(&mut self.cells);
+        assert!(
+            self.cells.len() >= before,
+            "append_with: fill removed cells"
+        );
+        let n = self.cells.len() - before;
+        self.note_move(Dir::Right, n as u64);
+        self.head += n;
+        Ok(())
     }
 
     fn beyond_end(&self) -> StError {
@@ -904,19 +897,46 @@ mod tests {
     }
 
     #[test]
-    fn merged_writes_under_a_plan_match_cell_writes() {
-        let a: Vec<u32> = (0..40).map(|i| 3 * i).collect();
-        let b: Vec<u32> = (0..40).map(|i| 2 * i + 1).collect();
+    fn appends_under_a_plan_match_cell_writes() {
+        let items: Vec<u32> = (0..55).map(|i| 3 * i).collect();
         let [(mut cell, cell_buf), (mut block, block_buf)] = faulted_pair(&[7; 10]);
-        let (i, j) = block.write_merged_runs_fwd(&a, &b, 55).unwrap();
-        assert_eq!(i + j, 55, "stops at the cap");
-        let mut merged: Vec<u32> = a[..i].iter().chain(&b[..j]).copied().collect();
-        merged.sort_unstable();
-        for x in merged {
+        for t in [&mut cell, &mut block] {
+            t.seek_end();
+        }
+        block
+            .append_with(|cells| cells.extend_from_slice(&items))
+            .unwrap();
+        for &x in &items {
             cell.write_fwd(x).unwrap();
         }
         assert_same_tape(&cell, &block);
         assert_eq!(cell_buf.snapshot(), block_buf.snapshot(), "fault events");
+    }
+
+    #[test]
+    fn appends_account_like_cell_writes() {
+        // Clean: straight onto the cells at the end, staged mid-tape.
+        for start in [0usize, 4, 10] {
+            let mut cell: Tape<u16> = Tape::from_items("t", vec![9; 10]);
+            let mut block = cell.clone();
+            let items: Vec<u16> = (0..20).collect();
+            for t in [&mut cell, &mut block] {
+                t.seek_end();
+                t.seek(start).unwrap();
+            }
+            for &x in &items {
+                cell.write_fwd(x).unwrap();
+            }
+            block
+                .append_with(|cells| cells.extend_from_slice(&items))
+                .unwrap();
+            assert_eq!(cell.snapshot(), block.snapshot(), "start {start}");
+            assert_eq!(
+                (cell.head(), cell.moves(), cell.reversals()),
+                (block.head(), block.moves(), block.reversals()),
+                "start {start}"
+            );
+        }
     }
 
     #[test]

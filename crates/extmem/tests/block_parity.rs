@@ -10,6 +10,16 @@
 //! tape's content, head, moves and reversals, the per-tape fault
 //! statistics, the meter's high-water mark, and the full trace stream —
 //! including where each `Fault` event falls.
+//!
+//! The sort passes move records per slice across runs (a distribute
+//! call splits one slice into run pieces; a merge call merges across run
+//! pairs). The run-batching sweeps hold them to the reference for every
+//! record count up to 40 and for 1 000 and 1 025, so that tail runs are
+//! short, exact or missing: merges and distributes at block lengths
+//! {1, 2, 3, 7, 4096}, and the stepped sort at budgets
+//! {1, 2, 3, 5, 64, unlimited}, whose yield count must be the one the
+//! per-cell price gives. `Tape::write_vec_fwd` is held to
+//! `Tape::write_slice_fwd` on empty, full and half-read tapes.
 
 use st_core::StError;
 use st_extmem::step::{SortStepper, StepBudget};
@@ -100,10 +110,21 @@ fn assert_parity<R: PartialEq + std::fmt::Debug>(
     cell: impl Fn(&mut [Tape<i64>], &MemoryMeter, usize) -> R,
     blocked: impl Fn(&mut [Tape<i64>], &MemoryMeter, usize) -> R,
 ) {
+    assert_parity_at(what, &BLOCKS, cases, cell, blocked);
+}
+
+/// [`assert_parity`] over the block lengths `blocks`.
+fn assert_parity_at<R: PartialEq + std::fmt::Debug>(
+    what: &str,
+    blocks: &[usize],
+    cases: &[Vec<Vec<i64>>],
+    cell: impl Fn(&mut [Tape<i64>], &MemoryMeter, usize) -> R,
+    blocked: impl Fn(&mut [Tape<i64>], &MemoryMeter, usize) -> R,
+) {
     let mut injected = 0;
     for inputs in cases {
         for plan in plans() {
-            for blk in BLOCKS {
+            for &blk in blocks {
                 let want = observe(inputs, plan.as_ref(), |t, m| cell(t, m, blk));
                 injected += want
                     .tapes
@@ -404,4 +425,193 @@ fn merge_ties_go_to_the_first_input_like_the_reference() {
             }
         }
     }
+}
+
+/// Record counts for the run-batching sweeps: every count up to 40, so
+/// the tail run of each pass is short, exact or missing in turn, and two
+/// larger ones (a power-of-two-free 1 000 and 2¹⁰ + 1, whose last pass
+/// merges one full run with a single record).
+fn batching_counts() -> Vec<usize> {
+    (0..=40).chain([1000, 1025]).collect()
+}
+
+/// The block lengths of the run-batching sweeps.
+const BATCH_BLOCKS: [usize; 5] = [1, 2, 3, 7, 4096];
+
+/// The layout a distribute pass leaves: runs of `run_len` records of
+/// `items`, alternately on the first and the second tape.
+fn distributed(items: &[i64], run_len: usize) -> [Vec<i64>; 2] {
+    let mut outs = [Vec::new(), Vec::new()];
+    for (k, run) in items.chunks(run_len).enumerate() {
+        outs[k % 2].extend_from_slice(run);
+    }
+    outs
+}
+
+#[test]
+fn batched_merges_match_the_reference_on_every_tail() {
+    for run_len in [1usize, 2, 3, 5] {
+        let cases: Vec<Vec<Vec<i64>>> = batching_counts()
+            .into_iter()
+            .map(|m| {
+                let [in1, in2] = distributed(&values(m, m as i64), run_len);
+                vec![in1, in2, vec![]]
+            })
+            .collect();
+        assert_parity_at(
+            &format!("merge_runs run_len={run_len}"),
+            &BATCH_BLOCKS,
+            &cases,
+            |t, m, _| {
+                let [in1, in2, out] = t else { unreachable!() };
+                scan::merge_runs(in1, in2, out, run_len, m).map_err(|e| e.to_string())
+            },
+            |t, m, blk| {
+                let [in1, in2, out] = t else { unreachable!() };
+                block::merge_runs(in1, in2, out, run_len, m, blk).map_err(|e| e.to_string())
+            },
+        );
+    }
+}
+
+#[test]
+fn batched_distributes_match_the_reference_on_every_tail() {
+    // The run length takes the block lengths' values, as in
+    // `distribute_runs_matches_the_reference`.
+    let cases: Vec<Vec<Vec<i64>>> = batching_counts()
+        .into_iter()
+        .map(|m| vec![values(m, 1), values(3, 2), vec![]])
+        .collect();
+    assert_parity_at(
+        "distribute_runs",
+        &BATCH_BLOCKS,
+        &cases,
+        |t, m, run_len| {
+            let [src, o1, o2] = t else { unreachable!() };
+            scan::distribute_runs(src, o1, o2, run_len, m).map_err(|e| e.to_string())
+        },
+        |t, m, run_len| {
+            let [src, o1, o2] = t else { unreachable!() };
+            block::distribute_runs(src, o1, o2, run_len, m).map_err(|e| e.to_string())
+        },
+    );
+}
+
+/// The stepped sort's budget units at the per-cell price: per pass one
+/// unit to open it, one per record distributed plus one for the read
+/// that finds the end, one per record merged plus one per run pair
+/// (the last one ends the pass); and one unit that finds the sort done.
+fn sort_units(m: usize) -> u64 {
+    let mut units = 1;
+    let mut run_len = 1;
+    while m > 1 && run_len < m {
+        let pairs = m.div_ceil(2 * run_len);
+        units += 1 + (m + 1) + (m + pairs);
+        run_len *= 2;
+    }
+    units as u64
+}
+
+#[test]
+fn batched_sort_passes_match_the_reference_at_every_budget() {
+    let mut injected = 0;
+    for m in batching_counts() {
+        let items = values(m, 7 * m as i64);
+        let units = sort_units(m);
+        for plan in plans() {
+            let want = observe_sort(&items, plan.as_ref(), reference_sort);
+            injected += want
+                .3
+                .iter()
+                .flatten()
+                .map(FaultStats::total_injected)
+                .sum::<u64>();
+            for budget in [1u64, 2, 3, 5, 64, u64::MAX] {
+                let mut yields = 0u64;
+                let got = observe_sort(&items, plan.as_ref(), |machine| {
+                    let mut stepper = SortStepper::new(0, 1, 2);
+                    while !stepper
+                        .step(machine, &mut StepBudget::new(budget))?
+                        .is_done()
+                    {
+                        yields += 1;
+                    }
+                    Ok(())
+                });
+                let at = format!("m {m}, budget {budget}, plan {plan:?}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(yields, units.div_ceil(budget) - 1, "yields, {at}");
+            }
+        }
+    }
+    assert!(injected > 0, "the fault plans never fired");
+}
+
+/// One tape in a given state for the owned-write parity: `init` cells,
+/// the head swept to `head` (rewinding an empty tape first when `head`
+/// is `None`, so the write turns the head around), under `plan`.
+fn write_target(
+    init: &[i64],
+    head: Option<usize>,
+    plan: Option<&FaultPlan>,
+) -> (Tape<i64>, st_trace::TraceBuffer) {
+    let (tracer, buf) = Tracer::in_memory();
+    let mut t = Tape::from_items("w", init.to_vec());
+    t.set_tracer(tracer, 0);
+    match head {
+        Some(pos) => {
+            t.seek_end();
+            t.seek(pos).unwrap();
+        }
+        None => {
+            t.seek_end();
+            t.reset_for_overwrite();
+        }
+    }
+    if let Some(plan) = plan {
+        t.enable_faults(plan);
+    }
+    (t, buf)
+}
+
+#[test]
+fn owned_writes_match_slice_writes() {
+    // An empty tape (fresh, or rewound so the write reverses), a full
+    // tape with the head at 0, mid-tape and at the end.
+    let states: [(Vec<i64>, Option<usize>); 6] = [
+        (vec![], Some(0)),
+        (values(6, 3), None),
+        (values(9, 4), Some(0)),
+        (values(9, 4), Some(4)),
+        (values(9, 4), Some(9)),
+        (values(1, 5), Some(1)),
+    ];
+    let mut injected = 0;
+    for plan in plans() {
+        for (init, head) in &states {
+            for items in [vec![], values(1, 8), values(70, 9)] {
+                let (mut slice, slice_buf) = write_target(init, *head, plan.as_ref());
+                let (mut owned, owned_buf) = write_target(init, *head, plan.as_ref());
+                slice.write_slice_fwd(&items).unwrap();
+                owned.write_vec_fwd(items.clone()).unwrap();
+                let view = |t: &Tape<i64>| {
+                    (
+                        t.snapshot(),
+                        t.head(),
+                        t.moves(),
+                        t.reversals(),
+                        t.fault_stats(),
+                    )
+                };
+                let at = format!(
+                    "plan {plan:?}, init {init:?}, head {head:?}, {} items",
+                    items.len()
+                );
+                assert_eq!(view(&owned), view(&slice), "{at}");
+                assert_eq!(owned_buf.snapshot(), slice_buf.snapshot(), "trace, {at}");
+                injected += slice.fault_stats().map_or(0, |f| f.total_injected());
+            }
+        }
+    }
+    assert!(injected > 0, "the fault plans never fired");
 }

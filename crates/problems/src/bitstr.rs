@@ -41,10 +41,13 @@
 //! The text form is a byte map: bit `b` is the ASCII byte `b'0' + b`.
 //! [`BitStr::write_ascii`] appends it to a caller's buffer a word at a
 //! time, and [`BitStr::parse_bytes`] reads it back after one validation
-//! sweep, eight bytes per multiply. Every other reader and writer of
-//! values (the instance word, the MPC wire records, `Display` as a
-//! single `write_str`, [`BitStr::parse`]) goes through these two, so no
-//! value is ever formatted bit by bit.
+//! sweep, eight bytes per multiply. A value's last word moves only the
+//! `⌈len/8⌉` byte groups it holds, so a 32-bit value costs four table
+//! entries out and four multiplies in. Every other reader and writer of
+//! values (the MPC wire records, `Display` as a single `write_str`,
+//! [`BitStr::parse`]) goes through these two, and the instance parser
+//! validates a whole word once and then packs each value the same way,
+//! so no value is ever formatted bit by bit.
 
 use st_core::StError;
 use std::cmp::Ordering;
@@ -116,6 +119,25 @@ pub fn pack_bits(text: &[u8]) -> u64 {
         .fold(0, |word, &b| (word << 1) | u64::from(b & 1));
     body.chunks_exact(8)
         .fold(word, |word, group| (word << 8) | gather8(group))
+}
+
+/// Up to 64 text bytes as the top bits of one word, the first byte at
+/// bit 63: one multiply per group of eight, the last group padded with
+/// `b'0'` bytes, which pack to zero bits.
+fn pack_high(text: &[u8]) -> u64 {
+    debug_assert!(text.len() <= WORD, "{} bytes do not fit a word", text.len());
+    let mut groups = text.chunks_exact(8);
+    let mut word = 0;
+    for (k, group) in (&mut groups).enumerate() {
+        word |= gather8(group) << (56 - 8 * k);
+    }
+    let tail = groups.remainder();
+    if !tail.is_empty() {
+        let mut padded = [b'0'; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        word |= gather8(&padded) << (56 - 8 * (text.len() / 8));
+    }
+    word
 }
 
 /// One word's 64 text bytes, eight table entries at a time.
@@ -203,28 +225,14 @@ impl BitStr {
     }
 
     /// Parse from ASCII bytes `b'0'`/`b'1'`: one validation sweep, then
-    /// each 64-byte chunk packed into a word eight bytes per multiply.
-    /// The error names the first offending character, or the raw byte
-    /// where the input is not UTF-8 there.
+    /// [`BitStr::from_valid_bytes`]. The error names the first offending
+    /// character, or the raw byte where the input is not UTF-8 there.
     pub fn parse_bytes(bytes: &[u8]) -> Result<Self, StError> {
         // `b'0'` and `b'1'` differ only in the low bit. The sweep has no
         // early exit so it vectorizes; only a bad input searches again.
         let is_bad = |b: u8| b | 1 != b'1';
         if !bytes.iter().fold(false, |bad, &b| bad | is_bad(b)) {
-            let mut out = Self::zeros(bytes.len());
-            let chunks = bytes.chunks_exact(WORD);
-            let tail = chunks.remainder();
-            let words = out.words_mut();
-            for (word, chunk) in words.iter_mut().zip(chunks) {
-                *word = pack_bits(chunk);
-            }
-            if !tail.is_empty() {
-                // Pad the tail with `0` bytes, which pack to zero bits.
-                let mut padded = [b'0'; WORD];
-                padded[..tail.len()].copy_from_slice(tail);
-                words[words.len() - 1] = pack_bits(&padded);
-            }
-            return Ok(out);
+            return Ok(Self::from_valid_bytes(bytes));
         }
         let i = bytes.iter().position(|&b| is_bad(b)).unwrap_or_default();
         Err(StError::InvalidInstance(format!(
@@ -233,9 +241,29 @@ impl BitStr {
         )))
     }
 
+    /// Pack validated text: each 64-byte chunk becomes one word, eight
+    /// bytes per multiply, and a short chunk packs only the `⌈len/8⌉`
+    /// groups it has. Only the low bit of each byte is read, so the
+    /// caller validates ([`BitStr::parse_bytes`] does, as does the
+    /// instance parser for a whole word).
+    pub(crate) fn from_valid_bytes(bytes: &[u8]) -> Self {
+        let mut out = Self::zeros(bytes.len());
+        let words = out.words_mut();
+        let mut chunks = bytes.chunks_exact(WORD);
+        for (word, chunk) in words.iter_mut().zip(&mut chunks) {
+            *word = pack_bits(chunk);
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            words[words.len() - 1] = pack_high(tail);
+        }
+        out
+    }
+
     /// Append the ASCII text form (`b'0' + bit` per bit) to `out`: each
-    /// word expands through the byte table into a 64-byte buffer that
-    /// lands with one `extend_from_slice`.
+    /// full word expands through the byte table into a 64-byte buffer
+    /// that lands with one `extend_from_slice`; the last word writes
+    /// only its `⌈len/8⌉` table entries.
     pub fn write_ascii(&self, out: &mut Vec<u8>) {
         let Some((&last, full)) = self.words().split_last() else {
             return;
@@ -246,7 +274,14 @@ impl BitStr {
         for &word in full {
             out.extend_from_slice(&expand_word(word));
         }
-        out.extend_from_slice(&expand_word(last)[..self.len - full.len() * WORD]);
+        let tail = self.len - full.len() * WORD;
+        let entry = |k: usize| ASCII[((last >> (56 - 8 * k)) & 0xff) as usize].to_le_bytes();
+        for k in 0..tail / 8 {
+            out.extend_from_slice(&entry(k));
+        }
+        if !tail.is_multiple_of(8) {
+            out.extend_from_slice(&entry(tail / 8)[..tail % 8]);
+        }
     }
 
     /// The `n`-bit binary representation of `value` (MSB first). Errors if
@@ -389,6 +424,7 @@ impl Default for BitStr {
 }
 
 impl PartialEq for BitStr {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.words() == other.words()
     }
@@ -399,6 +435,7 @@ impl Eq for BitStr {}
 impl Ord for BitStr {
     /// Lexicographic, a proper prefix first; see the module doc for why
     /// the word slices need no mask.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         let words = match (&self.words, &other.words) {
             // Unused inline words are zero padding too.
@@ -410,6 +447,7 @@ impl Ord for BitStr {
 }
 
 impl PartialOrd for BitStr {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }

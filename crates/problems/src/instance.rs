@@ -4,6 +4,17 @@
 //! over `{0,1,#}` encoding two lists of `m` bitstrings; the size measure
 //! is `N = 2m + Σᵢ (|vᵢ| + |v′ᵢ|)` — exactly the length of the encoded
 //! string.
+//!
+//! # Scanning a word
+//!
+//! Every reader of `{0,1,#}` bytes shares two scanners:
+//! [`first_invalid`] validates a slice with one branch-free fold, and
+//! [`find_hash`]/[`rfind_hash`] find `#` eight bytes at a time. Bit 4
+//! is set in `b'0'` and `b'1'` and clear in `b'#'`, so a clear bit 4
+//! marks a `#` only in a validated slice: a space, `"`, `A` or NUL
+//! clears it too. [`Instance::parse_bytes`], the fingerprint stepper's
+//! ingest and its backward residue fold use these and no other `#`
+//! search.
 
 use crate::bitstr::BitStr;
 use st_core::StError;
@@ -81,7 +92,44 @@ impl Instance {
     /// [`Instance::parse`] over raw bytes; each value goes through
     /// [`BitStr::parse_bytes`], so a non-UTF-8 word is an error like any
     /// other bad symbol.
+    ///
+    /// A well-formed word parses in one pass: one validation fold over
+    /// the whole word, a SWAR count of its blocks, then a walk from `#`
+    /// to `#` that packs each value into its list. Any other word goes
+    /// through the split-based parser, which reports its errors in the
+    /// order and with the texts it always has.
     pub fn parse_bytes(word: &[u8]) -> Result<Self, StError> {
+        match Self::parse_valid(word) {
+            Some(inst) => Ok(inst),
+            None => Self::parse_split(word),
+        }
+    }
+
+    /// The one-pass parse of a word over `{0,1,#}` that ends with `#`
+    /// and has an even number of blocks; `None` for any other word.
+    /// Counting the blocks first sizes each list exactly.
+    fn parse_valid(word: &[u8]) -> Option<Self> {
+        if word.last() != Some(&b'#') || first_invalid(word).is_some() {
+            return None;
+        }
+        let blocks = count_hashes(word);
+        if !blocks.is_multiple_of(2) {
+            return None;
+        }
+        let mut rest = word;
+        let mut next_value = || {
+            let h = find_hash(rest).expect("every counted block ends with '#'");
+            let value = BitStr::from_valid_bytes(&rest[..h]);
+            rest = &rest[h + 1..];
+            value
+        };
+        let xs = (0..blocks / 2).map(|_| next_value()).collect();
+        let ys = (0..blocks / 2).map(|_| next_value()).collect();
+        Some(Instance { xs, ys })
+    }
+
+    /// Split at every `#`, then parse each block.
+    fn parse_split(word: &[u8]) -> Result<Self, StError> {
         let Some((&last, body)) = word.split_last() else {
             return Ok(Instance {
                 xs: Vec::new(),
@@ -129,6 +177,69 @@ pub fn write_values<'a>(out: &mut Vec<u8>, values: impl IntoIterator<Item = &'a 
         v.write_ascii(out);
         out.push(b'#');
     }
+}
+
+/// Bit 4 of every byte: set in `b'0'` (0x30) and `b'1'` (0x31), clear
+/// in `b'#'` (0x23).
+const VALUE_BIT: u64 = 0x1010_1010_1010_1010;
+
+/// The position of the first byte outside the alphabet `{0,1,#}`. The
+/// all-valid case is one fold with no early exit (so it vectorizes);
+/// only a bad slice searches again.
+#[must_use]
+pub fn first_invalid(symbols: &[u8]) -> Option<usize> {
+    let is_bad = |b: u8| (b != b'#') & (b | 1 != b'1');
+    if !symbols.iter().fold(false, |bad, &b| bad | is_bad(b)) {
+        return None;
+    }
+    symbols.iter().position(|&b| is_bad(b))
+}
+
+/// The `#` marks of eight validated symbols, one bit per `#`: the one
+/// SWAR `#` scanner.
+fn hash_marks(group: &[u8]) -> u64 {
+    let group: [u8; 8] = group.try_into().expect("a group is eight bytes");
+    !u64::from_le_bytes(group) & VALUE_BIT
+}
+
+/// The position of the first `#` in `symbols`, eight bytes per step.
+/// The caller validates first ([`first_invalid`]): other bytes with
+/// bit 4 clear would read as `#`.
+#[must_use]
+pub fn find_hash(symbols: &[u8]) -> Option<usize> {
+    let mut groups = symbols.chunks_exact(8);
+    for (i, group) in (&mut groups).enumerate() {
+        let marks = hash_marks(group);
+        if marks != 0 {
+            return Some(8 * i + marks.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = groups.remainder();
+    let tail_start = symbols.len() - tail.len();
+    tail.iter().position(|&b| b == b'#').map(|p| tail_start + p)
+}
+
+/// The number of `#` in validated `symbols`, eight bytes per step.
+fn count_hashes(symbols: &[u8]) -> usize {
+    let groups = symbols.chunks_exact(8);
+    let tail = groups.remainder();
+    let in_groups: usize = groups.map(|g| hash_marks(g).count_ones() as usize).sum();
+    in_groups + tail.iter().filter(|&&b| b == b'#').count()
+}
+
+/// The position of the last `#` in validated `symbols`, eight bytes per
+/// step.
+#[must_use]
+pub fn rfind_hash(symbols: &[u8]) -> Option<usize> {
+    let mut groups = symbols.rchunks_exact(8);
+    for (i, group) in (&mut groups).enumerate() {
+        let marks = hash_marks(group);
+        if marks != 0 {
+            let in_group = (63 - marks.leading_zeros()) as usize / 8;
+            return Some(symbols.len() - 8 * (i + 1) + in_group);
+        }
+    }
+    groups.remainder().iter().rposition(|&b| b == b'#')
 }
 
 impl fmt::Display for Instance {
