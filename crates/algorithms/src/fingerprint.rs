@@ -34,17 +34,28 @@
 //! * *`x^e mod p₂`:* one [`MontModulus`] ladder per value. `p₂` is odd,
 //!   its Montgomery constants and `x`'s Montgomery form are computed
 //!   once per run, and the two sums stay in Montgomery form until
-//!   [`ResidueFold::finish`].
+//!   [`ResidueFold::finish`]. For `p₂ < 2⁶²` (every `p₂` with
+//!   `6k < 2⁶²`: at `m = 2¹⁴` any `n < 2000`, at `m = 2¹⁶` up to
+//!   `n = 50`) the ladder reduces lazily: its registers stay in
+//!   `[0, 2p₂)`, exact because `4p₂ ≤ 2⁶⁴` keeps each product below
+//!   `p₂·2⁶⁴`, and REDC's final subtraction runs once per power instead
+//!   of once per multiply. The exponent is split as `e = lo + 2ʰ·hi`
+//!   with `h = ⌈bits(p₁)/2⌉`, and [`MontModulus::pow_pair`] computes
+//!   `x^lo · y^hi` over two independent squaring chains of `h` steps,
+//!   where one chain of `bits(p₁)` steps would wait on every multiply.
+//!   `y = x^(2ʰ)` is computed once per run.
 //! * *Scanning:* a slice is validated by one branch-free fold, and `#`
 //!   is found eight bytes at a time, by the word scanners of
 //!   [`st_problems::instance`] that the instance parser uses too.
 //!
 //! The kernel holds only the charged registers (`e`, `pow2`, the `#`
 //! counter, the two sums) plus constants derived from `p₁`, `p₂` and
-//! `x`. It deliberately keeps no table of powers of `x`: a fixed-base or
-//! windowed table would be an uncharged register file, or `Θ(log² N)`
-//! bits, and the run would no longer be the `O(log N)`-space machine the
-//! theorem describes.
+//! `x`. One of these is `y`: a single `O(log N)`-bit value fixed for the
+//! run, like the Montgomery form of `x`, and one value in flight per
+//! ladder as before. It deliberately keeps no table of powers of `x`: a
+//! fixed-base or windowed table would be an uncharged register file, or
+//! `Θ(log² N)` bits, and the run would no longer be the
+//! `O(log N)`-space machine the theorem describes.
 //!
 //! Correctness (paper, Claim 1 + polynomial identity testing): if the
 //! multisets are equal the test **always** accepts; if they differ it
@@ -108,9 +119,7 @@ pub fn tape_encoding(inst: &Instance) -> Vec<u8> {
 
 /// Sample a uniform prime `≤ k` by rejection; `None` after `tries`
 /// failures (probability `e^{-Ω(tries/ln k)}` — negligible at the default).
-/// Shared with the resilient layer, which samples fresh verification
-/// primes per attempt.
-pub(crate) fn sample_prime<R: Rng>(k: u64, tries: u32, rng: &mut R) -> Option<u64> {
+fn sample_prime<R: Rng>(k: u64, tries: u32, rng: &mut R) -> Option<u64> {
     for _ in 0..tries {
         let c = rng.gen_range(2..=k.max(2));
         if is_prime(c) {
@@ -120,12 +129,29 @@ pub(crate) fn sample_prime<R: Rng>(k: u64, tries: u32, rng: &mut R) -> Option<u6
     None
 }
 
+/// `k = m³·n·loġ(m³·n)` for `m ≥ 1` pairs of values of at most `n_max`
+/// bits, or the [`StError::Precondition`] of [`sample_params`] when `k`
+/// or the Bertrand bound `6k` overflows `u64`. Draws nothing, so a
+/// caller can refuse an instance before doing any work on it.
+pub(crate) fn bertrand_k(m: u64, n_max: u64) -> Result<u64, StError> {
+    let k = theorem8a_k(m, n_max.max(1))?;
+    // p₂ ≤ 6k by Bertrand, so a 6k that fits keeps next_prime(3k) and the
+    // callers' 7·bits_for(6k) register charge in range.
+    if k.checked_mul(6).is_none() {
+        return Err(StError::Precondition(format!(
+            "Bertrand bound 6k overflows u64 for k={k} (m={m}, n={n_max})"
+        )));
+    }
+    Ok(k)
+}
+
 /// Sample the full Theorem 8(a) parameter tuple for an instance with `m`
 /// value pairs and maximum value length `n_max`, drawing from `rng` in
 /// **exactly** the sequence the decider does (one prime rejection walk,
 /// then one `gen_range` for `x`). This is the single source of truth
-/// shared by the batch decider, the incremental stepper, and the `st-mpc`
-/// sharded decider — same seed in, bit-identical parameters out.
+/// shared by the batch decider, the incremental stepper, the `st-mpc`
+/// sharded decider and the resilient deciders' verification rounds —
+/// same seed in, bit-identical parameters out.
 ///
 /// `m == 0` fixes the degenerate-but-valid tuple `{k:2, p1:2, p2:7, x:1}`
 /// without touching `rng`; a prime-sampling failure returns a
@@ -148,14 +174,7 @@ pub fn sample_params<R: Rng>(
             x: 1,
         });
     }
-    let k = theorem8a_k(m, n_max.max(1))?;
-    // p₂ ≤ 6k by Bertrand, so a 6k that fits keeps next_prime(3k) and the
-    // callers' 7·bits_for(6k) register charge in range.
-    if k.checked_mul(6).is_none() {
-        return Err(StError::Precondition(format!(
-            "Bertrand bound 6k overflows u64 for k={k} (m={m}, n={n_max})"
-        )));
-    }
+    let k = bertrand_k(m, n_max)?;
     let Some(p1) = sample_prime(k, 4096, rng) else {
         return Ok(FingerprintParams {
             k,
@@ -273,6 +292,11 @@ pub struct ResidueFold {
     p2: MontModulus,
     /// `x` in Montgomery form.
     x: u64,
+    /// `h = ⌈bits(p₁)/2⌉`: every `e < p₁` splits as `lo + 2ʰ·hi` with
+    /// `lo, hi < 2ʰ`.
+    split: u32,
+    /// `y = x^(2ʰ)` in Montgomery form, so `x^e = x^lo · y^hi`.
+    y: u64,
     second_half: u64,
     /// `v mod p₁` of the bits read so far of the current value.
     e: u64,
@@ -291,9 +315,13 @@ impl ResidueFold {
     #[must_use]
     pub fn new(params: FingerprintParams, second_half: u64) -> Self {
         let p2 = MontModulus::new(params.p2);
+        let x = p2.to_mont(params.x);
+        let split = (u64::BITS - params.p1.leading_zeros()).div_ceil(2);
         ResidueFold {
             p1: params.p1,
-            x: p2.to_mont(params.x),
+            x,
+            split,
+            y: p2.pow(x, 1 << split),
             p2,
             second_half,
             e: 0,
@@ -342,7 +370,8 @@ impl ResidueFold {
         if self.seen_hashes == 0 {
             return;
         }
-        let term = self.p2.pow(self.x, self.e);
+        let low = self.e & ((1 << self.split) - 1);
+        let term = self.p2.pow_pair(self.x, low, self.y, self.e >> self.split);
         let sum = if self.seen_hashes <= self.second_half {
             &mut self.sum_second
         } else {

@@ -32,10 +32,9 @@
 //! `≤ 2^-VERIFY_ROUNDS` — the same co-RST error model the paper's
 //! randomized algorithms live in.
 
-use crate::fingerprint::sample_prime;
+use crate::fingerprint::{bertrand_k, sample_params, FingerprintParams};
 use rand::Rng;
-use st_core::math::{add_mod, mul_mod, next_prime, pow_mod};
-use st_core::theorems::theorem8a_k;
+use st_core::math::{add_mod, mul_mod, pow_mod};
 use st_core::{ResourceUsage, RetryBudget, StError, Verdict};
 use st_extmem::block::{copy_tape, tapes_equal, DEFAULT_BLOCK};
 use st_extmem::meter::{bits_for, MemoryMeter};
@@ -64,37 +63,19 @@ pub struct ResilientRun<T> {
     pub faults: FaultStats,
 }
 
-/// One sampled verification fingerprint: residue prime `p₁ ≤ k`, sum
-/// prime `p₂ ∈ (3k, 6k]`, evaluation point `x ∈ {1,…,p₂−1}`.
-#[derive(Debug, Clone, Copy)]
-struct VerifyParams {
-    p1: u64,
-    p2: u64,
-    x: u64,
-}
-
-/// Sample fresh verification parameters; `None` on (vanishingly rare)
-/// prime-sampling failure, which callers treat as an inconclusive round.
-fn sample_verify_params<R: Rng>(
-    m: u64,
-    n_max: u64,
-    rng: &mut R,
-) -> Result<Option<VerifyParams>, StError> {
-    if m == 0 {
-        return Ok(Some(VerifyParams { p1: 2, p2: 7, x: 1 }));
+/// The verification fingerprints of `m` values of at most `n_max` bits
+/// need `6k` to fit a `u64`; an instance past that is refused with
+/// [`sample_params`]' precondition error before any attempt is billed.
+fn refuse_unverifiable(m: u64, n_max: u64) -> Result<(), StError> {
+    if m > 0 {
+        bertrand_k(m, n_max)?;
     }
-    let k = theorem8a_k(m, n_max.max(1))?;
-    let Some(p1) = sample_prime(k, 4096, rng) else {
-        return Ok(None);
-    };
-    let p2 = next_prime(3 * k);
-    let x = rng.gen_range(1..p2);
-    Ok(Some(VerifyParams { p1, p2, x }))
+    Ok(())
 }
 
 /// The order-insensitive multiset fingerprint `Σ x^{vᵢ mod p₁} mod p₂`
 /// of a whole tape, in one forward scan (≤ 1 reversal for the rewind).
-fn tape_fingerprint(tape: &mut Tape<BitStr>, fp: VerifyParams, meter: &MemoryMeter) -> u64 {
+fn tape_fingerprint(tape: &mut Tape<BitStr>, fp: FingerprintParams, meter: &MemoryMeter) -> u64 {
     tape.rewind();
     // Registers: residue, running sum, one record buffer.
     let _buf = meter.charge(1 + 2 * bits_for(fp.p2));
@@ -138,9 +119,13 @@ fn fingerprints_match<R: Rng>(
 ) -> Result<bool, StError> {
     let meter = machine.meter().clone();
     for _ in 0..VERIFY_ROUNDS {
-        let Some(fp) = sample_verify_params(m, n_max, rng)? else {
+        // A fresh tuple from the decider's own sampler: a parameter
+        // overflow is its precondition error, and a prime-sampling
+        // failure (a degenerate tuple) is an inconclusive round.
+        let fp = sample_params(m, n_max, rng)?;
+        if fp.degenerate() {
             continue;
-        };
+        }
         let (a, b) = machine.pair_mut(a_idx, b_idx);
         if tape_fingerprint(a, fp, &meter) != tape_fingerprint(b, fp, &meter) {
             return Ok(false);
@@ -193,6 +178,7 @@ pub fn resilient_sort<R: Rng>(
     let meter = machine.meter().clone();
     let m = items.len() as u64;
     let n_max = items.iter().map(BitStr::len).max().unwrap_or(0) as u64;
+    refuse_unverifiable(m, n_max)?;
 
     let tracer = machine.tracer().clone();
     let mut last_reason = String::from("never attempted");
@@ -300,7 +286,6 @@ pub fn decide_multiset_equality_resilient<R: Rng>(
     budget: RetryBudget,
     rng: &mut R,
 ) -> Result<ResilientRun<bool>, StError> {
-    let mut machine = decider_machine(inst, plan);
     let m = inst.m() as u64;
     let n_max = inst
         .xs
@@ -309,6 +294,8 @@ pub fn decide_multiset_equality_resilient<R: Rng>(
         .map(BitStr::len)
         .max()
         .unwrap_or(0) as u64;
+    refuse_unverifiable(m, n_max)?;
+    let mut machine = decider_machine(inst, plan);
 
     let tracer = machine.tracer().clone();
     let mut last_reason = String::from("never attempted");
@@ -565,6 +552,32 @@ mod tests {
         let run = decide_check_sort_resilient(&inst, &plan, RetryBudget::new(2), &mut rng).unwrap();
         assert_eq!(run.verdict, Verdict::Verified(false));
         assert_eq!(run.attempts, 1, "side-condition violation needs no retries");
+    }
+
+    #[test]
+    fn parameters_past_the_bertrand_bound_are_a_precondition_error() {
+        // m = 2¹⁹ one-bit pairs: 6k overflows a u64 (3k still fits), so
+        // the verification primes have no u64 home. The resilient decider
+        // must refuse exactly as the batch decider does, not sample p₂
+        // from a wrapped product.
+        let ones = vec![BitStr::from_value(1, 1).unwrap(); 1 << 19];
+        let inst = Instance::new(ones.clone(), ones.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(80);
+        let batch = crate::fingerprint::decide_multiset_equality(&inst, &mut rng);
+        assert!(matches!(batch, Err(StError::Precondition(_))), "{batch:?}");
+        let plan = FaultPlan::new(3);
+        let refusals = [
+            decide_multiset_equality_resilient(&inst, &plan, RetryBudget::new(1), &mut rng)
+                .map(|run| format!("{:?}", run.verdict)),
+            resilient_sort(&ones, ones.len(), &plan, RetryBudget::new(1), &mut rng)
+                .map(|run| format!("{:?}", run.verdict)),
+        ];
+        for refusal in refusals {
+            match refusal {
+                Err(StError::Precondition(msg)) => assert!(msg.contains("6k"), "{msg}"),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

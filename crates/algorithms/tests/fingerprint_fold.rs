@@ -1,13 +1,15 @@
 //! The Theorem 8(a) residue-fold kernel against a per-bit reference.
 //!
 //! [`ResidueFold`] absorbs up to 64 bits per modular step, finds `#`
-//! eight bytes at a time and raises `x` with a Montgomery ladder. The
-//! reference here does none of that: [`lsb_first_mod`] walks each value
-//! bit by bit and `x^e mod p₂` is a plain `u128` square-and-multiply.
+//! eight bytes at a time and raises `x` with a split-exponent
+//! Montgomery ladder. The reference here does none of that:
+//! [`lsb_first_mod`] walks each value bit by bit and `x^e mod p₂` is a
+//! plain `u128` square-and-multiply.
 //! Words, slice boundaries and moduli are random, weighted toward the
 //! kernel's edges: value lengths around its 64-bit groups, one-symbol
-//! slices, `p₁ = 2`, and `p₂ > 2⁶³`, where Montgomery reduction takes
-//! its carry branch.
+//! slices, `p₁ = 2`, `p₂` on both sides of 2⁶², where the ladder
+//! switches from lazy to strict reduction, and `p₂ > 2⁶³`, where
+//! Montgomery reduction takes its carry branch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,14 +39,16 @@ fn p1_choices() -> Vec<u64> {
     ]
 }
 
-/// `p₂`: small, mid-range, and above 2⁶³ (up to the largest `u64`
-/// prime).
+/// `p₂`: small, mid-range, the largest prime the lazy-reduction ladder
+/// takes (just below 2⁶²), the first strict one above it, and above 2⁶³
+/// (up to the largest `u64` prime).
 fn p2_choices() -> Vec<u64> {
     vec![
         5,
         7,
         11,
         1_000_000_007,
+        (1 << 62) - 57,
         next_prime(1 << 62),
         next_prime(1 << 63),
         next_prime(3 << 62),

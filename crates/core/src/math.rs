@@ -126,15 +126,33 @@ pub fn pow_mod(mut a: u64, mut e: u64, m: u64) -> u64 {
 /// [`MontModulus::to_mont`], out with [`MontModulus::from_mont`].
 /// Sums of Montgomery forms are the Montgomery form of the sum, so an
 /// accumulator can stay in Montgomery form until it is read.
+///
+/// # Lazy reduction
+///
+/// REDC of `t < m·2⁶⁴` is below `2m`, and its last step is a
+/// conditional subtraction of `m`. For `m < 2⁶²` the ladders of
+/// [`MontModulus::pow`] and [`MontModulus::pow_pair`] skip it: with
+/// operands below `2m` and `4m ≤ 2⁶⁴`, every product is below
+/// `4m² ≤ m·2⁶⁴`, so its REDC is below `2m` again and the sum inside
+/// REDC cannot carry. A power is brought into `[0, m)` once, at the
+/// end. From `2⁶²` on that bound fails, and the ladders take the strict
+/// REDC, which is also what every other method uses. [`MontModulus::new`]
+/// picks the mode from `m`; every method returns values below `m` in
+/// both.
 #[derive(Debug, Clone, Copy)]
 pub struct MontModulus {
     m: u64,
     neg_inv: u64,
     r2: u64,
     one: u64,
+    /// `m < 2⁶²`: the ladders reduce lazily.
+    lazy: bool,
 }
 
 impl MontModulus {
+    /// Moduli below this bound reduce lazily inside the ladders.
+    const LAZY_BELOW: u64 = 1 << 62;
+
     /// The constants for odd `m`. Panics if `m` is even.
     #[must_use]
     pub fn new(m: u64) -> Self {
@@ -155,15 +173,21 @@ impl MontModulus {
             neg_inv: inv.wrapping_neg(),
             r2,
             one: r1,
+            lazy: m < Self::LAZY_BELOW,
         }
     }
 
-    /// Montgomery REDC: `t · 2⁻⁶⁴ mod m` for `t < m · 2⁶⁴`.
+    /// Montgomery REDC: `t · 2⁻⁶⁴ mod m` for `t < m · 2⁶⁴`. `LAZY`
+    /// returns it in `[0, 2m)` and is only exact for `m < 2⁶²` (see
+    /// the [type docs](Self#lazy-reduction)); strict returns `[0, m)`.
     #[inline]
-    fn redc(&self, t: u128) -> u64 {
+    fn redc<const LAZY: bool>(&self, t: u128) -> u64 {
         let q = (t as u64).wrapping_mul(self.neg_inv);
         let (sum, carry) = t.overflowing_add(u128::from(q) * u128::from(self.m));
         let hi = (sum >> 64) as u64;
+        if LAZY {
+            return hi;
+        }
         // The true value is hi + carry·2⁶⁴ and is < 2m; a carry implies
         // m > 2⁶³, so the wrapping subtraction lands back in [0, m).
         let (reduced, borrow) = hi.overflowing_sub(self.m);
@@ -178,21 +202,21 @@ impl MontModulus {
     #[inline]
     #[must_use]
     pub fn to_mont(&self, a: u64) -> u64 {
-        self.redc(u128::from(a) * u128::from(self.r2))
+        self.redc::<false>(u128::from(a) * u128::from(self.r2))
     }
 
     /// The plain value of Montgomery-form `a`.
     #[inline]
     #[must_use]
     pub fn from_mont(&self, a: u64) -> u64 {
-        self.redc(u128::from(a))
+        self.redc::<false>(u128::from(a))
     }
 
     /// Product of two Montgomery-form values `< m`, in Montgomery form.
     #[inline]
     #[must_use]
     pub fn mul(&self, a: u64, b: u64) -> u64 {
-        self.redc(u128::from(a) * u128::from(b))
+        self.redc::<false>(u128::from(a) * u128::from(b))
     }
 
     /// `(a + b) mod m` for `a, b < m` (either form), without a division.
@@ -203,22 +227,62 @@ impl MontModulus {
     }
 
     /// `base^e` for Montgomery-form `base < m`, in Montgomery form.
+    #[must_use]
+    pub fn pow(&self, base: u64, e: u64) -> u64 {
+        if self.lazy {
+            self.ladder::<true, 1>([base], [e])
+        } else {
+            self.ladder::<false, 1>([base], [e])
+        }
+    }
+
+    /// `a^ea · b^eb` for Montgomery-form `a, b < m`, in Montgomery form.
+    ///
+    /// One loop over the longer exponent with two independent squaring
+    /// chains, so each step waits on one multiply latency instead of
+    /// two ladders' worth: splitting `e = lo + 2ʰ·hi` and passing
+    /// `b = a^(2ʰ)` computes `a^e` in about half the dependent steps.
+    #[must_use]
+    pub fn pow_pair(&self, a: u64, ea: u64, b: u64, eb: u64) -> u64 {
+        if self.lazy {
+            self.ladder::<true, 2>([a, b], [ea, eb])
+        } else {
+            self.ladder::<false, 2>([a, b], [ea, eb])
+        }
+    }
+
+    /// The one ladder body: `Π bases[i]^exps[i]`, in Montgomery form
+    /// and below `m`.
     ///
     /// The ladder multiplies on every exponent bit and keeps the product
-    /// through a mask, so the bits of `e` never steer a branch: the
-    /// exponents of a fingerprint scan are random, and a branch on each
-    /// bit would mispredict about half the time.
-    #[must_use]
-    pub fn pow(&self, mut base: u64, mut e: u64) -> u64 {
-        let mut acc = self.one;
-        while e != 0 {
-            let product = self.mul(acc, base);
-            let keep = (e & 1).wrapping_neg();
-            acc = (product & keep) | (acc & !keep);
-            base = self.mul(base, base);
-            e >>= 1;
+    /// through a mask, so the bits of an exponent never steer a branch:
+    /// the exponents of a fingerprint scan are random, and a branch on
+    /// each bit would mispredict about half the time. Under `LAZY` every
+    /// register stays in `[0, 2m)` and only the result is normalized.
+    #[inline]
+    fn ladder<const LAZY: bool, const N: usize>(
+        &self,
+        mut bases: [u64; N],
+        mut exps: [u64; N],
+    ) -> u64 {
+        let mut accs = [self.one; N];
+        while exps.iter().fold(0, |any, &e| any | e) != 0 {
+            for i in 0..N {
+                let product = self.redc::<LAZY>(u128::from(accs[i]) * u128::from(bases[i]));
+                let keep = (exps[i] & 1).wrapping_neg();
+                accs[i] = (product & keep) | (accs[i] & !keep);
+                bases[i] = self.redc::<LAZY>(u128::from(bases[i]) * u128::from(bases[i]));
+                exps[i] >>= 1;
+            }
         }
-        acc
+        let acc = accs[1..].iter().fold(accs[0], |acc, &a| {
+            self.redc::<LAZY>(u128::from(acc) * u128::from(a))
+        });
+        if LAZY && acc >= self.m {
+            acc - self.m
+        } else {
+            acc
+        }
     }
 }
 
@@ -366,9 +430,10 @@ mod tests {
         *x
     }
 
-    /// Odd moduli from 3 to `u64::MAX`, on both sides of 2⁶³ (REDC's
-    /// carry path only fires above it).
-    const ODD_MODULI: [u64; 12] = [
+    /// Odd moduli from 3 to `u64::MAX`: on both sides of 2⁶², where the
+    /// ladders switch from lazy to strict REDC (the largest prime below
+    /// it, and 2⁶² + 1), and of 2⁶³, above which REDC's carry path fires.
+    const ODD_MODULI: [u64; 15] = [
         3,
         5,
         7,
@@ -377,11 +442,28 @@ mod tests {
         1_000_000_007,
         (1 << 57) - 13,
         (1 << 61) - 1,
+        LARGEST_PRIME_BELOW_2_62,
+        (1 << 62) + 1,
+        (1 << 63) - 1,
         (1 << 63) + 29,
         u64::MAX - 58,
         u64::MAX - 2,
         u64::MAX,
     ];
+
+    /// `2⁶² − 57`, the largest modulus the lazy ladders see in a prime
+    /// field.
+    const LARGEST_PRIME_BELOW_2_62: u64 = (1 << 62) - 57;
+
+    #[test]
+    fn lazy_reduction_covers_exactly_the_moduli_below_2_62() {
+        assert!(is_prime(LARGEST_PRIME_BELOW_2_62));
+        assert!(((LARGEST_PRIME_BELOW_2_62 + 2)..(1 << 62)).all(|n| !is_prime(n)));
+        for &m in &ODD_MODULI {
+            assert_eq!(MontModulus::new(m).lazy, m < 1 << 62, "m={m}");
+        }
+        assert!(MontModulus::new((1 << 62) - 1).lazy);
+    }
 
     #[test]
     fn mont_modulus_matches_u128_arithmetic() {
@@ -427,8 +509,58 @@ mod tests {
                     u64::MAX,
                     xorshift(&mut x),
                 ] {
-                    let got = mont.from_mont(mont.pow(mont.to_mont(a), e));
+                    // from_mont reduces any input, so check the
+                    // Montgomery-form result is normalized on its own.
+                    let power = mont.pow(mont.to_mont(a), e);
+                    assert!(power < m, "a={a} e={e} m={m}");
+                    let got = mont.from_mont(power);
                     assert_eq!(got, slow_pow(a, e, m), "a={a} e={e} m={m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_base_power_matches_two_plain_ladders() {
+        let mut x = 0x4528_21E6_38D0_1377u64;
+        let exps = [0u64, 1, 2, 63, 64, (1 << 29) - 1, 1 << 32, u64::MAX];
+        for &m in &ODD_MODULI {
+            let mont = MontModulus::new(m);
+            for &ea in &exps {
+                for &eb in &exps {
+                    for (a, b) in [
+                        (0, 1),
+                        (m - 1, m - 1),
+                        (u64::MAX, m),
+                        (xorshift(&mut x), xorshift(&mut x)),
+                    ] {
+                        let got = mont.pow_pair(mont.to_mont(a), ea, mont.to_mont(b), eb);
+                        assert!(got < m, "a={a} ea={ea} b={b} eb={eb} m={m}");
+                        let want = mul_mod(slow_pow(a, ea, m), slow_pow(b, eb, m), m);
+                        assert_eq!(
+                            mont.from_mont(got),
+                            want,
+                            "a={a} ea={ea} b={b} eb={eb} m={m}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_exponent_power_equals_the_single_ladder() {
+        // a^e = a^(e mod 2ʰ) · (a^(2ʰ))^(e >> h), the residue fold's
+        // split, for every h the fold can pick.
+        let mut x = 0x1319_8A2E_0370_7344u64;
+        for &m in &ODD_MODULI {
+            let mont = MontModulus::new(m);
+            for h in 1..=32u32 {
+                let a = mont.to_mont(xorshift(&mut x));
+                let y = mont.pow(a, 1 << h);
+                for e in [0, 1, (1 << h) - 1, 1 << h, xorshift(&mut x), u64::MAX] {
+                    let split = mont.pow_pair(a, e & ((1 << h) - 1), y, e >> h);
+                    assert_eq!(split, mont.pow(a, e), "e={e} h={h} m={m}");
                 }
             }
         }

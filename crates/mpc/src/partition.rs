@@ -43,17 +43,69 @@ pub fn range_shard<T: Clone>(items: &[T], worker: usize, p: usize) -> Vec<T> {
         .collect()
 }
 
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Eight FNV steps at once: `FNV_PRIME⁸`.
+const FNV_PRIME_8: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// `BYTE_STEPS[h & 1][byte]`: what eight per-bit FNV steps over `byte`
+/// (MSB first) add to `h · FNV_PRIME⁸`.
+///
+/// One step is `h ↦ (h ^ b)·P`. Since `h ^ b = h + δ` with
+/// `δ ∈ {−1, 0, 1}` fixed by `b` and the low bit of `h`, a step is
+/// `h·P + δ·P`; and since `P` is odd, the low bit after it is
+/// `low(h) ^ b`. So the eight `δ`s, and with them the whole offset
+/// `Σ δᵢ·P⁹⁻ⁱ`, depend only on the byte and the low bit of `h`.
+const BYTE_STEPS: [[u64; 256]; 2] = byte_steps();
+
+const fn byte_steps() -> [[u64; 256]; 2] {
+    let mut table = [[0u64; 256]; 2];
+    let mut low = 0;
+    while low < 2 {
+        let mut byte = 0;
+        while byte < 256 {
+            let mut h = low as u64;
+            let mut i = 0;
+            while i < 8 {
+                h = (h ^ ((byte >> (7 - i)) & 1) as u64).wrapping_mul(FNV_PRIME);
+                i += 1;
+            }
+            table[low][byte] = h.wrapping_sub((low as u64).wrapping_mul(FNV_PRIME_8));
+            byte += 1;
+        }
+        low += 1;
+    }
+    table
+}
+
 /// Seeded FNV-1a over the record's bits (plus its length, so `"0"` and
 /// `"00"` separate), reduced mod `p`. Every occurrence of a value hashes
 /// to the same worker — the hash-join co-location guarantee.
+///
+/// The hash is defined bit by bit, `h ↦ (h ^ bit)·P` MSB first, and
+/// computed a byte at a time from the packed words through a table of
+/// eight steps per byte; the last `len mod 8` bits take the per-bit
+/// step.
 #[must_use]
 pub fn hash_partition(seed: u64, record: &BitStr, p: usize) -> usize {
     let p = p.max(1);
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    let prime = 0x0000_0100_0000_01b3u64;
-    h = (h ^ record.len() as u64).wrapping_mul(prime);
-    for bit in record.iter() {
-        h = (h ^ u64::from(bit)).wrapping_mul(prime);
+    let len = record.len();
+    let mut h = (0xcbf2_9ce4_8422_2325u64 ^ seed ^ len as u64).wrapping_mul(FNV_PRIME);
+    for (i, &word) in record.words().iter().enumerate() {
+        // Only the last word holds fewer than 64 bits.
+        let bits = (len - 64 * i).min(64);
+        let mut rest = word;
+        for _ in 0..bits / 8 {
+            h = h
+                .wrapping_mul(FNV_PRIME_8)
+                .wrapping_add(BYTE_STEPS[(h & 1) as usize][(rest >> 56) as usize]);
+            rest <<= 8;
+        }
+        for _ in 0..bits % 8 {
+            h = (h ^ (rest >> 63)).wrapping_mul(FNV_PRIME);
+            rest <<= 1;
+        }
     }
     (h % p as u64) as usize
 }

@@ -167,8 +167,10 @@ impl BitStr {
         BitStr { len, words }
     }
 
-    /// The `⌈len/64⌉` words holding the bits.
-    fn words(&self) -> &[u64] {
+    /// The `⌈len/64⌉` words holding the bits, most significant first
+    /// (see the [layout](self#layout)); the padding bits are zero.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
         let used = self.len.div_ceil(WORD);
         match &self.words {
             Words::Inline(w) => &w[..used],
