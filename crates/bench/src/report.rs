@@ -1,12 +1,11 @@
 //! Report rendering: aligned text tables per experiment.
 
-use serde::Serialize;
 use st_core::StError;
 use std::fmt;
 use std::io::Write;
 
 /// One experiment's regenerated table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Experiment id (e.g. `e3`).
     pub id: String,

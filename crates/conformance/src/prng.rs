@@ -9,35 +9,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use st_core::rng::{fnv1a, splitmix64, FNV_OFFSET};
 
-/// One splitmix64 step — the standard 64-bit finalizer, also used by the
-/// offline `StdRng` seeding path, so the whole tree is a pure function
-/// of its root.
-#[must_use]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Hash a label into a stream tag (FNV-1a, stable across platforms).
-#[must_use]
-fn stream_tag(label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Derive the seed for stream `label`, element `index`, under `master`.
-/// Pure and collision-mixed: distinct `(label, index)` pairs get
-/// independent-looking seeds.
+/// Derive the seed for stream `label`, element `index`, under `master`:
+/// the label's FNV-1a hash and the index mixed in by two SplitMix64
+/// finalizers. Pure and collision-mixed: distinct `(label, index)`
+/// pairs get independent-looking seeds.
 #[must_use]
 pub fn derive_seed(master: u64, label: &str, index: u64) -> u64 {
-    splitmix64(splitmix64(master ^ stream_tag(label)) ^ index)
+    let tag = fnv1a(FNV_OFFSET, label.as_bytes());
+    splitmix64(splitmix64(master ^ tag) ^ index)
 }
 
 /// A ready-to-use RNG for stream `label`, element `index`.

@@ -16,6 +16,7 @@
 //! pipelines, *not* a cryptographic primitive; the workspace vendors no
 //! crypto), and [`BudgetLedger`] does per-tenant admission accounting.
 
+use crate::rng::{fnv1a, FNV_OFFSET};
 use crate::usage::ResourceUsage;
 use std::fmt;
 
@@ -189,16 +190,8 @@ impl BillingKey {
     }
 
     fn tag(self, bytes: &[u8]) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET ^ self.0;
-        for chunk in [&self.0.to_le_bytes()[..], bytes, &self.0.to_be_bytes()[..]] {
-            for &b in chunk {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        }
-        h
+        let h = fnv1a(FNV_OFFSET ^ self.0, &self.0.to_le_bytes());
+        fnv1a(fnv1a(h, bytes), &self.0.to_be_bytes())
     }
 
     /// Sign a bill.

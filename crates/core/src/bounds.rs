@@ -7,7 +7,6 @@
 //! notation, and *classified* asymptotically (is it `o(log N)`? is
 //! `r·s ∈ o(N^{1/4})`? — the hypotheses of Theorem 6).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A symbolic resource-bound function of the input size `N`.
@@ -17,7 +16,7 @@ use std::fmt;
 /// the paper are tiny compared to `f64`'s integer range — and rounds *up*
 /// (a machine is allowed `⌈bound(N)⌉` units, matching the paper's
 /// convention that `O(·)` absorbs constant slack).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Bound {
     /// The constant function `N ↦ c`. Written `O(1)` when displayed with
     /// `c = 1`, else `c`.
@@ -147,7 +146,7 @@ impl fmt::Display for Bound {
 }
 
 /// The number `t` of external-memory tapes in a class specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TapeCount {
     /// Exactly `t` external tapes, as in `ST(r, s, t)`.
     Exactly(usize),

@@ -9,12 +9,11 @@
 
 use crate::bounds::{Bound, TapeCount};
 use crate::usage::{BoundCheck, ResourceUsage};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which side of a randomized machine's answers may err (Definition 4 and
 /// the discussion of `co-RST`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorSide {
     /// `(½,0)`-RTM: no false positives; yes-instances accepted with
     /// probability ≥ ½. This is the `RST` error model.
@@ -37,7 +36,7 @@ impl ErrorSide {
 }
 
 /// The machine model underlying a class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineMode {
     /// Deterministic — the `ST(·,·,·)` classes.
     Deterministic,
@@ -64,7 +63,7 @@ impl fmt::Display for MachineMode {
 }
 
 /// A fully specified complexity class, e.g. `RST(2, O(log N), 1)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassSpec {
     /// Machine model.
     pub mode: MachineMode,

@@ -22,11 +22,10 @@
 //!
 //! [`ResourceUsage`]: crate::usage::ResourceUsage
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Communication consumed by one distributed run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommUsage {
     /// Number of workers the cluster was planned with (`p`).
     pub workers: usize,
@@ -43,47 +42,35 @@ pub struct CommUsage {
     /// the *load* `L` of the MPC model.
     pub max_load: u64,
     /// Retransmissions forced by dropped or corrupted deliveries.
-    #[serde(default)]
     pub retries: u64,
     /// Bytes re-sent beyond the first attempt of each message (retries
     /// and spurious duplicates both land here).
-    #[serde(default)]
     pub redundant_bytes: u64,
     /// Acknowledgements returned by the reliable-delivery protocol.
-    #[serde(default)]
     pub acks: u64,
     /// Frames whose crc32 check failed on receipt (corruption detected,
     /// frame refused, retransmission requested).
-    #[serde(default)]
     pub checksum_failures: u64,
     /// Duplicate deliveries discarded by sequence-number dedup.
-    #[serde(default)]
     pub duplicates_dropped: u64,
     /// Frames that arrived out of send order and were re-sequenced.
-    #[serde(default)]
     pub reordered: u64,
     /// Frames the fault plan held back before eventual delivery.
-    #[serde(default)]
     pub delayed: u64,
     /// Exponential-backoff ticks spent waiting between attempts.
-    #[serde(default)]
     pub backoff_ticks: u64,
     /// Extra supersteps replayed to rebuild crashed workers.
-    #[serde(default)]
     pub recovery_rounds: u64,
     /// Worker incarnations killed by the fault plan.
-    #[serde(default)]
     pub worker_crashes: u64,
     /// Head reversals charged by incarnations that died (absorbed here so
     /// the lost work stays priced without polluting the surviving
     /// workers' bit-identical [`ResourceUsage`]).
     ///
     /// [`ResourceUsage`]: crate::usage::ResourceUsage
-    #[serde(default)]
     pub lost_reversals: u64,
     /// Tape cells touched by incarnations that died (see
     /// [`Self::lost_reversals`]).
-    #[serde(default)]
     pub lost_cells: u64,
 }
 

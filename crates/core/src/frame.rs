@@ -1,18 +1,28 @@
-//! The workspace's one length-framed codec: `[u32 LE body length][body]`.
+//! The workspace's framing: one length-framed codec, one checksummed
+//! seal, and one cursor over a frame body.
 //!
-//! The serve protocol and the MPC exchange (wire and superstep
-//! journal) share this layout, so it lives here, below both. Bodies
-//! over [`MAX_FRAME`] are rejected on both sides: the encode side
-//! refuses to produce an unreadable frame, the decode side refuses a
-//! length prefix before allocating for it. A clean EOF at a frame
-//! boundary is "no more frames"; an EOF inside a header or body is an
-//! `UnexpectedEof` error — a torn frame never panics or silently
-//! truncates.
+//! **Length frames** are `[u32 LE body length][body]`. The serve
+//! protocol and the MPC exchange (wire and superstep journal) share
+//! this layout, so it lives here, below both. Bodies over
+//! [`MAX_FRAME`] are rejected on both sides: the encode side refuses to
+//! produce an unreadable frame, the decode side refuses a length prefix
+//! before allocating for it. A clean EOF at a frame boundary is "no
+//! more frames"; an EOF inside a header or body is an `UnexpectedEof`
+//! error — a torn frame never panics or silently truncates.
 //!
 //! [`write_frame`] hands the transport the whole frame in one
 //! `write_all`. A header and body written separately reach a TCP socket
 //! as two segments, and with Nagle's algorithm on the second waits for
 //! the peer's delayed ACK (≈ 40 ms on Linux) — on every reply.
+//!
+//! **Sealed frames** are `[head][crc32(head ‖ body) u32 LE][body]`
+//! ([`put_sealed`], [`open_sealed`]). The durable WAL seals with the
+//! head `[tag u8][len u32 LE]`, the MPC net layer with `[seq u32 LE]`.
+//! The crc covers the head too, so a flip anywhere in a frame fails it.
+//!
+//! **Bodies** are read through [`BodyReader`] and written with
+//! [`put_u32`], [`put_u64`] and [`put_bytes`]: little-endian integers
+//! and `u32`-length-prefixed byte strings.
 
 use std::io::{self, Read, Write};
 
@@ -120,6 +130,190 @@ pub fn read_frame_lenient<R: Read>(r: &mut R) -> io::Result<FrameRead> {
         return Ok(FrameRead::Oversize(len));
     }
     read_body(r, len).map(FrameRead::Frame)
+}
+
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table and
+/// `CRC_TABLES[k][b]` advances `CRC_TABLES[k − 1][b]` over one more
+/// zero byte, so eight table reads fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut i = 0;
+        while i < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC_POLY
+            } else {
+                crc >> 1
+            };
+            i += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Fold `bytes` into the running (pre-inverted) crc register.
+#[inline]
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |x: u32, shift: u32| ((x >> shift) & 0xff) as usize;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
+    }
+    crc
+}
+
+/// CRC-32 (IEEE, the `cksum`/zlib one) over `bytes`, slicing-by-8 with
+/// compile-time tables — no dependency. It guards every journal frame
+/// and every MPC net frame, so it runs over each byte the exchange and
+/// the WAL move.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// The crc a sealed frame stores: over `head` then `body`, as one
+/// message, with no copy of either.
+fn seal_crc(head: &[u8], body: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, head), body)
+}
+
+/// Append the sealed frame `[head][crc32(head ‖ body) u32 LE][body]`.
+pub fn put_sealed(out: &mut Vec<u8>, head: &[u8], body: &[u8]) {
+    out.reserve(head.len() + 4 + body.len());
+    out.extend_from_slice(head);
+    put_u32(out, seal_crc(head, body));
+    out.extend_from_slice(body);
+}
+
+/// Open exactly one sealed frame whose head is `H` bytes: its head and
+/// body, or `None` when `frame` is shorter than `H + 4` bytes or its crc
+/// does not match.
+#[must_use]
+pub fn open_sealed<const H: usize>(frame: &[u8]) -> Option<([u8; H], &[u8])> {
+    let head: [u8; H] = frame.get(..H)?.try_into().ok()?;
+    let stored: [u8; 4] = frame.get(H..H + 4)?.try_into().ok()?;
+    let body = &frame[H + 4..];
+    (seal_crc(&head, body) == u32::from_le_bytes(stored)).then_some((head, body))
+}
+
+/// Append `v` little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `v` little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `[u32 LE length][bytes]`. A blob that could not travel in a
+/// frame is `InvalidInput` (see [`checked_len`]) and appends nothing.
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) -> io::Result<()> {
+    put_u32(out, checked_len(bytes.len())?);
+    out.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// A cursor over a frame body. Every read fails with `"truncated
+/// frame"` on a short buffer instead of panicking, and [`Self::done`]
+/// fails with `"trailing bytes in frame"` unless the body was consumed
+/// exactly.
+#[derive(Debug)]
+pub struct BodyReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> BodyReader<'a> {
+    /// A cursor at the start of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
+        BodyReader { buf, pos: 0 }
+    }
+
+    /// The next `N` bytes.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let bytes = self.take(N)?;
+        Ok(bytes.try_into().expect("take returns N bytes"))
+    }
+
+    /// The next `len` bytes.
+    #[inline]
+    fn take(&mut self, len: usize) -> Result<&'a [u8], String> {
+        let end = self.pos.checked_add(len).ok_or("truncated frame")?;
+        let bytes = self.buf.get(self.pos..end).ok_or("truncated frame")?;
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, String> {
+        self.array::<1>().map(|[b]| b)
+    }
+
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, String> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A `[u32 LE length][bytes]` blob, borrowed from the body.
+    #[inline]
+    pub fn bytes(&mut self) -> Result<&'a [u8], String> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// Succeed iff every byte of the body was read.
+    pub fn done(self) -> Result<(), String> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err("trailing bytes in frame".into())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -270,6 +464,84 @@ mod tests {
         }
     }
 
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // The classic IEEE check value.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// The reference model: CRC-32 bit by bit, eight shifts per byte.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let low = crc & 1;
+                crc >>= 1;
+                if low != 0 {
+                    crc ^= CRC_POLY;
+                }
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sealed_frames_reject_short_and_flipped_frames() {
+        let mut frame = Vec::new();
+        put_sealed(&mut frame, &[9, 8], b"body");
+        assert_eq!(frame.len(), 2 + 4 + 4);
+        assert_eq!(open_sealed::<2>(&frame), Some(([9, 8], &b"body"[..])));
+        for cut in 0..6 {
+            assert_eq!(open_sealed::<2>(&frame[..cut]), None, "cut {cut}");
+        }
+        for i in 0..frame.len() {
+            let mut bad = frame.clone();
+            bad[i] ^= 0x10;
+            assert_eq!(open_sealed::<2>(&bad), None, "flip at {i}");
+        }
+    }
+
+    #[test]
+    fn body_reader_reads_exactly_and_names_the_failure() {
+        let mut body = vec![7u8];
+        put_u32(&mut body, 0xdead_beef);
+        put_u64(&mut body, u64::MAX - 1);
+        put_bytes(&mut body, b"xyz").unwrap();
+        let mut rd = BodyReader::new(&body);
+        assert_eq!(rd.u8().unwrap(), 7);
+        assert_eq!(rd.u32().unwrap(), 0xdead_beef);
+        assert_eq!(rd.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(rd.bytes().unwrap(), b"xyz");
+        rd.done().unwrap();
+        for cut in 0..body.len() {
+            let mut rd = BodyReader::new(&body[..cut]);
+            let err = (|| {
+                rd.u8()?;
+                rd.u32()?;
+                rd.u64()?;
+                rd.bytes().map(|_| ())
+            })()
+            .unwrap_err();
+            assert_eq!(err, "truncated frame", "cut {cut}");
+        }
+        let mut rd = BodyReader::new(&body);
+        rd.u8().unwrap();
+        assert_eq!(rd.done().unwrap_err(), "trailing bytes in frame");
+        // A length prefix past the end of the body.
+        let mut lying = Vec::new();
+        put_u32(&mut lying, u32::MAX);
+        assert_eq!(
+            BodyReader::new(&lying).bytes().unwrap_err(),
+            "truncated frame"
+        );
+        let mut kept = b"kept".to_vec();
+        let huge = vec![0u8; MAX_FRAME as usize + 1];
+        assert!(put_bytes(&mut kept, &huge).is_err());
+        assert_eq!(kept, b"kept", "a refused blob appends nothing");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -285,6 +557,31 @@ mod tests {
                 seen.push(b);
             }
             prop_assert_eq!(seen, bodies);
+        }
+
+        /// The table-driven crc equals the bitwise model on every input,
+        /// across all eight remainders of the slicing-by-8 loop.
+        #[test]
+        fn table_crc_matches_the_bitwise_model(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+
+        /// A seal's crc, folded over head then body, is the crc of the
+        /// two concatenated, and every sealed frame opens to its parts.
+        #[test]
+        fn seals_checksum_head_and_body_as_one_message(
+            head in proptest::collection::vec(any::<u8>(), 5..=5),
+            body in proptest::collection::vec(any::<u8>(), 0..100),
+        ) {
+            let mut frame = Vec::new();
+            put_sealed(&mut frame, &head, &body);
+            let whole: Vec<u8> = head.iter().chain(&body).copied().collect();
+            prop_assert_eq!(&frame[5..9], &crc32(&whole).to_le_bytes()[..]);
+            let (h, b) = open_sealed::<5>(&frame).unwrap();
+            prop_assert_eq!(&h[..], &head[..]);
+            prop_assert_eq!(b, &body[..]);
         }
     }
 }

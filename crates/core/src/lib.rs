@@ -16,7 +16,11 @@
 //!   load, the wire-side siblings of the reversal/space budgets;
 //! * [`frame`] — the one `[u32 LE len][body]` codec under the serve
 //!   protocol and the MPC exchange wire and journal: size cap, torn-frame
-//!   errors, a lenient drain, one write per frame;
+//!   errors, a lenient drain, one write per frame; the crc32-sealed
+//!   frame under the durable WAL and the MPC net layer; and the one
+//!   cursor and put helpers for frame bodies;
+//! * [`rng`] — the one SplitMix64 mixer and stream and the one FNV-1a
+//!   hash under every seeded fault stream, seed tree and bill MAC;
 //! * [`pool`] — the shared work-stealing `pool_map` primitive under the
 //!   experiment runner, the conformance fuzzer, and the MPC supersteps;
 //! * [`theorems`] — the parameter calculators of the paper's quantitative
@@ -47,6 +51,7 @@ pub mod error;
 pub mod frame;
 pub mod math;
 pub mod pool;
+pub mod rng;
 pub mod theorems;
 pub mod usage;
 pub mod verdict;

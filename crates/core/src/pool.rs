@@ -7,9 +7,18 @@
 //! artifact built on top is byte-identical across `--jobs` values by
 //! construction. It lives in `st-core` (std-only, no machine state) so
 //! both `st-bench` and `st-mpc` can use it without a dependency cycle.
+//! [`lock`] is the one way the workspace takes a shared `Mutex`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, ignoring poisoning. The experiment runner catches a
+/// panicking experiment and goes on with the rest, so the tracers and
+/// memory meters shared with it must stay usable after a holder
+/// panicked.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Generic work-stealing fan-out: `jobs` scoped worker threads claim
 /// indices `0..work` from a shared atomic counter in `schedule` order and
@@ -93,6 +102,19 @@ mod tests {
         let serial = pool_map(17, 1, None, |i| i + 100);
         let parallel = pool_map(17, 8, None, |i| i + 100);
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn lock_survives_a_panicking_holder() {
+        let m = std::sync::Arc::new(Mutex::new(0u32));
+        let m2 = std::sync::Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _guard = lock(&m2);
+            panic!("poison the mutex");
+        })
+        .join();
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
     }
 
     #[test]

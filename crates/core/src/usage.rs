@@ -9,11 +9,10 @@
 //! [`ResourceUsage::check`] verdicts it against a class's bounds.
 
 use crate::bounds::{Bound, TapeCount};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Resources consumed by one run (or one algorithm execution).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResourceUsage {
     /// Input size `N` (number of symbols of the input word).
     pub input_len: usize,
@@ -138,7 +137,7 @@ impl fmt::Display for ResourceUsage {
 }
 
 /// One violated budget in a bound check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// The scan budget `r(N)` was exceeded.
     Scans {
@@ -180,7 +179,7 @@ impl fmt::Display for Violation {
 }
 
 /// The outcome of checking a run against `(r, s, t)` bounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundCheck {
     /// The usage record checked.
     pub usage: ResourceUsage,

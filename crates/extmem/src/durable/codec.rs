@@ -22,6 +22,7 @@
 //! or version skew worth surfacing loudly.
 
 use super::frame::DurableRecord;
+use st_core::frame::{put_u32, BodyReader};
 use st_core::StError;
 
 /// Pack `records` into one block payload.
@@ -33,14 +34,14 @@ pub fn encode_block<S: DurableRecord>(records: &[S]) -> Result<Vec<u8>, StError>
     let count = u32::try_from(records.len())
         .map_err(|_| StError::Machine("record block exceeds u32::MAX records".into()))?;
     let mut out = Vec::with_capacity(4 + records.len() * 8);
-    out.extend_from_slice(&count.to_le_bytes());
+    put_u32(&mut out, count);
     let mut scratch = Vec::new();
     for r in records {
         scratch.clear();
         r.encode_record(&mut scratch);
         let len = u32::try_from(scratch.len())
             .map_err(|_| StError::Machine("record encoding exceeds u32::MAX bytes".into()))?;
-        out.extend_from_slice(&len.to_le_bytes());
+        put_u32(&mut out, len);
         out.extend_from_slice(&scratch);
     }
     Ok(out)
@@ -48,37 +49,14 @@ pub fn encode_block<S: DurableRecord>(records: &[S]) -> Result<Vec<u8>, StError>
 
 /// Unpack a payload produced by [`encode_block`], consuming every byte.
 pub fn decode_block<S: DurableRecord>(bytes: &[u8]) -> Result<Vec<S>, StError> {
-    let header: [u8; 4] = bytes
-        .get(..4)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| StError::Machine("record block: missing count header".into()))?;
-    let count = u32::from_le_bytes(header) as usize;
+    let malformed = |e: String| StError::Machine(format!("record block: {e}"));
+    let mut rd = BodyReader::new(bytes);
+    let count = rd.u32().map_err(malformed)? as usize;
     let mut records = Vec::with_capacity(count.min(bytes.len() / 4));
-    let mut pos = 4usize;
-    for i in 0..count {
-        let len_bytes: [u8; 4] = bytes
-            .get(pos..pos + 4)
-            .and_then(|b| b.try_into().ok())
-            .ok_or_else(|| {
-                StError::Machine(format!("record block: truncated length of record {i}"))
-            })?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        pos += 4;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| {
-                StError::Machine(format!("record block: truncated body of record {i}"))
-            })?;
-        records.push(S::decode_record(&bytes[pos..end])?);
-        pos = end;
+    for _ in 0..count {
+        records.push(S::decode_record(rd.bytes().map_err(malformed)?)?);
     }
-    if pos != bytes.len() {
-        return Err(StError::Machine(format!(
-            "record block: {} trailing byte(s) after {count} record(s)",
-            bytes.len() - pos
-        )));
-    }
+    rd.done().map_err(malformed)?;
     Ok(records)
 }
 

@@ -8,11 +8,12 @@
 //! └─────────┴──────────────┴──────────────┴─────────────────┘
 //! ```
 //!
-//! The CRC (IEEE 802.3 polynomial, the `cksum`/zlib one) covers the tag,
-//! the length field and the payload, so a frame self-validates: a torn
-//! tail — a partial header, a payload cut short by a crash, or bytes
-//! scribbled by a failing device — fails the checksum and the decoder
-//! stops at the last byte of the preceding valid frame. [`decode_frames`]
+//! This is [`st_core::frame`]'s sealed frame with the head `[tag][len]`:
+//! the CRC ([`st_core::frame::crc32`]) covers the tag, the length field
+//! and the payload, so a frame self-validates: a torn tail — a partial
+//! header, a payload cut short by a crash, or bytes scribbled by a
+//! failing device — fails the checksum and the decoder stops at the
+//! last byte of the preceding valid frame. [`decode_frames`]
 //! therefore never panics and never yields a wrong payload on *any*
 //! input, a property pinned by proptest below (arbitrary payloads,
 //! arbitrary truncation).
@@ -22,6 +23,7 @@
 //! marks an atomic recovery point — the write-ahead journal's unit of
 //! durability (see [`crate::durable::wal`]).
 
+use st_core::frame::{open_sealed, put_sealed};
 use st_core::StError;
 
 /// Fixed header size: tag (1) + length (4) + crc (4).
@@ -72,88 +74,15 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// The reflected IEEE 802.3 polynomial.
-const CRC_POLY: u32 = 0xedb8_8320;
-
-/// Slicing-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table and
-/// `CRC_TABLES[k][b]` advances `CRC_TABLES[k − 1][b]` over one more
-/// zero byte, so eight table reads fold eight input bytes at once.
-const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut b = 0;
-    while b < 256 {
-        let mut crc = b as u32;
-        let mut i = 0;
-        while i < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ CRC_POLY
-            } else {
-                crc >> 1
-            };
-            i += 1;
-        }
-        t[0][b] = crc;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = t[k - 1][b];
-            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// CRC-32 (IEEE) over `bytes`, slicing-by-8 with compile-time tables —
-/// no dependency. It guards every journal frame and every MPC net
-/// frame, so it runs over each byte the exchange and the WAL move.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let byte = |x: u32, shift: u32| ((x >> shift) & 0xff) as usize;
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][byte(lo, 0)]
-            ^ t[6][byte(lo, 8)]
-            ^ t[5][byte(lo, 16)]
-            ^ t[4][byte(lo, 24)]
-            ^ t[3][byte(hi, 0)]
-            ^ t[2][byte(hi, 8)]
-            ^ t[1][byte(hi, 16)]
-            ^ t[0][byte(hi, 24)];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
-    }
-    !crc
-}
-
 /// Append one frame to `out`. Payloads longer than `u32::MAX` are a
 /// caller bug (cells are small); this returns an error rather than
 /// silently truncating.
 pub fn encode_frame(tag: FrameTag, payload: &[u8], out: &mut Vec<u8>) -> Result<(), StError> {
     let len = u32::try_from(payload.len())
         .map_err(|_| StError::Machine("frame payload exceeds u32::MAX bytes".into()))?;
-    let start = out.len();
-    out.push(tag.as_byte());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.extend_from_slice(payload);
-    // CRC over tag + len + payload (skipping the placeholder itself).
-    let mut hasher_input = Vec::with_capacity(5 + payload.len());
-    hasher_input.extend_from_slice(&out[start..start + 5]);
-    hasher_input.extend_from_slice(payload);
-    let crc = crc32(&hasher_input);
-    out[start + 5..start + 9].copy_from_slice(&crc.to_le_bytes());
+    let mut head = [tag.as_byte(), 0, 0, 0, 0];
+    head[1..].copy_from_slice(&len.to_le_bytes());
+    put_sealed(out, &head, payload);
     Ok(())
 }
 
@@ -168,32 +97,25 @@ pub fn encode_frame(tag: FrameTag, payload: &[u8], out: &mut Vec<u8>) -> Result<
 pub fn decode_frames(buf: &[u8]) -> (Vec<Frame>, usize) {
     let mut frames = Vec::new();
     let mut pos = 0usize;
-    while buf.len() - pos >= HEADER_LEN {
-        let Some(tag) = FrameTag::from_byte(buf[pos]) else {
+    while let Some(&[tag, l0, l1, l2, l3]) = buf.get(pos..pos + 5) {
+        let Some(tag) = FrameTag::from_byte(tag) else {
             break;
         };
-        let len_bytes: [u8; 4] = buf[pos + 1..pos + 5].try_into().expect("4-byte slice");
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let crc_bytes: [u8; 4] = buf[pos + 5..pos + 9].try_into().expect("4-byte slice");
-        let stored_crc = u32::from_le_bytes(crc_bytes);
-        let Some(end) = pos.checked_add(HEADER_LEN).and_then(|p| p.checked_add(len)) else {
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let Some(frame) = (pos + HEADER_LEN)
+            .checked_add(len)
+            .and_then(|end| buf.get(pos..end))
+        else {
             break;
         };
-        if end > buf.len() {
+        let Some((_, payload)) = open_sealed::<5>(frame) else {
             break;
-        }
-        let payload = &buf[pos + HEADER_LEN..end];
-        let mut hasher_input = Vec::with_capacity(5 + len);
-        hasher_input.extend_from_slice(&buf[pos..pos + 5]);
-        hasher_input.extend_from_slice(payload);
-        if crc32(&hasher_input) != stored_crc {
-            break;
-        }
+        };
         frames.push(Frame {
             tag,
             payload: payload.to_vec(),
         });
-        pos = end;
+        pos += frame.len();
     }
     (frames, pos)
 }
@@ -246,13 +168,6 @@ impl DurableRecord for String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frames_round_trip_in_sequence() {
@@ -351,32 +266,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The reference model: CRC-32 bit by bit, eight shifts per byte.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                let low = crc & 1;
-                crc >>= 1;
-                if low != 0 {
-                    crc ^= CRC_POLY;
-                }
-            }
-        }
-        !crc
-    }
-
     proptest! {
-        /// The table-driven crc equals the bitwise model on every input,
-        /// across all eight remainders of the slicing-by-8 loop.
-        #[test]
-        fn table_crc_matches_the_bitwise_model(
-            bytes in proptest::collection::vec(any::<u8>(), 0..200),
-        ) {
-            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
-        }
-
         /// The satellite property: arbitrary payload sequences encode,
         /// and *any* truncation decodes without panicking to exactly the
         /// frames whose final byte survived — never a wrong payload.

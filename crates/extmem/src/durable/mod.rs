@@ -31,6 +31,6 @@ pub mod tape;
 pub mod wal;
 
 pub use codec::{decode_block, encode_block};
-pub use frame::{crc32, decode_frames, encode_frame, DurableRecord, Frame, FrameTag};
+pub use frame::{decode_frames, encode_frame, DurableRecord, Frame, FrameTag};
 pub use tape::{DurableBlockTape, DurableTape};
 pub use wal::{Recovery, Wal};

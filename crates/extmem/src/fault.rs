@@ -40,6 +40,8 @@
 //! never affected by injection — corruption changes *data*, not *head
 //! mechanics*, so the `(r,s,t)` cost of a run stays honest.
 
+use st_core::rng::{fnv1a, SplitMix64, FNV_OFFSET};
+
 /// How a cell type is corrupted by an injected fault.
 ///
 /// `entropy` is a fresh 64-bit draw from the fault stream; implementations
@@ -181,12 +183,7 @@ impl FaultPlan {
     /// one plan get independent (but individually replayable) streams.
     #[must_use]
     pub fn stream_seed(&self, tape_name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in tape_name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.seed ^ h
+        self.seed ^ fnv1a(FNV_OFFSET, tape_name.as_bytes())
     }
 }
 
@@ -259,7 +256,7 @@ pub(crate) enum WriteFault {
 #[derive(Debug, Clone)]
 pub(crate) struct TapeFaults<S> {
     plan: FaultPlan,
-    state: u64,
+    stream: SplitMix64,
     pub(crate) corrupt: fn(&S, u64) -> S,
     pub(crate) stats: FaultStats,
 }
@@ -268,19 +265,10 @@ impl<S> TapeFaults<S> {
     pub(crate) fn new(plan: &FaultPlan, tape_name: &str, corrupt: fn(&S, u64) -> S) -> Self {
         TapeFaults {
             plan: *plan,
-            state: plan.stream_seed(tape_name),
+            stream: SplitMix64::new(plan.stream_seed(tape_name)),
             corrupt,
             stats: FaultStats::default(),
         }
-    }
-
-    /// Advance the SplitMix64 stream one step.
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     /// One Bernoulli roll at probability `rate`.
@@ -290,7 +278,7 @@ impl<S> TapeFaults<S> {
             // bit-identical to running with no plan attached.
             return false;
         }
-        let u = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = (self.stream.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         u < rate
     }
 
@@ -300,12 +288,12 @@ impl<S> TapeFaults<S> {
         self.stats.reads += 1;
         if self.roll(self.plan.bit_flip) {
             self.stats.bit_flips += 1;
-            let e = self.next_u64();
+            let e = self.stream.next_u64();
             return ReadFault::Persistent(e);
         }
         if self.roll(self.plan.transient_read) {
             self.stats.transient_reads += 1;
-            let e = self.next_u64();
+            let e = self.stream.next_u64();
             return ReadFault::Transient(e);
         }
         ReadFault::Clean
@@ -318,7 +306,7 @@ impl<S> TapeFaults<S> {
         if self.roll(self.plan.stuck_write) {
             if is_append {
                 self.stats.torn_writes += 1;
-                let e = self.next_u64();
+                let e = self.stream.next_u64();
                 return WriteFault::Torn(e);
             }
             self.stats.stuck_writes += 1;
@@ -326,7 +314,7 @@ impl<S> TapeFaults<S> {
         }
         if self.roll(self.plan.torn_write) {
             self.stats.torn_writes += 1;
-            let e = self.next_u64();
+            let e = self.stream.next_u64();
             return WriteFault::Torn(e);
         }
         WriteFault::Clean

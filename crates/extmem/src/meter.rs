@@ -12,9 +12,9 @@
 //! buffers (e.g. the record buffer of a merge pass) are metered for
 //! exactly their live range.
 
-use parking_lot::Mutex;
+use st_core::pool::lock;
 use st_trace::{TraceEvent, Tracer};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -55,7 +55,7 @@ impl MemoryMeter {
     /// guard.
     #[must_use]
     pub fn charge(&self, bits: u64) -> MemoryCharge {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.current += bits;
         if g.current > g.high {
             g.high = g.current;
@@ -70,7 +70,7 @@ impl MemoryMeter {
     /// Charge `bits` permanently (no guard; models state that lives for
     /// the whole run, like the fingerprint registers).
     pub fn charge_static(&self, bits: u64) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.current += bits;
         if g.current > g.high {
             g.high = g.current;
@@ -81,7 +81,7 @@ impl MemoryMeter {
     /// Record that at some instant `bits` were live, without changing the
     /// current level (for one-shot peak observations).
     pub fn note_peak(&self, bits: u64) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let peak = g.current + bits;
         if peak > g.high {
             g.high = peak;
@@ -92,17 +92,17 @@ impl MemoryMeter {
     /// Currently-live bits.
     #[must_use]
     pub fn current_bits(&self) -> u64 {
-        self.inner.lock().current
+        lock(&self.inner).current
     }
 
     /// The high-water mark in bits.
     #[must_use]
     pub fn high_water_bits(&self) -> u64 {
-        self.inner.lock().high
+        lock(&self.inner).high
     }
 
     fn release(&self, bits: u64) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         debug_assert!(g.current >= bits, "meter release exceeds charge");
         g.current = g.current.saturating_sub(bits);
         g.tracer.emit(|| TraceEvent::MemRelease { bits });
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn meter_is_sound_across_threads() {
         // Workers of the parallel harness may share a meter through
-        // clones: MemoryMeter must be Send + Sync (Arc<parking_lot::
+        // clones: MemoryMeter must be Send + Sync (Arc<std::sync::
         // Mutex<…>> with a Send tracer inside), and concurrent charges
         // must keep the high-water mark consistent.
         fn assert_send_sync<T: Send + Sync>() {}

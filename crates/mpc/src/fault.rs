@@ -3,8 +3,8 @@
 //! The PR 1/PR 5 discipline — faults are *planned*, never random at run
 //! time — moves up to the network layer here. A [`NetFaultPlan`] decides
 //! drop / duplicate / reorder / corrupt / delay for every delivery
-//! attempt from a splitmix-style hash of `(seed, kind, round, link,
-//! seq, attempt)`, so the same plan replays the same storm bit for bit
+//! attempt from a SplitMix64 hash of `(seed, kind, round, link, seq,
+//! attempt)` ([`st_core::rng::splitmix64`]), so the same plan replays the same storm bit for bit
 //! on any `--jobs` value, and a failing run is reproducible from the
 //! seed alone. Worker kills are scheduled the same way:
 //! [`NetFaultPlan::kill_worker_after`] names the exact round after whose
@@ -15,6 +15,7 @@
 //! rate 1.0 — and when it does, the engine surfaces a typed
 //! [`StError`](st_core::StError), never a wrong verdict.
 
+use st_core::rng::splitmix64;
 use st_core::StError;
 
 /// Kinds of injectable network faults, used to salt the fault dice so
@@ -286,7 +287,7 @@ impl NetFaultPlan {
             seq,
             u64::from(attempt),
         ] {
-            h = splitmix(h ^ v);
+            h = splitmix64(h ^ v);
         }
         h
     }
@@ -353,13 +354,6 @@ impl NetFaultPlan {
             .filter(|&k| self.fires(k, round, from, to, seq, attempt))
             .collect()
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

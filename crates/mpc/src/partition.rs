@@ -15,6 +15,7 @@
 //! so placement is reproducible across runs, worker counts are explicit,
 //! and the shard-count invariance property tests can sweep `p` freely.
 
+use st_core::rng::{FNV_OFFSET, FNV_PRIME};
 use st_problems::BitStr;
 
 /// The contiguous chunk owner of record `index` among `total` records
@@ -42,9 +43,6 @@ pub fn range_shard<T: Clone>(items: &[T], worker: usize, p: usize) -> Vec<T> {
         .map(|(_, v)| v.clone())
         .collect()
 }
-
-/// The FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Eight FNV steps at once: `FNV_PRIME⁸`.
 const FNV_PRIME_8: u64 = FNV_PRIME.wrapping_pow(8);
@@ -91,7 +89,7 @@ const fn byte_steps() -> [[u64; 256]; 2] {
 pub fn hash_partition(seed: u64, record: &BitStr, p: usize) -> usize {
     let p = p.max(1);
     let len = record.len();
-    let mut h = (0xcbf2_9ce4_8422_2325u64 ^ seed ^ len as u64).wrapping_mul(FNV_PRIME);
+    let mut h = (FNV_OFFSET ^ seed ^ len as u64).wrapping_mul(FNV_PRIME);
     for (i, &word) in record.words().iter().enumerate() {
         // Only the last word holds fewer than 64 bits.
         let bits = (len - 64 * i).min(64);

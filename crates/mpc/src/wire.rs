@@ -15,9 +15,8 @@
 //! ([`BitStr::write_ascii`], [`BitStr::parse_bytes`]); any byte other
 //! than `0`/`1` in a record is a `bad record` error.
 
-use st_core::frame::checked_len;
+use st_core::frame::{checked_len, open_sealed, put_sealed, put_u32, put_u64, BodyReader};
 pub use st_core::frame::{read_frame, write_frame, MAX_FRAME};
-use st_extmem::durable::crc32;
 use st_problems::BitStr;
 use std::io;
 
@@ -66,14 +65,6 @@ pub enum Payload {
     Count(u64),
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// `[u32 LE ASCII length][ASCII bits]` — the text form is one byte per
 /// bit, so the prefix is the value's length.
 fn put_record(out: &mut Vec<u8>, r: &BitStr) -> io::Result<()> {
@@ -82,59 +73,8 @@ fn put_record(out: &mut Vec<u8>, r: &BitStr) -> io::Result<()> {
     Ok(())
 }
 
-/// A cursor over a decoded body; every accessor fails on a truncated
-/// buffer instead of panicking.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self.buf.get(self.pos).ok_or("truncated frame")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let end = self.pos.checked_add(4).ok_or("truncated frame")?;
-        let bytes = self.buf.get(self.pos..end).ok_or("truncated frame")?;
-        self.pos = end;
-        let arr: [u8; 4] = bytes
-            .try_into()
-            .map_err(|_| "truncated frame".to_string())?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let end = self.pos.checked_add(8).ok_or("truncated frame")?;
-        let bytes = self.buf.get(self.pos..end).ok_or("truncated frame")?;
-        self.pos = end;
-        let arr: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| "truncated frame".to_string())?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    fn record(&mut self) -> Result<BitStr, String> {
-        let len = self.u32()? as usize;
-        let end = self.pos.checked_add(len).ok_or("truncated frame")?;
-        let data = self.buf.get(self.pos..end).ok_or("truncated frame")?;
-        self.pos = end;
-        BitStr::parse_bytes(data).map_err(|e| format!("bad record: {e}"))
-    }
-
-    fn done(self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err("trailing bytes in frame".into())
-        }
-    }
+fn read_record(rd: &mut BodyReader<'_>) -> Result<BitStr, String> {
+    BitStr::parse_bytes(rd.bytes()?).map_err(|e| format!("bad record: {e}"))
 }
 
 impl Envelope {
@@ -174,7 +114,7 @@ impl Envelope {
     /// Decode a frame body. Torn or trailing bytes are an error, never a
     /// panic.
     pub fn decode(body: &[u8]) -> Result<Self, String> {
-        let mut rd = Rd::new(body);
+        let mut rd = BodyReader::new(body);
         let from = rd.u32()?;
         let to = rd.u32()?;
         let payload = match rd.u8()? {
@@ -190,7 +130,7 @@ impl Envelope {
                 // of reserving gigabytes.
                 let mut records = Vec::with_capacity(count.min(65_536));
                 for _ in 0..count {
-                    records.push(rd.record()?);
+                    records.push(read_record(&mut rd)?);
                 }
                 Payload::Records { tape, records }
             }
@@ -199,12 +139,6 @@ impl Envelope {
         };
         rd.done()?;
         Ok(Envelope { from, to, payload })
-    }
-
-    /// The full on-the-wire size of this message: header plus body —
-    /// what the communication meter charges.
-    pub fn wire_len(&self) -> io::Result<u64> {
-        Ok(4 + self.encode()?.len() as u64)
     }
 }
 
@@ -256,21 +190,14 @@ pub fn split_shard(envs: &[Envelope]) -> Result<(Vec<BitStr>, Vec<BitStr>), Stri
 }
 
 /// Seal an envelope body into a checksummed net frame:
-/// `[seq u32 LE][crc32 u32 LE][body]`, where the crc (the WAL's
-/// reflected crc32, reused from [`st_extmem::durable`]) covers the seq
-/// bytes *and* the body — a flip of any single byte anywhere in the
-/// frame, sequence number included, fails verification on receipt.
+/// `[seq u32 LE][crc32 u32 LE][body]`, [`st_core::frame`]'s sealed frame
+/// with the head `[seq]`. The crc covers the seq bytes *and* the body —
+/// a flip of any single byte anywhere in the frame, sequence number
+/// included, fails verification on receipt.
 #[must_use]
 pub fn seal_net(seq: u32, body: &[u8]) -> Vec<u8> {
-    let seq_bytes = seq.to_le_bytes();
-    let mut summed = Vec::with_capacity(4 + body.len());
-    summed.extend_from_slice(&seq_bytes);
-    summed.extend_from_slice(body);
-    let crc = crc32(&summed);
     let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&seq_bytes);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(body);
+    put_sealed(&mut out, &seq.to_le_bytes(), body);
     out
 }
 
@@ -278,27 +205,9 @@ pub fn seal_net(seq: u32, body: &[u8]) -> Vec<u8> {
 /// A truncated header or a checksum mismatch is an error — the caller
 /// treats it as a detected corruption and requests retransmission.
 pub fn open_net(frame: &[u8]) -> Result<(u32, &[u8]), String> {
-    if frame.len() < 8 {
-        return Err("net frame shorter than its header".into());
-    }
-    let seq_bytes: [u8; 4] = frame[0..4]
-        .try_into()
-        .map_err(|_| "truncated net header".to_string())?;
-    let crc_bytes: [u8; 4] = frame[4..8]
-        .try_into()
-        .map_err(|_| "truncated net header".to_string())?;
-    let body = &frame[8..];
-    let mut summed = Vec::with_capacity(4 + body.len());
-    summed.extend_from_slice(&seq_bytes);
-    summed.extend_from_slice(body);
-    let expect = u32::from_le_bytes(crc_bytes);
-    let got = crc32(&summed);
-    if got != expect {
-        return Err(format!(
-            "net frame crc mismatch: {got:#010x} != {expect:#010x}"
-        ));
-    }
-    Ok((u32::from_le_bytes(seq_bytes), body))
+    open_sealed(frame)
+        .map(|(seq, body)| (u32::from_le_bytes(seq), body))
+        .ok_or_else(|| "net frame truncated or crc mismatch".to_string())
 }
 
 #[cfg(test)]
@@ -453,16 +362,5 @@ mod tests {
             payload: Payload::Count(1),
         }];
         assert!(split_shard(&bad).is_err());
-    }
-
-    #[test]
-    fn wire_len_is_header_plus_body() {
-        let env = Envelope {
-            from: 0,
-            to: 1,
-            payload: Payload::Count(0),
-        };
-        let body = env.encode().unwrap();
-        assert_eq!(env.wire_len().unwrap(), 4 + body.len() as u64);
     }
 }

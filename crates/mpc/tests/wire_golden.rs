@@ -4,8 +4,8 @@
 //! record holding any byte other than `0`/`1` decodes to a typed
 //! `bad record` error.
 
-use st_extmem::durable::crc32;
-use st_mpc::wire::{Envelope, Payload};
+use st_core::frame::crc32;
+use st_mpc::wire::{write_frame, Envelope, Payload};
 use st_problems::BitStr;
 
 fn hex(bytes: &[u8]) -> String {
@@ -78,7 +78,9 @@ fn a_ragged_shard_encodes_to_the_golden_length_and_checksum() {
     let body = env.encode().unwrap();
     assert_eq!(body.len(), 900);
     assert_eq!(crc32(&body), 0x730a_6253);
-    assert_eq!(env.wire_len().unwrap(), 904);
+    let mut framed = Vec::new();
+    write_frame(&mut framed, &body).unwrap();
+    assert_eq!(framed.len(), 904, "the u32 length prefix plus the body");
     assert_eq!(Envelope::decode(&body).unwrap(), env);
 }
 

@@ -6,7 +6,7 @@
 //! [`st_core::frame`], re-exported here; it is transport agnostic, so
 //! the same codec drives a TCP socket and an in-process `Cursor` test.
 
-use st_core::frame::checked_len;
+use st_core::frame::{checked_len, put_bytes, put_u64, BodyReader};
 pub use st_core::frame::{read_frame, read_frame_lenient, write_frame, FrameRead, MAX_FRAME};
 use st_core::{ResourceBill, SignedBill};
 use std::io;
@@ -109,27 +109,10 @@ pub enum Response {
     },
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> io::Result<()> {
-    // A blob that cannot fit a frame body must fail the encode, not
-    // panic the server: tenants control feed sizes.
-    let len = checked_len(b.len())?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(b);
-    Ok(())
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> io::Result<()> {
-    put_bytes(out, s.as_bytes())
-}
-
 fn put_signed_bill(out: &mut Vec<u8>, sb: &SignedBill) -> io::Result<()> {
-    put_str(out, &sb.bill.tenant)?;
+    put_bytes(out, sb.bill.tenant.as_bytes())?;
     put_u64(out, sb.bill.session);
-    put_str(out, &sb.bill.decider)?;
+    put_bytes(out, sb.bill.decider.as_bytes())?;
     put_u64(out, sb.bill.input_len);
     put_u64(out, sb.bill.reversals);
     put_u64(out, sb.bill.internal_bits);
@@ -143,82 +126,38 @@ fn put_signed_bill(out: &mut Vec<u8>, sb: &SignedBill) -> io::Result<()> {
     Ok(())
 }
 
-/// A cursor over a decoded body.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_str(rd: &mut BodyReader<'_>) -> Result<String, String> {
+    String::from_utf8(rd.bytes()?.to_vec()).map_err(|_| "string is not UTF-8".to_string())
 }
 
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self.buf.get(self.pos).ok_or("truncated frame")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let end = self.pos.checked_add(8).ok_or("truncated frame")?;
-        let bytes = self.buf.get(self.pos..end).ok_or("truncated frame")?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let end = self.pos.checked_add(4).ok_or("truncated frame")?;
-        let len_bytes = self.buf.get(self.pos..end).ok_or("truncated frame")?;
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-        self.pos = end;
-        let end = self.pos.checked_add(len).ok_or("truncated frame")?;
-        let data = self.buf.get(self.pos..end).ok_or("truncated frame")?;
-        self.pos = end;
-        Ok(data.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        String::from_utf8(self.bytes()?).map_err(|_| "string is not UTF-8".to_string())
-    }
-
-    fn signed_bill(&mut self) -> Result<SignedBill, String> {
-        let tenant = self.str()?;
-        let session = self.u64()?;
-        let decider = self.str()?;
-        let input_len = self.u64()?;
-        let reversals = self.u64()?;
-        let internal_bits = self.u64()?;
-        let external_cells = self.u64()?;
-        let accepted = match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            2 => None,
-            other => return Err(format!("bad accepted byte {other}")),
-        };
-        let mac = self.u64()?;
-        Ok(SignedBill {
-            bill: ResourceBill {
-                tenant,
-                session,
-                decider,
-                input_len,
-                reversals,
-                internal_bits,
-                external_cells,
-                accepted,
-            },
-            mac,
-        })
-    }
-
-    fn done(self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err("trailing bytes in frame".into())
-        }
-    }
+fn read_signed_bill(rd: &mut BodyReader<'_>) -> Result<SignedBill, String> {
+    let tenant = read_str(rd)?;
+    let session = rd.u64()?;
+    let decider = read_str(rd)?;
+    let input_len = rd.u64()?;
+    let reversals = rd.u64()?;
+    let internal_bits = rd.u64()?;
+    let external_cells = rd.u64()?;
+    let accepted = match rd.u8()? {
+        0 => Some(false),
+        1 => Some(true),
+        2 => None,
+        other => return Err(format!("bad accepted byte {other}")),
+    };
+    let mac = rd.u64()?;
+    Ok(SignedBill {
+        bill: ResourceBill {
+            tenant,
+            session,
+            decider,
+            input_len,
+            reversals,
+            internal_bits,
+            external_cells,
+            accepted,
+        },
+        mac,
+    })
 }
 
 impl Request {
@@ -237,8 +176,8 @@ impl Request {
             } => {
                 out.push(1);
                 put_u64(&mut out, *session);
-                put_str(&mut out, tenant)?;
-                put_str(&mut out, decider)?;
+                put_bytes(&mut out, tenant.as_bytes())?;
+                put_bytes(&mut out, decider.as_bytes())?;
                 put_u64(&mut out, *m);
                 put_u64(&mut out, *n);
             }
@@ -267,18 +206,18 @@ impl Request {
 
     /// Decode a frame body.
     pub fn decode(body: &[u8]) -> Result<Self, String> {
-        let mut rd = Rd::new(body);
+        let mut rd = BodyReader::new(body);
         let req = match rd.u8()? {
             1 => Request::Open {
                 session: rd.u64()?,
-                tenant: rd.str()?,
-                decider: rd.str()?,
+                tenant: read_str(&mut rd)?,
+                decider: read_str(&mut rd)?,
                 m: rd.u64()?,
                 n: rd.u64()?,
             },
             2 => Request::Feed {
                 session: rd.u64()?,
-                bytes: rd.bytes()?,
+                bytes: rd.bytes()?.to_vec(),
             },
             3 => Request::Finish { session: rd.u64()? },
             4 => Request::Step {
@@ -333,7 +272,7 @@ impl Response {
             Response::Error { session, message } => {
                 out.push(70);
                 put_u64(&mut out, *session);
-                put_str(&mut out, message)?;
+                put_bytes(&mut out, message.as_bytes())?;
             }
             Response::Throttled { session } => {
                 out.push(71);
@@ -346,12 +285,12 @@ impl Response {
 
     /// Decode a frame body.
     pub fn decode(body: &[u8]) -> Result<Self, String> {
-        let mut rd = Rd::new(body);
+        let mut rd = BodyReader::new(body);
         let resp = match rd.u8()? {
             64 => Response::OpenOk { session: rd.u64()? },
             65 => Response::OpenRejected {
                 session: rd.u64()?,
-                bill: rd.signed_bill()?,
+                bill: read_signed_bill(&mut rd)?,
             },
             66 => Response::Ack { session: rd.u64()? },
             67 => Response::NeedInput { session: rd.u64()? },
@@ -363,11 +302,11 @@ impl Response {
                     1 => true,
                     other => return Err(format!("bad verdict byte {other}")),
                 },
-                bill: rd.signed_bill()?,
+                bill: read_signed_bill(&mut rd)?,
             },
             70 => Response::Error {
                 session: rd.u64()?,
-                message: rd.str()?,
+                message: read_str(&mut rd)?,
             },
             71 => Response::Throttled { session: rd.u64()? },
             tag => return Err(format!("unknown response tag {tag}")),

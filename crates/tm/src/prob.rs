@@ -5,7 +5,7 @@
 //! experiments enumerate, [`exact_acceptance`] computes this sum exactly
 //! (every run is finite by Definition 1; a step cutoff guards buggy
 //! machines and reports the unresolved mass separately).
-//! [`estimate_acceptance`] samples runs in parallel (crossbeam-scoped
+//! [`estimate_acceptance`] samples runs in parallel (`std::thread::scope`
 //! threads) and reports a Wilson confidence interval.
 
 use crate::machine::Tm;
@@ -63,8 +63,9 @@ pub struct AcceptanceEstimate {
 }
 
 /// Estimate `Pr(T accepts input)` from `trials` independent sampled runs,
-/// split across `threads` crossbeam-scoped workers (deterministic given
-/// `seed`: worker `i` uses seed `seed + i`).
+/// split across `threads` scoped threads, each joined before the counts
+/// are summed (deterministic given `seed`: worker `i` uses seed
+/// `seed + i`).
 pub fn estimate_acceptance(
     tm: &Tm,
     input: &[Sym],
@@ -76,30 +77,28 @@ pub fn estimate_acceptance(
     let threads = threads.max(1);
     let per = trials / threads as u64;
     let extra = trials % threads as u64;
-    let counts: Vec<Result<u64, StError>> = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for i in 0..threads {
-            let quota = per + if (i as u64) < extra { 1 } else { 0 };
-            let tm_ref = &*tm;
-            let input_ref = input;
-            handles.push(scope.spawn(move |_| -> Result<u64, StError> {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                let mut acc = 0u64;
-                for _ in 0..quota {
-                    let r = run_sampled(tm_ref, input_ref.to_vec(), max_steps, &mut rng)?;
-                    if r.accepted() {
-                        acc += 1;
+    let counts: Vec<Result<u64, StError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|i| {
+                let quota = per + if (i as u64) < extra { 1 } else { 0 };
+                scope.spawn(move || -> Result<u64, StError> {
+                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
+                    let mut acc = 0u64;
+                    for _ in 0..quota {
+                        let r = run_sampled(tm, input.to_vec(), max_steps, &mut rng)?;
+                        if r.accepted() {
+                            acc += 1;
+                        }
                     }
-                }
-                Ok(acc)
-            }));
-        }
+                    Ok(acc)
+                })
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("sampler thread panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     let mut accepted = 0u64;
     for c in counts {

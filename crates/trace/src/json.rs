@@ -1,13 +1,12 @@
 //! Minimal hand-rolled JSON: exactly the subset the trace wire format
 //! needs, with zero dependencies.
 //!
-//! The container has no `serde_json`; the offline dependency set stubs
-//! `serde` down to marker traits. Traces still want a line format any
-//! external tool can read, so this module emits and parses flat JSON
-//! objects whose values are strings, unsigned integers, booleans, or
-//! arrays of unsigned integers — the full vocabulary of
-//! [`crate::TraceEvent`] and of the `BENCH_report.json` emitted by
-//! `st-bench`.
+//! The workspace builds offline with no JSON crate. Traces still want a
+//! line format any external tool can read, so this module emits and
+//! parses flat JSON objects whose values are strings, unsigned
+//! integers, booleans, or arrays of unsigned integers — the full
+//! vocabulary of [`crate::TraceEvent`] and of the `BENCH_report.json`
+//! emitted by `st-bench`.
 
 use st_core::StError;
 

@@ -11,11 +11,11 @@
 use crate::event::TraceEvent;
 use crate::replay::Aggregator;
 use crate::tracer::Sink;
-use parking_lot::Mutex;
+use st_core::pool::lock;
 use st_core::StError;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Shared read handle to the events captured by a [`MemorySink`] or
 /// [`RingSink`].
@@ -28,19 +28,19 @@ impl TraceBuffer {
     /// Copy out the captured events in emission order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().iter().cloned().collect()
+        lock(&self.events).iter().cloned().collect()
     }
 
     /// Number of events currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        lock(&self.events).len()
     }
 
     /// `true` iff nothing was captured (or everything rotated out).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        lock(&self.events).is_empty()
     }
 }
 
@@ -68,7 +68,7 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&mut self, ev: TraceEvent) {
-        self.events.lock().push_back(ev);
+        lock(&self.events).push_back(ev);
     }
 }
 
@@ -100,7 +100,7 @@ impl RingSink {
 
 impl Sink for RingSink {
     fn record(&mut self, ev: TraceEvent) {
-        let mut g = self.events.lock();
+        let mut g = lock(&self.events);
         if self.capacity == 0 {
             return;
         }
@@ -203,7 +203,7 @@ impl AggregateSink {
 
 impl Sink for AggregateSink {
     fn record(&mut self, ev: TraceEvent) {
-        self.agg.lock().push(&ev);
+        lock(&self.agg).push(&ev);
     }
 }
 
@@ -217,13 +217,13 @@ impl AggregateHandle {
     /// A snapshot of the aggregator's current state.
     #[must_use]
     pub fn snapshot(&self) -> Aggregator {
-        self.agg.lock().clone()
+        lock(&self.agg).clone()
     }
 
     /// The usage record the events replayed so far imply.
     #[must_use]
     pub fn usage(&self) -> st_core::ResourceUsage {
-        self.agg.lock().usage()
+        lock(&self.agg).usage()
     }
 }
 

@@ -8,10 +8,10 @@
 
 use crate::event::TraceEvent;
 use crate::sink::{AggregateHandle, AggregateSink, JsonlSink, MemorySink, RingSink, TraceBuffer};
-use parking_lot::Mutex;
+use st_core::pool::lock;
 use st_core::StError;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Where events go. Implementations are single-threaded behind the
 /// tracer's mutex; `record` receives events in emission order.
@@ -102,14 +102,14 @@ impl Tracer {
     #[inline]
     pub fn emit<F: FnOnce() -> TraceEvent>(&self, make: F) {
         if let Some(sink) = &self.sink {
-            sink.lock().record(make());
+            lock(sink).record(make());
         }
     }
 
     /// Flush the sink (meaningful for file sinks).
     pub fn flush(&self) {
         if let Some(sink) = &self.sink {
-            sink.lock().flush();
+            lock(sink).flush();
         }
     }
 }
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn tracer_handles_cross_threads_soundly() {
         // The parallel report runner hands each worker its own tracer
-        // handle: Tracer must be Send + Sync (Arc over a parking_lot
+        // handle: Tracer must be Send + Sync (Arc over a std
         // mutex over a Send sink), and concurrent emissions must all
         // reach the sink.
         fn assert_send_sync<T: Send + Sync>() {}
