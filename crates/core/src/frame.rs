@@ -43,7 +43,7 @@ pub fn checked_len(len: usize) -> io::Result<u32> {
 pub fn put_frame(out: &mut Vec<u8>, body: &[u8]) -> io::Result<()> {
     let len = checked_len(body.len())?;
     out.reserve(4 + body.len());
-    out.extend_from_slice(&len.to_le_bytes());
+    put_u32(out, len);
     out.extend_from_slice(body);
     Ok(())
 }

@@ -80,9 +80,8 @@ pub struct Frame {
 pub fn encode_frame(tag: FrameTag, payload: &[u8], out: &mut Vec<u8>) -> Result<(), StError> {
     let len = u32::try_from(payload.len())
         .map_err(|_| StError::Machine("frame payload exceeds u32::MAX bytes".into()))?;
-    let mut head = [tag.as_byte(), 0, 0, 0, 0];
-    head[1..].copy_from_slice(&len.to_le_bytes());
-    put_sealed(out, &head, payload);
+    let [l0, l1, l2, l3] = len.to_le_bytes();
+    put_sealed(out, &[tag.as_byte(), l0, l1, l2, l3], payload);
     Ok(())
 }
 

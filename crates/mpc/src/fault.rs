@@ -3,12 +3,12 @@
 //! The PR 1/PR 5 discipline — faults are *planned*, never random at run
 //! time — moves up to the network layer here. A [`NetFaultPlan`] decides
 //! drop / duplicate / reorder / corrupt / delay for every delivery
-//! attempt from a SplitMix64 hash of `(seed, kind, round, link, seq,
-//! attempt)` ([`st_core::rng::splitmix64`]), so the same plan replays the same storm bit for bit
-//! on any `--jobs` value, and a failing run is reproducible from the
-//! seed alone. Worker kills are scheduled the same way:
-//! [`NetFaultPlan::kill_worker_after`] names the exact round after whose
-//! exchange the worker dies.
+//! attempt from a SplitMix64 hash ([`st_core::rng::splitmix64`]) of
+//! `(seed, kind, round, link, seq, attempt)`, so the same plan replays
+//! the same storm bit for bit on any `--jobs` value, and a failing run
+//! is reproducible from the seed alone. Worker kills are scheduled the
+//! same way: [`NetFaultPlan::kill_worker_after`] names the exact round
+//! after whose exchange the worker dies.
 //!
 //! Fault probabilities decay with the retry attempt (`threshold >>
 //! attempt`), so a bounded retry budget virtually never exhausts even at

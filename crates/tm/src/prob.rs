@@ -78,22 +78,21 @@ pub fn estimate_acceptance(
     let per = trials / threads as u64;
     let extra = trials % threads as u64;
     let counts: Vec<Result<u64, StError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|i| {
-                let quota = per + if (i as u64) < extra { 1 } else { 0 };
-                scope.spawn(move || -> Result<u64, StError> {
-                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                    let mut acc = 0u64;
-                    for _ in 0..quota {
-                        let r = run_sampled(tm, input.to_vec(), max_steps, &mut rng)?;
-                        if r.accepted() {
-                            acc += 1;
-                        }
+        let mut handles = Vec::new();
+        for i in 0..threads {
+            let quota = per + if (i as u64) < extra { 1 } else { 0 };
+            handles.push(scope.spawn(move || -> Result<u64, StError> {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
+                let mut acc = 0u64;
+                for _ in 0..quota {
+                    let r = run_sampled(tm, input.to_vec(), max_steps, &mut rng)?;
+                    if r.accepted() {
+                        acc += 1;
                     }
-                    Ok(acc)
-                })
-            })
-            .collect();
+                }
+                Ok(acc)
+            }));
+        }
         handles
             .into_iter()
             .map(|h| h.join().expect("sampler thread panicked"))
