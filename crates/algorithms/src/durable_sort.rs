@@ -110,7 +110,7 @@ pub fn sort_with_crashes<S: Clone + Ord + DurableRecord>(
         if !fresh {
             let attempt = incarnations;
             let resumed_at = run_len;
-            st_trace::current().emit(|| TraceEvent::Retry {
+            wal.tracer().emit(|| TraceEvent::Retry {
                 attempt,
                 reason: format!("crash recovery: resumed at run_len={resumed_at}"),
             });

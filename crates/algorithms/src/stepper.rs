@@ -37,7 +37,7 @@ use crate::fingerprint::{sample_params, unexpected_symbol, FingerprintParams, Re
 use crate::sortcheck::DeciderRun;
 use rand::Rng;
 use st_core::StError;
-use st_extmem::block::{scan_tracer, Lockstep, DEFAULT_BLOCK};
+use st_extmem::block::{Lockstep, DEFAULT_BLOCK};
 use st_extmem::meter::bits_for;
 use st_extmem::step::{SortStepper, StepBudget, StepProgress};
 use st_extmem::{MemoryCharge, Tape, TapeMachine};
@@ -605,7 +605,7 @@ impl Running {
                     return Ok(Advance::Yielded);
                 }
                 let meter = self.machine.meter().clone();
-                let tracer = scan_tracer(&[self.machine.tracer()]);
+                let tracer = self.machine.tracer().clone();
                 match route {
                     SortRoute::Multiset => {
                         // The `tapes_equal` preamble.
@@ -670,7 +670,8 @@ impl Running {
                     };
                     (equal, "tapes_equal")
                 };
-                scan_tracer(&[self.machine.tracer()])
+                self.machine
+                    .tracer()
                     .emit(|| TraceEvent::ScanEnd { op: op.to_string() });
                 drop(charge.take());
                 let usage = self.machine.usage();

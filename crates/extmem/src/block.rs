@@ -58,17 +58,14 @@ use st_trace::{TraceEvent, Tracer};
 pub const DEFAULT_BLOCK: usize = 4096;
 
 /// The tracer a combinator's `ScanStart`/`ScanEnd` events go to: the
-/// thread's ambient [`st_trace::scoped`] tracer when one is installed,
-/// else the first enabled tracer among the tapes being driven. Emitting
-/// only on the *source* tape's tracer loses the events whenever the
-/// destination belongs to a different tracer scope (e.g. a cross-machine
-/// `copy_tape` whose source machine is untraced).
+/// first enabled tracer among the tapes being driven. A tape's tracer is
+/// its owner's, fixed when the machine was built, so a scan's events
+/// land in the trace of whatever owns the tapes — never in the thread's
+/// ambient [`st_trace::scoped`] tracer. Tapes that no traced machine
+/// owns emit nothing. Looking past the *source* tape matters for a
+/// cross-machine `copy_tape` whose destination alone is traced.
 #[must_use]
 pub fn scan_tracer(tapes: &[&Tracer]) -> Tracer {
-    let ambient = st_trace::current();
-    if ambient.is_enabled() {
-        return ambient;
-    }
     tapes
         .iter()
         .find(|t| t.is_enabled())
@@ -662,11 +659,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_machine_copy_traces_via_the_ambient_scope() {
-        // Regression: neither tape carries an enabled tracer (they belong
-        // to no traced machine), so emitting only on the source tape's
-        // tracer would lose both scan events. The ambient scoped tracer
-        // must receive them.
+    fn untraced_tapes_emit_nothing_even_inside_a_scope() {
+        // One tracer rule: a scan's events go to the tracer of whatever
+        // owns its tapes. Neither tape here belongs to a traced machine,
+        // so an enabled ambient scope must receive nothing.
         let (tracer, buf) = st_trace::Tracer::in_memory();
         st_trace::scoped(tracer, || {
             let meter = MemoryMeter::new();
@@ -675,23 +671,14 @@ mod tests {
             copy_tape(&mut src, &mut dst, &meter, DEFAULT_BLOCK).unwrap();
             assert_eq!(dst.snapshot(), vec![3, 1, 2]);
         });
-        let events = buf.snapshot();
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::ScanStart { op } if op == "copy_tape"))
-            .count();
-        let ends = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::ScanEnd { op } if op == "copy_tape"))
-            .count();
-        assert_eq!((starts, ends), (1, 1), "events: {events:?}");
+        assert!(buf.is_empty(), "events: {:?}", buf.snapshot());
     }
 
     #[test]
     fn explicitly_traced_tapes_still_emit_outside_any_scope() {
-        // The fallback path: no ambient scope, but the destination tape
-        // carries a tracer (e.g. its machine was built `_traced`). The
-        // old code looked only at the source and dropped the events.
+        // Only the destination tape carries a tracer (e.g. its machine
+        // was built `_traced`); looking at the source alone would drop
+        // the events.
         let (tracer, buf) = st_trace::Tracer::in_memory();
         let meter = MemoryMeter::new();
         let mut src = tape(&[1, 2]);

@@ -1,12 +1,12 @@
 //! The batch record codec: many cells, one frame payload.
 //!
-//! Cell-at-a-time journaling (one WAL frame per record, see
-//! [`super::tape::DurableTape`]) pays [`super::frame::HEADER_LEN`] bytes
-//! of framing plus a CRC pass per cell. At the block/page granularity the
-//! paper's external-memory model works in, the durable layer instead
-//! moves **blocks** of records: this module packs a slice of
-//! [`DurableRecord`]s into a single self-describing payload that travels
-//! inside one checksummed WAL frame, and unpacks it strictly on recovery.
+//! Cell-at-a-time journaling (one WAL frame per record) would pay
+//! [`super::frame::HEADER_LEN`] bytes of framing plus a CRC pass per
+//! cell. At the block/page granularity the paper's external-memory model
+//! works in, the durable layer instead moves **blocks** of records: this
+//! module packs a slice of [`DurableRecord`]s into a single
+//! self-describing payload that travels inside one checksummed WAL
+//! frame, and unpacks it strictly on recovery.
 //!
 //! Wire shape (all integers `u32` little-endian):
 //!

@@ -16,9 +16,10 @@
 //!   points at scan boundaries; opening a journal rolls back to the last
 //!   commit. Deterministic crash injection ("kill after the k-th
 //!   journaled byte") lives here.
-//! * [`tape`] — [`DurableTape`]: an in-memory [`Tape`](crate::tape::Tape)
-//!   (unchanged reversal accounting) whose committed contents are
-//!   rebuilt byte-identically on reopen.
+//! * [`tape`] — [`DurableBlockTape`]: an in-memory
+//!   [`Tape`](crate::tape::Tape) (unchanged reversal accounting) that
+//!   journals its writes a block per frame and whose committed contents
+//!   are rebuilt byte-identically on reopen.
 //!
 //! The crash/recovery workload on top — a checkpointable external merge
 //! sort that resumes from the last committed pass — lives in
@@ -32,5 +33,5 @@ pub mod wal;
 
 pub use codec::{decode_block, encode_block};
 pub use frame::{decode_frames, encode_frame, DurableRecord, Frame, FrameTag};
-pub use tape::{DurableBlockTape, DurableTape};
+pub use tape::DurableBlockTape;
 pub use wal::{Recovery, Wal};

@@ -1,21 +1,21 @@
 //! A file-backed tape: the in-memory [`Tape`] plus a write-ahead
 //! journal, so state outlives the process.
 //!
-//! `DurableTape` keeps the paper's accounting model untouched — reversals
-//! and head movements are still the in-memory tape's counters — and adds
-//! one persistence discipline on top:
+//! [`DurableBlockTape`] keeps the paper's accounting model untouched —
+//! reversals and head movements are still the in-memory tape's counters
+//! — and adds one persistence discipline on top:
 //!
-//! * every [`write_fwd`](DurableTape::write_fwd) journals the cell
-//!   *before* touching memory (write-ahead);
-//! * [`begin_overwrite`](DurableTape::begin_overwrite) journals a reset
-//!   marker and clears the tape, starting a fresh checkpoint scope;
-//! * [`checkpoint`](DurableTape::checkpoint) journals a commit frame —
-//!   the atomic recovery point at a scan boundary.
+//! * writes are staged and journaled a block at a time, each block as
+//!   one checksummed frame;
+//! * [`begin_overwrite`](DurableBlockTape::begin_overwrite) journals a
+//!   reset marker and clears the tape, starting a fresh checkpoint scope;
+//! * [`checkpoint`](DurableBlockTape::checkpoint) flushes, then journals
+//!   a commit frame — the atomic recovery point at a scan boundary.
 //!
-//! [`DurableTape::open`] reopens the journal, rolls back any torn or
-//! uncommitted tail, decodes the committed records, and rebuilds the
-//! tape exactly as it stood at the last checkpoint. Crash injection is
-//! inherited from the journal: a planned kill fires mid-`write_fwd` and
+//! [`DurableBlockTape::open`] reopens the journal, rolls back any torn or
+//! uncommitted tail, decodes the committed blocks, and rebuilds the tape
+//! exactly as it stood at the last checkpoint. Crash injection is
+//! inherited from the journal: a planned kill fires at a block flush and
 //! surfaces as [`StError::Crashed`].
 
 use super::codec::{decode_block, encode_block};
@@ -24,94 +24,6 @@ use super::wal::{Recovery, Wal};
 use crate::tape::Tape;
 use st_core::StError;
 use std::path::Path;
-
-/// A tape whose committed state survives the process.
-#[derive(Debug)]
-pub struct DurableTape<S> {
-    tape: Tape<S>,
-    wal: Wal,
-}
-
-impl<S: DurableRecord + Clone> DurableTape<S> {
-    /// Create a fresh durable tape journaling to `path` (truncating any
-    /// previous journal). `crash_at` plants a deterministic kill after
-    /// that absolute journal byte.
-    pub fn create(
-        name: impl Into<String>,
-        path: &Path,
-        crash_at: Option<u64>,
-    ) -> Result<Self, StError> {
-        Ok(DurableTape {
-            tape: Tape::new(name),
-            wal: Wal::create(path, crash_at)?,
-        })
-    }
-
-    /// Reopen a journal, recover to the last checkpoint, and rebuild the
-    /// tape's committed contents (head rewound to the start).
-    pub fn open(
-        name: impl Into<String>,
-        path: &Path,
-        crash_at: Option<u64>,
-    ) -> Result<(Self, Recovery), StError> {
-        let (wal, recovery) = Wal::open(path, crash_at)?;
-        let mut items = Vec::with_capacity(recovery.records.len());
-        for payload in &recovery.records {
-            items.push(S::decode_record(payload)?);
-        }
-        Ok((
-            DurableTape {
-                tape: Tape::from_items(name, items),
-                wal,
-            },
-            recovery,
-        ))
-    }
-
-    /// The in-memory tape (head mechanics, reversal accounting).
-    #[must_use]
-    pub fn tape(&self) -> &Tape<S> {
-        &self.tape
-    }
-
-    /// Mutable access to the in-memory tape for *reading* scans (moves,
-    /// rewinds). Writes must go through [`DurableTape::write_fwd`] so
-    /// they hit the journal first.
-    pub fn tape_mut(&mut self) -> &mut Tape<S> {
-        &mut self.tape
-    }
-
-    /// The underlying journal.
-    #[must_use]
-    pub fn wal(&self) -> &Wal {
-        &self.wal
-    }
-
-    /// Journal the cell, then write it under the head and step right.
-    pub fn write_fwd(&mut self, s: S) -> Result<(), StError> {
-        let mut payload = Vec::new();
-        s.encode_record(&mut payload);
-        self.wal.append_record(&payload)?;
-        self.tape.write_fwd(s)
-    }
-
-    /// Start overwriting from the left end: journals a reset marker and
-    /// clears the in-memory tape. Until the next [`checkpoint`]
-    /// (`DurableTape::checkpoint`), recovery still sees the *previous*
-    /// committed contents.
-    pub fn begin_overwrite(&mut self) -> Result<(), StError> {
-        self.wal.append_reset()?;
-        self.tape.reset_for_overwrite();
-        Ok(())
-    }
-
-    /// Commit everything journaled so far as an atomic recovery point.
-    /// `meta` travels with the commit frame and comes back verbatim in
-    /// [`Recovery::last_commit`].
-    pub fn checkpoint(&mut self, meta: &[u8]) -> Result<(), StError> {
-        self.wal.commit(meta)
-    }
-}
 
 /// A durable tape that journals **blocks** of records instead of one
 /// frame per cell.
@@ -134,9 +46,6 @@ impl<S: DurableRecord + Clone> DurableTape<S> {
 /// * A planned crash therefore fires at a *block* journaling boundary,
 ///   not mid-cell — the same per-block granularity `StepBatch@1024`
 ///   uses for step accounting.
-///
-/// The journal format is **not** interchangeable with [`DurableTape`]'s:
-/// cell frames hold raw record bytes, block frames hold a counted batch.
 #[derive(Debug)]
 pub struct DurableBlockTape<S> {
     tape: Tape<S>,
@@ -280,74 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn committed_cells_survive_reopen_uncommitted_do_not() {
-        let path = tmp("survive.wal");
-        let mut dt: DurableTape<u64> = DurableTape::create("d", &path, None).unwrap();
-        for v in [3u64, 1, 2] {
-            dt.write_fwd(v).unwrap();
-        }
-        dt.checkpoint(b"loaded").unwrap();
-        dt.write_fwd(99).unwrap(); // never committed
-        drop(dt);
-
-        let (dt, rec) = DurableTape::<u64>::open("d", &path, None).unwrap();
-        assert_eq!(dt.tape().data(), &[3, 1, 2]);
-        assert_eq!(rec.last_commit.as_deref(), Some(&b"loaded"[..]));
-        assert!(rec.discarded_bytes > 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn overwrite_is_invisible_until_checkpointed() {
-        let path = tmp("overwrite.wal");
-        let mut dt: DurableTape<u64> = DurableTape::create("d", &path, None).unwrap();
-        dt.write_fwd(7).unwrap();
-        dt.checkpoint(b"v1").unwrap();
-
-        // Overwrite with new contents but crash before the commit...
-        dt.begin_overwrite().unwrap();
-        dt.write_fwd(8).unwrap();
-        drop(dt);
-
-        // ...recovery yields the v1 contents.
-        let (dt, rec) = DurableTape::<u64>::open("d", &path, None).unwrap();
-        assert_eq!(dt.tape().data(), &[7]);
-        assert_eq!(rec.last_commit.as_deref(), Some(&b"v1"[..]));
-        drop(dt);
-
-        // Same overwrite, committed this time, replaces the contents.
-        let (mut dt, _) = DurableTape::<u64>::open("d", &path, None).unwrap();
-        dt.begin_overwrite().unwrap();
-        dt.write_fwd(8).unwrap();
-        dt.checkpoint(b"v2").unwrap();
-        drop(dt);
-        let (dt, rec) = DurableTape::<u64>::open("d", &path, None).unwrap();
-        assert_eq!(dt.tape().data(), &[8]);
-        assert_eq!(rec.last_commit.as_deref(), Some(&b"v2"[..]));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn planned_crash_fires_through_write_fwd_and_recovers() {
-        let path = tmp("crash.wal");
-        let mut dt: DurableTape<u64> = DurableTape::create("d", &path, None).unwrap();
-        dt.write_fwd(1).unwrap();
-        dt.checkpoint(b"cp").unwrap();
-        let committed = dt.wal().len();
-        drop(dt);
-
-        let (mut dt, _) = DurableTape::<u64>::open("d", &path, Some(committed + 5)).unwrap();
-        let err = dt.write_fwd(2).unwrap_err();
-        assert!(matches!(err, StError::Crashed(_)));
-        drop(dt);
-
-        let (dt, rec) = DurableTape::<u64>::open("d", &path, None).unwrap();
-        assert_eq!(dt.tape().data(), &[1]);
-        assert_eq!(rec.discarded_bytes, 5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn block_tape_commits_survive_reopen_and_partial_blocks_flush() {
         let path = tmp("block_survive.wal");
         let mut bt: DurableBlockTape<u64> = DurableBlockTape::create("b", &path, 4, None).unwrap();
@@ -398,31 +239,27 @@ mod tests {
     #[test]
     fn block_journal_amortizes_frame_overhead() {
         // The point of the block tape: N records cost ~N/block frame
-        // headers instead of N.
-        let cell_path = tmp("amortize_cell.wal");
-        let block_path = tmp("amortize_block.wal");
-        let mut ct: DurableTape<u64> = DurableTape::create("c", &cell_path, None).unwrap();
+        // headers instead of the N a frame-per-cell journal would pay.
+        let path = tmp("amortize_block.wal");
         let mut bt: DurableBlockTape<u64> =
-            DurableBlockTape::create("b", &block_path, 256, None).unwrap();
+            DurableBlockTape::create("b", &path, 256, None).unwrap();
         for v in 0..2048u64 {
-            ct.write_fwd(v).unwrap();
             bt.write_fwd(v).unwrap();
         }
-        ct.checkpoint(b"done").unwrap();
         bt.checkpoint(b"done").unwrap();
-        assert_eq!(ct.tape().data(), bt.tape().data());
-        // Per u64 record the cell journal pays a 9-byte frame header +
-        // 8 payload bytes; the block journal pays a 4-byte length + 8
+        assert_eq!(bt.tape().data(), &(0..2048).collect::<Vec<u64>>()[..]);
+        // Per u64 record a cell journal pays a 9-byte frame header + 8
+        // payload bytes; the block journal pays a 4-byte length + 8
         // payload bytes (frame headers amortized over 256 records), so
         // the ratio approaches 12/17 ≈ 0.71.
+        let header = super::super::frame::HEADER_LEN as u64;
+        let cell_journal = 2048 * (header + 8) + header + 4;
         assert!(
-            bt.wal().len() * 4 < ct.wal().len() * 3,
-            "block journal {} should amortize well below cell journal {}",
-            bt.wal().len(),
-            ct.wal().len()
+            bt.wal().len() * 4 < cell_journal * 3,
+            "block journal {} should amortize well below cell journal {cell_journal}",
+            bt.wal().len()
         );
-        std::fs::remove_file(&cell_path).ok();
-        std::fs::remove_file(&block_path).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -454,13 +291,13 @@ mod tests {
     #[test]
     fn reversal_accounting_lives_on_the_inner_tape() {
         let path = tmp("accounting.wal");
-        let mut dt: DurableTape<u64> = DurableTape::create("d", &path, None).unwrap();
+        let mut bt: DurableBlockTape<u64> = DurableBlockTape::create("b", &path, 2, None).unwrap();
         for v in 0..4u64 {
-            dt.write_fwd(v).unwrap();
+            bt.write_fwd(v).unwrap();
         }
-        dt.tape_mut().rewind();
-        assert_eq!(dt.tape().reversals(), 1);
-        assert!(dt.tape().moves() >= 4);
+        bt.tape_mut().rewind();
+        assert_eq!(bt.tape().reversals(), 1);
+        assert!(bt.tape().moves() >= 4);
         std::fs::remove_file(&path).ok();
     }
 }

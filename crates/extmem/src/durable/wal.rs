@@ -26,7 +26,7 @@
 
 use super::frame::{decode_frames, encode_frame, Frame, FrameTag};
 use st_core::StError;
-use st_trace::TraceEvent;
+use st_trace::{TraceEvent, Tracer};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -61,7 +61,7 @@ impl Recovery {
 pub struct Wal {
     path: PathBuf,
     file: File,
-    /// Bytes durably in the file (and, absent a crash, on "disk").
+    /// Bytes written to the file (flushed, not fsynced).
     len: u64,
     /// Length of the prefix ending at the last commit frame.
     committed_len: u64,
@@ -69,6 +69,9 @@ pub struct Wal {
     crash_at: Option<u64>,
     /// Set once the crash fired; every later write refuses.
     crashed: bool,
+    /// Where this journal's `Recovery` and `CrashInjected` events go:
+    /// the thread's tracer when the handle was created or opened.
+    tracer: Tracer,
 }
 
 impl Wal {
@@ -87,14 +90,15 @@ impl Wal {
             committed_len: 0,
             crash_at,
             crashed: false,
+            tracer: st_trace::current(),
         })
     }
 
     /// Open an existing journal, roll back to the last commit, and
     /// return the handle plus what survived.
     ///
-    /// Emits [`TraceEvent::Recovery`] through the ambient tracer
-    /// whenever a journal with history is reopened.
+    /// Emits [`TraceEvent::Recovery`] on the journal's tracer (the
+    /// thread's tracer at open) whenever a journal is reopened.
     pub fn open(path: &Path, crash_at: Option<u64>) -> Result<(Self, Recovery), StError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -137,7 +141,8 @@ impl Wal {
         file.seek(SeekFrom::Start(committed_len as u64))
             .map_err(|e| StError::Io(format!("seek journal {}: {e}", path.display())))?;
 
-        st_trace::current().emit(|| TraceEvent::Recovery {
+        let tracer = st_trace::current();
+        tracer.emit(|| TraceEvent::Recovery {
             committed: recovery.committed_bytes,
             discarded: recovery.discarded_bytes,
         });
@@ -150,6 +155,7 @@ impl Wal {
                 committed_len: committed_len as u64,
                 crash_at,
                 crashed: false,
+                tracer,
             },
             recovery,
         ))
@@ -177,6 +183,12 @@ impl Wal {
     #[must_use]
     pub fn committed_len(&self) -> u64 {
         self.committed_len
+    }
+
+    /// The tracer this journal emits on, fixed at create/open.
+    #[must_use]
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// `true` once the planned crash fired; the handle is then poisoned.
@@ -235,7 +247,8 @@ impl Wal {
                 self.write_all(&bytes[..keep])?;
                 self.len += keep as u64;
                 self.crashed = true;
-                st_trace::current().emit(|| TraceEvent::CrashInjected { at_byte: k });
+                self.tracer
+                    .emit(|| TraceEvent::CrashInjected { at_byte: k });
                 return Err(StError::Crashed(format!(
                     "after byte {k} of {}",
                     self.path.display()
@@ -434,6 +447,26 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::Recovery { discarded, .. } if *discarded > 0)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_crash_emits_on_the_tracer_taken_at_create() {
+        // The journal keeps the tracer it was built under: a crash that
+        // fires after that scope ended, or inside another one, still
+        // lands in the creating scope's trace.
+        let path = tmp("crash_traced.wal");
+        let (tracer, buf) = st_trace::Tracer::in_memory();
+        let mut wal = st_trace::scoped(tracer, || Wal::create(&path, Some(3)).unwrap());
+        let (other, other_buf) = st_trace::Tracer::in_memory();
+        st_trace::scoped(other, || {
+            assert!(matches!(wal.append_record(b"x"), Err(StError::Crashed(_))));
+        });
+        assert_eq!(
+            buf.snapshot(),
+            vec![TraceEvent::CrashInjected { at_byte: 3 }]
+        );
+        assert!(other_buf.is_empty());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -63,7 +63,7 @@ pub mod sort;
 pub mod step;
 pub mod tape;
 
-pub use durable::{DurableBlockTape, DurableRecord, DurableTape, Recovery, Wal};
+pub use durable::{DurableBlockTape, DurableRecord, Recovery, Wal};
 pub use fault::{Corrupt, FaultPlan, FaultStats};
 pub use machine::TapeMachine;
 pub use meter::{MemoryCharge, MemoryMeter};

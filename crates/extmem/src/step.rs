@@ -15,7 +15,7 @@
 //! capped by the remaining budget, at one unit per record moved and one
 //! per scan boundary, so every budget yields at the same points.
 
-use crate::block::{scan_tracer, Distribute, Merge, DEFAULT_BLOCK};
+use crate::block::{Distribute, Merge, DEFAULT_BLOCK};
 use crate::machine::TapeMachine;
 use crate::meter::{bits_for, MemoryCharge};
 use st_core::StError;
@@ -179,7 +179,7 @@ impl<S: Clone + Ord> SortStepper<S> {
                     if !scan.step(d, o1, o2, budget)? {
                         return Ok(StepProgress::Yielded);
                     }
-                    let tracer = scan_tracer(&[machine.tracer()]);
+                    let tracer = machine.tracer().clone();
                     tracer.emit(|| TraceEvent::ScanEnd {
                         op: "distribute_runs".to_string(),
                     });
@@ -205,7 +205,7 @@ impl<S: Clone + Ord> SortStepper<S> {
                     if !scan.step(in1, in2, out, budget)? {
                         return Ok(StepProgress::Yielded);
                     }
-                    scan_tracer(&[machine.tracer()]).emit(|| TraceEvent::ScanEnd {
+                    machine.tracer().emit(|| TraceEvent::ScanEnd {
                         op: "merge_runs".to_string(),
                     });
                     self.phase = Phase::NextPass;
@@ -235,7 +235,7 @@ impl<S: Clone + Ord> SortStepper<S> {
         machine.tracer().emit(|| TraceEvent::PhaseBegin {
             name: format!("merge pass run_len={run_len}"),
         });
-        scan_tracer(&[machine.tracer()]).emit(|| TraceEvent::ScanStart {
+        machine.tracer().emit(|| TraceEvent::ScanStart {
             op: "distribute_runs".to_string(),
         });
         let meter = machine.meter().clone();

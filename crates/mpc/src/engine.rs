@@ -376,7 +376,9 @@ type StepFn<'a, W> =
     Box<dyn Fn(usize, &mut W, Vec<Envelope>) -> Result<Vec<Envelope>, StError> + Sync + Send + 'a>;
 
 /// How a worker is (re)built: from its index and its journaled shard
-/// envelopes, returning the fresh state and its trace buffer.
+/// envelopes, returning the fresh state and its trace buffer. The
+/// worker's machine is built `_traced` on that buffer's tracer, so its
+/// events land there whatever thread or trace scope runs a step.
 type Factory<'a, W> =
     Box<dyn Fn(usize, &[Envelope]) -> Result<(W, TraceBuffer), StError> + Sync + Send + 'a>;
 
@@ -518,11 +520,7 @@ impl<'a, W: Worker> Cluster<'a, W> {
         let mut states = Vec::with_capacity(p);
         let mut buffers = Vec::with_capacity(p);
         for (w, shard) in shards.iter().enumerate() {
-            // Same trace shielding as `compute` and recovery replay:
-            // worker construction must not leak events to an ambient
-            // scoped tracer.
-            let (state, buffer) =
-                st_trace::scoped(st_trace::Tracer::disabled(), || factory(w, shard))?;
+            let (state, buffer) = factory(w, shard)?;
             states.push(state);
             buffers.push(buffer);
         }
@@ -572,14 +570,8 @@ impl<'a, W: Worker> Cluster<'a, W> {
             .into_iter()
             .zip(inboxes)
             .collect();
-        // Workers trace through their own machines; shielding them from
-        // any ambient scoped tracer keeps their streams identical
-        // whether this step runs on a pool thread, inline, or as a
-        // recovery replay inside an outer trace scope.
         let (paired, outs) = parallel_step(paired, self.jobs, |w, (state, inbox)| {
-            st_trace::scoped(st_trace::Tracer::disabled(), || {
-                f(w, state, std::mem::take(inbox))
-            })
+            f(w, state, std::mem::take(inbox))
         })?;
         self.states = paired.into_iter().map(|(s, _)| s).collect();
         self.pending = (0..self.workers()).map(|_| Vec::new()).collect();
@@ -640,17 +632,10 @@ impl<'a, W: Worker> Cluster<'a, W> {
                 self.history.len()
             )));
         }
-        // The replay must see exactly the trace environment the live
-        // computes saw (a disabled ambient tracer), or the rebuilt
-        // incarnation's stream would drop the scan events an outer
-        // scoped tracer captures.
-        let (fresh, buffer) = st_trace::scoped(st_trace::Tracer::disabled(), || {
-            let (mut fresh, buffer) = (self.factory)(w, &shard)?;
-            for (step, inbox) in self.history.iter().zip(inbox_history) {
-                let _regenerated_outbox = step(w, &mut fresh, inbox)?;
-            }
-            Ok::<_, StError>((fresh, buffer))
-        })?;
+        let (mut fresh, buffer) = (self.factory)(w, &shard)?;
+        for (step, inbox) in self.history.iter().zip(inbox_history) {
+            let _regenerated_outbox = step(w, &mut fresh, inbox)?;
+        }
         self.exchange.comm_mut().recovery_rounds += self.history.len() as u64;
         self.states[w] = fresh;
         self.buffers[w] = buffer;

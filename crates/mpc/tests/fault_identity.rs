@@ -18,6 +18,7 @@ use st_mpc::{
     NetFaultPlan,
 };
 use st_problems::generate;
+use st_trace::{TraceEvent, Tracer};
 
 const WORKER_SWEEP: [usize; 5] = [1, 2, 3, 7, 16];
 
@@ -181,6 +182,53 @@ fn crash_at_every_round_recovers_bit_identically() {
             &format!("fingerprint kill w{worker}"),
         );
         assert_eq!(faulted.run.comm.worker_crashes, 1);
+    }
+}
+
+/// One tracer rule: every worker event goes to the tracer of the machine
+/// that owns the tapes — the serial combine and a recovery replay
+/// included — so an outer trace scope changes no worker trace. The
+/// outer scope sees only what the cluster itself owns: the `Recovery`
+/// event of each killed worker's journal reopen.
+#[test]
+fn an_outer_trace_scope_changes_no_worker_trace() {
+    let inst = generate::yes_checksort(20, 8, &mut StdRng::seed_from_u64(9));
+    let clean = MpcOptions::with_workers(4);
+    let killed = clean
+        .clone()
+        .with_fault_plan(NetFaultPlan::new(1).kill_worker_after(1, 0));
+    let runs = |opts: &MpcOptions| -> Vec<MpcRun> {
+        vec![
+            decide_check_sort(&inst, opts).unwrap(),
+            decide_multiset_equality(&inst, &mut StdRng::seed_from_u64(9), opts)
+                .unwrap()
+                .run,
+            evaluate_sym_diff(&inst, opts).unwrap().run,
+        ]
+    };
+    for (opts, kills) in [(&clean, 0), (&killed, 1)] {
+        let bare = runs(opts);
+        let (tracer, outer) = Tracer::in_memory();
+        let scoped = st_trace::scoped(tracer, || runs(opts));
+        for (decider, (b, s)) in ["checksort", "fingerprint", "query"]
+            .iter()
+            .zip(bare.iter().zip(&scoped))
+        {
+            assert_eq!(s.traces, b.traces, "{decider} kills={kills}");
+            assert_eq!(s.comm.worker_crashes, kills as u64, "{decider}");
+        }
+        assert!(
+            bare[0].traces[0].contains("compare_sorted"),
+            "the combine scan belongs to worker 0"
+        );
+        let outer = outer.snapshot();
+        assert_eq!(outer.len(), 3 * kills, "outer scope got {outer:?}");
+        assert!(
+            outer
+                .iter()
+                .all(|e| matches!(e, TraceEvent::Recovery { .. })),
+            "outer scope got {outer:?}"
+        );
     }
 }
 

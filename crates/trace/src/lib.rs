@@ -21,17 +21,24 @@
 //!   (reversals, head moves, extents) can be re-emitted as checkpoints
 //!   at any time; delta events (step batches, memory traffic) stream
 //!   live. See [`event`] for the full taxonomy.
-//! * **Scoped injection.** [`scoped`] installs a tracer for the current
-//!   thread so deep call chains (experiment registries, algorithm
-//!   helpers) pick it up via [`current`] without signature changes.
+//! * **One tracer rule.** A tracer is chosen once, when a machine, run
+//!   or journal is built, and every event goes to the tracer of
+//!   whatever owns the tapes. [`scoped`] installs a tracer for the
+//!   current thread so deep call chains (experiment registries,
+//!   algorithm helpers) can build their machines on it via [`current`]
+//!   without signature changes; nothing reads [`current`] when it
+//!   emits, so a scope never captures events of a machine built
+//!   outside it.
 //!
 //! ```
 //! use st_trace::{replay, scoped, Tracer, TraceEvent};
 //!
 //! let (tracer, buffer) = Tracer::in_memory();
 //! scoped(tracer, || {
-//!     // Substrate code calls st_trace::current() internally.
-//!     st_trace::current().emit(|| TraceEvent::StepBatch { steps: 42 });
+//!     // A run built inside the scope takes its tracer once...
+//!     let owner = st_trace::current();
+//!     // ...and emits on it from then on.
+//!     owner.emit(|| TraceEvent::StepBatch { steps: 42 });
 //! });
 //! assert_eq!(replay(&buffer.snapshot()).steps, 42);
 //! ```
