@@ -5,7 +5,8 @@
 //! run length once per pass; every pass boundary is a scan boundary and
 //! therefore a natural recovery point. This module makes those points
 //! *durable*: after each pass the data tape is checkpointed into a
-//! write-ahead journal (`Reset · Record* · Commit`, see
+//! write-ahead journal (`Reset · Block* · Commit`: each block is one
+//! `Record` frame holding up to [`DEFAULT_BLOCK`] records, see
 //! [`st_extmem::durable`]), with the commit metadata carrying the next
 //! pass's run length. A crash anywhere — mid-distribute, mid-merge, or
 //! mid-checkpoint — rolls back to the previous commit on reopen, and the
@@ -26,7 +27,7 @@
 
 use st_core::{ResourceUsage, StError};
 use st_extmem::block::{distribute_runs, merge_runs, DEFAULT_BLOCK};
-use st_extmem::durable::{DurableRecord, Recovery, Wal};
+use st_extmem::durable::{decode_block, encode_block, DurableRecord, Recovery, Wal};
 use st_extmem::TapeMachine;
 use st_trace::TraceEvent;
 use std::path::Path;
@@ -188,10 +189,11 @@ fn sort_incarnation<S: Clone + Ord + DurableRecord>(
     }
 }
 
-/// Persist the data tape as one atomic checkpoint: journal a reset, then
-/// every cell (write-ahead of the mirror write), then a commit whose
-/// metadata records `next_run_len`. The mirror scan is a real scan —
-/// its reversals and moves are part of the machine's usage.
+/// Persist the data tape as one atomic checkpoint: journal a reset,
+/// then the tape in slices of [`DEFAULT_BLOCK`] records, each one
+/// [`encode_block`] frame journaled ahead of its mirror write, then a
+/// commit whose metadata records `next_run_len`. The mirror scan is a
+/// real scan — its reversals and moves are part of the machine's usage.
 fn checkpoint<S: Clone + DurableRecord>(
     wal: &mut Wal,
     machine: &mut TapeMachine<S>,
@@ -204,25 +206,26 @@ fn checkpoint<S: Clone + DurableRecord>(
         let (data, mirror) = machine.pair_mut(data_idx, mirror_idx);
         data.rewind();
         mirror.reset_for_overwrite();
-        let mut payload = Vec::new();
-        while let Some(cell) = data.read_fwd() {
-            payload.clear();
-            cell.encode_record(&mut payload);
-            wal.append_record(&payload)?;
-            mirror.write_fwd(cell)?;
+        loop {
+            let block = data.read_slice_fwd(DEFAULT_BLOCK);
+            if block.is_empty() {
+                break;
+            }
+            wal.append_record(&encode_block(block)?)?;
+            mirror.write_slice_fwd(block)?;
         }
         data.rewind();
     }
     wal.commit(&(next_run_len as u64).to_le_bytes())
 }
 
-/// Decode a recovered checkpoint's records into the data-tape contents.
+/// Decode a recovered checkpoint's blocks into the data-tape contents.
 fn decode_checkpoint<S: DurableRecord>(recovery: &Recovery) -> Result<Vec<S>, StError> {
-    recovery
-        .records
-        .iter()
-        .map(|p| S::decode_record(p))
-        .collect()
+    let mut items = Vec::new();
+    for block in &recovery.records {
+        items.extend(decode_block::<S>(block)?);
+    }
+    Ok(items)
 }
 
 /// The run length stored in a recovered commit's metadata.

@@ -1,4 +1,4 @@
-//! Ablation 2 (DESIGN.md): the paper's two-prime polynomial fingerprint
+//! Ablation 1 (DESIGN.md): the paper's two-prime polynomial fingerprint
 //! vs the naive sum-of-residues test.
 //!
 //! Wall time is close; the point is the *error rate* on

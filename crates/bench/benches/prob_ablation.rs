@@ -1,4 +1,4 @@
-//! Ablation 3 (DESIGN.md): exact run-tree enumeration vs Monte-Carlo
+//! Ablation 2 (DESIGN.md): exact run-tree enumeration vs Monte-Carlo
 //! estimation of acceptance probabilities.
 
 use criterion::{criterion_group, criterion_main, Criterion};

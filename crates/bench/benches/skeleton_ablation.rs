@@ -1,4 +1,4 @@
-//! Ablation 4 (DESIGN.md): skeleton extraction and hashing cost on runs
+//! Ablation 3 (DESIGN.md): skeleton extraction and hashing cost on runs
 //! of growing length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,4 +1,4 @@
-//! Experiments E21–E22: durable tapes and the price of crash recovery.
+//! Experiments E21–E22: the durable journal and the price of crash recovery.
 //!
 //! The fault layer (E19–E20) corrupts *data*; the durable layer loses
 //! the *process*. These experiments measure the recovery story of

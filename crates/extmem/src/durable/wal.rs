@@ -1,8 +1,10 @@
 //! The write-ahead journal: commit records as atomic recovery points.
 //!
 //! A [`Wal`] is an append-only file of [frames](crate::durable::frame).
-//! The protocol is write-ahead: a durable tape journals every mutation
-//! *before* applying it in memory, and marks scan boundaries with a
+//! The protocol is write-ahead: a caller journals each block of a scan
+//! *before* writing it to its in-memory copy (the durable sort journals
+//! every [`encode_block`](crate::durable::encode_block) slice of its data
+//! tape ahead of the mirror write), and marks scan boundaries with a
 //! commit frame. The journal's invariants:
 //!
 //! 1. **Append-only between opens.** Frames are only ever added at the
@@ -15,7 +17,8 @@
 //!    half-applied scan.
 //! 3. **Reset scopes a replay.** A `Reset` frame drops all earlier
 //!    records from the reconstruction (the tape was cleared for
-//!    overwrite); a checkpoint is therefore `Reset · Record* · Commit`.
+//!    overwrite); a checkpoint is therefore `Reset · Record* · Commit`
+//!    (the durable sort writes one `Record` per block of cells).
 //!
 //! Crash injection lives here too, because "the k-th journaled byte" is
 //! the natural deterministic coordinate for power loss: a write that
@@ -109,7 +112,7 @@ impl Wal {
         file.read_to_end(&mut buf)
             .map_err(|e| StError::Io(format!("read journal {}: {e}", path.display())))?;
 
-        let (frames, valid_len) = decode_frames(&buf);
+        let (mut frames, valid_len) = decode_frames(&buf);
         // Recovery point: the end of the last whole commit frame.
         let mut committed_len = 0usize;
         let mut committed_frames = 0usize;
@@ -123,13 +126,11 @@ impl Wal {
         }
         debug_assert!(committed_len <= valid_len);
 
+        frames.truncate(committed_frames);
+        let (records, last_commit) = replay_committed(frames);
         let recovery = Recovery {
-            records: replay_committed(&frames[..committed_frames]),
-            last_commit: frames[..committed_frames]
-                .iter()
-                .rev()
-                .find(|f| f.tag == FrameTag::Commit)
-                .map(|f| f.payload.clone()),
+            records,
+            last_commit,
             committed_bytes: committed_len as u64,
             discarded_bytes: (buf.len() - committed_len) as u64,
         };
@@ -271,18 +272,20 @@ impl Wal {
     }
 }
 
-/// Replay committed frames into the record payloads they imply: records
-/// accumulate, a `Reset` clears, commits are transparent.
-fn replay_committed(frames: &[Frame]) -> Vec<Vec<u8>> {
+/// Replay committed frames into the record payloads they imply and the
+/// last commit's metadata: records accumulate, a `Reset` clears, a
+/// `Commit` replaces the metadata. Payloads move out of the frames.
+fn replay_committed(frames: Vec<Frame>) -> (Vec<Vec<u8>>, Option<Vec<u8>>) {
     let mut records: Vec<Vec<u8>> = Vec::new();
+    let mut last_commit = None;
     for frame in frames {
         match frame.tag {
-            FrameTag::Record => records.push(frame.payload.clone()),
+            FrameTag::Record => records.push(frame.payload),
             FrameTag::Reset => records.clear(),
-            FrameTag::Commit => {}
+            FrameTag::Commit => last_commit = Some(frame.payload),
         }
     }
-    records
+    (records, last_commit)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //!   those of one cell per call — the only production scan path;
 //! * [`sort`] — reversal-bounded external merge sort (the engine behind
 //!   Corollary 7, Corollary 10 and Theorem 11): a 3-tape balanced merge
-//!   with `Θ(log N)` reversals, plus a k-tape variant for ablation;
+//!   with `Θ(log N)` reversals;
 //! * [`step`] — bounded-step resumable execution: [`step::StepBudget`]
 //!   and the [`step::SortStepper`] state machine over the block kernels
 //!   (the one sort engine: [`sort::merge_sort`] drives it unbounded),
@@ -34,10 +34,11 @@
 //!   any caller branching on it;
 //! * [`scan`] — the cell-at-a-time reference the block kernels are
 //!   pinned to by the parity tests; no production code calls it;
-//! * [`durable`] — file-backed tapes with checksummed block frames and a
-//!   write-ahead journal whose commit records are atomic recovery points,
-//!   plus deterministic crash injection ("kill after the k-th journaled
-//!   byte") — the first layer where state outlives the process.
+//! * [`durable`] — a write-ahead journal of checksummed frames, each
+//!   record frame one block of records, whose commit frames are atomic
+//!   recovery points, plus deterministic crash injection ("kill after
+//!   the k-th journaled byte") — the layer where state outlives the
+//!   process.
 //!
 //! ## Fidelity note (documented substitution)
 //!
@@ -63,7 +64,7 @@ pub mod sort;
 pub mod step;
 pub mod tape;
 
-pub use durable::{DurableBlockTape, DurableRecord, Recovery, Wal};
+pub use durable::{DurableRecord, Recovery, Wal};
 pub use fault::{Corrupt, FaultPlan, FaultStats};
 pub use machine::TapeMachine;
 pub use meter::{MemoryCharge, MemoryMeter};

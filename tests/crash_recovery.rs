@@ -1,4 +1,4 @@
-//! Integration: durable tapes, crash injection, and mid-run recovery.
+//! Integration: the durable journal, crash injection, and mid-run recovery.
 //!
 //! The contract under test is the durable layer's acceptance criterion:
 //! kill the journaled merge sort at **every** byte offset of its
@@ -9,6 +9,9 @@
 
 use st_algo::{durable_sort, sort_with_crashes};
 use st_core::ResourceUsage;
+use st_extmem::block::DEFAULT_BLOCK;
+use st_extmem::durable::frame::HEADER_LEN;
+use st_extmem::durable::{decode_frames, FrameTag};
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -92,6 +95,92 @@ fn recovered_run_trace_replays_to_the_measured_usage() {
         agg.discarded_bytes() > 0,
         "a mid-pass kill leaves torn bytes"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Crash a sort under an in-memory tracer and check what every crash
+/// test demands: the fault-free output after exactly one recovery, and a
+/// trace whose replayed usage is the run's absorbed bill. Returns the
+/// torn bytes the recovery discarded.
+fn crash_once_and_audit(path: &std::path::Path, items: &[i64], expect: &[i64], k: u64) -> u64 {
+    let (tracer, buf) = st_trace::Tracer::in_memory();
+    let run = st_trace::scoped(tracer, || {
+        sort_with_crashes(path, items.to_vec(), items.len(), &[k]).unwrap()
+    });
+    assert_eq!(run.sorted, expect, "crash at byte {k} changed the output");
+    assert_eq!((run.crashes, run.incarnations), (1, 2), "crash at byte {k}");
+
+    let events = buf.snapshot();
+    let report = st_trace::audit(&events);
+    assert!(report.ok(), "crash at byte {k}: {report}");
+    let mut replayed = ResourceUsage::default();
+    for seg in &report.segments {
+        replayed.absorb(&seg.metrics.usage());
+    }
+    assert_eq!(replayed, run.usage, "crash at byte {k}: replay drifted");
+    let mut agg = st_trace::Aggregator::new();
+    for ev in &events {
+        agg.push(ev);
+    }
+    agg.discarded_bytes()
+}
+
+#[test]
+fn crashes_inside_every_frame_of_a_multi_block_checkpoint_recover() {
+    // Two full blocks and a partial tail: each checkpoint of the data
+    // tape is `Reset · Record · Record · Record · Commit`, with the last
+    // record a 3-cell block.
+    let dir = tmp_dir("multi_block");
+    let m = 2 * DEFAULT_BLOCK + 3;
+    let items = workload(m as i64);
+    let base_path = dir.join("base.wal");
+    let baseline = durable_sort(&base_path, items.clone(), m).unwrap();
+    let mut expect = items.clone();
+    expect.sort();
+    assert_eq!(baseline.sorted, expect);
+
+    // Walk the fault-free journal into checkpoints of (start, tag,
+    // payload length) frames.
+    let journal = std::fs::read(&base_path).unwrap();
+    let (frames, used) = decode_frames(&journal);
+    assert_eq!(used as u64, baseline.journal_bytes);
+    let mut checkpoints: Vec<Vec<(u64, FrameTag, usize)>> = Vec::new();
+    let mut pos = 0u64;
+    for frame in &frames {
+        if frame.tag == FrameTag::Reset {
+            checkpoints.push(Vec::new());
+        }
+        let cp = checkpoints
+            .last_mut()
+            .expect("a checkpoint opens with a reset");
+        cp.push((pos, frame.tag, frame.payload.len()));
+        pos += (HEADER_LEN + frame.payload.len()) as u64;
+    }
+    let block_payload = |cells: usize| 4 + cells * (4 + 8);
+    for cp in &checkpoints {
+        let shape: Vec<_> = cp.iter().map(|&(_, tag, len)| (tag, len)).collect();
+        assert_eq!(
+            shape,
+            [
+                (FrameTag::Reset, 0),
+                (FrameTag::Record, block_payload(DEFAULT_BLOCK)),
+                (FrameTag::Record, block_payload(DEFAULT_BLOCK)),
+                (FrameTag::Record, block_payload(3)),
+                (FrameTag::Commit, 8),
+            ]
+        );
+    }
+
+    // One mid-sort checkpoint; a crash inside any of its frames rolls
+    // back to the commit that ends the checkpoint before it.
+    let mid = checkpoints.len() / 2;
+    let (resume_at, _, _) = checkpoints[mid][0];
+    let path = dir.join("crash.wal");
+    for &(start, tag, len) in &checkpoints[mid][1..] {
+        let k = start + ((HEADER_LEN + len) / 2) as u64;
+        let discarded = crash_once_and_audit(&path, &items, &expect, k);
+        assert_eq!(discarded, k - resume_at, "{tag:?} frame at {start}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

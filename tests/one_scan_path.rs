@@ -161,9 +161,9 @@ fn durable_sort_with_one_crash_keeps_its_output_and_journal() {
     std::fs::create_dir_all(&dir).unwrap();
     let items: Vec<i64> = (0..40).map(|i| (i * 37 + 5) % 40).collect();
     let base = durable_sort(&dir.join("base.wal"), items.clone(), 40).unwrap();
-    assert_eq!(base.journal_bytes, 4942);
-    let run = sort_with_crashes(&dir.join("crash.wal"), items, 40, &[4942 / 3]).unwrap();
+    assert_eq!(base.journal_bytes, 3633);
+    let run = sort_with_crashes(&dir.join("crash.wal"), items, 40, &[3633 / 3]).unwrap();
     assert_eq!(run.sorted, (0..40).collect::<Vec<i64>>());
-    assert_eq!((run.crashes, run.journal_bytes), (1, 5648));
+    assert_eq!((run.crashes, run.journal_bytes), (1, 4152));
     std::fs::remove_dir_all(&dir).ok();
 }
