@@ -7,7 +7,7 @@
 //! across all incarnations must replay to exactly the measured
 //! (absorbed) resource usage.
 
-use st_algo::{durable_sort, sort_with_crashes};
+use st_algo::{durable_sort, sort_with_crashes, DurableSortRun};
 use st_core::ResourceUsage;
 use st_extmem::block::DEFAULT_BLOCK;
 use st_extmem::durable::frame::HEADER_LEN;
@@ -51,6 +51,38 @@ fn crash_at_every_journal_byte_recovers_byte_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Sort `items` through the crash `storm` under an in-memory tracer and
+/// audit the trace: every incarnation's claimed usage must survive the
+/// replay, and the absorbed per-segment replays must equal the run's
+/// summed bill — recovered replays are charged, not forgotten. Returns
+/// the run and the trace's aggregate.
+fn audited_storm(
+    path: &std::path::Path,
+    items: &[i64],
+    storm: &[u64],
+) -> (DurableSortRun<i64>, st_trace::Aggregator) {
+    let (tracer, buf) = st_trace::Tracer::in_memory();
+    let run = st_trace::scoped(tracer, || {
+        sort_with_crashes(path, items.to_vec(), items.len(), storm).unwrap()
+    });
+    let events = buf.snapshot();
+    let report = st_trace::audit(&events);
+    assert!(report.ok(), "storm {storm:?}: {report}");
+    let mut replayed = ResourceUsage::default();
+    for seg in &report.segments {
+        replayed.absorb(&seg.metrics.usage());
+    }
+    assert_eq!(
+        replayed, run.usage,
+        "storm {storm:?}: replayed usage must equal the measured (absorbed) usage"
+    );
+    let mut agg = st_trace::Aggregator::new();
+    for ev in &events {
+        agg.push(ev);
+    }
+    (run, agg)
+}
+
 #[test]
 fn recovered_run_trace_replays_to_the_measured_usage() {
     let dir = tmp_dir("replay");
@@ -60,35 +92,13 @@ fn recovered_run_trace_replays_to_the_measured_usage() {
     let probe = durable_sort(&dir.join("probe.wal"), items.clone(), m).unwrap();
     let storm = [probe.journal_bytes / 4, probe.journal_bytes / 2];
 
-    let (tracer, buf) = st_trace::Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        sort_with_crashes(&dir.join("storm.wal"), items.clone(), m, &storm).unwrap()
-    });
+    let (run, agg) = audited_storm(&dir.join("storm.wal"), &items, &storm);
     let mut expect = items;
     expect.sort();
     assert_eq!(run.sorted, expect);
     assert_eq!(run.crashes, 2);
 
-    // Every incarnation's claimed usage must survive the replay audit,
-    // and the absorbed per-segment replays must equal the run's summed
-    // bill — recovered replays are charged, not forgotten.
-    let events = buf.snapshot();
-    let report = st_trace::audit(&events);
-    assert!(report.ok(), "{report}");
-    let mut replayed = ResourceUsage::default();
-    for seg in &report.segments {
-        replayed.absorb(&seg.metrics.usage());
-    }
-    assert_eq!(
-        replayed, run.usage,
-        "replayed usage must equal the measured (absorbed) usage"
-    );
-
     // The crash/recovery counters fold into the aggregate too.
-    let mut agg = st_trace::Aggregator::new();
-    for ev in &events {
-        agg.push(ev);
-    }
     assert_eq!(agg.crashes(), run.crashes);
     assert_eq!(agg.recoveries(), run.recoveries);
     assert!(
@@ -96,33 +106,6 @@ fn recovered_run_trace_replays_to_the_measured_usage() {
         "a mid-pass kill leaves torn bytes"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Crash a sort under an in-memory tracer and check what every crash
-/// test demands: the fault-free output after exactly one recovery, and a
-/// trace whose replayed usage is the run's absorbed bill. Returns the
-/// torn bytes the recovery discarded.
-fn crash_once_and_audit(path: &std::path::Path, items: &[i64], expect: &[i64], k: u64) -> u64 {
-    let (tracer, buf) = st_trace::Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        sort_with_crashes(path, items.to_vec(), items.len(), &[k]).unwrap()
-    });
-    assert_eq!(run.sorted, expect, "crash at byte {k} changed the output");
-    assert_eq!((run.crashes, run.incarnations), (1, 2), "crash at byte {k}");
-
-    let events = buf.snapshot();
-    let report = st_trace::audit(&events);
-    assert!(report.ok(), "crash at byte {k}: {report}");
-    let mut replayed = ResourceUsage::default();
-    for seg in &report.segments {
-        replayed.absorb(&seg.metrics.usage());
-    }
-    assert_eq!(replayed, run.usage, "crash at byte {k}: replay drifted");
-    let mut agg = st_trace::Aggregator::new();
-    for ev in &events {
-        agg.push(ev);
-    }
-    agg.discarded_bytes()
 }
 
 #[test]
@@ -178,8 +161,14 @@ fn crashes_inside_every_frame_of_a_multi_block_checkpoint_recover() {
     let path = dir.join("crash.wal");
     for &(start, tag, len) in &checkpoints[mid][1..] {
         let k = start + ((HEADER_LEN + len) / 2) as u64;
-        let discarded = crash_once_and_audit(&path, &items, &expect, k);
-        assert_eq!(discarded, k - resume_at, "{tag:?} frame at {start}");
+        let (run, agg) = audited_storm(&path, &items, &[k]);
+        assert_eq!(run.sorted, expect, "crash at byte {k} changed the output");
+        assert_eq!((run.crashes, run.incarnations), (1, 2), "crash at byte {k}");
+        assert_eq!(
+            agg.discarded_bytes(),
+            k - resume_at,
+            "{tag:?} frame at {start}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
