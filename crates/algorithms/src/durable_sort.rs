@@ -100,12 +100,14 @@ pub fn sort_with_crashes<S: Clone + Ord + DurableRecord>(
             (wal, Some(recovery))
         };
 
-        let (data, run_len) = match &start {
+        // `resumed`: the journal's last commit holds this data and run
+        // length.
+        let (data, run_len, resumed) = match &start {
             // Nothing committed yet (crash before the first checkpoint):
             // restart from the original input.
-            None => (items.clone(), 1usize),
-            Some(r) if r.is_empty() => (items.clone(), 1usize),
-            Some(r) => (decode_checkpoint(r)?, checkpoint_run_len(r)?),
+            None => (items.clone(), 1usize, false),
+            Some(r) if r.is_empty() => (items.clone(), 1usize, false),
+            Some(r) => (decode_checkpoint(r)?, checkpoint_run_len(r)?, true),
         };
 
         if !fresh {
@@ -117,7 +119,7 @@ pub fn sort_with_crashes<S: Clone + Ord + DurableRecord>(
             });
         }
 
-        match sort_incarnation(&mut wal, data, input_len, run_len) {
+        match sort_incarnation(&mut wal, data, input_len, run_len, resumed) {
             Ok((sorted, inc_usage)) => {
                 usage.absorb(&inc_usage);
                 return Ok(DurableSortRun {
@@ -140,8 +142,10 @@ pub fn sort_with_crashes<S: Clone + Ord + DurableRecord>(
 }
 
 /// One machine incarnation: run merge passes from `run_len` upward,
-/// checkpointing the data tape after every pass. On error the usage of
-/// the work done so far still comes back, so crashed incarnations are
+/// checkpointing the data tape after every pass. A `resumed`
+/// incarnation starts from the journal's last commit; any other one
+/// first checkpoints its starting state. On error the usage of the
+/// work done so far still comes back, so crashed incarnations are
 /// charged.
 #[allow(clippy::type_complexity)]
 fn sort_incarnation<S: Clone + Ord + DurableRecord>(
@@ -149,6 +153,7 @@ fn sort_incarnation<S: Clone + Ord + DurableRecord>(
     data: Vec<S>,
     input_len: usize,
     mut run_len: usize,
+    resumed: bool,
 ) -> Result<(Vec<S>, ResourceUsage), (StError, ResourceUsage)> {
     let m = data.len();
     let mut machine = TapeMachine::with_input(data, input_len);
@@ -159,9 +164,12 @@ fn sort_incarnation<S: Clone + Ord + DurableRecord>(
     let tracer = machine.tracer().clone();
 
     let mut step = || -> Result<Vec<S>, StError> {
-        // Checkpoint the starting state, so a crash in the first pass of
-        // this incarnation rolls back here and not further.
-        checkpoint(wal, &mut machine, 0, mirror, run_len)?;
+        // A crash in this incarnation's first pass must roll back to its
+        // starting state: checkpoint it unless the journal's last commit
+        // already holds it.
+        if !resumed {
+            checkpoint(wal, &mut machine, 0, mirror, run_len)?;
+        }
         while run_len < m {
             tracer.emit(|| TraceEvent::PhaseBegin {
                 name: format!("durable merge pass run_len={run_len}"),

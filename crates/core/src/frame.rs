@@ -19,6 +19,9 @@
 //! ([`put_sealed`], [`open_sealed`]). The durable WAL seals with the
 //! head `[tag u8][len u32 LE]`, the MPC net layer with `[seq u32 LE]`.
 //! The crc covers the head too, so a flip anywhere in a frame fails it.
+//! [`crc32`] is the IEEE crc, run as three interleaved slicing-by-8
+//! lanes whose registers are joined with compile-time shift tables, so
+//! sealing and opening keep up with the exchange and the WAL.
 //!
 //! **Bodies** are read through [`BodyReader`] and written with
 //! [`put_u32`], [`put_u64`] and [`put_bytes`]: little-endian integers
@@ -140,6 +143,15 @@ const CRC_POLY: u32 = 0xedb8_8320;
 /// zero byte, so eight table reads fold eight input bytes at once.
 const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+/// Bytes per lane of the interleaved loop: a round folds three lanes
+/// of `LANE` bytes each.
+const LANE: usize = 256;
+
+/// Lane-join tables: `SHIFT[k][b]` is the register `b << 8k` advanced
+/// over `LANE` zero bytes, so four table reads move a whole register
+/// past one lane (see [`shift_lane`]).
+const SHIFT: [[u32; 256]; 4] = shift_tables();
+
 const fn crc_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut b = 0;
@@ -170,34 +182,109 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
+const fn shift_tables() -> [[u32; 256]; 4] {
+    let t0 = CRC_TABLES[0];
+    let mut s = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        // Advancing a register over zero bytes is linear, so the eight
+        // single-bit registers of byte `k` determine the whole table.
+        let mut bit = 0;
+        while bit < 8 {
+            let mut crc = 1u32 << (8 * k + bit);
+            let mut i = 0;
+            while i < LANE {
+                crc = (crc >> 8) ^ t0[(crc & 0xff) as usize];
+                i += 1;
+            }
+            s[k][1 << bit] = crc;
+            bit += 1;
+        }
+        let mut b = 1usize;
+        while b < 256 {
+            // `b` is the xor of its lowest set bit and the rest.
+            let low = b & b.wrapping_neg();
+            s[k][b] = s[k][low] ^ s[k][b ^ low];
+            b += 1;
+        }
+        k += 1;
+    }
+    s
+}
+
+#[inline(always)]
+fn byte(x: u32, shift: u32) -> usize {
+    ((x >> shift) & 0xff) as usize
+}
+
+/// Fold eight bytes into the register: one slicing-by-8 step.
+#[inline(always)]
+fn fold8(crc: u32, c: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    t[7][byte(lo, 0)]
+        ^ t[6][byte(lo, 8)]
+        ^ t[5][byte(lo, 16)]
+        ^ t[4][byte(lo, 24)]
+        ^ t[3][byte(hi, 0)]
+        ^ t[2][byte(hi, 8)]
+        ^ t[1][byte(hi, 16)]
+        ^ t[0][byte(hi, 24)]
+}
+
+/// The register `crc` advanced over [`LANE`] zero bytes.
+#[inline(always)]
+fn shift_lane(crc: u32) -> u32 {
+    SHIFT[0][byte(crc, 0)]
+        ^ SHIFT[1][byte(crc, 8)]
+        ^ SHIFT[2][byte(crc, 16)]
+        ^ SHIFT[3][byte(crc, 24)]
+}
+
 /// Fold `bytes` into the running (pre-inverted) crc register.
+///
+/// The register update is linear: folding `x ‖ y` from `r` gives
+/// `shift(fold(r, x)) ^ fold(0, y)`, where `shift` advances a register
+/// over `|y|` zero bytes. So each round of `3 · LANE` bytes runs three
+/// independent slicing-by-8 chains, the first from `crc` and the other
+/// two from zero, and joins them as `shift(shift(a) ^ b) ^ c`. The
+/// three chains keep the table loads busy where one chain would wait
+/// on its own previous step. Bytes after the last whole round go
+/// through the one-chain loop.
 #[inline]
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let byte = |x: u32, shift: u32| ((x >> shift) & 0xff) as usize;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut rounds = bytes.chunks_exact(3 * LANE);
+    for round in &mut rounds {
+        let (x, rest) = round.split_at(LANE);
+        let (y, z) = rest.split_at(LANE);
+        let (mut a, mut b, mut c) = (crc, 0, 0);
+        for ((x8, y8), z8) in x
+            .chunks_exact(8)
+            .zip(y.chunks_exact(8))
+            .zip(z.chunks_exact(8))
+        {
+            a = fold8(a, x8);
+            b = fold8(b, y8);
+            c = fold8(c, z8);
+        }
+        crc = shift_lane(shift_lane(a) ^ b) ^ c;
+    }
+    let mut chunks = rounds.remainder().chunks_exact(8);
     for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][byte(lo, 0)]
-            ^ t[6][byte(lo, 8)]
-            ^ t[5][byte(lo, 16)]
-            ^ t[4][byte(lo, 24)]
-            ^ t[3][byte(hi, 0)]
-            ^ t[2][byte(hi, 8)]
-            ^ t[1][byte(hi, 16)]
-            ^ t[0][byte(hi, 24)];
+        crc = fold8(crc, c);
     }
     for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
+        crc = (crc >> 8) ^ CRC_TABLES[0][byte(crc ^ u32::from(b), 0)];
     }
     crc
 }
 
-/// CRC-32 (IEEE, the `cksum`/zlib one) over `bytes`, slicing-by-8 with
-/// compile-time tables — no dependency. It guards every journal frame
-/// and every MPC net frame, so it runs over each byte the exchange and
-/// the WAL move.
+/// CRC-32 (IEEE, the `cksum`/zlib one) over `bytes`: slicing-by-8 in
+/// three interleaved lanes, joined by lane-shift tables, with every
+/// table built at compile time — no dependency, no startup cost. It
+/// guards every journal frame and every MPC net frame, so it runs over
+/// each byte the exchange and the WAL move.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0, bytes)
@@ -487,6 +574,49 @@ mod tests {
         !crc
     }
 
+    /// `len` deterministic pseudo-random bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut bytes = Vec::with_capacity(len + 8);
+        while bytes.len() < len {
+            bytes.extend_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        bytes.truncate(len);
+        bytes
+    }
+
+    #[test]
+    fn crc_matches_the_bitwise_model_around_the_first_round_boundaries() {
+        let lengths = (3 * LANE - 9..=3 * LANE + 9).chain([6 * LANE - 1, 6 * LANE, 6 * LANE + 1]);
+        for len in lengths {
+            let bytes = noise(len, len as u64);
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
+        }
+    }
+
+    #[test]
+    fn crc_matches_the_bitwise_model_on_a_mebibyte() {
+        let bytes = noise(1 << 20, 1);
+        assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        // A register carried in from a head, as a seal folds it.
+        let (head, body) = bytes.split_at(5);
+        assert_eq!(seal_crc(head, body), crc32_bitwise(&bytes));
+    }
+
+    #[test]
+    fn sealed_large_bodies_carry_the_bitwise_crc() {
+        let body = noise(64 * 1024 + 13, 7);
+        let head = [3u8, 1, 4, 1, 5];
+        let mut frame = Vec::new();
+        put_sealed(&mut frame, &head, &body);
+        let whole: Vec<u8> = head.iter().chain(&body).copied().collect();
+        assert_eq!(frame[5..9], crc32_bitwise(&whole).to_le_bytes());
+        assert_eq!(open_sealed::<5>(&frame), Some((head, &body[..])));
+        let mut bad = frame.clone();
+        bad[9 + 40_000] ^= 0x01;
+        assert_eq!(open_sealed::<5>(&bad), None);
+    }
+
     #[test]
     fn sealed_frames_reject_short_and_flipped_frames() {
         let mut frame = Vec::new();
@@ -560,10 +690,11 @@ mod tests {
         }
 
         /// The table-driven crc equals the bitwise model on every input,
-        /// across all eight remainders of the slicing-by-8 loop.
+        /// across all eight remainders of the slicing-by-8 loop and up to
+        /// five whole interleaved rounds.
         #[test]
         fn table_crc_matches_the_bitwise_model(
-            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            bytes in proptest::collection::vec(any::<u8>(), 0..4096),
         ) {
             prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
         }

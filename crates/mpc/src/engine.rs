@@ -727,15 +727,7 @@ impl MpcRun {
 /// Render a trace buffer's events as one JSONL blob (one event per
 /// line, trailing newline when nonempty) — the byte-comparable form the
 /// invariance tests diff across `--jobs`.
-#[must_use]
-pub fn trace_jsonl(events: &[st_trace::TraceEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&ev.to_json_line());
-        out.push('\n');
-    }
-    out
-}
+pub use st_trace::to_jsonl as trace_jsonl;
 
 #[cfg(test)]
 mod tests {

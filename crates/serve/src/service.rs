@@ -358,13 +358,8 @@ pub fn run_script(script: &Script, opts: &ServeOptions) -> Result<ScriptRun, StE
         let audit = session.audit();
         if let Some(dir) = &opts.trace_dir {
             let path = dir.join(format!("session-{i}.jsonl"));
-            let mut lines = String::new();
-            for event in session.events() {
-                lines.push_str(&event.to_json_line());
-                lines.push('\n');
-            }
             std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, lines))
+                .and_then(|()| std::fs::write(&path, st_trace::to_jsonl(&session.events())))
                 .map_err(|e| StError::Machine(format!("writing {}: {e}", path.display())))?;
         }
         let signed = key.sign(st_core::ResourceBill::from_usage(

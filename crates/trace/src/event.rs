@@ -204,7 +204,14 @@ impl TraceEvent {
     /// Serialize to one JSON line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut w = json::ObjWriter::new();
+        let mut line = String::new();
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Append this event's JSON line (no trailing newline) to `out`.
+    pub fn write_json_line(&self, out: &mut String) {
+        let mut w = json::ObjWriter::new(out);
         match self {
             TraceEvent::RunBegin {
                 substrate,
@@ -302,7 +309,7 @@ impl TraceEvent {
                 w.num_field("discarded", *discarded);
             }
         }
-        w.finish()
+        w.finish();
     }
 
     /// Parse one JSON line produced by [`TraceEvent::to_json_line`].
@@ -393,6 +400,18 @@ impl TraceEvent {
     }
 }
 
+/// Render `events` as JSONL into one buffer: one line per event, each
+/// ending in a newline (empty for no events).
+#[must_use]
+pub fn to_jsonl(events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    for ev in events {
+        ev.write_json_line(&mut out);
+        out.push('\n');
+    }
+    out
+}
+
 /// Read a whole JSONL trace file into events (blank lines skipped).
 pub fn read_jsonl(path: &std::path::Path) -> Result<Vec<TraceEvent>, StError> {
     let text = std::fs::read_to_string(path)
@@ -458,68 +477,90 @@ pub fn read_jsonl_lossy(
 mod tests {
     use super::*;
 
-    fn roundtrip(ev: TraceEvent) {
-        let line = ev.to_json_line();
-        let back = TraceEvent::from_json_line(&line).unwrap();
-        assert_eq!(ev, back, "line was: {line}");
+    /// One event of every variant, its names holding a quote, a
+    /// backslash, a control character and non-ASCII text.
+    fn one_of_each() -> Vec<TraceEvent> {
+        let name = "q\"b\\c\u{1}λ→x";
+        vec![
+            TraceEvent::RunBegin {
+                substrate: name.into(),
+                input_len: 48,
+            },
+            TraceEvent::InputSize { input_len: 96 },
+            TraceEvent::TapeRegistered {
+                tape: 2,
+                name: name.into(),
+            },
+            TraceEvent::PhaseBegin { name: name.into() },
+            TraceEvent::PhaseEnd { name: name.into() },
+            TraceEvent::ScanStart { op: name.into() },
+            TraceEvent::ScanEnd { op: name.into() },
+            TraceEvent::Reversal { tape: 1, total: 9 },
+            TraceEvent::HeadMoves {
+                tape: 0,
+                total: u64::MAX,
+            },
+            TraceEvent::StepBatch { steps: 0 },
+            TraceEvent::MemCharge { bits: 64 },
+            TraceEvent::MemRelease { bits: 64 },
+            TraceEvent::MemPeak { bits: 100 },
+            TraceEvent::Fault {
+                tape: 3,
+                kind: FaultKind::BitFlip,
+            },
+            TraceEvent::Retry {
+                attempt: 2,
+                reason: name.into(),
+            },
+            TraceEvent::TapeExtent { tape: 0, cells: 48 },
+            TraceEvent::RunUsage {
+                usage: ResourceUsage {
+                    input_len: 10,
+                    reversals_per_tape: vec![1, 0, u64::MAX],
+                    external_tapes: 3,
+                    internal_space: 7,
+                    steps: 99,
+                    external_cells: 30,
+                },
+            },
+            TraceEvent::CrashInjected { at_byte: 7777 },
+            TraceEvent::Recovery {
+                committed: 1024,
+                discarded: 13,
+            },
+        ]
     }
 
     #[test]
-    fn every_event_kind_roundtrips_through_json() {
-        roundtrip(TraceEvent::RunBegin {
-            substrate: "tape".into(),
-            input_len: 48,
-        });
-        roundtrip(TraceEvent::InputSize { input_len: 96 });
-        roundtrip(TraceEvent::TapeRegistered {
-            tape: 2,
-            name: "scratch \"quoted\"\n".into(),
-        });
-        roundtrip(TraceEvent::PhaseBegin {
-            name: "merge pass run_len=4".into(),
-        });
-        roundtrip(TraceEvent::PhaseEnd {
-            name: "merge pass run_len=4".into(),
-        });
-        roundtrip(TraceEvent::ScanStart {
-            op: "copy_tape".into(),
-        });
-        roundtrip(TraceEvent::ScanEnd {
-            op: "copy_tape".into(),
-        });
-        roundtrip(TraceEvent::Reversal { tape: 1, total: 9 });
-        roundtrip(TraceEvent::HeadMoves {
-            tape: 0,
-            total: 1234,
-        });
-        roundtrip(TraceEvent::StepBatch { steps: 1024 });
-        roundtrip(TraceEvent::MemCharge { bits: 64 });
-        roundtrip(TraceEvent::MemRelease { bits: 64 });
-        roundtrip(TraceEvent::MemPeak { bits: 100 });
-        roundtrip(TraceEvent::Fault {
-            tape: 3,
-            kind: FaultKind::TornWrite,
-        });
-        roundtrip(TraceEvent::Retry {
-            attempt: 2,
-            reason: "fingerprint differs\tfrom master".into(),
-        });
-        roundtrip(TraceEvent::TapeExtent { tape: 0, cells: 48 });
-        roundtrip(TraceEvent::CrashInjected { at_byte: 7777 });
-        roundtrip(TraceEvent::Recovery {
-            committed: 1024,
-            discarded: 13,
-        });
-        roundtrip(TraceEvent::RunUsage {
-            usage: ResourceUsage {
-                input_len: 10,
-                reversals_per_tape: vec![1, 2, 3],
-                external_tapes: 3,
-                internal_space: 7,
-                steps: 99,
-                external_cells: 30,
-            },
-        });
+    fn appended_lines_equal_owned_lines_and_parse_back() {
+        let events = one_of_each();
+        let mut jsonl = String::new();
+        for ev in &events {
+            let mut out = String::from("kept|");
+            ev.write_json_line(&mut out);
+            let line = ev.to_json_line();
+            assert_eq!(out, format!("kept|{line}"), "{ev:?}");
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(TraceEvent::from_json_line(&line).unwrap(), *ev, "{line}");
+            jsonl.push_str(&line);
+            jsonl.push('\n');
+        }
+        assert_eq!(to_jsonl(&events), jsonl);
+        assert_eq!(to_jsonl(&[]), "");
+        let back: Vec<TraceEvent> = jsonl
+            .lines()
+            .map(|l| TraceEvent::from_json_line(l).unwrap())
+            .collect();
+        assert_eq!(back, events);
+    }
+
+    #[test]
+    fn names_are_escaped_on_the_wire() {
+        let line = TraceEvent::PhaseBegin {
+            name: "q\"b\\c\u{1}λ".into(),
+        }
+        .to_json_line();
+        assert_eq!(line, r#"{"ev":"phase_begin","name":"q\"b\\c\u0001λ"}"#);
     }
 
     #[test]

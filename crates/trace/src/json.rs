@@ -6,26 +6,37 @@
 //! parses flat JSON objects whose values are strings, unsigned
 //! integers, booleans, or arrays of unsigned integers — the full
 //! vocabulary of [`crate::TraceEvent`] and of the `BENCH_report.json`
-//! emitted by `st-bench`.
+//! emitted by `st-bench`. [`ObjWriter`] appends to a caller's buffer,
+//! so a stream of objects renders into one `String`.
 
 use st_core::StError;
+use std::fmt::Write as _;
+
+/// Whether `b` must be escaped inside a JSON string. Every such byte
+/// is ASCII, so it always sits on a char boundary.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
 
 /// Escape `s` into `out` as JSON string *content* (no surrounding
-/// quotes).
+/// quotes). Runs with nothing to escape are copied whole.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
 }
 
 /// `s` as a quoted, escaped JSON string.
@@ -38,21 +49,21 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// Builder for one flat JSON object on a single line.
-#[derive(Debug, Default)]
-pub struct ObjWriter {
-    buf: String,
+/// Writer of one flat JSON object on a single line, appended to a
+/// caller's `String`: a renderer of many objects reuses one buffer,
+/// and no field allocates a temporary. [`ObjWriter::finish`] closes
+/// the object; no newline is written.
+#[derive(Debug)]
+pub struct ObjWriter<'a> {
+    buf: &'a mut String,
     any: bool,
 }
 
-impl ObjWriter {
-    /// Start an object.
-    #[must_use]
-    pub fn new() -> Self {
-        ObjWriter {
-            buf: String::from("{"),
-            any: false,
-        }
+impl<'a> ObjWriter<'a> {
+    /// Start an object at the end of `buf`.
+    pub fn new(buf: &'a mut String) -> Self {
+        buf.push('{');
+        ObjWriter { buf, any: false }
     }
 
     fn key(&mut self, k: &str) {
@@ -61,7 +72,7 @@ impl ObjWriter {
         }
         self.any = true;
         self.buf.push('"');
-        escape_into(&mut self.buf, k);
+        escape_into(self.buf, k);
         self.buf.push_str("\":");
     }
 
@@ -69,14 +80,14 @@ impl ObjWriter {
     pub fn str_field(&mut self, k: &str, v: &str) {
         self.key(k);
         self.buf.push('"');
-        escape_into(&mut self.buf, v);
+        escape_into(self.buf, v);
         self.buf.push('"');
     }
 
     /// Append an unsigned-integer field.
     pub fn num_field(&mut self, k: &str, v: u64) {
         self.key(k);
-        self.buf.push_str(&v.to_string());
+        let _ = write!(self.buf, "{v}");
     }
 
     /// Append a boolean field.
@@ -93,16 +104,14 @@ impl ObjWriter {
             if i > 0 {
                 self.buf.push(',');
             }
-            self.buf.push_str(&v.to_string());
+            let _ = write!(self.buf, "{v}");
         }
         self.buf.push(']');
     }
 
-    /// Close the object and return the line.
-    #[must_use]
-    pub fn finish(mut self) -> String {
+    /// Close the object.
+    pub fn finish(self) {
         self.buf.push('}');
-        self.buf
     }
 }
 
@@ -335,13 +344,14 @@ mod tests {
 
     #[test]
     fn writer_and_parser_roundtrip() {
-        let mut w = ObjWriter::new();
+        let mut line = String::new();
+        let mut w = ObjWriter::new(&mut line);
         w.str_field("name", "scratch \"1\"\nλ");
         w.num_field("tape", 3);
         w.arr_field("revs", &[1, 2, 3]);
         w.arr_field("empty", &[]);
         w.bool_field("ok", true);
-        let line = w.finish();
+        w.finish();
         let obj = parse_object(&line).unwrap();
         assert_eq!(obj.str("name").unwrap(), "scratch \"1\"\nλ");
         assert_eq!(obj.num("tape").unwrap(), 3);
@@ -351,11 +361,10 @@ mod tests {
 
     #[test]
     fn control_characters_are_escaped() {
-        let line = {
-            let mut w = ObjWriter::new();
-            w.str_field("s", "a\u{01}b");
-            w.finish()
-        };
+        let mut line = String::new();
+        let mut w = ObjWriter::new(&mut line);
+        w.str_field("s", "a\u{01}b");
+        w.finish();
         assert!(line.contains("\\u0001"), "line: {line}");
         let obj = parse_object(&line).unwrap();
         assert_eq!(obj.str("s").unwrap(), "a\u{01}b");

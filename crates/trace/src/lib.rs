@@ -51,7 +51,7 @@ pub mod replay;
 pub mod sink;
 pub mod tracer;
 
-pub use event::{read_jsonl, read_jsonl_lossy, FaultKind, TraceEvent};
+pub use event::{read_jsonl, read_jsonl_lossy, to_jsonl, FaultKind, TraceEvent};
 pub use replay::{audit, replay, Aggregator, AuditReport, CheckResult, SegmentAudit};
 pub use sink::{AggregateHandle, AggregateSink, JsonlSink, MemorySink, RingSink, TraceBuffer};
 pub use tracer::{Sink, Tracer};

@@ -125,6 +125,8 @@ pub struct JsonlSink {
     writer: std::io::BufWriter<std::fs::File>,
     /// `Some((tmp, final))` until the rename happened.
     pending: Option<(std::path::PathBuf, std::path::PathBuf)>,
+    /// One line's rendering, reused for every event.
+    line: String,
 }
 
 impl JsonlSink {
@@ -145,6 +147,7 @@ impl JsonlSink {
         Ok(JsonlSink {
             writer: std::io::BufWriter::new(file),
             pending: Some((tmp, path.to_path_buf())),
+            line: String::new(),
         })
     }
 
@@ -163,7 +166,10 @@ impl Sink for JsonlSink {
     fn record(&mut self, ev: TraceEvent) {
         // A full disk mid-trace must not abort the traced computation;
         // the audit will catch the truncated file.
-        let _ = writeln!(self.writer, "{}", ev.to_json_line());
+        self.line.clear();
+        ev.write_json_line(&mut self.line);
+        self.line.push('\n');
+        let _ = self.writer.write_all(self.line.as_bytes());
     }
 
     fn flush(&mut self) {
