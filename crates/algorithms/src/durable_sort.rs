@@ -71,8 +71,11 @@ pub fn durable_sort<S: Clone + Ord + DurableRecord>(
 /// the pass recorded in the commit metadata. Once the schedule is
 /// exhausted the final incarnation runs to completion — so the function
 /// terminates for *any* schedule, even one whose offsets are already
-/// behind the committed prefix (those crash immediately and make no
-/// progress, but still consume their slot).
+/// behind the committed prefix. Such a stale offset still consumes its
+/// slot, but fires only at the incarnation's first journal write: at
+/// once when nothing was committed yet, else at the checkpoint after
+/// one merge pass (whose work is done and charged but lost), or never
+/// when the recovered checkpoint is already fully sorted.
 pub fn sort_with_crashes<S: Clone + Ord + DurableRecord>(
     journal: &Path,
     items: Vec<S>,

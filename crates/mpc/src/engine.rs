@@ -48,7 +48,7 @@ use crate::fault::{FaultKind, NetFaultPlan};
 use crate::wire::{self, Envelope, NET_HEADER};
 use st_core::{frame, pool_map, CommUsage, ResourceUsage, StError};
 use st_extmem::durable::Wal;
-use st_trace::TraceBuffer;
+use st_trace::{TraceBuffer, Tracer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -323,6 +323,11 @@ impl Exchange {
 /// work-stealing pool, states returned in worker order alongside the
 /// phase outputs. The first worker error (in worker order) aborts the
 /// step.
+///
+/// With one job the workers run in order on the calling thread, under
+/// a disabled trace scope as on a fresh pool thread. A thread per step
+/// would cost a spawn, and glibc gives new threads arenas that keep
+/// memory after the thread is gone.
 pub fn parallel_step<W, T>(
     states: Vec<W>,
     jobs: usize,
@@ -333,25 +338,37 @@ where
     T: Send,
 {
     let work = states.len();
-    // Each cell is taken exactly once by the worker claiming its index;
-    // the mutex only satisfies the pool's `Sync` bound.
-    let cells: Vec<Mutex<Option<W>>> = states.into_iter().map(|w| Mutex::new(Some(w))).collect();
-    let outcomes = pool_map(work, jobs, None, |i| {
-        let state = cells[i]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        match state {
-            None => (
-                None,
-                Err(StError::Machine("worker state claimed twice".into())),
-            ),
-            Some(mut state) => {
-                let out = f(i, &mut state);
-                (Some(state), out)
+    let outcomes: Vec<(Option<W>, Result<T, StError>)> = if jobs <= 1 {
+        st_trace::scoped(Tracer::disabled(), || {
+            (states.into_iter().enumerate())
+                .map(|(i, mut state)| {
+                    let out = f(i, &mut state);
+                    (Some(state), out)
+                })
+                .collect()
+        })
+    } else {
+        // Each cell is taken exactly once by the worker claiming its
+        // index; the mutex only satisfies the pool's `Sync` bound.
+        let cells: Vec<Mutex<Option<W>>> =
+            states.into_iter().map(|w| Mutex::new(Some(w))).collect();
+        pool_map(work, jobs, None, |i| {
+            let state = cells[i]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .take();
+            match state {
+                None => (
+                    None,
+                    Err(StError::Machine("worker state claimed twice".into())),
+                ),
+                Some(mut state) => {
+                    let out = f(i, &mut state);
+                    (Some(state), out)
+                }
             }
-        }
-    });
+        })
+    };
     let mut states = Vec::with_capacity(work);
     let mut outs = Vec::with_capacity(work);
     for (state, out) in outcomes {
@@ -907,16 +924,33 @@ mod tests {
 
     #[test]
     fn parallel_step_propagates_the_first_error_in_worker_order() {
-        let states: Vec<u64> = (0..4).collect();
-        let err = parallel_step(states, 2, |w, _s| {
-            if w >= 2 {
-                Err(StError::Machine(format!("worker {w} failed")))
-            } else {
-                Ok(())
-            }
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("worker 2"), "{err}");
+        for jobs in [1usize, 2] {
+            let states: Vec<u64> = (0..4).collect();
+            let err = parallel_step(states, jobs, |w, _s| {
+                if w >= 2 {
+                    Err(StError::Machine(format!("worker {w} failed")))
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains("worker 2"), "{err}");
+        }
+    }
+
+    #[test]
+    fn parallel_steps_run_outside_the_callers_trace_scope() {
+        for jobs in [1usize, 3] {
+            let (tracer, buf) = Tracer::in_memory();
+            st_trace::scoped(tracer, || {
+                parallel_step(vec![0u8; 3], jobs, |_w, _s| {
+                    st_trace::current().emit(|| st_trace::TraceEvent::StepBatch { steps: 1 });
+                    Ok(())
+                })
+            })
+            .unwrap();
+            assert_eq!(buf.len(), 0, "jobs={jobs}");
+        }
     }
 
     #[test]

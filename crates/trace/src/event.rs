@@ -401,7 +401,10 @@ impl TraceEvent {
 }
 
 /// Render `events` as JSONL into one buffer: one line per event, each
-/// ending in a newline (empty for no events).
+/// ending in a newline (empty for no events). The buffer is returned
+/// without spare capacity: it grows by doubling from a few bytes, so
+/// untrimmed it would hold up to twice its text for as long as the
+/// caller keeps it (an MPC run keeps one per worker).
 #[must_use]
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
@@ -409,6 +412,7 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
         ev.write_json_line(&mut out);
         out.push('\n');
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -477,10 +481,75 @@ pub fn read_jsonl_lossy(
 mod tests {
     use super::*;
 
+    fn roundtrip(ev: TraceEvent) {
+        let line = ev.to_json_line();
+        let back = TraceEvent::from_json_line(&line).unwrap();
+        assert_eq!(ev, back, "line was: {line}");
+    }
+
+    #[test]
+    fn every_event_kind_roundtrips_through_json() {
+        roundtrip(TraceEvent::RunBegin {
+            substrate: "tape".into(),
+            input_len: 48,
+        });
+        roundtrip(TraceEvent::InputSize { input_len: 96 });
+        roundtrip(TraceEvent::TapeRegistered {
+            tape: 2,
+            name: "scratch \"quoted\"\n".into(),
+        });
+        roundtrip(TraceEvent::PhaseBegin {
+            name: "merge pass run_len=4".into(),
+        });
+        roundtrip(TraceEvent::PhaseEnd {
+            name: "merge pass run_len=4".into(),
+        });
+        roundtrip(TraceEvent::ScanStart {
+            op: "copy_tape".into(),
+        });
+        roundtrip(TraceEvent::ScanEnd {
+            op: "copy_tape".into(),
+        });
+        roundtrip(TraceEvent::Reversal { tape: 1, total: 9 });
+        roundtrip(TraceEvent::HeadMoves {
+            tape: 0,
+            total: 1234,
+        });
+        roundtrip(TraceEvent::StepBatch { steps: 1024 });
+        roundtrip(TraceEvent::MemCharge { bits: 64 });
+        roundtrip(TraceEvent::MemRelease { bits: 64 });
+        roundtrip(TraceEvent::MemPeak { bits: 100 });
+        roundtrip(TraceEvent::Fault {
+            tape: 3,
+            kind: FaultKind::TornWrite,
+        });
+        roundtrip(TraceEvent::Retry {
+            attempt: 2,
+            reason: "fingerprint differs\tfrom master".into(),
+        });
+        roundtrip(TraceEvent::TapeExtent { tape: 0, cells: 48 });
+        roundtrip(TraceEvent::CrashInjected { at_byte: 7777 });
+        roundtrip(TraceEvent::Recovery {
+            committed: 1024,
+            discarded: 13,
+        });
+        roundtrip(TraceEvent::RunUsage {
+            usage: ResourceUsage {
+                input_len: 10,
+                reversals_per_tape: vec![1, 2, 3],
+                external_tapes: 3,
+                internal_space: 7,
+                steps: 99,
+                external_cells: 30,
+            },
+        });
+    }
+
     /// One event of every variant, its names holding a quote, a
-    /// backslash, a control character and non-ASCII text.
+    /// backslash, a newline, a tab, a carriage return, another control
+    /// character and non-ASCII text.
     fn one_of_each() -> Vec<TraceEvent> {
-        let name = "q\"b\\c\u{1}λ→x";
+        let name = "q\"b\\c\n\t\r\u{1}λ→x";
         vec![
             TraceEvent::RunBegin {
                 substrate: name.into(),
@@ -557,10 +626,13 @@ mod tests {
     #[test]
     fn names_are_escaped_on_the_wire() {
         let line = TraceEvent::PhaseBegin {
-            name: "q\"b\\c\u{1}λ".into(),
+            name: "q\"b\\c\n\t\r\u{1}λ".into(),
         }
         .to_json_line();
-        assert_eq!(line, r#"{"ev":"phase_begin","name":"q\"b\\c\u0001λ"}"#);
+        assert_eq!(
+            line,
+            r#"{"ev":"phase_begin","name":"q\"b\\c\n\t\r\u0001λ"}"#
+        );
     }
 
     #[test]
