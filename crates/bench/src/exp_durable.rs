@@ -156,8 +156,8 @@ pub fn e22_recovery_overhead() -> Report {
         all_correct && monotone,
         format!(
             "output correct at every crash count and total steps grow monotonically \
-             with the storm ({}x at 8 crashes)",
-            (prev_steps as f64 / base_steps as f64).round()
+             with the storm ({:.2}x at 8 crashes)",
+            prev_steps as f64 / base_steps as f64
         ),
     );
     r

@@ -2,11 +2,12 @@
 //!
 //! Every registry entry owns independent machine state (`TapeMachine`s,
 //! list machines, meters), so the registry is embarrassingly parallel.
-//! [`run_experiments`] executes a selection across a pool of `--jobs N`
-//! worker threads pulling indices from one shared queue: an idle worker
-//! always steals the next unstarted experiment, so the pool stays busy
-//! until the queue drains. The queue is ordered by each entry's
-//! [`cost`](crate::Experiment::cost) hint, costliest first
+//! [`run_experiments`] executes a selection on [`pool_map`] with
+//! `--jobs N` worker threads (`0` = available parallelism; one job runs
+//! on the calling thread) pulling indices from one shared queue: an
+//! idle worker always steals the next unstarted experiment, so the pool
+//! stays busy until the queue drains. The queue is ordered by each
+//! entry's [`cost`](crate::Experiment::cost) hint, costliest first
 //! (longest-processing-time scheduling), so a straggler started last
 //! cannot serialize the tail of the run.
 //!
@@ -17,9 +18,10 @@
 //!
 //! Isolation guarantees per experiment:
 //!
-//! * each worker installs its **own** [`st_trace::scoped`] tracer around
-//!   each experiment (the scoped tracer is thread-local, so concurrent
-//!   experiments never share an event stream);
+//! * each experiment runs under its **own** [`st_trace::scoped`] tracer,
+//!   on whichever thread runs it (the scoped tracer is thread-local, so
+//!   concurrent experiments never share an event stream, and one run
+//!   inline never sees the caller's);
 //! * each experiment runs under a `catch_unwind` boundary — a panic
 //!   becomes an explicit `NOT REPRODUCED — panicked: …` verdict instead
 //!   of aborting the whole report;
@@ -70,21 +72,6 @@ pub struct RunOptions {
     /// Whether reports carry wall-clock duration buckets (default:
     /// suppressed, keeping artifacts deterministic).
     pub timing: TimingMode,
-}
-
-impl RunOptions {
-    /// The effective worker count: `jobs`, or available parallelism when
-    /// `jobs == 0`, never more than `work` (spawning idle threads is
-    /// pointless) and never less than 1.
-    #[must_use]
-    pub fn effective_jobs(&self, work: usize) -> usize {
-        let requested = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.jobs
-        };
-        requested.clamp(1, work.max(1))
-    }
 }
 
 /// The replay-audit outcome of one experiment's JSONL trace.
@@ -293,10 +280,9 @@ pub fn run_experiments(selected: &[Experiment], opts: &RunOptions) -> Result<Run
     let mut schedule: Vec<usize> = (0..selected.len()).collect();
     schedule.sort_by_key(|&i| std::cmp::Reverse(selected[i].cost));
 
-    let jobs = opts.effective_jobs(selected.len());
     let _quiet = PanicHookSilencer::install();
     let trace_dir = opts.trace_dir.as_deref();
-    let outcomes = pool_map(selected.len(), jobs, Some(&schedule), |i| {
+    let outcomes = pool_map(selected.len(), opts.jobs, Some(&schedule), |i| {
         run_one(&selected[i], trace_dir, opts.timing)
     });
     let mut reports = Vec::with_capacity(selected.len());
@@ -428,23 +414,6 @@ mod tests {
         .unwrap();
         let ids: Vec<&str> = outcome.reports.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, ["a", "b", "c"]);
-    }
-
-    #[test]
-    fn effective_jobs_clamps_to_work_and_floor_of_one() {
-        let opts = RunOptions {
-            jobs: 8,
-            trace_dir: None,
-            timing: TimingMode::default(),
-        };
-        assert_eq!(opts.effective_jobs(3), 3);
-        assert_eq!(opts.effective_jobs(0), 1);
-        let auto = RunOptions {
-            jobs: 0,
-            trace_dir: None,
-            timing: TimingMode::default(),
-        };
-        assert!(auto.effective_jobs(64) >= 1);
     }
 
     #[test]

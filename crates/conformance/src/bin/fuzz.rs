@@ -12,7 +12,7 @@
 //! status: 0 on a clean run, 1 when any oracle disagreed, 2 on usage
 //! errors.
 
-use st_bench::cli::{take_flag, take_u64_flag};
+use st_bench::cli::{take_flag, take_jobs_flag, take_u64_flag};
 use st_conformance::engine::{fuzz, FuzzOptions};
 use st_conformance::oracle::all_oracles;
 
@@ -34,7 +34,7 @@ fn main() {
     }
     let iters = take_u64_flag(&mut args, "--iters", 1000).unwrap_or_else(|e| usage_error(&e));
     let seed = take_u64_flag(&mut args, "--seed", 0).unwrap_or_else(|e| usage_error(&e));
-    let jobs = take_u64_flag(&mut args, "--jobs", 0).unwrap_or_else(|e| usage_error(&e)) as usize;
+    let jobs = take_jobs_flag(&mut args).unwrap_or_else(|e| usage_error(&e));
     let corpus_dir = take_flag(&mut args, "--corpus-dir")
         .unwrap_or_else(|e| usage_error(&e))
         .map(std::path::PathBuf::from);
@@ -78,7 +78,7 @@ mod tests {
         let mut a = args(&["--iters", "200", "--seed", "7"]);
         assert_eq!(take_u64_flag(&mut a, "--iters", 1000).unwrap(), 200);
         assert_eq!(take_u64_flag(&mut a, "--seed", 0).unwrap(), 7);
-        assert_eq!(take_u64_flag(&mut a, "--jobs", 0).unwrap(), 0);
+        assert_eq!(take_jobs_flag(&mut a).unwrap(), 0);
         assert!(a.is_empty());
         let mut bad = args(&["--iters", "lots"]);
         assert!(take_u64_flag(&mut bad, "--iters", 0).is_err());

@@ -324,8 +324,14 @@ mod tests {
         for s in &sequential.stats {
             assert!(s.agree > 0, "oracle {} never applied", s.id);
         }
-        let parallel = fuzz(&FuzzOptions { jobs: 4, ..base }).unwrap();
+        let parallel = fuzz(&FuzzOptions {
+            jobs: 4,
+            ..base.clone()
+        })
+        .unwrap();
         assert_eq!(sequential.render(), parallel.render());
+        let auto = fuzz(&FuzzOptions { jobs: 0, ..base }).unwrap();
+        assert_eq!(sequential.render(), auto.render());
     }
 
     /// Off-by-one sort decider: never compares the smallest record pair.

@@ -38,21 +38,6 @@ impl TenantBudget {
             internal_bits: u64::MAX,
         }
     }
-
-    /// Component-wise saturating sum.
-    #[must_use]
-    pub fn plus(self, other: TenantBudget) -> TenantBudget {
-        TenantBudget {
-            reversals: self.reversals.saturating_add(other.reversals),
-            internal_bits: self.internal_bits.saturating_add(other.internal_bits),
-        }
-    }
-
-    /// `true` iff both components of `self` fit inside `other`.
-    #[must_use]
-    pub fn fits_within(self, other: TenantBudget) -> bool {
-        self.reversals <= other.reversals && self.internal_bits <= other.internal_bits
-    }
 }
 
 impl fmt::Display for TenantBudget {

@@ -21,8 +21,10 @@
 //!   cursor and put helpers for frame bodies;
 //! * [`rng`] — the one SplitMix64 mixer and stream and the one FNV-1a
 //!   hash under every seeded fault stream, seed tree and bill MAC;
-//! * [`pool`] — the shared work-stealing `pool_map` primitive under the
-//!   experiment runner, the conformance fuzzer, and the MPC supersteps;
+//! * [`pool`] — the one work-stealing fan-out, `pool_map`, under every
+//!   parallel phase (experiment runner, fuzzer, soak, serve scripts,
+//!   TM sampling, MPC supersteps); it resolves `--jobs 0` and runs
+//!   inline at one job;
 //! * [`theorems`] — the parameter calculators of the paper's quantitative
 //!   lemmas (Lemma 3 run-length bound, Lemma 16 state-count bound,
 //!   Lemma 21/22 preconditions, Lemma 32 skeleton-count bound);

@@ -1,13 +1,17 @@
 //! A generic work-stealing thread pool primitive.
 //!
-//! [`pool_map`] is the one fan-out shape the whole workspace shares: the
-//! experiment runner, the conformance fuzzer's iteration blocks, and the
-//! MPC cluster's per-round worker step all claim indices from a shared
-//! atomic counter and hand back results **in index order**, so every
-//! artifact built on top is byte-identical across `--jobs` values by
-//! construction. It lives in `st-core` (std-only, no machine state) so
-//! both `st-bench` and `st-mpc` can use it without a dependency cycle.
-//! [`lock`] is the one way the workspace takes a shared `Mutex`.
+//! [`pool_map`] is the one fan-out the whole workspace shares: the
+//! experiment runner, the conformance fuzzer's iteration blocks, the soak
+//! campaign and its concurrent sessions, the serve script's execution
+//! phase, the TM acceptance sampler and the MPC cluster's per-round
+//! worker step all claim indices from a shared atomic counter and hand
+//! back results **in index order**, so every artifact built on top is
+//! byte-identical across `--jobs` values by construction. It alone
+//! resolves `jobs == 0` to the available parallelism, and at one
+//! effective job it runs on the calling thread and spawns nothing. It
+//! lives in `st-core` (std-only, no machine state) so both `st-bench`
+//! and `st-mpc` can use it without a dependency cycle. [`lock`] is the
+//! one way the workspace takes a shared `Mutex`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
@@ -20,39 +24,62 @@ pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Generic work-stealing fan-out: `jobs` scoped worker threads claim
-/// indices `0..work` from a shared atomic counter in `schedule` order and
-/// run `f` on each; the results come back **in index order** regardless
-/// of which worker finished when. `schedule` permutes the *claim* order
+/// The worker count for `work` items: `jobs`, or the available
+/// parallelism when `jobs == 0`, never more than `work` (an idle thread
+/// is pointless) and never less than 1.
+fn effective_jobs(jobs: usize, work: usize) -> usize {
+    let requested = if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        jobs
+    };
+    requested.clamp(1, work.max(1))
+}
+
+/// Generic work-stealing fan-out: `jobs` workers (`0` = available
+/// parallelism, clamped to `1..=work`) claim indices `0..work` from a
+/// shared atomic counter in `schedule` order and run `f` on each; the
+/// results come back **in index order** regardless of which worker
+/// finished when. `schedule` permutes the pool threads' *claim* order
 /// only (pass `None` for first-to-last); it never affects the output
-/// order. This is the pool under `st_bench::runner::run_experiments`,
-/// under the conformance fuzzer's iteration blocks, and under the
-/// `st-mpc` superstep engine.
+/// order.
+///
+/// At one effective job `f` runs in index order on the calling thread:
+/// no thread, no channel, no slot vector, and no use for a schedule.
+/// Otherwise it runs on scoped threads spawned for this call. So `f`
+/// sees the caller's thread-locals (such as an ambient `st_trace`
+/// tracer) only at one job; a caller whose output must not depend on
+/// `jobs` either reads none in `f` or sets them inside `f`.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` when the scope joins; callers that must
-/// survive panics wrap `f` in `catch_unwind` themselves.
+/// Panics if `schedule` does not have `work` entries. Propagates a
+/// panic from `f` (at once at one job, when the scope joins otherwise);
+/// callers that must survive panics wrap `f` in `catch_unwind`
+/// themselves.
 pub fn pool_map<T, F>(work: usize, jobs: usize, schedule: Option<&[usize]>, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    if let Some(s) = schedule {
+        assert_eq!(s.len(), work, "schedule must cover the work list");
+    }
     if work == 0 {
         return Vec::new();
     }
+    let jobs = effective_jobs(jobs, work);
+    if jobs == 1 {
+        return (0..work).map(f).collect();
+    }
     let identity: Vec<usize>;
     let schedule = match schedule {
-        Some(s) => {
-            assert_eq!(s.len(), work, "schedule must cover the work list");
-            s
-        }
+        Some(s) => s,
         None => {
             identity = (0..work).collect();
             &identity
         }
     };
-    let jobs = jobs.clamp(1, work);
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, T)>();
     std::thread::scope(|scope| {
@@ -102,6 +129,31 @@ mod tests {
         let serial = pool_map(17, 1, None, |i| i + 100);
         let parallel = pool_map(17, 8, None, |i| i + 100);
         assert_eq!(serial, parallel);
+        let auto = pool_map(17, 0, None, |i| i + 100);
+        assert_eq!(serial, auto);
+    }
+
+    #[test]
+    fn one_effective_job_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for (work, jobs) in [(5, 1), (1, 4), (1, 0)] {
+            let threads = pool_map(work, jobs, None, |_| std::thread::current().id());
+            assert!(
+                threads.iter().all(|&t| t == caller),
+                "work={work} jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn effective_jobs_clamps_to_work_and_floor_of_one() {
+        assert_eq!(effective_jobs(8, 3), 3);
+        assert_eq!(effective_jobs(8, 0), 1);
+        assert_eq!(effective_jobs(2, 64), 2);
+        let auto = effective_jobs(0, 64);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(auto, cores.min(64));
+        assert_eq!(effective_jobs(0, 1), 1);
     }
 
     #[test]
@@ -120,7 +172,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "schedule must cover the work list")]
     fn pool_map_rejects_a_short_schedule() {
+        // One job: the check must hold before the inline path, which
+        // has no use for the schedule.
         let short = [0usize, 1];
-        let _ = pool_map(3, 2, Some(&short), |i| i);
+        let _ = pool_map(3, 1, Some(&short), |i| i);
     }
 }

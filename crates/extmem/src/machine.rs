@@ -86,12 +86,6 @@ impl<S: Clone> TapeMachine<S> {
         self.push_tape(Tape::from_items(name, items))
     }
 
-    /// Number of tapes.
-    #[must_use]
-    pub fn tape_count(&self) -> usize {
-        self.tapes.len()
-    }
-
     /// Immutable access to tape `i`.
     #[must_use]
     pub fn tape(&self, i: usize) -> &Tape<S> {

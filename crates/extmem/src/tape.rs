@@ -581,13 +581,6 @@ impl<S: Clone> Tape<S> {
         self.pending = None;
     }
 
-    /// Detach the fault layer; the tape keeps any corruption already
-    /// stored in its cells.
-    pub fn disable_faults(&mut self) {
-        self.faults = None;
-        self.pending = None;
-    }
-
     /// `true` iff a fault plan is attached.
     #[must_use]
     pub fn faults_enabled(&self) -> bool {

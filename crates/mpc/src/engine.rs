@@ -96,17 +96,6 @@ impl MpcOptions {
         self.fault_plan = Some(plan);
         self
     }
-
-    /// The effective host-thread count for a phase over `work` items.
-    #[must_use]
-    pub fn effective_jobs(&self, work: usize) -> usize {
-        let requested = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.jobs
-        };
-        requested.clamp(1, work.max(1))
-    }
 }
 
 /// The metered exchange channel of a `p`-worker cluster.
@@ -324,10 +313,10 @@ impl Exchange {
 /// phase outputs. The first worker error (in worker order) aborts the
 /// step.
 ///
-/// With one job the workers run in order on the calling thread, under
-/// a disabled trace scope as on a fresh pool thread. A thread per step
-/// would cost a spawn, and glibc gives new threads arenas that keep
-/// memory after the thread is gone.
+/// The whole phase runs under a disabled trace scope, so a step sees no
+/// ambient tracer whether [`pool_map`] runs it on the calling thread
+/// (one job: no thread is spawned, and so no glibc arena is left
+/// holding memory after it) or on a pool thread.
 pub fn parallel_step<W, T>(
     states: Vec<W>,
     jobs: usize,
@@ -338,20 +327,10 @@ where
     T: Send,
 {
     let work = states.len();
-    let outcomes: Vec<(Option<W>, Result<T, StError>)> = if jobs <= 1 {
-        st_trace::scoped(Tracer::disabled(), || {
-            (states.into_iter().enumerate())
-                .map(|(i, mut state)| {
-                    let out = f(i, &mut state);
-                    (Some(state), out)
-                })
-                .collect()
-        })
-    } else {
-        // Each cell is taken exactly once by the worker claiming its
-        // index; the mutex only satisfies the pool's `Sync` bound.
-        let cells: Vec<Mutex<Option<W>>> =
-            states.into_iter().map(|w| Mutex::new(Some(w))).collect();
+    // Each cell is taken exactly once by the worker claiming its index;
+    // the mutex only satisfies the pool's `Sync` bound.
+    let cells: Vec<Mutex<Option<W>>> = states.into_iter().map(|w| Mutex::new(Some(w))).collect();
+    let outcomes = st_trace::scoped(Tracer::disabled(), || {
         pool_map(work, jobs, None, |i| {
             let state = cells[i]
                 .lock()
@@ -368,7 +347,7 @@ where
                 }
             }
         })
-    };
+    });
     let mut states = Vec::with_capacity(work);
     let mut outs = Vec::with_capacity(work);
     for (state, out) in outcomes {
@@ -547,7 +526,7 @@ impl<'a, W: Worker> Cluster<'a, W> {
             buffers,
             pending: (0..p).map(|_| Vec::new()).collect(),
             staged: None,
-            jobs: opts.effective_jobs(p),
+            jobs: opts.jobs,
             plan,
             factory,
             history: Vec::new(),

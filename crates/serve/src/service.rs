@@ -6,12 +6,13 @@
 //!    is priced by [`crate::admission::reserve`] and charged against
 //!    its tenant's [`BudgetLedger`]. Over-budget sessions are rejected
 //!    with a signed bill quoting the bound; they never touch a tape.
-//! 2. **Execution** (parallel): a worker pool multiplexes the admitted
-//!    sessions — a worker feeds one chunk or runs one step quantum,
-//!    then requeues the session if it yielded, so thousands of sessions
-//!    interleave over a handful of threads. Nothing in this phase
-//!    writes to the transcript; per-session results are independent of
-//!    scheduling.
+//! 2. **Execution** (parallel): one [`pool_map`] over the admitted
+//!    sessions. Each item opens its session from the spec, feeds the
+//!    word chunk by chunk, declares end of input, then steps the session
+//!    in `step_batch` quanta to its verdict, counting the quanta that
+//!    yield. `--jobs 1` runs them in order on the calling thread. Nothing
+//!    in this phase writes to the transcript; each session's result is a
+//!    function of its spec and the master seed alone.
 //! 3. **Settlement** (serial, session order): each finished session is
 //!    replay-audited against its own trace, billed from its measured
 //!    usage, signed, and checked against its reservation.
@@ -28,25 +29,25 @@
 
 use crate::admission::{declared_input_len, rejection_bill, reserve};
 use crate::protocol::{read_frame_lenient, FrameRead, Request, Response, MAX_FRAME};
-use crate::script::Script;
+use crate::script::{Script, SessionSpec};
 use crate::session::{DeciderKind, Session};
 use st_algo::StepOutcome;
 use st_conformance::prng::derive_seed;
 use st_core::frame::put_frame;
-use st_core::{BillingKey, BudgetLedger, SignedBill, StError, TenantBudget};
+use st_core::{pool_map, BillingKey, BudgetLedger, SignedBill, StError, TenantBudget};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Options for [`run_script`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads (0 = available parallelism).
+    /// Worker threads for the execution phase (0 = available
+    /// parallelism; 1 runs it on the calling thread).
     pub jobs: usize,
     /// Head operations per step quantum.
     pub step_batch: u64,
@@ -92,7 +93,8 @@ pub struct SessionResult {
     pub within_reserve: Option<bool>,
     /// Step quanta that ended in a yield.
     pub yields: u64,
-    /// Wall-clock from first scheduling to completion (0 on rejection).
+    /// The session's own run time, from its first feed to its verdict
+    /// (0 on rejection); time other sessions held the pool is not in it.
     /// Never part of the transcript.
     pub latency_nanos: u128,
     /// A session-level failure, if any.
@@ -124,104 +126,60 @@ impl ScriptRun {
     }
 }
 
-/// One admitted session making its way through the worker pool.
-struct Job {
-    index: usize,
-    session: Session,
-    word: Vec<u8>,
-    chunk: usize,
-    fed: usize,
-    finished_feeding: bool,
-    yields: u64,
-    started: Option<Instant>,
-}
-
-/// What the pool hands back to settlement.
+/// What the execution phase hands back to settlement for one admitted
+/// session.
 struct Completion {
+    session: Session,
     yields: u64,
     latency_nanos: u128,
     outcome: Result<(), StError>,
 }
 
-struct Pool {
-    queue: Mutex<(VecDeque<Job>, usize)>,
-    ready: Condvar,
-}
-
-impl Pool {
-    fn new(jobs: Vec<Job>) -> Self {
-        let outstanding = jobs.len();
-        Pool {
-            queue: Mutex::new((jobs.into(), outstanding)),
-            ready: Condvar::new(),
+/// Open session `index` from its spec, feed its word chunk by chunk,
+/// then step it in `step_batch` quanta to its verdict, counting the
+/// quanta that yield. Everything here is a function of the spec and the
+/// master seed, so the result does not depend on which thread runs it.
+fn run_session(spec: &SessionSpec, index: u64, opts: &ServeOptions) -> Completion {
+    let word = spec.resolve_word(opts.master_seed, index);
+    let rng_seed = derive_seed(opts.master_seed, "session-rng", index);
+    let mut session = Session::open(index, spec.kind, rng_seed);
+    let started = Instant::now();
+    let mut yields = 0;
+    let mut drive = || -> Result<(), StError> {
+        for chunk in word.as_bytes().chunks(spec.chunk) {
+            if session.feed(chunk)? {
+                return Ok(());
+            }
         }
-    }
-
-    /// Pop a job, or `None` once every job has completed.
-    fn pop(&self) -> Option<Job> {
-        let mut guard = self.queue.lock().expect("pool lock");
+        session.finish()?;
         loop {
-            if guard.1 == 0 {
-                return None;
+            match session.step(opts.step_batch)? {
+                StepOutcome::Done(_) => return Ok(()),
+                StepOutcome::Yielded => yields += 1,
+                StepOutcome::NeedInput => {
+                    return Err(StError::Machine(
+                        "finished session asked for more input".into(),
+                    ))
+                }
             }
-            if let Some(job) = guard.0.pop_front() {
-                return Some(job);
-            }
-            guard = self.ready.wait(guard).expect("pool lock");
         }
-    }
-
-    fn requeue(&self, job: Job) {
-        let mut guard = self.queue.lock().expect("pool lock");
-        guard.0.push_back(job);
-        drop(guard);
-        self.ready.notify_one();
-    }
-
-    /// Mark one job finished; wake everyone when the pool drains.
-    fn complete(&self) {
-        let mut guard = self.queue.lock().expect("pool lock");
-        guard.1 -= 1;
-        let drained = guard.1 == 0;
-        drop(guard);
-        if drained {
-            self.ready.notify_all();
-        }
-    }
-}
-
-/// Advance a job by one quantum. `Ok(None)` means it yielded and wants
-/// to be requeued; `Ok(Some(..))` or `Err` is terminal.
-fn run_quantum(job: &mut Job, step_batch: u64) -> Result<Option<()>, StError> {
-    if !job.finished_feeding {
-        if job.fed < job.word.len() {
-            let end = (job.fed + job.chunk).min(job.word.len());
-            let chunk = job.word[job.fed..end].to_vec();
-            job.fed = end;
-            let done = job.session.feed(&chunk)?;
-            if done {
-                return Ok(Some(()));
-            }
-            return Ok(None);
-        }
-        job.session.finish()?;
-        job.finished_feeding = true;
-        return Ok(None);
-    }
-    match job.session.step(step_batch)? {
-        StepOutcome::Done(_) => Ok(Some(())),
-        StepOutcome::Yielded => {
-            job.yields += 1;
-            Ok(None)
-        }
-        StepOutcome::NeedInput => Err(StError::Machine(
-            "finished session asked for more input".into(),
-        )),
+    };
+    let outcome = drive();
+    Completion {
+        session,
+        yields,
+        latency_nanos: started.elapsed().as_nanos(),
+        outcome,
     }
 }
 
 /// Run a [`Script`] to a settled, audited, deterministic transcript.
 pub fn run_script(script: &Script, opts: &ServeOptions) -> Result<ScriptRun, StError> {
+    if let Some(i) = script.sessions.iter().position(|spec| spec.chunk == 0) {
+        return Err(StError::Precondition(format!(
+            "session {i}: feed chunk must be at least 1 byte"
+        )));
+    }
     let key = BillingKey::new(opts.billing_key);
     let mut transcript = String::new();
     let mut ledgers: Vec<(String, BudgetLedger)> = script
@@ -232,7 +190,7 @@ pub fn run_script(script: &Script, opts: &ServeOptions) -> Result<ScriptRun, StE
 
     // Phase 1 — admission, serial in script order.
     let mut results: Vec<SessionResult> = Vec::with_capacity(script.sessions.len());
-    let mut pending: Vec<Option<Job>> = Vec::with_capacity(script.sessions.len());
+    let mut admitted_sessions: Vec<usize> = Vec::new();
     let mut reservations: Vec<TenantBudget> = Vec::with_capacity(script.sessions.len());
     for (i, spec) in script.sessions.iter().enumerate() {
         let index = i as u64;
@@ -269,18 +227,7 @@ pub fn run_script(script: &Script, opts: &ServeOptions) -> Result<ScriptRun, StE
             ledger.admit(reservation);
             transcript.push_str("admitted\n");
             result.admitted = true;
-            let word = spec.resolve_word(opts.master_seed, index);
-            let rng_seed = derive_seed(opts.master_seed, "session-rng", index);
-            pending.push(Some(Job {
-                index: i,
-                session: Session::open(index, spec.kind, rng_seed),
-                word: word.into_bytes(),
-                chunk: spec.chunk,
-                fed: 0,
-                finished_feeding: false,
-                yields: 0,
-                started: None,
-            }));
+            admitted_sessions.push(i);
         } else {
             ledger.reject();
             let signed = key.sign(rejection_bill(
@@ -296,56 +243,22 @@ pub fn run_script(script: &Script, opts: &ServeOptions) -> Result<ScriptRun, StE
                 signed.bill, signed.mac
             );
             result.bill = Some(signed);
-            pending.push(None);
         }
         results.push(result);
     }
 
-    // Phase 2 — execution on the worker pool. No transcript writes.
-    let jobs: Vec<Job> = pending.into_iter().flatten().collect();
-    let admitted = jobs.len() as u64;
+    // Phase 2 — execution on the pool. No transcript writes.
+    let admitted = admitted_sessions.len() as u64;
     let rejected = results.len() as u64 - admitted;
-    let workers = if opts.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        opts.jobs
-    };
-    let pool = Pool::new(jobs);
-    let completions: Mutex<HashMap<usize, (Session, Completion)>> = Mutex::new(HashMap::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| {
-                while let Some(mut job) = pool.pop() {
-                    let started = *job.started.get_or_insert_with(Instant::now);
-                    match run_quantum(&mut job, opts.step_batch) {
-                        Ok(None) => pool.requeue(job),
-                        terminal => {
-                            let completion = Completion {
-                                yields: job.yields,
-                                latency_nanos: started.elapsed().as_nanos(),
-                                outcome: terminal.map(|_| ()),
-                            };
-                            completions
-                                .lock()
-                                .expect("completions lock")
-                                .insert(job.index, (job.session, completion));
-                            pool.complete();
-                        }
-                    }
-                }
-            });
-        }
+    let completions = pool_map(admitted_sessions.len(), opts.jobs, None, |k| {
+        let i = admitted_sessions[k];
+        run_session(&script.sessions[i], i as u64, opts)
     });
 
     // Phase 3 — settlement, serial in session order.
-    let mut completions = completions.into_inner().expect("completions lock");
-    for (i, spec) in script.sessions.iter().enumerate() {
-        if !results[i].admitted {
-            continue;
-        }
-        let (session, completion) = completions
-            .remove(&i)
-            .expect("every admitted session completes");
+    for (&i, completion) in admitted_sessions.iter().zip(completions) {
+        let spec = &script.sessions[i];
+        let session = completion.session;
         let result = &mut results[i];
         result.yields = completion.yields;
         result.latency_nanos = completion.latency_nanos;
@@ -821,6 +734,22 @@ mod tests {
         assert_eq!(signed.bill.accepted, None);
         assert!(BillingKey::new(opts(1).billing_key).verify(signed));
         assert!(run.transcript.contains("REJECTED"));
+    }
+
+    #[test]
+    fn a_zero_feed_chunk_is_refused_before_anything_is_admitted() {
+        let mut script = Script::demo(6);
+        script.sessions[3].chunk = 0;
+        // Run on a helper thread so a feed loop that never advances
+        // fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run_script(&script, &opts(1))));
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run_script must return on a zero feed chunk");
+        let err = outcome.expect_err("a zero feed chunk must be refused");
+        assert!(matches!(err, StError::Precondition(_)), "{err}");
+        assert!(err.to_string().contains("session 3"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Exit status: 0 on a clean campaign, 1 when any scenario failed,
 //! 2 on usage errors.
 
-use st_bench::cli::{take_flag, take_switch, take_u64_flag};
+use st_bench::cli::{take_flag, take_jobs_flag, take_switch, take_u64_flag};
 use st_bench::report::merge_json;
 use st_bench::report::{atomic_write, to_json};
 use st_bench::runner::TimingMode;
@@ -55,7 +55,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let iters = take_u64_flag(&mut args, "--iters", 256).unwrap_or_else(|e| usage_error(&e));
     let seed = take_u64_flag(&mut args, "--seed", 0).unwrap_or_else(|e| usage_error(&e));
-    let jobs = take_u64_flag(&mut args, "--jobs", 0).unwrap_or_else(|e| usage_error(&e)) as usize;
+    let jobs = take_jobs_flag(&mut args).unwrap_or_else(|e| usage_error(&e));
     let budget_ms = take_flag(&mut args, "--budget-ms")
         .unwrap_or_else(|e| usage_error(&e))
         .map(|v| {

@@ -15,7 +15,7 @@ use crate::scenario::{
 };
 use crate::stats::{LatencyHistogram, ScenarioStats};
 use st_bench::report::duration_bucket;
-use st_bench::runner::{hush_panics, panic_message, pool_map, RunOptions, TimingMode};
+use st_bench::runner::{hush_panics, panic_message, pool_map, TimingMode};
 use st_bench::Report;
 use st_conformance::corpus::write_repro;
 use st_core::StError;
@@ -258,11 +258,6 @@ pub fn run_campaign(opts: &SoakOptions) -> Result<SoakReport, StError> {
     };
 
     let _quiet = hush_panics();
-    let jobs = RunOptions {
-        jobs: opts.jobs,
-        ..RunOptions::default()
-    }
-    .effective_jobs(BLOCK as usize);
 
     let mut outcomes: Vec<IterationOutcome> = Vec::new();
     let mut next = 0u64;
@@ -278,7 +273,7 @@ pub fn run_campaign(opts: &SoakOptions) -> Result<SoakReport, StError> {
         let base = next;
         let master = opts.seed;
         let ctx_ref = &ctx;
-        outcomes.extend(pool_map(block as usize, jobs, None, move |i| {
+        outcomes.extend(pool_map(block as usize, opts.jobs, None, move |i| {
             let iteration = base + i as u64;
             let scenario = scenario_for_iteration(iteration);
             catch_unwind(AssertUnwindSafe(|| {

@@ -11,14 +11,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use st_algo::durable_sort::sort_with_crashes;
 use st_algo::resilient::resilient_sort;
+use st_bench::runner::panic_message;
 use st_conformance::corpus::Repro;
 use st_conformance::oracle::{self, Agreement, ErrorModel, Oracle};
 use st_conformance::shrink::shrink_word;
 use st_conformance::{generator, prng};
-use st_core::{RetryBudget, StError, Verdict};
+use st_core::{pool_map, RetryBudget, StError, Verdict};
 use st_extmem::FaultPlan;
 use st_problems::{generate, predicates, BitStr, Instance};
 use st_trace::{Aggregator, Tracer};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// One scenario family of the mixed campaign.
@@ -31,7 +33,8 @@ pub enum Scenario {
     CrashStorm,
     /// `resilient_sort` under random media-fault rates and budgets.
     FaultStorm,
-    /// Independent sessions interleaving on scoped threads.
+    /// Independent sessions interleaving on `pool_map` threads, one per
+    /// session.
     Concurrent,
     /// A scripted `st-serve` run: concurrent streaming sessions under
     /// budget admission; every session must replay-audit, stay within
@@ -469,27 +472,16 @@ fn run_concurrent(
     iteration: u64,
     scratch: &Path,
 ) -> (ScenarioStats, Option<ScenarioFailure>) {
-    let results: Vec<(ScenarioStats, Option<String>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..SESSIONS)
-            .map(|s| {
-                let seed = prng::derive_seed(master, "soak-session", iteration * SESSIONS + s);
-                let journal = scratch.join(format!("conc-{iteration}-{s}.wal"));
-                scope.spawn(move || run_session(seed, &journal))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(payload) => (
-                    ScenarioStats::default(),
-                    Some(format!(
-                        "session panicked: {}",
-                        st_bench::runner::panic_message(&*payload)
-                    )),
-                ),
-            })
-            .collect()
+    let results = pool_map(SESSIONS as usize, SESSIONS as usize, None, |s| {
+        let s = s as u64;
+        let seed = prng::derive_seed(master, "soak-session", iteration * SESSIONS + s);
+        let journal = scratch.join(format!("conc-{iteration}-{s}.wal"));
+        catch_unwind(AssertUnwindSafe(|| run_session(seed, &journal))).unwrap_or_else(|payload| {
+            (
+                ScenarioStats::default(),
+                Some(format!("session panicked: {}", panic_message(&*payload))),
+            )
+        })
     });
 
     // Fold in session-index order — the only order that is independent

@@ -5,8 +5,8 @@
 //! experiments enumerate, [`exact_acceptance`] computes this sum exactly
 //! (every run is finite by Definition 1; a step cutoff guards buggy
 //! machines and reports the unresolved mass separately).
-//! [`estimate_acceptance`] samples runs in parallel (`std::thread::scope`
-//! threads) and reports a Wilson confidence interval.
+//! [`estimate_acceptance`] samples runs in parallel (on
+//! [`st_core::pool_map`]) and reports a Wilson confidence interval.
 
 use crate::machine::Tm;
 use crate::run::{enumerate_runs, run_sampled, RunOutcome};
@@ -14,7 +14,7 @@ use crate::Sym;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_core::math::wilson_interval;
-use st_core::StError;
+use st_core::{pool_map, StError};
 
 /// Exact probability masses of the three outcome groups.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,9 +63,10 @@ pub struct AcceptanceEstimate {
 }
 
 /// Estimate `Pr(T accepts input)` from `trials` independent sampled runs,
-/// split across `threads` scoped threads, each joined before the counts
-/// are summed (deterministic given `seed`: worker `i` uses seed
-/// `seed + i`).
+/// split into `threads` shares run on [`pool_map`] with `threads` jobs
+/// (deterministic given `seed`: share `i` uses seed `seed + i`). One
+/// share runs on the calling thread, so its runs trace into the caller's
+/// ambient tracer; more shares run on fresh threads, which have none.
 pub fn estimate_acceptance(
     tm: &Tm,
     input: &[Sym],
@@ -77,26 +78,17 @@ pub fn estimate_acceptance(
     let threads = threads.max(1);
     let per = trials / threads as u64;
     let extra = trials % threads as u64;
-    let counts: Vec<Result<u64, StError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for i in 0..threads {
-            let quota = per + if (i as u64) < extra { 1 } else { 0 };
-            handles.push(scope.spawn(move || -> Result<u64, StError> {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                let mut acc = 0u64;
-                for _ in 0..quota {
-                    let r = run_sampled(tm, input.to_vec(), max_steps, &mut rng)?;
-                    if r.accepted() {
-                        acc += 1;
-                    }
-                }
-                Ok(acc)
-            }));
+    let counts = pool_map(threads, threads, None, |i| -> Result<u64, StError> {
+        let quota = per + u64::from((i as u64) < extra);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
+        let mut acc = 0u64;
+        for _ in 0..quota {
+            let r = run_sampled(tm, input.to_vec(), max_steps, &mut rng)?;
+            if r.accepted() {
+                acc += 1;
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sampler thread panicked"))
-            .collect()
+        Ok(acc)
     });
 
     let mut accepted = 0u64;

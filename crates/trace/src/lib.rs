@@ -53,7 +53,7 @@ pub mod tracer;
 
 pub use event::{read_jsonl, read_jsonl_lossy, to_jsonl, FaultKind, TraceEvent};
 pub use replay::{audit, replay, Aggregator, AuditReport, CheckResult, SegmentAudit};
-pub use sink::{AggregateHandle, AggregateSink, JsonlSink, MemorySink, RingSink, TraceBuffer};
+pub use sink::{JsonlSink, MemorySink, TraceBuffer};
 pub use tracer::{Sink, Tracer};
 
 use std::cell::RefCell;

@@ -1,34 +1,28 @@
-//! Concrete sinks: full in-memory, bounded ring, JSONL file, and the
-//! streaming aggregator.
+//! Concrete sinks: full in-memory and JSONL file.
 //!
 //! | sink | retention | cost/event | use |
 //! |------|-----------|-----------|-----|
-//! | [`MemorySink`] | everything | push | tests, replay audits |
-//! | [`RingSink`] | last `cap` | push + pop | flight recorder on long runs |
+//! | [`MemorySink`] | everything | push | tests, replay audits, worker and session traces |
 //! | [`JsonlSink`] | file | format + buffered write | experiment dumps, `trace-inspect` |
-//! | [`AggregateSink`] | metrics only | counter folds | live metrics without storage |
 
 use crate::event::TraceEvent;
-use crate::replay::Aggregator;
 use crate::tracer::Sink;
 use st_core::pool::lock;
 use st_core::StError;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-/// Shared read handle to the events captured by a [`MemorySink`] or
-/// [`RingSink`].
+/// Shared read handle to the events captured by a [`MemorySink`].
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
-    events: Arc<Mutex<VecDeque<TraceEvent>>>,
+    events: Arc<Mutex<Vec<TraceEvent>>>,
 }
 
 impl TraceBuffer {
     /// Copy out the captured events in emission order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        lock(&self.events).iter().cloned().collect()
+        lock(&self.events).clone()
     }
 
     /// Number of events currently held.
@@ -37,7 +31,7 @@ impl TraceBuffer {
         lock(&self.events).len()
     }
 
-    /// `true` iff nothing was captured (or everything rotated out).
+    /// `true` iff nothing was captured.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         lock(&self.events).is_empty()
@@ -47,7 +41,7 @@ impl TraceBuffer {
 /// Retains every event in memory.
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    events: Arc<Mutex<VecDeque<TraceEvent>>>,
+    events: Arc<Mutex<Vec<TraceEvent>>>,
 }
 
 impl MemorySink {
@@ -68,46 +62,7 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&mut self, ev: TraceEvent) {
-        lock(&self.events).push_back(ev);
-    }
-}
-
-/// Retains only the most recent `capacity` events.
-#[derive(Debug)]
-pub struct RingSink {
-    events: Arc<Mutex<VecDeque<TraceEvent>>>,
-    capacity: usize,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (capacity 0 keeps none).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            events: Arc::new(Mutex::new(VecDeque::with_capacity(capacity.min(1024)))),
-            capacity,
-        }
-    }
-
-    /// A read handle usable after the sink moves into a tracer.
-    #[must_use]
-    pub fn buffer(&self) -> TraceBuffer {
-        TraceBuffer {
-            events: Arc::clone(&self.events),
-        }
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&mut self, ev: TraceEvent) {
-        let mut g = lock(&self.events);
-        if self.capacity == 0 {
-            return;
-        }
-        if g.len() == self.capacity {
-            g.pop_front();
-        }
-        g.push_back(ev);
+        lock(&self.events).push(ev);
     }
 }
 
@@ -185,54 +140,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Folds events into per-phase/per-tape metrics without retaining them.
-#[derive(Debug, Default)]
-pub struct AggregateSink {
-    agg: Arc<Mutex<Aggregator>>,
-}
-
-impl AggregateSink {
-    /// A fresh streaming aggregator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A read handle usable after the sink moves into a tracer.
-    #[must_use]
-    pub fn handle(&self) -> AggregateHandle {
-        AggregateHandle {
-            agg: Arc::clone(&self.agg),
-        }
-    }
-}
-
-impl Sink for AggregateSink {
-    fn record(&mut self, ev: TraceEvent) {
-        lock(&self.agg).push(&ev);
-    }
-}
-
-/// Shared read handle to a live [`AggregateSink`].
-#[derive(Debug, Clone)]
-pub struct AggregateHandle {
-    agg: Arc<Mutex<Aggregator>>,
-}
-
-impl AggregateHandle {
-    /// A snapshot of the aggregator's current state.
-    #[must_use]
-    pub fn snapshot(&self) -> Aggregator {
-        lock(&self.agg).clone()
-    }
-
-    /// The usage record the events replayed so far imply.
-    #[must_use]
-    pub fn usage(&self) -> st_core::ResourceUsage {
-        lock(&self.agg).usage()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,29 +159,6 @@ mod tests {
         assert_eq!(got.len(), 5);
         assert_eq!(got[0], step(0));
         assert_eq!(got[4], step(4));
-    }
-
-    #[test]
-    fn ring_sink_rotates_out_the_oldest() {
-        let mut s = RingSink::new(3);
-        let buf = s.buffer();
-        for i in 0..10 {
-            s.record(step(i));
-        }
-        assert_eq!(buf.snapshot(), vec![step(7), step(8), step(9)]);
-        let mut empty = RingSink::new(0);
-        let ebuf = empty.buffer();
-        empty.record(step(1));
-        assert!(ebuf.is_empty());
-    }
-
-    #[test]
-    fn aggregate_sink_folds_without_retaining() {
-        let mut s = AggregateSink::new();
-        let h = s.handle();
-        s.record(step(10));
-        s.record(step(5));
-        assert_eq!(h.usage().steps, 15);
     }
 
     #[test]

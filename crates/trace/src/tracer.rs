@@ -7,7 +7,7 @@
 //! event order within one thread is the emission order.
 
 use crate::event::TraceEvent;
-use crate::sink::{AggregateHandle, AggregateSink, JsonlSink, MemorySink, RingSink, TraceBuffer};
+use crate::sink::{JsonlSink, MemorySink, TraceBuffer};
 use st_core::pool::lock;
 use st_core::StError;
 use std::fmt;
@@ -66,28 +66,10 @@ impl Tracer {
         (Tracer::from_sink(Box::new(sink)), buffer)
     }
 
-    /// A tracer keeping only the last `capacity` events (flight-recorder
-    /// mode for long runs).
-    #[must_use]
-    pub fn ring(capacity: usize) -> (Self, TraceBuffer) {
-        let sink = RingSink::new(capacity);
-        let buffer = sink.buffer();
-        (Tracer::from_sink(Box::new(sink)), buffer)
-    }
-
     /// A tracer appending one JSON line per event to `path` (truncates an
     /// existing file).
     pub fn jsonl(path: &std::path::Path) -> Result<Self, StError> {
         Ok(Tracer::from_sink(Box::new(JsonlSink::create(path)?)))
-    }
-
-    /// A tracer folding events straight into a streaming [`Aggregator`]
-    /// without retaining them.
-    #[must_use]
-    pub fn aggregate() -> (Self, AggregateHandle) {
-        let sink = AggregateSink::new();
-        let handle = sink.handle();
-        (Tracer::from_sink(Box::new(sink)), handle)
     }
 
     /// `true` iff events go anywhere.

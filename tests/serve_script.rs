@@ -23,6 +23,8 @@ fn scripted_transcripts_are_byte_identical_across_jobs() {
     let serial = run_script(&script, &opts(1)).unwrap();
     let wide = run_script(&script, &opts(4)).unwrap();
     assert_eq!(serial.transcript, wide.transcript);
+    let auto = run_script(&script, &opts(0)).unwrap();
+    assert_eq!(serial.transcript, auto.transcript);
     assert!(serial.clean(), "transcript:\n{}", serial.transcript);
     assert!(serial.admitted > 0);
     assert!(serial.rejected > 0, "the demo must exercise rejection");
