@@ -214,7 +214,7 @@ pub fn decide_multiset_equality<R: Rng>(
     // unlimited budget, so batch and incremental runs are the same code
     // path and account identically.
     let mut stepper = FingerprintStepper::new(&mut *rng);
-    let _ = stepper.feed_owned(tape_encoding(inst))?;
+    let _ = stepper.feed_instance(inst)?;
     stepper.finish()?;
     let run = drive_to_verdict(&mut stepper)?;
     let params = stepper

@@ -30,10 +30,12 @@ pub struct DeciderRun {
 /// Run one sort route by driving the resumable [`SortRouteStepper`] with
 /// an unlimited budget — the batch deciders and the streaming service
 /// share this single code path, so their accounting is identical by
-/// construction.
+/// construction. The stepper takes the parsed instance
+/// ([`Stepper::feed_instance`]), so its lists reach the tapes without
+/// being encoded and parsed again.
 fn run_sort_route(inst: &Instance, route: SortRoute) -> Result<DeciderRun, StError> {
     let mut stepper = SortRouteStepper::new(route);
-    let _ = stepper.feed_owned(inst.encode_bytes())?;
+    let _ = stepper.feed_instance(inst)?;
     stepper.finish()?;
     drive_to_verdict(&mut stepper)
 }

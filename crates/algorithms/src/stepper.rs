@@ -16,15 +16,21 @@
 //! property tests in `tests/stepper_parity.rs` pin it for the verdict
 //! and the full [`st_core::ResourceUsage`] record.
 //!
-//! [`Stepper::feed_owned`] takes the input as an owned buffer. The batch
-//! deciders feed their whole encoded word this way: the fingerprint
-//! stepper lands it as its input tape ([`Tape::write_vec_fwd`]) and the
-//! sort-route stepper adopts it as its buffer, so neither copies the
-//! word. Results, usage and traces are those of [`Stepper::feed`].
+//! [`Stepper::feed_owned`] takes the input as an owned buffer: the
+//! fingerprint stepper lands it as its input tape
+//! ([`Tape::write_vec_fwd`]) and the sort-route stepper adopts it as its
+//! buffer, so neither copies the word. [`Stepper::feed_instance`] takes
+//! an instance that is already parsed, and the batch deciders hand over
+//! theirs this way. The fingerprint stepper lands its encoding with the
+//! same `write_vec_fwd` and takes `m` and `n` from the instance, and
+//! the sort-route stepper keeps the instance and puts its lists on
+//! tapes at [`Stepper::finish`], so neither reads the word back.
+//! Results, usage and traces are those of [`Stepper::feed`] on the
+//! encoded word.
 //!
 //! [`FingerprintStepper`] does no residue arithmetic of its own. Its
-//! ingest validates each fed chunk with one branch-free fold and counts
-//! `m` and `n` from `#` to `#`, with the word scanners of
+//! ingest of fed bytes validates each chunk with one branch-free fold
+//! and counts `m` and `n` from `#` to `#`, with the word scanners of
 //! [`st_problems::instance`] (eight bytes per step); its
 //! backward scan hands `read_slice_bwd` slices to
 //! [`crate::fingerprint::ResidueFold`], the word-parallel kernel that
@@ -71,6 +77,14 @@ pub trait Stepper {
     /// the batch deciders hand over a whole encoded word this way.
     fn feed_owned(&mut self, bytes: Vec<u8>) -> Result<Poll<DeciderRun>, StError> {
         self.feed(&bytes)
+    }
+
+    /// [`Stepper::feed_owned`] of `inst`'s encoded word, with the same
+    /// result, usage and trace. A stepper that has been fed nothing may
+    /// use the parsed lists instead of reading the word back: the batch
+    /// deciders hand over their instance this way.
+    fn feed_instance(&mut self, inst: &Instance) -> Result<Poll<DeciderRun>, StError> {
+        self.feed_owned(inst.encode_bytes())
     }
 
     /// Declare the end of the input stream.
@@ -212,6 +226,32 @@ impl<R: Rng> FingerprintStepper<R> {
         answer
     }
 
+    /// [`Stepper::feed_instance`]: on a stepper fed nothing yet, the
+    /// encoded word lands as [`Self::feed_owned_impl`] lands it, and the
+    /// counters come from the lists. An instance encodes to a valid word
+    /// by construction, so no byte is validated or counted.
+    fn feed_instance_impl(&mut self, inst: &Instance) -> Result<Poll<DeciderRun>, StError> {
+        let FpState::Ingest { m2, n_max, cur } = &mut self.state else {
+            return self.fed_late();
+        };
+        if !self.machine.tape(0).is_empty() {
+            return self.feed_owned_impl(inst.encode_bytes());
+        }
+        *m2 = 2 * inst.m() as u64;
+        *n_max = inst
+            .xs
+            .iter()
+            .chain(&inst.ys)
+            .map(BitStr::len)
+            .max()
+            .unwrap_or(0) as u64;
+        *cur = 0;
+        self.machine
+            .tape_mut(0)
+            .write_vec_fwd(inst.encode_bytes())?;
+        Ok(Poll::Pending)
+    }
+
     /// Scan 1 over a fed chunk: validate it in one fold and count `m`
     /// and `n` over its valid prefix, from `#` to `#`. Returns the prefix
     /// length; `None` once the stream is finished.
@@ -336,6 +376,10 @@ impl<R: Rng> Stepper for FingerprintStepper<R> {
 
     fn feed_owned(&mut self, bytes: Vec<u8>) -> Result<Poll<DeciderRun>, StError> {
         self.feed_owned_impl(bytes)
+    }
+
+    fn feed_instance(&mut self, inst: &Instance) -> Result<Poll<DeciderRun>, StError> {
+        self.feed_instance_impl(inst)
     }
 
     fn finish(&mut self) -> Result<(), StError> {
@@ -479,6 +523,8 @@ struct Running {
 
 enum RouteState {
     Buffering(Vec<u8>),
+    /// Fed one instance and nothing else: [`Stepper::feed_instance`].
+    Parsed(Instance),
     Running(Box<Running>),
     Done(DeciderRun),
 }
@@ -494,8 +540,9 @@ enum Advance {
 ///
 /// The input word buffers during [`Stepper::feed`] (the sort machines
 /// are record-level: their tapes hold parsed values, not symbols) and
-/// parses at [`Stepper::finish`]; from there every sort pass and the
-/// final compare scan run under the step budget via the
+/// parses at [`Stepper::finish`]; an instance handed over whole by
+/// [`Stepper::feed_instance`] is kept as it is. From there every sort
+/// pass and the final compare scan run under the step budget via the
 /// [`st_extmem::step::SortStepper`] and the resumable block compare
 /// kernels of [`st_extmem::block`].
 pub struct SortRouteStepper {
@@ -533,6 +580,13 @@ impl SortRouteStepper {
                 buf.extend_from_slice(bytes);
                 Ok(Poll::Pending)
             }
+            RouteState::Parsed(inst) => {
+                // More bytes after a whole instance: back to the word.
+                let mut buf = inst.encode_bytes();
+                buf.extend_from_slice(bytes);
+                self.state = RouteState::Buffering(buf);
+                Ok(Poll::Pending)
+            }
             RouteState::Running(_) => Err(StError::Machine(
                 "sort-route stepper fed after finish".into(),
             )),
@@ -541,10 +595,14 @@ impl SortRouteStepper {
     }
 
     fn finish_impl(&mut self) -> Result<(), StError> {
-        let RouteState::Buffering(buf) = &self.state else {
-            return Err(StError::Machine("sort-route stepper finished twice".into()));
+        let inst = match &mut self.state {
+            RouteState::Buffering(buf) => Instance::parse_bytes(buf)?,
+            RouteState::Parsed(inst) => Instance {
+                xs: std::mem::take(&mut inst.xs),
+                ys: std::mem::take(&mut inst.ys),
+            },
+            _ => return Err(StError::Machine("sort-route stepper finished twice".into())),
         };
-        let inst = Instance::parse_bytes(buf)?;
         // The batch machine layout: tape 0 = first list, tape 1 =
         // second list, tapes 2–3 = merge scratch.
         let n = inst.size();
@@ -744,6 +802,16 @@ impl Stepper for SortRouteStepper {
         }
     }
 
+    fn feed_instance(&mut self, inst: &Instance) -> Result<Poll<DeciderRun>, StError> {
+        match &self.state {
+            RouteState::Buffering(buf) if buf.is_empty() => {
+                self.state = RouteState::Parsed(inst.clone());
+                Ok(Poll::Pending)
+            }
+            _ => self.feed_owned(inst.encode_bytes()),
+        }
+    }
+
     fn finish(&mut self) -> Result<(), StError> {
         self.finish_impl()
     }
@@ -751,7 +819,9 @@ impl Stepper for SortRouteStepper {
     fn step(&mut self, budget: &mut StepBudget) -> Result<StepOutcome, StError> {
         loop {
             match &mut self.state {
-                RouteState::Buffering(_) => return Ok(StepOutcome::NeedInput),
+                RouteState::Buffering(_) | RouteState::Parsed(_) => {
+                    return Ok(StepOutcome::NeedInput)
+                }
                 RouteState::Done(v) => return Ok(StepOutcome::Done(v.clone())),
                 RouteState::Running(run) => match run.advance(self.route, budget)? {
                     Advance::Yielded => return Ok(StepOutcome::Yielded),

@@ -294,21 +294,46 @@ fn every_budget_gives_the_same_run_and_the_pinned_yields() {
     }
 }
 
-/// How a word reaches a stepper: one slice, one owned buffer, or a
-/// slice prefix followed by the rest as an owned buffer (the owned
-/// write then lands on a non-empty tape or buffer).
+/// How a word reaches a stepper: one slice, one owned buffer, a slice
+/// prefix followed by the rest as an owned buffer (the owned write then
+/// lands on a non-empty tape or buffer), the word's parsed instance, a
+/// slice prefix followed by the rest's parsed instance (the instance
+/// then reaches a stepper that was already fed bytes), or a prefix's
+/// parsed instance followed by the rest as a slice.
 #[derive(Debug, Clone, Copy)]
 enum Feed {
     Slice,
     Owned,
     PrefixThenOwned(usize),
+    Instance,
+    PrefixThenInstance(usize),
+    InstanceThenSlice(usize),
+}
+
+/// The parsed instance of a word an instance feed hands over.
+fn instance_of(word: &[u8]) -> Instance {
+    Instance::parse_bytes(word).expect("an instance feed needs a word that parses")
 }
 
 impl Feed {
-    fn all(word_len: usize) -> Vec<Feed> {
+    /// Every feed of `word`: the instance feeds where the word, or the
+    /// part of it handed over as an instance, parses.
+    fn all(word: &[u8]) -> Vec<Feed> {
+        let len = word.len();
         let mut feeds = vec![Feed::Slice, Feed::Owned];
-        for cut in [1, word_len / 2, word_len.saturating_sub(1)] {
-            feeds.push(Feed::PrefixThenOwned(cut.min(word_len)));
+        for cut in [1, len / 2, len.saturating_sub(1)] {
+            feeds.push(Feed::PrefixThenOwned(cut.min(len)));
+        }
+        if Instance::parse_bytes(word).is_ok() {
+            feeds.push(Feed::Instance);
+        }
+        for cut in [1, 2, 3, len / 2, len.saturating_sub(1), len] {
+            if cut > 0 && cut <= len && Instance::parse_bytes(&word[cut..]).is_ok() {
+                feeds.push(Feed::PrefixThenInstance(cut));
+            }
+            if cut > 0 && cut < len && Instance::parse_bytes(&word[..cut]).is_ok() {
+                feeds.push(Feed::InstanceThenSlice(cut));
+            }
         }
         feeds
     }
@@ -321,6 +346,15 @@ impl Feed {
             Feed::PrefixThenOwned(cut) => stepper
                 .feed(&word[..cut])
                 .and_then(|_| stepper.feed_owned(word[cut..].to_vec()))
+                .map(|_| ()),
+            Feed::Instance => stepper.feed_instance(&instance_of(word)).map(|_| ()),
+            Feed::PrefixThenInstance(cut) => stepper
+                .feed(&word[..cut])
+                .and_then(|_| stepper.feed_instance(&instance_of(&word[cut..])))
+                .map(|_| ()),
+            Feed::InstanceThenSlice(cut) => stepper
+                .feed_instance(&instance_of(&word[..cut]))
+                .and_then(|_| stepper.feed(&word[cut..]))
                 .map(|_| ()),
         };
         fed.err().map(|e| e.to_string())
@@ -360,6 +394,86 @@ fn observe_fingerprint(word: &[u8], feed: Feed, budget: u64) -> FingerprintObser
     )
 }
 
+/// A word of values with the given bit lengths, in list order, their
+/// bits drawn from `seed`.
+fn ragged_word(lens: &[usize], seed: u64) -> Vec<u8> {
+    let mut state = seed | 1;
+    let mut word = Vec::new();
+    for &len in lens {
+        for _ in 0..len {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            word.push(b'0' + (state & 1) as u8);
+        }
+        word.push(b'#');
+    }
+    word
+}
+
+/// Words that parse: m = 0, `##`, ragged lengths, values past the 128
+/// inline bits, a yes-instance; each also after a prefix, so an
+/// instance feed can follow a fed one.
+fn instance_feed_words() -> Vec<Vec<u8>> {
+    let yes = generate::yes_multiset(9, 200, &mut StdRng::seed_from_u64(1701)).encode_bytes();
+    let bases = [
+        Vec::new(),
+        b"##".to_vec(),
+        ragged_word(&[0, 1, 63, 64, 65, 7, 129, 2, 300, 0], 1702),
+        ragged_word(&[129, 129, 256, 256, 511, 511], 1703),
+        yes,
+    ];
+    let mut words = Vec::new();
+    for base in bases {
+        for prefix in [&b""[..], b"0", b"01#", b"##"] {
+            words.push([prefix, &base].concat());
+        }
+    }
+    words
+}
+
+#[test]
+fn instance_feed_matches_the_slice_feed() {
+    for word in instance_feed_words() {
+        let want = observe_fingerprint(&word, Feed::Slice, 5);
+        let feeds = Feed::all(&word);
+        assert!(
+            feeds.iter().any(|f| matches!(
+                f,
+                Feed::Instance | Feed::PrefixThenInstance(_) | Feed::InstanceThenSlice(_)
+            )),
+            "word {:?} has no instance feed",
+            String::from_utf8_lossy(&word)
+        );
+        for feed in feeds {
+            for budget in [5u64, u64::MAX] {
+                let got = observe_fingerprint(&word, feed, budget);
+                assert_eq!(
+                    got,
+                    want,
+                    "{feed:?}, budget {budget}, word {:?}",
+                    String::from_utf8_lossy(&word)
+                );
+            }
+        }
+        for route in [
+            SortRoute::Multiset,
+            SortRoute::CheckSort,
+            SortRoute::SetEquality,
+        ] {
+            let want = observe_sort_route(route, &word, Feed::Slice);
+            for feed in Feed::all(&word) {
+                assert_eq!(
+                    observe_sort_route(route, &word, feed),
+                    want,
+                    "{route:?}, {feed:?}, word {:?}",
+                    String::from_utf8_lossy(&word)
+                );
+            }
+        }
+    }
+}
+
 /// A valid word, and copies with a bad symbol early, mid-word and last.
 fn owned_feed_words() -> Vec<Vec<u8>> {
     let mut words = vec![Vec::new(), b"#".to_vec(), b"0101#0101#".to_vec()];
@@ -381,7 +495,7 @@ fn owned_feed_words() -> Vec<Vec<u8>> {
 fn fingerprint_owned_feed_matches_the_slice_feed() {
     for word in owned_feed_words() {
         let want = observe_fingerprint(&word, Feed::Slice, 5);
-        for feed in Feed::all(word.len()) {
+        for feed in Feed::all(&word) {
             for budget in [5u64, u64::MAX] {
                 let got = observe_fingerprint(&word, feed, budget);
                 assert_eq!(
@@ -395,29 +509,38 @@ fn fingerprint_owned_feed_matches_the_slice_feed() {
     }
 }
 
+/// Everything a sort-route run exposes after `feed`: the feed error,
+/// the finish-and-drive result, and the trace.
+type SortRouteObserved = (
+    Option<String>,
+    Result<(bool, st_core::ResourceUsage), String>,
+    Vec<st_trace::TraceEvent>,
+);
+
+fn observe_sort_route(route: SortRoute, word: &[u8], feed: Feed) -> SortRouteObserved {
+    let (tracer, buf) = st_trace::Tracer::in_memory();
+    let mut stepper = SortRouteStepper::new_traced(route, tracer);
+    let fed = feed.run(&mut stepper, word);
+    let run = stepper
+        .finish()
+        .and_then(|()| drive_to_verdict(&mut stepper))
+        .map(|v| (v.accepted, v.usage))
+        .map_err(|e| e.to_string());
+    (fed, run, buf.snapshot())
+}
+
 #[test]
 fn sort_route_owned_feed_matches_the_slice_feed() {
-    let observe = |route: SortRoute, word: &[u8], feed: Feed| {
-        let (tracer, buf) = st_trace::Tracer::in_memory();
-        let mut stepper = SortRouteStepper::new_traced(route, tracer);
-        let fed = feed.run(&mut stepper, word);
-        let run = stepper
-            .finish()
-            .and_then(|()| drive_to_verdict(&mut stepper))
-            .map(|v| (v.accepted, v.usage))
-            .map_err(|e| e.to_string());
-        (fed, run, buf.snapshot())
-    };
     for word in owned_feed_words() {
         for route in [
             SortRoute::Multiset,
             SortRoute::CheckSort,
             SortRoute::SetEquality,
         ] {
-            let want = observe(route, &word, Feed::Slice);
-            for feed in Feed::all(word.len()) {
+            let want = observe_sort_route(route, &word, Feed::Slice);
+            for feed in Feed::all(&word) {
                 assert_eq!(
-                    observe(route, &word, feed),
+                    observe_sort_route(route, &word, feed),
                     want,
                     "{route:?}, {feed:?}, word {:?}",
                     String::from_utf8_lossy(&word)

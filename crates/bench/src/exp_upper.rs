@@ -255,14 +255,19 @@ pub fn e6_sorting() -> Report {
     r
 }
 
+/// E23's full-grid fingerprint instance `(m, n)`: m = 2¹⁴, n = 3052
+/// gives N = 2m(n+1) = 100 040 704 symbols and k ≈ 7.2×10¹⁷, so the
+/// Bertrand bound 6k ≈ 4.3×10¹⁸ still fits `u64` (2⁶⁴ ≈ 1.8×10¹⁹).
+const E23_FULL_FP: (usize, usize) = (1 << 14, 3052);
+
 /// E23 — out-of-core scale: the block-oriented substrate re-verifies the
 /// E2/E6 log-shape fits at N far beyond the small-m grids above, topped
 /// by a Theorem 8(a) fingerprint run at ≥10⁸ input symbols.
 ///
-/// The grid is gated on `ST_E23_FULL=1` (how the committed
-/// `BENCH_report.json` row is produced): without it a reduced grid keeps
-/// the registry-wide regression tests fast while still pinning the same
-/// log shape and bounds.
+/// The full grid is gated on `ST_E23_FULL=1`. Without it a reduced grid
+/// (the committed `BENCH_report.json` row) keeps the registry-wide
+/// regression tests fast while still pinning the same log shape and
+/// bounds.
 pub fn e23_out_of_core() -> Report {
     use st_extmem::{sort, TapeMachine};
     let full = std::env::var("ST_E23_FULL").is_ok_and(|v| v != "0");
@@ -313,9 +318,7 @@ pub fn e23_out_of_core() -> Report {
     // Theorem 8(a) at out-of-core N: one yes-instance through the batch
     // fingerprint decider (block backward scan). N = 2m(n+1) symbols.
     let mut rng = StdRng::seed_from_u64(23);
-    // Largest grid whose modulus k = m³·n·loġ(m³n) still fits u64:
-    // m = 2¹⁶, n = 763 → k ≈ 1.25×10¹⁹, N = 2m(n+1) ≈ 1.0015×10⁸ symbols.
-    let (fp_m, fp_n) = if full { (1 << 16, 763) } else { (1 << 13, 24) };
+    let (fp_m, fp_n) = if full { E23_FULL_FP } else { (1 << 13, 24) };
     let inst = generate::yes_multiset(fp_m, fp_n, &mut rng);
     let run = decide_multiset_equality(&inst, &mut rng).expect("fingerprint");
     let fp_ok = run.accepted
@@ -348,4 +351,19 @@ pub fn e23_out_of_core() -> Report {
         ),
     );
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use st_algo::fingerprint::sample_params;
+
+    #[test]
+    fn e23_full_fingerprint_row_fits_the_bertrand_bound_at_1e8_symbols() {
+        let (m, n) = E23_FULL_FP;
+        let params =
+            sample_params(m as u64, n as u64, &mut StdRng::seed_from_u64(23)).expect("6k fits u64");
+        assert!(params.k.checked_mul(6).is_some());
+        assert!(2 * m * (n + 1) >= 100_000_000);
+    }
 }

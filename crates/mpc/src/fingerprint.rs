@@ -53,6 +53,7 @@ pub struct MpcFingerprintRun {
 /// second-half values in the shard, and its partial sums.
 struct FpWorker {
     machine: TapeMachine<u8>,
+    /// The shard's encoded word, until [`local_partial`] lands it.
     word: Vec<u8>,
     ys_count: u64,
     sums: (u64, u64),
@@ -69,9 +70,11 @@ impl Worker for FpWorker {
 /// sums — the Theorem 8(a) scan structure at shard scale, fully metered
 /// on the worker's machine.
 fn local_partial(w: &mut FpWorker, params: FingerprintParams) -> Result<(), StError> {
-    let tape = w.machine.tape_mut(0);
-    tape.write_slice_fwd(&w.word)?;
+    // The word becomes the tape; the factory rebuilds it on recovery.
     let n = w.word.len();
+    w.machine
+        .tape_mut(0)
+        .write_vec_fwd(std::mem::take(&mut w.word))?;
     w.machine.set_input_len(n);
     let meter = w.machine.meter().clone();
     // The same registers the single-tape stepper charges: three scan-1

@@ -5,6 +5,7 @@
 //! cargo run -p st-soak --bin soak -- --budget-ms 5000            # time budget
 //! cargo run -p st-soak --bin soak -- --replay crash-storm:00042  # one iteration
 //! cargo run -p st-soak --bin soak -- --inject-broken-oracle      # prove the pipeline
+//! cargo run -p st-soak --bin soak -- --iters 300 --no-timing      # diffable output
 //! ```
 //!
 //! A campaign merges a `soak` entry into `BENCH_report.json`
@@ -12,6 +13,8 @@
 //! repros under `--corpus-dir`. The report counters are byte-identical
 //! for a given `(--iters, --seed)` whatever `--jobs` is; only the
 //! latency/duration fields vary run to run (coarse decade buckets).
+//! `--no-timing` renders those fields as `-` and drops the `duration:`
+//! line, so two runs of one campaign print the same bytes.
 //! Exit status: 0 on a clean campaign, 1 when any scenario failed,
 //! 2 on usage errors.
 
@@ -46,7 +49,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!(
         "usage: soak [--iters N] [--budget-ms MS] [--jobs J] [--seed S] \
          [--corpus-dir DIR] [--bench-json FILE] [--inject-broken-oracle] \
-         [--replay SCENARIO:ITER]"
+         [--no-timing] [--replay SCENARIO:ITER]"
     );
     std::process::exit(2);
 }
@@ -71,6 +74,11 @@ fn main() {
         .map(PathBuf::from);
     let inject =
         take_switch(&mut args, "--inject-broken-oracle").then_some(Injection::BrokenSortOracle);
+    let timing = if take_switch(&mut args, "--no-timing") {
+        TimingMode::Suppressed
+    } else {
+        TimingMode::Measured
+    };
     let replay = take_flag(&mut args, "--replay")
         .unwrap_or_else(|e| usage_error(&e))
         .map(|spec| parse_replay(&spec).unwrap_or_else(|e| usage_error(&e)));
@@ -109,7 +117,7 @@ fn main() {
         jobs,
         seed,
         corpus_dir,
-        timing: TimingMode::Measured,
+        timing,
         inject,
         scratch_dir: None,
     };
