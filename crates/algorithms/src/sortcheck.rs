@@ -30,9 +30,10 @@ pub struct DeciderRun {
 /// Run one sort route by driving the resumable [`SortRouteStepper`] with
 /// an unlimited budget — the batch deciders and the streaming service
 /// share this single code path, so their accounting is identical by
-/// construction. The stepper takes the parsed instance
-/// ([`Stepper::feed_instance`]), so its lists reach the tapes without
-/// being encoded and parsed again.
+/// construction. The stepper takes the instance through
+/// [`Stepper::feed_instance`], whose default encodes it and parses the
+/// word again at [`Stepper::finish`]; only the fingerprint stepper skips
+/// that round trip.
 fn run_sort_route(inst: &Instance, route: SortRoute) -> Result<DeciderRun, StError> {
     let mut stepper = SortRouteStepper::new(route);
     let _ = stepper.feed_instance(inst)?;

@@ -22,11 +22,10 @@
 //! buffer, so neither copies the word. [`Stepper::feed_instance`] takes
 //! an instance that is already parsed, and the batch deciders hand over
 //! theirs this way. The fingerprint stepper lands its encoding with the
-//! same `write_vec_fwd` and takes `m` and `n` from the instance, and
-//! the sort-route stepper keeps the instance and puts its lists on
-//! tapes at [`Stepper::finish`], so neither reads the word back.
-//! Results, usage and traces are those of [`Stepper::feed`] on the
-//! encoded word.
+//! same `write_vec_fwd` and takes `m` and `n` from the lists, so it
+//! does not read the word back; the sort-route stepper keeps the
+//! default, [`Stepper::feed_owned`] of the encoding. Results, usage and
+//! traces are those of [`Stepper::feed`] on the encoded word.
 //!
 //! [`FingerprintStepper`] does no residue arithmetic of its own. Its
 //! ingest of fed bytes validates each chunk with one branch-free fold
@@ -237,7 +236,7 @@ impl<R: Rng> FingerprintStepper<R> {
         if !self.machine.tape(0).is_empty() {
             return self.feed_owned_impl(inst.encode_bytes());
         }
-        *m2 = 2 * inst.m() as u64;
+        *m2 = (inst.xs.len() + inst.ys.len()) as u64;
         *n_max = inst
             .xs
             .iter()
@@ -523,8 +522,6 @@ struct Running {
 
 enum RouteState {
     Buffering(Vec<u8>),
-    /// Fed one instance and nothing else: [`Stepper::feed_instance`].
-    Parsed(Instance),
     Running(Box<Running>),
     Done(DeciderRun),
 }
@@ -540,9 +537,8 @@ enum Advance {
 ///
 /// The input word buffers during [`Stepper::feed`] (the sort machines
 /// are record-level: their tapes hold parsed values, not symbols) and
-/// parses at [`Stepper::finish`]; an instance handed over whole by
-/// [`Stepper::feed_instance`] is kept as it is. From there every sort
-/// pass and the final compare scan run under the step budget via the
+/// parses at [`Stepper::finish`]; from there every sort pass and the
+/// final compare scan run under the step budget via the
 /// [`st_extmem::step::SortStepper`] and the resumable block compare
 /// kernels of [`st_extmem::block`].
 pub struct SortRouteStepper {
@@ -580,13 +576,6 @@ impl SortRouteStepper {
                 buf.extend_from_slice(bytes);
                 Ok(Poll::Pending)
             }
-            RouteState::Parsed(inst) => {
-                // More bytes after a whole instance: back to the word.
-                let mut buf = inst.encode_bytes();
-                buf.extend_from_slice(bytes);
-                self.state = RouteState::Buffering(buf);
-                Ok(Poll::Pending)
-            }
             RouteState::Running(_) => Err(StError::Machine(
                 "sort-route stepper fed after finish".into(),
             )),
@@ -595,14 +584,10 @@ impl SortRouteStepper {
     }
 
     fn finish_impl(&mut self) -> Result<(), StError> {
-        let inst = match &mut self.state {
-            RouteState::Buffering(buf) => Instance::parse_bytes(buf)?,
-            RouteState::Parsed(inst) => Instance {
-                xs: std::mem::take(&mut inst.xs),
-                ys: std::mem::take(&mut inst.ys),
-            },
-            _ => return Err(StError::Machine("sort-route stepper finished twice".into())),
+        let RouteState::Buffering(buf) = &self.state else {
+            return Err(StError::Machine("sort-route stepper finished twice".into()));
         };
+        let inst = Instance::parse_bytes(buf)?;
         // The batch machine layout: tape 0 = first list, tape 1 =
         // second list, tapes 2–3 = merge scratch.
         let n = inst.size();
@@ -802,16 +787,6 @@ impl Stepper for SortRouteStepper {
         }
     }
 
-    fn feed_instance(&mut self, inst: &Instance) -> Result<Poll<DeciderRun>, StError> {
-        match &self.state {
-            RouteState::Buffering(buf) if buf.is_empty() => {
-                self.state = RouteState::Parsed(inst.clone());
-                Ok(Poll::Pending)
-            }
-            _ => self.feed_owned(inst.encode_bytes()),
-        }
-    }
-
     fn finish(&mut self) -> Result<(), StError> {
         self.finish_impl()
     }
@@ -819,9 +794,7 @@ impl Stepper for SortRouteStepper {
     fn step(&mut self, budget: &mut StepBudget) -> Result<StepOutcome, StError> {
         loop {
             match &mut self.state {
-                RouteState::Buffering(_) | RouteState::Parsed(_) => {
-                    return Ok(StepOutcome::NeedInput)
-                }
+                RouteState::Buffering(_) => return Ok(StepOutcome::NeedInput),
                 RouteState::Done(v) => return Ok(StepOutcome::Done(v.clone())),
                 RouteState::Running(run) => match run.advance(self.route, budget)? {
                     Advance::Yielded => return Ok(StepOutcome::Yielded),

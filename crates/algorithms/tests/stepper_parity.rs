@@ -17,7 +17,7 @@ use st_algo::stepper::{
 };
 use st_core::StError;
 use st_extmem::step::StepBudget;
-use st_problems::{generate, Instance};
+use st_problems::{generate, BitStr, Instance};
 
 /// Split `word` into chunks at the given cut points (derived from a
 /// proptest-chosen seed), covering byte-at-a-time, whole-word and ragged
@@ -372,9 +372,18 @@ type FingerprintObserved = (
 );
 
 fn observe_fingerprint(word: &[u8], feed: Feed, budget: u64) -> FingerprintObserved {
+    observe_fingerprint_fed(|stepper| feed.run(stepper, word), budget)
+}
+
+/// [`observe_fingerprint`] of a stepper that `feed` fed; `feed` returns
+/// the first error's text, if any.
+fn observe_fingerprint_fed(
+    feed: impl FnOnce(&mut FingerprintStepper<StdRng>) -> Option<String>,
+    budget: u64,
+) -> FingerprintObserved {
     let (tracer, buf) = st_trace::Tracer::in_memory();
     let mut stepper = FingerprintStepper::new_traced(StdRng::seed_from_u64(41), tracer);
-    let fed = feed.run(&mut stepper, word);
+    let fed = feed(&mut stepper);
     // Finish and drive even after a bad symbol: the scan then runs over
     // the valid prefix the feed left on the tape, so its usage and
     // residues pin that prefix.
@@ -470,6 +479,39 @@ fn instance_feed_matches_the_slice_feed() {
                     String::from_utf8_lossy(&word)
                 );
             }
+        }
+    }
+}
+
+/// An instance whose lists differ in length can only be built field by
+/// field. The byte feed counts every block of its encoded word, so the
+/// instance feed must take `m` from both lists, not from the first.
+#[test]
+fn unequal_list_instance_feed_matches_the_byte_feed() {
+    let v = |s: &str| BitStr::parse(s).unwrap();
+    let instances = [
+        Instance {
+            xs: vec![v("1"), v("01"), v("110")],
+            ys: vec![v("0")],
+        },
+        Instance {
+            xs: Vec::new(),
+            ys: vec![v("10"), v("1")],
+        },
+        Instance {
+            xs: vec![v(""), v("0110")],
+            ys: vec![v("1")],
+        },
+    ];
+    for inst in instances {
+        let word = inst.encode_bytes();
+        for budget in [5u64, u64::MAX] {
+            let want = observe_fingerprint(&word, Feed::Slice, budget);
+            let got = observe_fingerprint_fed(
+                |stepper| stepper.feed_instance(&inst).err().map(|e| e.to_string()),
+                budget,
+            );
+            assert_eq!(got, want, "{inst:?}, budget {budget}");
         }
     }
 }
