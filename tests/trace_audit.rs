@@ -187,3 +187,104 @@ fn jsonl_round_trip_preserves_the_audit() {
     assert!(report.ok(), "{report}");
     std::fs::remove_file(&path).ok();
 }
+
+/// The JSONL bytes of a traced run, pinned as `(event count, FNV-1a)`.
+fn jsonl_pin(events: &[st_trace::TraceEvent]) -> (usize, u64) {
+    use st_core::rng::{fnv1a, FNV_OFFSET};
+    let jsonl = st_trace::to_jsonl(events);
+    (events.len(), fnv1a(FNV_OFFSET, jsonl.as_bytes()))
+}
+
+/// A `v#v` input with `|v| = len`, long enough that the strings-equal
+/// machine flushes a `StepBatch` mid-run.
+fn long_equal_word(len: usize) -> String {
+    let v: String = (0..len)
+        .map(|i| if i % 3 == 0 { '1' } else { '0' })
+        .collect();
+    format!("{v}#{v}")
+}
+
+#[test]
+fn tm_deterministic_run_keeps_its_trace_bytes() {
+    let tm = st_tm::library::strings_equal_machine();
+    let (tracer, buf) = Tracer::in_memory();
+    let result = st_trace::scoped(tracer, || {
+        st_tm::run::run_deterministic(&tm, st_tm::library::encode(&long_equal_word(400)), 1 << 16)
+            .unwrap()
+    });
+    assert!(result.accepted());
+    assert!(result.usage.steps > 1024, "{}", result.usage.steps);
+    let events = buf.snapshot();
+    assert_eq!(replay(&events), result.usage);
+    assert_eq!(jsonl_pin(&events), (11, 0x1d9d_4087_b5c0_d030));
+}
+
+#[test]
+fn tm_sampled_run_keeps_its_trace_bytes_and_draws() {
+    use rand::Rng;
+    // After its coin, the randomized machine takes only one-successor
+    // steps; each still draws from the RNG.
+    let tm = st_tm::library::randomized_strings_equal_machine();
+    let mut rng = StdRng::seed_from_u64(3);
+    let (tracer, buf) = Tracer::in_memory();
+    let result = st_trace::scoped(tracer, || {
+        st_tm::run::run_sampled(&tm, st_tm::library::encode("0110#0110"), 1 << 16, &mut rng)
+            .unwrap()
+    });
+    let events = buf.snapshot();
+    assert_eq!(replay(&events), result.usage);
+    assert_eq!(
+        (result.outcome, jsonl_pin(&events), rng.gen::<u64>()),
+        (
+            st_tm::run::RunOutcome::Accept,
+            (10, 0xfbc6_51be_e4d6_74c6),
+            0xb1f6_240d_0f58_8371
+        )
+    );
+}
+
+#[test]
+fn lm_run_with_choices_keeps_its_trace_bytes() {
+    let nlm = st_lm::library::zigzag_machine(2, 40, 12);
+    let input: Vec<u64> = (0..40).map(|i| i * 7 % 11).collect();
+    let (tracer, buf) = Tracer::in_memory();
+    let run = st_trace::scoped(tracer, || {
+        st_lm::run::run_with_choices(&nlm, &input, &[0; 1 << 12], 1 << 12).unwrap()
+    });
+    assert!(run.accepted());
+    assert!(run.moves.len() > 1024, "{}", run.moves.len());
+    let events = buf.snapshot();
+    assert_eq!(replay(&events), run.usage(input.len()));
+    assert_eq!(jsonl_pin(&events), (32, 0xf1fa_d6c7_6884_b8ce));
+}
+
+#[test]
+fn lm_sampled_run_keeps_its_trace_bytes_and_draws() {
+    use rand::Rng;
+    let m = 4;
+    let phi = st_problems::perm::phi(m);
+    let nlm = st_lm::library::coin_prefixed_matcher(m, phi.clone());
+    let ys: Vec<u64> = (0..m as u64).map(|j| 10 + j).collect();
+    let input: Vec<u64> = (0..m).map(|i| ys[phi[i]]).chain(ys.clone()).collect();
+    let mut rng = StdRng::seed_from_u64(3);
+    let (tracer, buf) = Tracer::in_memory();
+    let run = st_trace::scoped(tracer, || {
+        st_lm::run::run_sampled(&nlm, &input, &mut rng, 1 << 12).unwrap()
+    });
+    let events = buf.snapshot();
+    assert_eq!(replay(&events), run.usage(input.len()));
+    assert_eq!(
+        (
+            run.outcome,
+            run.choices.len(),
+            jsonl_pin(&events),
+            rng.gen::<u64>()
+        ),
+        (
+            st_lm::run::LmOutcome::Accept,
+            10,
+            (8, 0xb737_b9b3_681c_5b53),
+            0xb7a6_7c4e_65f0_1c5c
+        )
+    );
+}
