@@ -14,12 +14,17 @@
 //!
 //! Cells carry identity tags so the `moves(ρ)` classification of
 //! Definition 27 ("stayed on the same list cell") is exact.
+//!
+//! [`run_with_choices`] (a fixed choice sequence) and [`run_sampled`]
+//! (uniform choices) are one private run loop that differs only in its
+//! choice source; it traces through the shared `st_trace::RunTracer`
+//! (substrate `listmachine`, lists `list{i}`).
 
 use crate::machine::{Movement, Nlm};
 use crate::{Choice, LmState, Tok, Val};
 use rand::Rng;
 use st_core::{ResourceUsage, StError};
-use st_trace::{TraceEvent, Tracer};
+use st_trace::RunTracer;
 
 /// A list cell: an identity tag plus its content string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,76 +292,65 @@ impl LmRun {
     }
 }
 
-/// Steps between `StepBatch` trace events (see `st_trace`).
-const STEP_BATCH: u64 = 1024;
-
-/// Trace context for one NLM run: emits the `st_trace` event stream that
-/// replays to exactly [`LmRun::usage`]. NLMs have no internal memory, so
-/// no memory events are emitted (replay's high-water mark stays 0).
-struct LmTraceCtx {
-    tracer: Tracer,
-    last_revs: Vec<u64>,
-    flushed_steps: u64,
+/// The outcome of a run that stopped in `state`, if `state` is final.
+fn halted(nlm: &Nlm, state: LmState) -> Option<LmOutcome> {
+    (nlm.is_final)(state).then(|| {
+        if (nlm.is_accepting)(state) {
+            LmOutcome::Accept
+        } else {
+            LmOutcome::Reject
+        }
+    })
 }
 
-impl LmTraceCtx {
-    fn begin(nlm: &Nlm, input_len: usize) -> Self {
-        let tracer = st_trace::current();
-        if tracer.is_enabled() {
-            tracer.emit(|| TraceEvent::RunBegin {
-                substrate: "listmachine".into(),
-                input_len,
-            });
-            for i in 0..nlm.t {
-                tracer.emit(|| TraceEvent::TapeRegistered {
-                    tape: i,
-                    name: format!("list{i}"),
-                });
-            }
+/// The one run loop: step from the initial configuration, drawing the
+/// choice of step `i` from `choose(i)`, until a final state or
+/// `max_steps`. Traces on the thread's current tracer the stream that
+/// replays to exactly [`LmRun::usage`]; NLMs have no internal memory,
+/// so it carries no memory events.
+fn run_with(
+    nlm: &Nlm,
+    input: &[Val],
+    max_steps: usize,
+    mut choose: impl FnMut(usize) -> Result<Choice, StError>,
+) -> Result<LmRun, StError> {
+    let mut cfg = LmConfig::initial(nlm, input);
+    let mut trace = RunTracer::begin(
+        st_trace::current(),
+        "listmachine",
+        "list",
+        nlm.t,
+        input.len(),
+    );
+    let mut views = vec![cfg.local_view()];
+    let mut moves = Vec::new();
+    let mut used = Vec::new();
+    for step_idx in 0..max_steps {
+        if (nlm.is_final)(cfg.state) {
+            break;
         }
-        LmTraceCtx {
-            tracer,
-            last_revs: vec![0; nlm.t],
-            flushed_steps: 0,
-        }
+        let c = choose(step_idx)?;
+        let mv = cfg.step(nlm, c)?;
+        used.push(c);
+        moves.push(mv);
+        views.push(cfg.local_view());
+        trace.step(moves.len() as u64, cfg.reversals().iter().copied());
     }
-
-    fn after_step(&mut self, cfg: &LmConfig, steps_so_far: u64) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        for (i, &total) in cfg.reversals().iter().enumerate() {
-            if total != self.last_revs[i] {
-                self.last_revs[i] = total;
-                self.tracer.emit(|| TraceEvent::Reversal { tape: i, total });
-            }
-        }
-        if steps_so_far - self.flushed_steps >= STEP_BATCH {
-            let steps = steps_so_far - self.flushed_steps;
-            self.flushed_steps = steps_so_far;
-            self.tracer.emit(|| TraceEvent::StepBatch { steps });
-        }
-    }
-
-    fn finish(&mut self, run: &LmRun, input_len: usize) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let steps = run.moves.len() as u64;
-        if steps > self.flushed_steps {
-            let remaining = steps - self.flushed_steps;
-            self.flushed_steps = steps;
-            self.tracer
-                .emit(|| TraceEvent::StepBatch { steps: remaining });
-        }
-        for (i, list) in run.final_config.lists.iter().enumerate() {
-            let cells = list.len() as u64;
-            self.tracer
-                .emit(|| TraceEvent::TapeExtent { tape: i, cells });
-        }
-        let usage = run.usage(input_len);
-        self.tracer.emit(|| TraceEvent::RunUsage { usage });
-    }
+    let run = LmRun {
+        outcome: halted(nlm, cfg.state).unwrap_or(LmOutcome::StepLimit),
+        views,
+        moves,
+        choices: used,
+        reversals: cfg.reversals().to_vec(),
+        final_config: cfg,
+    };
+    trace.finish(
+        run.moves.len() as u64,
+        None,
+        run.final_config.lists.iter().map(|l| l.len() as u64),
+        || run.usage(input.len()),
+    );
+    Ok(run)
 }
 
 /// Run `nlm` on `input`, drawing choices from the fixed sequence
@@ -368,51 +362,14 @@ pub fn run_with_choices(
     choices: &[Choice],
     max_steps: usize,
 ) -> Result<LmRun, StError> {
-    let mut cfg = LmConfig::initial(nlm, input);
-    let mut trace = LmTraceCtx::begin(nlm, input.len());
-    let mut views = vec![cfg.local_view()];
-    let mut moves = Vec::new();
-    let mut used = Vec::new();
-    let mut outcome = LmOutcome::StepLimit;
-    for step_idx in 0..max_steps {
-        if (nlm.is_final)(cfg.state) {
-            outcome = if (nlm.is_accepting)(cfg.state) {
-                LmOutcome::Accept
-            } else {
-                LmOutcome::Reject
-            };
-            break;
-        }
-        let c = *choices.get(step_idx).ok_or_else(|| {
+    run_with(nlm, input, max_steps, |step_idx| {
+        choices.get(step_idx).copied().ok_or_else(|| {
             StError::Machine(format!(
                 "NLM '{}' exhausted its choice sequence after {step_idx} steps",
                 nlm.name
             ))
-        })?;
-        let mv = cfg.step(nlm, c)?;
-        used.push(c);
-        moves.push(mv);
-        views.push(cfg.local_view());
-        trace.after_step(&cfg, moves.len() as u64);
-    }
-    if (nlm.is_final)(cfg.state) && outcome == LmOutcome::StepLimit {
-        outcome = if (nlm.is_accepting)(cfg.state) {
-            LmOutcome::Accept
-        } else {
-            LmOutcome::Reject
-        };
-    }
-    let reversals = cfg.reversals().to_vec();
-    let run = LmRun {
-        outcome,
-        views,
-        moves,
-        choices: used,
-        reversals,
-        final_config: cfg,
-    };
-    trace.finish(&run, input.len());
-    Ok(run)
+        })
+    })
 }
 
 /// Run `nlm` on `input` with uniformly random choices (the randomized
@@ -423,46 +380,9 @@ pub fn run_sampled<R: Rng>(
     rng: &mut R,
     max_steps: usize,
 ) -> Result<LmRun, StError> {
-    let mut cfg = LmConfig::initial(nlm, input);
-    let mut trace = LmTraceCtx::begin(nlm, input.len());
-    let mut views = vec![cfg.local_view()];
-    let mut moves = Vec::new();
-    let mut used = Vec::new();
-    let mut outcome = LmOutcome::StepLimit;
-    for _ in 0..max_steps {
-        if (nlm.is_final)(cfg.state) {
-            outcome = if (nlm.is_accepting)(cfg.state) {
-                LmOutcome::Accept
-            } else {
-                LmOutcome::Reject
-            };
-            break;
-        }
-        let c = rng.gen_range(0..nlm.num_choices);
-        let mv = cfg.step(nlm, c)?;
-        used.push(c);
-        moves.push(mv);
-        views.push(cfg.local_view());
-        trace.after_step(&cfg, moves.len() as u64);
-    }
-    if (nlm.is_final)(cfg.state) && outcome == LmOutcome::StepLimit {
-        outcome = if (nlm.is_accepting)(cfg.state) {
-            LmOutcome::Accept
-        } else {
-            LmOutcome::Reject
-        };
-    }
-    let reversals = cfg.reversals().to_vec();
-    let run = LmRun {
-        outcome,
-        views,
-        moves,
-        choices: used,
-        reversals,
-        final_config: cfg,
-    };
-    trace.finish(&run, input.len());
-    Ok(run)
+    run_with(nlm, input, max_steps, |_| {
+        Ok(rng.gen_range(0..nlm.num_choices))
+    })
 }
 
 /// Exact outcome probabilities by enumerating the choice tree (the
@@ -492,24 +412,22 @@ pub fn exact_acceptance_lm(
                 observed: explored as u64,
             });
         }
-        if (nlm.is_final)(cfg.state) {
-            if (nlm.is_accepting)(cfg.state) {
-                p_accept += p;
-            } else {
-                p_reject += p;
+        match halted(nlm, cfg.state) {
+            Some(LmOutcome::Accept) => p_accept += p,
+            Some(_) => p_reject += p,
+            None if steps >= max_steps => {
+                return Err(StError::Machine(
+                    "NLM probability enumeration hit the step cap on a non-final branch".into(),
+                ))
             }
-            continue;
-        }
-        if steps >= max_steps {
-            return Err(StError::Machine(
-                "NLM probability enumeration hit the step cap on a non-final branch".into(),
-            ));
-        }
-        let share = p / f64::from(nlm.num_choices);
-        for c in 0..nlm.num_choices {
-            let mut next = cfg.clone();
-            next.step(nlm, c)?;
-            stack.push((next, steps + 1, share));
+            None => {
+                let share = p / f64::from(nlm.num_choices);
+                for c in 0..nlm.num_choices {
+                    let mut next = cfg.clone();
+                    next.step(nlm, c)?;
+                    stack.push((next, steps + 1, share));
+                }
+            }
         }
     }
     Ok((p_accept, p_reject))

@@ -670,7 +670,7 @@ impl<'a, W: Worker> Cluster<'a, W> {
         let traces = self
             .buffers
             .iter()
-            .map(|b| trace_jsonl(&b.snapshot()))
+            .map(|b| st_trace::to_jsonl(&b.snapshot()))
             .collect();
         MpcRun::assemble(accepted, self.exchange.into_comm(), per_worker, traces)
     }
@@ -719,11 +719,6 @@ impl MpcRun {
         }
     }
 }
-
-/// Render a trace buffer's events as one JSONL blob (one event per
-/// line, trailing newline when nonempty) — the byte-comparable form the
-/// invariance tests diff across `--jobs`.
-pub use st_trace::to_jsonl as trace_jsonl;
 
 #[cfg(test)]
 mod tests {

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cursor;
 pub mod relalg;
 pub mod relalg_parser;
 pub mod stream;

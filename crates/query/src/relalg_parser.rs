@@ -15,172 +15,88 @@
 //! atom    := '#' num | '"' chars '"'
 //! ```
 
+use crate::cursor::Cursor;
 use crate::relalg::{Pred, RaExpr};
 use st_core::StError;
 
-struct P<'a> {
-    src: &'a str,
-    pos: usize,
+/// Relation names: `[A-Za-z0-9_]+`.
+fn ident_char(_: usize, c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
 }
 
-impl<'a> P<'a> {
-    fn err(&self, msg: &str) -> StError {
-        StError::Query(format!("relalg parse error at byte {}: {msg}", self.pos))
-    }
-
-    fn ws(&mut self) {
-        // Advance by full chars: whitespace like U+3000 is multi-byte,
-        // and a byte-sized step would leave `pos` mid-char and panic
-        // the next slice.
-        while let Some(c) = self.src[self.pos..]
-            .chars()
-            .next()
-            .filter(|c| c.is_whitespace())
-        {
-            self.pos += c.len_utf8();
-        }
-    }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        self.ws();
-        if self.src[self.pos..].starts_with(tok) {
-            self.pos += tok.len();
-            true
+fn expr(p: &mut Cursor<'_>) -> Result<RaExpr, StError> {
+    let mut left = term(p)?;
+    loop {
+        if p.keyword("union") {
+            let right = term(p)?;
+            left = RaExpr::Union(Box::new(left), Box::new(right));
+        } else if p.keyword("intersect") {
+            let right = term(p)?;
+            left = RaExpr::Intersect(Box::new(left), Box::new(right));
+        } else if p.eat("-") {
+            let right = term(p)?;
+            left = RaExpr::Diff(Box::new(left), Box::new(right));
         } else {
-            false
+            return Ok(left);
         }
     }
+}
 
-    fn expect(&mut self, tok: &str) -> Result<(), StError> {
-        if self.eat(tok) {
-            Ok(())
+fn term(p: &mut Cursor<'_>) -> Result<RaExpr, StError> {
+    let mut left = factor(p)?;
+    while p.keyword("x") {
+        let right = factor(p)?;
+        left = RaExpr::Product(Box::new(left), Box::new(right));
+    }
+    Ok(left)
+}
+
+fn factor(p: &mut Cursor<'_>) -> Result<RaExpr, StError> {
+    if p.eat("(") {
+        let e = expr(p)?;
+        p.expect(")")?;
+        return Ok(e);
+    }
+    if p.keyword("sigma") {
+        p.expect("[")?;
+        p.expect("#")?;
+        let i = p.number()?;
+        p.expect("=")?;
+        let pred = if p.eat("#") {
+            Pred::AttrEqAttr(i, p.number()?)
         } else {
-            Err(self.err(&format!("expected {tok:?}")))
-        }
+            p.expect("\"")?;
+            let rest = p.rest();
+            let end = rest.find('"').ok_or_else(|| p.err("unterminated string"))?;
+            p.pos += end + 1;
+            Pred::AttrEqConst(i, rest[..end].to_string())
+        };
+        p.expect("]")?;
+        p.expect("(")?;
+        let e = expr(p)?;
+        p.expect(")")?;
+        return Ok(RaExpr::Select(pred, Box::new(e)));
     }
-
-    fn ident(&mut self) -> Result<String, StError> {
-        self.ws();
-        let rest = &self.src[self.pos..];
-        let len = rest
-            .chars()
-            .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
-            .count();
-        if len == 0 {
-            return Err(self.err("expected an identifier"));
+    if p.keyword("pi") {
+        p.expect("[")?;
+        let mut cols = vec![p.number()?];
+        while p.eat(",") {
+            cols.push(p.number()?);
         }
-        let w: String = rest.chars().take(len).collect();
-        self.pos += w.len();
-        Ok(w)
+        p.expect("]")?;
+        p.expect("(")?;
+        let e = expr(p)?;
+        p.expect(")")?;
+        return Ok(RaExpr::Project(cols, Box::new(e)));
     }
-
-    fn keyword(&mut self, kw: &str) -> bool {
-        self.ws();
-        let save = self.pos;
-        match self.ident() {
-            Ok(w) if w == kw => true,
-            _ => {
-                self.pos = save;
-                false
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<usize, StError> {
-        self.ws();
-        let rest = &self.src[self.pos..];
-        let len = rest.chars().take_while(char::is_ascii_digit).count();
-        if len == 0 {
-            return Err(self.err("expected a number"));
-        }
-        let n: usize = rest[..len].parse().map_err(|_| self.err("bad number"))?;
-        self.pos += len;
-        Ok(n)
-    }
-
-    fn expr(&mut self) -> Result<RaExpr, StError> {
-        let mut left = self.term()?;
-        loop {
-            if self.keyword("union") {
-                let right = self.term()?;
-                left = RaExpr::Union(Box::new(left), Box::new(right));
-            } else if self.keyword("intersect") {
-                let right = self.term()?;
-                left = RaExpr::Intersect(Box::new(left), Box::new(right));
-            } else if self.eat("-") {
-                let right = self.term()?;
-                left = RaExpr::Diff(Box::new(left), Box::new(right));
-            } else {
-                return Ok(left);
-            }
-        }
-    }
-
-    fn term(&mut self) -> Result<RaExpr, StError> {
-        let mut left = self.factor()?;
-        while self.keyword("x") {
-            let right = self.factor()?;
-            left = RaExpr::Product(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn factor(&mut self) -> Result<RaExpr, StError> {
-        if self.eat("(") {
-            let e = self.expr()?;
-            self.expect(")")?;
-            return Ok(e);
-        }
-        let save = self.pos;
-        if self.keyword("sigma") {
-            self.expect("[")?;
-            self.expect("#")?;
-            let i = self.number()?;
-            self.expect("=")?;
-            let pred = if self.eat("#") {
-                Pred::AttrEqAttr(i, self.number()?)
-            } else {
-                self.expect("\"")?;
-                let rest = &self.src[self.pos..];
-                let end = rest
-                    .find('"')
-                    .ok_or_else(|| self.err("unterminated string"))?;
-                let val = rest[..end].to_string();
-                self.pos += end + 1;
-                Pred::AttrEqConst(i, val)
-            };
-            self.expect("]")?;
-            self.expect("(")?;
-            let e = self.expr()?;
-            self.expect(")")?;
-            return Ok(RaExpr::Select(pred, Box::new(e)));
-        }
-        if self.keyword("pi") {
-            self.expect("[")?;
-            let mut cols = vec![self.number()?];
-            while self.eat(",") {
-                cols.push(self.number()?);
-            }
-            self.expect("]")?;
-            self.expect("(")?;
-            let e = self.expr()?;
-            self.expect(")")?;
-            return Ok(RaExpr::Project(cols, Box::new(e)));
-        }
-        self.pos = save;
-        let name = self.ident()?;
-        Ok(RaExpr::Rel(name))
-    }
+    Ok(RaExpr::Rel(p.ident()?))
 }
 
 /// Parse a relational-algebra expression.
 pub fn parse_relalg(src: &str) -> Result<RaExpr, StError> {
-    let mut p = P { src, pos: 0 };
-    let e = p.expr()?;
-    p.ws();
-    if p.pos != src.len() {
-        return Err(p.err("trailing input"));
-    }
+    let mut p = Cursor::new(src, "relalg", ident_char);
+    let e = expr(&mut p)?;
+    p.end("trailing input")?;
     Ok(e)
 }
 

@@ -11,151 +11,72 @@
 //! pred      := '[' 'not'? path '=' path ']'
 //! ```
 
+use crate::cursor::Cursor;
 use crate::xpath::{Axis, Path, Predicate, Step};
 use st_core::StError;
 
-struct Parser<'a> {
-    src: &'a str,
-    pos: usize,
+/// XPath names: `[A-Za-z_][A-Za-z0-9_-]*`.
+fn ident_char(i: usize, c: char) -> bool {
+    if i == 0 {
+        c.is_ascii_alphabetic() || c == '_'
+    } else {
+        c.is_ascii_alphanumeric() || c == '_' || c == '-'
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser { src, pos: 0 }
+fn axis(p: &mut Cursor<'_>) -> Result<Axis, StError> {
+    let word = p.ident()?;
+    match word.as_str() {
+        "child" => Ok(Axis::Child),
+        "descendant" => Ok(Axis::Descendant),
+        "ancestor" => Ok(Axis::Ancestor),
+        other => Err(p.err(&format!(
+            "unknown axis {other:?} (fragment supports child/descendant/ancestor)"
+        ))),
     }
+}
 
-    fn err(&self, msg: &str) -> StError {
-        StError::Query(format!("xpath parse error at byte {}: {msg}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        // Advance by full chars: whitespace like U+3000 is multi-byte,
-        // and a byte-sized step would leave `pos` mid-char and panic
-        // the next slice.
-        while let Some(c) = self.src[self.pos..]
-            .chars()
-            .next()
-            .filter(|c| c.is_whitespace())
-        {
-            self.pos += c.len_utf8();
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.src[self.pos..].chars().next()
-    }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        self.skip_ws();
-        if self.src[self.pos..].starts_with(tok) {
-            self.pos += tok.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, tok: &str) -> Result<(), StError> {
-        if self.eat(tok) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {tok:?}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, StError> {
-        self.skip_ws();
-        let rest = &self.src[self.pos..];
-        let len = rest
-            .char_indices()
-            .take_while(|&(i, c)| {
-                if i == 0 {
-                    c.is_ascii_alphabetic() || c == '_'
-                } else {
-                    c.is_ascii_alphanumeric() || c == '_' || c == '-'
-                }
-            })
-            .count();
-        if len == 0 {
-            return Err(self.err("expected an identifier"));
-        }
-        let word: String = rest.chars().take(len).collect();
-        self.pos += word.len();
-        Ok(word)
-    }
-
-    fn axis(&mut self) -> Result<Axis, StError> {
-        let word = self.ident()?;
-        match word.as_str() {
-            "child" => Ok(Axis::Child),
-            "descendant" => Ok(Axis::Descendant),
-            "ancestor" => Ok(Axis::Ancestor),
-            other => Err(self.err(&format!(
-                "unknown axis {other:?} (fragment supports child/descendant/ancestor)"
-            ))),
-        }
-    }
-
-    fn step(&mut self) -> Result<Step, StError> {
-        let axis = self.axis()?;
-        self.expect("::")?;
-        let name = self.ident()?;
-        let predicate = if self.peek() == Some('[') {
-            self.expect("[")?;
-            // `not` only counts as the negation keyword when it is a whole
-            // word (an axis name like `child` must not be nibbled).
-            let save = self.pos;
-            let negated = match self.ident() {
-                Ok(w) if w == "not" => true,
-                _ => {
-                    self.pos = save;
-                    false
-                }
-            };
-            let left = self.path()?;
-            self.expect("=")?;
-            let right = self.path()?;
-            self.expect("]")?;
-            Some(Predicate {
-                negated,
-                left,
-                right,
-            })
-        } else {
-            None
-        };
-        Ok(Step {
-            axis,
-            name,
-            predicate,
+fn step(p: &mut Cursor<'_>) -> Result<Step, StError> {
+    let axis = axis(p)?;
+    p.expect("::")?;
+    let name = p.ident()?;
+    let predicate = if p.eat("[") {
+        // `not` only counts as the negation keyword when it is a whole
+        // word (an axis name like `child` must not be nibbled).
+        let negated = p.keyword("not");
+        let left = path(p)?;
+        p.expect("=")?;
+        let right = path(p)?;
+        p.expect("]")?;
+        Some(Predicate {
+            negated,
+            left,
+            right,
         })
-    }
+    } else {
+        None
+    };
+    Ok(Step {
+        axis,
+        name,
+        predicate,
+    })
+}
 
-    fn path(&mut self) -> Result<Path, StError> {
-        let mut steps = vec![self.step()?];
-        loop {
-            // A '/' continues the path; '=' or ']' or end terminates it.
-            let save = self.pos;
-            if self.eat("/") {
-                steps.push(self.step()?);
-            } else {
-                self.pos = save;
-                break;
-            }
-        }
-        Ok(Path { steps })
+fn path(p: &mut Cursor<'_>) -> Result<Path, StError> {
+    // A '/' continues the path; '=' or ']' or end terminates it.
+    let mut steps = vec![step(p)?];
+    while p.eat("/") {
+        steps.push(step(p)?);
     }
+    Ok(Path { steps })
 }
 
 /// Parse an XPath expression of the fragment.
 pub fn parse_xpath(src: &str) -> Result<Path, StError> {
-    let mut p = Parser::new(src);
-    let path = p.path()?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return Err(p.err("trailing input after path"));
-    }
+    let mut p = Cursor::new(src, "xpath", ident_char);
+    let path = path(&mut p)?;
+    p.end("trailing input after path")?;
     Ok(path)
 }
 

@@ -14,228 +14,149 @@
 //! abspath := ( '/' name )+
 //! ```
 
+use crate::cursor::Cursor;
 use crate::xquery::{AbsPath, Cond, XqExpr};
 use st_core::StError;
 
-struct P<'a> {
-    src: &'a str,
-    pos: usize,
+/// Element, path-step and variable names: `[A-Za-z0-9_-]+`.
+fn ident_char(_: usize, c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_' || c == '-'
 }
 
-impl<'a> P<'a> {
-    fn err(&self, msg: &str) -> StError {
-        StError::Query(format!("xquery parse error at byte {}: {msg}", self.pos))
+fn abspath(p: &mut Cursor<'_>) -> Result<AbsPath, StError> {
+    let mut parts = Vec::new();
+    if !p.eat("/") {
+        return Err(p.err("expected an absolute path starting with '/'"));
     }
-
-    fn ws(&mut self) {
-        // Advance by full chars: whitespace like U+3000 is multi-byte,
-        // and a byte-sized step would leave `pos` mid-char and panic
-        // the next slice.
-        while let Some(c) = self.src[self.pos..]
-            .chars()
-            .next()
-            .filter(|c| c.is_whitespace())
-        {
-            self.pos += c.len_utf8();
-        }
+    parts.push(p.ident()?);
+    while p.peek("/") && !p.peek("/>") {
+        p.expect("/")?;
+        parts.push(p.ident()?);
     }
+    Ok(AbsPath(parts))
+}
 
-    fn peek_str(&mut self, tok: &str) -> bool {
-        self.ws();
-        self.src[self.pos..].starts_with(tok)
+fn var(p: &mut Cursor<'_>) -> Result<String, StError> {
+    p.expect("$")?;
+    p.ident()
+}
+
+fn cond_atom(p: &mut Cursor<'_>) -> Result<Cond, StError> {
+    if p.eat("(") {
+        let c = cond(p)?;
+        p.expect(")")?;
+        return Ok(c);
     }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        if self.peek_str(tok) {
-            self.pos += tok.len();
-            true
-        } else {
-            false
-        }
+    if p.keyword("every") {
+        return quantified(p, true);
     }
-
-    fn expect(&mut self, tok: &str) -> Result<(), StError> {
-        if self.eat(tok) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {tok:?}")))
-        }
+    if p.keyword("some") {
+        return quantified(p, false);
     }
+    // $a = $b
+    let a = var(p)?;
+    p.expect("=")?;
+    let b = var(p)?;
+    Ok(Cond::VarEq(a, b))
+}
 
-    fn ident(&mut self) -> Result<String, StError> {
-        self.ws();
-        let rest = &self.src[self.pos..];
-        let len = rest
-            .chars()
-            .take_while(|&c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-            .count();
-        if len == 0 {
-            return Err(self.err("expected an identifier"));
-        }
-        let word: String = rest.chars().take(len).collect();
-        self.pos += word.len();
-        Ok(word)
+fn quantified(p: &mut Cursor<'_>, every: bool) -> Result<Cond, StError> {
+    let var = var(p)?;
+    if !p.keyword("in") {
+        return Err(p.err("expected 'in'"));
     }
-
-    /// A whole-word keyword.
-    fn keyword(&mut self, kw: &str) -> bool {
-        self.ws();
-        let save = self.pos;
-        match self.ident() {
-            Ok(w) if w == kw => true,
-            _ => {
-                self.pos = save;
-                false
-            }
-        }
+    let path = abspath(p)?;
+    if !p.keyword("satisfies") {
+        return Err(p.err("expected 'satisfies'"));
     }
+    let body = Box::new(cond(p)?);
+    Ok(if every {
+        Cond::Every {
+            var,
+            path,
+            satisfies: body,
+        }
+    } else {
+        Cond::Some_ {
+            var,
+            path,
+            satisfies: body,
+        }
+    })
+}
 
-    fn abspath(&mut self) -> Result<AbsPath, StError> {
-        let mut parts = Vec::new();
-        if !self.eat("/") {
-            return Err(self.err("expected an absolute path starting with '/'"));
-        }
-        parts.push(self.ident()?);
-        while self.peek_str("/") && !self.peek_str("/>") {
-            self.expect("/")?;
-            parts.push(self.ident()?);
-        }
-        Ok(AbsPath(parts))
+fn cond(p: &mut Cursor<'_>) -> Result<Cond, StError> {
+    let mut left = cond_atom(p)?;
+    while p.keyword("and") {
+        let right = cond_atom(p)?;
+        left = Cond::And(Box::new(left), Box::new(right));
     }
+    Ok(left)
+}
 
-    fn var(&mut self) -> Result<String, StError> {
-        self.expect("$")?;
-        self.ident()
+fn expr(p: &mut Cursor<'_>) -> Result<XqExpr, StError> {
+    if p.eat("()") {
+        return Ok(XqExpr::Empty);
     }
-
-    fn cond_atom(&mut self) -> Result<Cond, StError> {
-        if self.eat("(") {
-            let c = self.cond()?;
-            self.expect(")")?;
-            return Ok(c);
-        }
-        if self.keyword("every") {
-            return self.quantified(true);
-        }
-        if self.keyword("some") {
-            return self.quantified(false);
-        }
-        // $a = $b
-        let a = self.var()?;
-        self.expect("=")?;
-        let b = self.var()?;
-        Ok(Cond::VarEq(a, b))
-    }
-
-    fn quantified(&mut self, every: bool) -> Result<Cond, StError> {
-        let var = self.var()?;
-        if !self.keyword("in") {
-            return Err(self.err("expected 'in'"));
-        }
-        let path = self.abspath()?;
-        if !self.keyword("satisfies") {
-            return Err(self.err("expected 'satisfies'"));
-        }
-        let body = Box::new(self.cond()?);
-        Ok(if every {
-            Cond::Every {
-                var,
-                path,
-                satisfies: body,
-            }
-        } else {
-            Cond::Some_ {
-                var,
-                path,
-                satisfies: body,
-            }
-        })
-    }
-
-    fn cond(&mut self) -> Result<Cond, StError> {
-        let mut left = self.cond_atom()?;
-        while self.keyword("and") {
-            let right = self.cond_atom()?;
-            left = Cond::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn expr(&mut self) -> Result<XqExpr, StError> {
-        self.ws();
-        if self.peek_str("()") {
-            self.expect("()")?;
+    if p.peek("(") {
+        // Parenthesized empty sequence with inner space: ( ).
+        let save = p.pos;
+        p.expect("(")?;
+        if p.eat(")") {
             return Ok(XqExpr::Empty);
         }
-        if self.peek_str("(") {
-            // Parenthesized empty sequence with inner space: ( ).
-            let save = self.pos;
-            self.expect("(")?;
-            if self.eat(")") {
-                return Ok(XqExpr::Empty);
-            }
-            self.pos = save;
-            return Err(
-                self.err("unexpected '(' — only the empty sequence () is an expression here")
-            );
-        }
-        if self.peek_str("<") {
-            return self.element();
-        }
-        if self.keyword("if") {
-            // XQuery writes `if (cond) then …`; in the paper's query the
-            // condition itself is `( … ) and ( … )`, so the parentheses
-            // belong to the condition grammar (cond_atom), not to `if`.
-            let cond = self.cond()?;
-            if !self.keyword("then") {
-                return Err(self.err("expected 'then'"));
-            }
-            let then = Box::new(self.expr()?);
-            if !self.keyword("else") {
-                return Err(self.err("expected 'else'"));
-            }
-            let els = Box::new(self.expr()?);
-            return Ok(XqExpr::If { cond, then, els });
-        }
-        Err(self.err("expected an element constructor, if-expression, or ()"))
+        p.pos = save;
+        return Err(p.err("unexpected '(' — only the empty sequence () is an expression here"));
     }
+    if p.peek("<") {
+        return element(p);
+    }
+    if p.keyword("if") {
+        // XQuery writes `if (cond) then …`; in the paper's query the
+        // condition itself is `( … ) and ( … )`, so the parentheses
+        // belong to the condition grammar (cond_atom), not to `if`.
+        let cond = cond(p)?;
+        if !p.keyword("then") {
+            return Err(p.err("expected 'then'"));
+        }
+        let then = Box::new(expr(p)?);
+        if !p.keyword("else") {
+            return Err(p.err("expected 'else'"));
+        }
+        let els = Box::new(expr(p)?);
+        return Ok(XqExpr::If { cond, then, els });
+    }
+    Err(p.err("expected an element constructor, if-expression, or ()"))
+}
 
-    fn element(&mut self) -> Result<XqExpr, StError> {
-        self.expect("<")?;
-        let name = self.ident()?;
-        if self.eat("/>") {
-            return Ok(XqExpr::Element {
-                name,
-                children: Vec::new(),
-            });
-        }
-        self.expect(">")?;
-        let mut children = Vec::new();
-        loop {
-            self.ws();
-            if self.peek_str("</") {
-                break;
-            }
-            children.push(self.expr()?);
-        }
-        self.expect("</")?;
-        let close = self.ident()?;
-        if close != name {
-            return Err(self.err(&format!("<{name}> closed by </{close}>")));
-        }
-        self.expect(">")?;
-        Ok(XqExpr::Element { name, children })
+fn element(p: &mut Cursor<'_>) -> Result<XqExpr, StError> {
+    p.expect("<")?;
+    let name = p.ident()?;
+    if p.eat("/>") {
+        return Ok(XqExpr::Element {
+            name,
+            children: Vec::new(),
+        });
     }
+    p.expect(">")?;
+    let mut children = Vec::new();
+    while !p.peek("</") {
+        children.push(expr(p)?);
+    }
+    p.expect("</")?;
+    let close = p.ident()?;
+    if close != name {
+        return Err(p.err(&format!("<{name}> closed by </{close}>")));
+    }
+    p.expect(">")?;
+    Ok(XqExpr::Element { name, children })
 }
 
 /// Parse an XQuery expression of the fragment.
 pub fn parse_xquery(src: &str) -> Result<XqExpr, StError> {
-    let mut p = P { src, pos: 0 };
-    let e = p.expr()?;
-    p.ws();
-    if p.pos != src.len() {
-        return Err(p.err("trailing input after expression"));
-    }
+    let mut p = Cursor::new(src, "xquery", ident_char);
+    let e = expr(&mut p)?;
+    p.end("trailing input after expression")?;
     Ok(e)
 }
 

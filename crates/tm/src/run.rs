@@ -5,14 +5,19 @@
 //! own reversal/space accounting. [`run_deterministic`] executes machines
 //! with unique successors; [`run_sampled`] resolves nondeterminism with a
 //! caller-supplied random source (uniform over `Next_T(γ)` — the
-//! randomized semantics of Section 2).
+//! randomized semantics of Section 2). Both are one private run loop
+//! that differs only in how it picks the next step, and the loop traces
+//! through the shared [`RunTracer`] (substrate `tm`, tapes `ext{i}`).
+//! [`enumerate_runs`] and [`accepts_nondeterministically`] walk the run
+//! tree with the same halting rule.
 
-use crate::machine::Tm;
+use crate::machine::{Tm, Transition};
 use crate::tape::TmTape;
 use crate::{State, Sym};
 use rand::Rng;
 use st_core::{ResourceUsage, StError};
-use st_trace::{TraceEvent, Tracer};
+use st_trace::RunTracer;
+use std::ops::ControlFlow;
 
 /// A machine configuration.
 #[derive(Debug, Clone)]
@@ -48,7 +53,7 @@ impl Config {
     }
 
     /// Apply one transition in place.
-    pub fn apply(&mut self, t: &crate::machine::Transition) -> Result<(), StError> {
+    pub fn apply(&mut self, t: &Transition) -> Result<(), StError> {
         for (tape, &w) in self.tapes.iter_mut().zip(&t.writes) {
             tape.write(w);
         }
@@ -73,88 +78,6 @@ impl Config {
             steps: self.steps,
             external_cells: self.tapes[..t].iter().map(|x| x.space() as u64).sum(),
         }
-    }
-}
-
-/// Steps per [`TraceEvent::StepBatch`] flush: long runs trace in
-/// constant-size batches instead of one event per step.
-const STEP_BATCH: u64 = 1024;
-
-/// Per-run trace state for the single-run executors. Holds the thread's
-/// scoped tracer plus the last emitted cumulative reversal count per
-/// external tape, so only direction changes produce events. All methods
-/// are no-ops when the tracer is disabled.
-struct TraceCtx {
-    tracer: Tracer,
-    last_revs: Vec<u64>,
-    flushed_steps: u64,
-}
-
-impl TraceCtx {
-    fn begin(tm: &Tm, input_len: usize) -> Self {
-        let tracer = st_trace::current();
-        if tracer.is_enabled() {
-            tracer.emit(|| TraceEvent::RunBegin {
-                substrate: "tm".to_string(),
-                input_len,
-            });
-            for i in 0..tm.external_tapes {
-                tracer.emit(|| TraceEvent::TapeRegistered {
-                    tape: i,
-                    name: format!("ext{i}"),
-                });
-            }
-        }
-        TraceCtx {
-            last_revs: vec![0; tm.external_tapes],
-            flushed_steps: 0,
-            tracer,
-        }
-    }
-
-    fn sync_reversals(&mut self, cfg: &Config) {
-        for (i, tape) in cfg.tapes[..self.last_revs.len()].iter().enumerate() {
-            let total = tape.reversals();
-            if total != self.last_revs[i] {
-                self.last_revs[i] = total;
-                self.tracer.emit(|| TraceEvent::Reversal { tape: i, total });
-            }
-        }
-    }
-
-    fn after_step(&mut self, cfg: &Config) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        self.sync_reversals(cfg);
-        if cfg.steps - self.flushed_steps >= STEP_BATCH {
-            let steps = cfg.steps - self.flushed_steps;
-            self.flushed_steps = cfg.steps;
-            self.tracer.emit(|| TraceEvent::StepBatch { steps });
-        }
-    }
-
-    fn finish(&mut self, cfg: &Config, usage: &ResourceUsage) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        self.sync_reversals(cfg);
-        let steps = cfg.steps - self.flushed_steps;
-        if steps > 0 {
-            self.flushed_steps = cfg.steps;
-            self.tracer.emit(|| TraceEvent::StepBatch { steps });
-        }
-        // The TM substrate has no incremental meter; one peak observation
-        // carries the internal-tape space sum into the replay.
-        let bits = usage.internal_space;
-        self.tracer.emit(|| TraceEvent::MemPeak { bits });
-        for i in 0..self.last_revs.len() {
-            let cells = cfg.tapes[i].space() as u64;
-            self.tracer
-                .emit(|| TraceEvent::TapeExtent { tape: i, cells });
-        }
-        let claimed = usage.clone();
-        self.tracer.emit(|| TraceEvent::RunUsage { usage: claimed });
     }
 }
 
@@ -190,113 +113,97 @@ impl RunResult {
     pub fn accepted(&self) -> bool {
         self.outcome == RunOutcome::Accept
     }
+
+    /// The result of a run that halted in `cfg` with `outcome`.
+    fn halted(tm: &Tm, cfg: Config, input_len: usize, outcome: RunOutcome) -> Self {
+        RunResult {
+            outcome,
+            usage: cfg.usage(tm, input_len),
+            final_config: cfg,
+        }
+    }
+}
+
+/// Why `cfg` halts, or else its successor set `Next_T(γ)`, never empty.
+fn next_step(tm: &Tm, cfg: &Config, max_steps: u64) -> ControlFlow<RunOutcome, Vec<Transition>> {
+    if tm.is_final(cfg.state) {
+        return ControlFlow::Break(if tm.is_accepting(cfg.state) {
+            RunOutcome::Accept
+        } else {
+            RunOutcome::Reject
+        });
+    }
+    if cfg.steps >= max_steps {
+        return ControlFlow::Break(RunOutcome::StepLimit);
+    }
+    let succ = tm.successors(cfg.state, &cfg.reads());
+    if succ.is_empty() {
+        ControlFlow::Break(RunOutcome::Jam)
+    } else {
+        ControlFlow::Continue(succ)
+    }
+}
+
+/// The one run loop: from the initial configuration, take the successor
+/// that `pick(state, |Next_T(γ)|)` names until the run halts. Traces on
+/// the thread's current tracer.
+fn run_with(
+    tm: &Tm,
+    input: Vec<Sym>,
+    max_steps: u64,
+    mut pick: impl FnMut(State, usize) -> Result<usize, StError>,
+) -> Result<RunResult, StError> {
+    let input_len = input.len();
+    let t = tm.external_tapes;
+    let mut cfg = Config::initial(tm, input);
+    let mut trace = RunTracer::begin(st_trace::current(), "tm", "ext", t, input_len);
+    let outcome = loop {
+        let succ = match next_step(tm, &cfg, max_steps) {
+            ControlFlow::Continue(succ) => succ,
+            ControlFlow::Break(outcome) => break outcome,
+        };
+        let i = pick(cfg.state, succ.len())?;
+        cfg.apply(&succ[i])?;
+        trace.step(cfg.steps, cfg.tapes[..t].iter().map(TmTape::reversals));
+    };
+    let result = RunResult::halted(tm, cfg, input_len, outcome);
+    let cfg = &result.final_config;
+    // The TM substrate has no incremental meter; one peak observation
+    // carries the internal-tape space sum into the replay.
+    trace.finish(
+        cfg.steps,
+        Some(result.usage.internal_space),
+        cfg.tapes[..t].iter().map(|x| x.space() as u64),
+        || result.usage.clone(),
+    );
+    Ok(result)
 }
 
 /// Execute a deterministic machine. Errors if a configuration ever has
 /// more than one successor.
 pub fn run_deterministic(tm: &Tm, input: Vec<Sym>, max_steps: u64) -> Result<RunResult, StError> {
-    let input_len = input.len();
-    let mut cfg = Config::initial(tm, input);
-    let mut trace = TraceCtx::begin(tm, input_len);
-    loop {
-        if tm.is_final(cfg.state) {
-            let outcome = if tm.is_accepting(cfg.state) {
-                RunOutcome::Accept
-            } else {
-                RunOutcome::Reject
-            };
-            let usage = cfg.usage(tm, input_len);
-            trace.finish(&cfg, &usage);
-            return Ok(RunResult {
-                outcome,
-                usage,
-                final_config: cfg,
-            });
+    run_with(tm, input, max_steps, |state, n| {
+        if n == 1 {
+            Ok(0)
+        } else {
+            Err(StError::Machine(format!(
+                "machine '{}' is not deterministic: {n} successors in state {state}",
+                tm.name
+            )))
         }
-        if cfg.steps >= max_steps {
-            let usage = cfg.usage(tm, input_len);
-            trace.finish(&cfg, &usage);
-            return Ok(RunResult {
-                outcome: RunOutcome::StepLimit,
-                usage,
-                final_config: cfg,
-            });
-        }
-        let succ = tm.successors(cfg.state, &cfg.reads());
-        match succ.len() {
-            0 => {
-                let usage = cfg.usage(tm, input_len);
-                trace.finish(&cfg, &usage);
-                return Ok(RunResult {
-                    outcome: RunOutcome::Jam,
-                    usage,
-                    final_config: cfg,
-                });
-            }
-            1 => {
-                cfg.apply(&succ[0])?;
-                trace.after_step(&cfg);
-            }
-            n => {
-                return Err(StError::Machine(format!(
-                    "machine '{}' is not deterministic: {n} successors in state {}",
-                    tm.name, cfg.state
-                )))
-            }
-        }
-    }
+    })
 }
 
-/// Execute one randomized run, resolving each nondeterministic step by a
-/// uniform choice over the successor set (the `Pr(γ →_T γ′) = 1/|Next|`
-/// semantics of Section 2).
+/// Execute one randomized run, resolving each step by a uniform choice
+/// over the successor set (the `Pr(γ →_T γ′) = 1/|Next|` semantics of
+/// Section 2). A step with one successor still draws from `rng`.
 pub fn run_sampled<R: Rng>(
     tm: &Tm,
     input: Vec<Sym>,
     max_steps: u64,
     rng: &mut R,
 ) -> Result<RunResult, StError> {
-    let input_len = input.len();
-    let mut cfg = Config::initial(tm, input);
-    let mut trace = TraceCtx::begin(tm, input_len);
-    loop {
-        if tm.is_final(cfg.state) {
-            let outcome = if tm.is_accepting(cfg.state) {
-                RunOutcome::Accept
-            } else {
-                RunOutcome::Reject
-            };
-            let usage = cfg.usage(tm, input_len);
-            trace.finish(&cfg, &usage);
-            return Ok(RunResult {
-                outcome,
-                usage,
-                final_config: cfg,
-            });
-        }
-        if cfg.steps >= max_steps {
-            let usage = cfg.usage(tm, input_len);
-            trace.finish(&cfg, &usage);
-            return Ok(RunResult {
-                outcome: RunOutcome::StepLimit,
-                usage,
-                final_config: cfg,
-            });
-        }
-        let succ = tm.successors(cfg.state, &cfg.reads());
-        if succ.is_empty() {
-            let usage = cfg.usage(tm, input_len);
-            trace.finish(&cfg, &usage);
-            return Ok(RunResult {
-                outcome: RunOutcome::Jam,
-                usage,
-                final_config: cfg,
-            });
-        }
-        let pick = rng.gen_range(0..succ.len());
-        cfg.apply(&succ[pick])?;
-        trace.after_step(&cfg);
-    }
+    run_with(tm, input, max_steps, |_, n| Ok(rng.gen_range(0..n)))
 }
 
 /// Enumerate **all** runs of a (small) nondeterministic machine, calling
@@ -310,56 +217,20 @@ pub fn enumerate_runs(
     visit: &mut dyn FnMut(&RunResult, f64),
 ) -> Result<(), StError> {
     let input_len = input.len();
-    let cfg = Config::initial(tm, input);
-    let mut stack: Vec<(Config, f64)> = vec![(cfg, 1.0)];
+    let mut stack: Vec<(Config, f64)> = vec![(Config::initial(tm, input), 1.0)];
     while let Some((cfg, p)) = stack.pop() {
-        if tm.is_final(cfg.state) {
-            let outcome = if tm.is_accepting(cfg.state) {
-                RunOutcome::Accept
-            } else {
-                RunOutcome::Reject
-            };
-            let usage = cfg.usage(tm, input_len);
-            visit(
-                &RunResult {
-                    outcome,
-                    usage,
-                    final_config: cfg,
-                },
-                p,
-            );
-            continue;
-        }
-        if cfg.steps >= max_steps {
-            let usage = cfg.usage(tm, input_len);
-            visit(
-                &RunResult {
-                    outcome: RunOutcome::StepLimit,
-                    usage,
-                    final_config: cfg,
-                },
-                p,
-            );
-            continue;
-        }
-        let succ = tm.successors(cfg.state, &cfg.reads());
-        if succ.is_empty() {
-            let usage = cfg.usage(tm, input_len);
-            visit(
-                &RunResult {
-                    outcome: RunOutcome::Jam,
-                    usage,
-                    final_config: cfg,
-                },
-                p,
-            );
-            continue;
-        }
-        let share = p / succ.len() as f64;
-        for t in succ {
-            let mut next = cfg.clone();
-            next.apply(&t)?;
-            stack.push((next, share));
+        match next_step(tm, &cfg, max_steps) {
+            ControlFlow::Break(outcome) => {
+                visit(&RunResult::halted(tm, cfg, input_len, outcome), p)
+            }
+            ControlFlow::Continue(succ) => {
+                let share = p / succ.len() as f64;
+                for t in succ {
+                    let mut next = cfg.clone();
+                    next.apply(&t)?;
+                    stack.push((next, share));
+                }
+            }
         }
     }
     Ok(())
@@ -375,24 +246,20 @@ pub fn accepts_nondeterministically(
     input: Vec<Sym>,
     max_steps: u64,
 ) -> Result<bool, StError> {
-    let cfg = Config::initial(tm, input);
-    let mut stack = vec![cfg];
+    let mut stack = vec![Config::initial(tm, input)];
     let mut truncated = false;
     while let Some(cfg) = stack.pop() {
-        if tm.is_final(cfg.state) {
-            if tm.is_accepting(cfg.state) {
-                return Ok(true);
+        match next_step(tm, &cfg, max_steps) {
+            ControlFlow::Break(RunOutcome::Accept) => return Ok(true),
+            ControlFlow::Break(RunOutcome::StepLimit) => truncated = true,
+            ControlFlow::Break(_) => {}
+            ControlFlow::Continue(succ) => {
+                for t in succ {
+                    let mut next = cfg.clone();
+                    next.apply(&t)?;
+                    stack.push(next);
+                }
             }
-            continue;
-        }
-        if cfg.steps >= max_steps {
-            truncated = true;
-            continue;
-        }
-        for t in tm.successors(cfg.state, &cfg.reads()) {
-            let mut next = cfg.clone();
-            next.apply(&t)?;
-            stack.push(next);
         }
     }
     if truncated {

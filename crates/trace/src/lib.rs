@@ -21,6 +21,10 @@
 //!   (reversals, head moves, extents) can be re-emitted as checkpoints
 //!   at any time; delta events (step batches, memory traffic) stream
 //!   live. See [`event`] for the full taxonomy.
+//! * **One run tracer.** The Turing-machine and list-machine runs both
+//!   trace through [`RunTracer`]: one `RunBegin`, reversal deltas,
+//!   `StepBatch` events of [`run`]'s fixed batch size, then the final
+//!   extents and `RunUsage` checkpoint.
 //! * **One tracer rule.** A tracer is chosen once, when a machine, run
 //!   or journal is built, and every event goes to the tracer of
 //!   whatever owns the tapes. [`scoped`] installs a tracer for the
@@ -48,11 +52,13 @@
 pub mod event;
 pub mod json;
 pub mod replay;
+pub mod run;
 pub mod sink;
 pub mod tracer;
 
 pub use event::{read_jsonl, read_jsonl_lossy, to_jsonl, FaultKind, TraceEvent};
 pub use replay::{audit, replay, Aggregator, AuditReport, CheckResult, SegmentAudit};
+pub use run::RunTracer;
 pub use sink::{JsonlSink, MemorySink, TraceBuffer};
 pub use tracer::{Sink, Tracer};
 
