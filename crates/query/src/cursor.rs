@@ -12,7 +12,7 @@ pub(crate) struct Cursor<'a> {
     src: &'a str,
     /// Byte offset of the next unread char (always a char boundary).
     pub(crate) pos: usize,
-    /// The language named in errors: "`{lang}` parse error at byte N".
+    /// The language named in errors ("{lang} parse error at byte N: …").
     lang: &'static str,
     /// May `c` be the `i`-th char of an identifier?
     ident_char: fn(usize, char) -> bool,
