@@ -11,14 +11,18 @@ use st_core::{ResourceUsage, StError};
 use st_extmem::meter::bits_for;
 use st_extmem::TapeMachine;
 use st_problems::{BitStr, Instance};
+use st_trace::Tracer;
 use std::collections::HashMap;
 
 /// One-pass multiset-equality via an internal hash multiset: 1 scan,
 /// `Θ(N)` internal bits (every value of the first list is stored).
-pub fn one_pass_multiset_equality(inst: &Instance) -> Result<(bool, ResourceUsage), StError> {
+pub fn one_pass_multiset_equality(
+    inst: &Instance,
+    tracer: &Tracer,
+) -> Result<(bool, ResourceUsage), StError> {
     let records: Vec<BitStr> = inst.xs.iter().chain(inst.ys.iter()).cloned().collect();
     let m = inst.m();
-    let mut machine = TapeMachine::with_input(records, inst.size());
+    let mut machine = TapeMachine::with_input(records, inst.size(), tracer.clone());
     let meter = machine.meter().clone();
 
     let mut counts: HashMap<BitStr, i64> = HashMap::new();
@@ -64,7 +68,7 @@ mod tests {
                 generate::no_multiset_one_bit(10, 6, &mut rng),
                 generate::random_instance(6, 4, &mut rng),
             ] {
-                let (got, _) = one_pass_multiset_equality(&inst).unwrap();
+                let (got, _) = one_pass_multiset_equality(&inst, &Tracer::disabled()).unwrap();
                 assert_eq!(got, predicates::is_multiset_equal(&inst));
             }
         }
@@ -74,7 +78,7 @@ mod tests {
     fn one_pass_uses_one_scan_but_linear_memory() {
         let mut rng = StdRng::seed_from_u64(81);
         let inst = generate::yes_multiset(64, 16, &mut rng);
-        let (_, usage) = one_pass_multiset_equality(&inst).unwrap();
+        let (_, usage) = one_pass_multiset_equality(&inst, &Tracer::disabled()).unwrap();
         assert_eq!(usage.scans(), 1, "single forward scan");
         // Internal memory stores the whole first list: Ω(m·n) bits.
         assert!(
@@ -89,8 +93,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(82);
         let small = generate::yes_set_distinct(32, 12, &mut rng);
         let large = generate::yes_set_distinct(256, 12, &mut rng);
-        let (_, u_small) = one_pass_multiset_equality(&small).unwrap();
-        let (_, u_large) = one_pass_multiset_equality(&large).unwrap();
+        let (_, u_small) = one_pass_multiset_equality(&small, &Tracer::disabled()).unwrap();
+        let (_, u_large) = one_pass_multiset_equality(&large, &Tracer::disabled()).unwrap();
         let ratio = u_large.internal_space as f64 / u_small.internal_space as f64;
         assert!(
             ratio > 4.0,

@@ -26,13 +26,17 @@ use st_extmem::meter::bits_for;
 use st_extmem::sort::merge_sort;
 use st_extmem::TapeMachine;
 use st_problems::{BitStr, Instance};
+use st_trace::Tracer;
 use std::collections::BTreeSet;
 
 /// Deterministic disjointness: sort both lists, one parallel merge scan
 /// looking for a common element. `Θ(log N)` scans.
-pub fn decide_disjoint_det(inst: &Instance) -> Result<(bool, ResourceUsage), StError> {
+pub fn decide_disjoint_det(
+    inst: &Instance,
+    tracer: &Tracer,
+) -> Result<(bool, ResourceUsage), StError> {
     let n = inst.size();
-    let mut m = TapeMachine::with_input(inst.xs.clone(), n.max(1));
+    let mut m = TapeMachine::with_input(inst.xs.clone(), n.max(1), tracer.clone());
     m.add_tape_with("second", inst.ys.clone());
     m.add_tape("scratch1");
     m.add_tape("scratch2");
@@ -63,10 +67,13 @@ pub fn decide_disjoint_det(inst: &Instance) -> Result<(bool, ResourceUsage), StE
 }
 
 /// One-pass hash baseline: single scan, internal memory `Θ(N)`.
-pub fn decide_disjoint_one_pass(inst: &Instance) -> Result<(bool, ResourceUsage), StError> {
+pub fn decide_disjoint_one_pass(
+    inst: &Instance,
+    tracer: &Tracer,
+) -> Result<(bool, ResourceUsage), StError> {
     let records: Vec<BitStr> = inst.xs.iter().chain(inst.ys.iter()).cloned().collect();
     let m_count = inst.m();
-    let mut machine = TapeMachine::with_input(records, inst.size().max(1));
+    let mut machine = TapeMachine::with_input(records, inst.size().max(1), tracer.clone());
     let meter = machine.meter().clone();
     let mut seen: BTreeSet<BitStr> = BTreeSet::new();
     let mut stored_bits = 0u64;
@@ -144,10 +151,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(60);
         for _ in 0..40 {
             let inst = generate::random_instance(8, 4, &mut rng);
-            let (got, _) = decide_disjoint_det(&inst).unwrap();
+            let (got, _) = decide_disjoint_det(&inst, &Tracer::disabled()).unwrap();
             assert_eq!(got, predicates::are_disjoint(&inst), "{}", inst.encode());
         }
-        let (got, _) = decide_disjoint_det(&Instance::parse("").unwrap()).unwrap();
+        let (got, _) =
+            decide_disjoint_det(&Instance::parse("").unwrap(), &Tracer::disabled()).unwrap();
         assert!(got, "empty sets are disjoint");
     }
 
@@ -156,12 +164,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(61);
         for _ in 0..30 {
             let inst = generate::random_instance(10, 5, &mut rng);
-            let (got, usage) = decide_disjoint_one_pass(&inst).unwrap();
+            let (got, usage) = decide_disjoint_one_pass(&inst, &Tracer::disabled()).unwrap();
             assert_eq!(got, predicates::are_disjoint(&inst));
             assert_eq!(usage.scans(), 1);
         }
         let big = generate::yes_set_distinct(128, 16, &mut rng);
-        let (_, usage) = decide_disjoint_one_pass(&big).unwrap();
+        let (_, usage) = decide_disjoint_one_pass(&big, &Tracer::disabled()).unwrap();
         assert!(usage.internal_space >= 128 * 16, "Θ(N) memory expected");
     }
 
@@ -171,7 +179,7 @@ mod tests {
         let mut pts = Vec::new();
         for logm in 3..=9 {
             let inst = generate::random_instance(1 << logm, 12, &mut rng);
-            let (_, usage) = decide_disjoint_det(&inst).unwrap();
+            let (_, usage) = decide_disjoint_det(&inst, &Tracer::disabled()).unwrap();
             pts.push((usage.input_len, usage.total_reversals() as f64));
         }
         let (_, _, r2) = st_core::math::log_fit(&pts);

@@ -29,7 +29,7 @@ use st_core::{ResourceUsage, StError};
 use st_extmem::block::{distribute_runs, merge_runs, DEFAULT_BLOCK};
 use st_extmem::durable::{decode_block, encode_block, DurableRecord, Recovery, Wal};
 use st_extmem::TapeMachine;
-use st_trace::TraceEvent;
+use st_trace::{TraceEvent, Tracer};
 use std::path::Path;
 
 /// The result of a durable sort driven through a crash schedule.
@@ -52,13 +52,14 @@ pub struct DurableSortRun<S> {
 
 /// Sort `items` durably, journaling checkpoints to `journal`, with no
 /// planned crashes. Equivalent to `sort_with_crashes(journal, items,
-/// input_len, &[])`.
+/// input_len, &[], tracer)`.
 pub fn durable_sort<S: Clone + Ord + DurableRecord>(
     journal: &Path,
     items: Vec<S>,
     input_len: usize,
+    tracer: &Tracer,
 ) -> Result<DurableSortRun<S>, StError> {
-    sort_with_crashes(journal, items, input_len, &[])
+    sort_with_crashes(journal, items, input_len, &[], tracer)
 }
 
 /// Sort `items` durably while a crash storm kills the run at each
@@ -76,11 +77,14 @@ pub fn durable_sort<S: Clone + Ord + DurableRecord>(
 /// once when nothing was committed yet, else at the checkpoint after
 /// one merge pass (whose work is done and charged but lost), or never
 /// when the recovered checkpoint is already fully sorted.
+///
+/// Every incarnation's journal and machine trace on `tracer`.
 pub fn sort_with_crashes<S: Clone + Ord + DurableRecord>(
     journal: &Path,
     items: Vec<S>,
     input_len: usize,
     crash_points: &[u64],
+    tracer: &Tracer,
 ) -> Result<DurableSortRun<S>, StError> {
     let mut schedule = crash_points.iter().copied();
     let mut usage = ResourceUsage::default();
@@ -96,9 +100,9 @@ pub fn sort_with_crashes<S: Clone + Ord + DurableRecord>(
         // First incarnation starts a fresh journal; every later one
         // recovers from what the crash left behind.
         let (mut wal, start) = if fresh {
-            (Wal::create(journal, crash_at)?, None)
+            (Wal::create(journal, crash_at, tracer.clone())?, None)
         } else {
-            let (wal, recovery) = Wal::open(journal, crash_at)?;
+            let (wal, recovery) = Wal::open(journal, crash_at, tracer.clone())?;
             recoveries += 1;
             (wal, Some(recovery))
         };
@@ -159,7 +163,7 @@ fn sort_incarnation<S: Clone + Ord + DurableRecord>(
     resumed: bool,
 ) -> Result<(Vec<S>, ResourceUsage), (StError, ResourceUsage)> {
     let m = data.len();
-    let mut machine = TapeMachine::with_input(data, input_len);
+    let mut machine = TapeMachine::with_input(data, input_len, wal.tracer().clone());
     let s1 = machine.add_tape("scratch1");
     let s2 = machine.add_tape("scratch2");
     let mirror = machine.add_tape("durable-mirror");
@@ -275,7 +279,7 @@ mod tests {
         let items = vec![5i64, 3, 9, 1, 1, 8, 0, 2];
         let mut expect = items.clone();
         expect.sort();
-        let run = durable_sort(&path, items, 8).unwrap();
+        let run = durable_sort(&path, items, 8, &Tracer::disabled()).unwrap();
         assert_eq!(run.sorted, expect);
         assert_eq!(run.incarnations, 1);
         assert_eq!(run.crashes, 0);
@@ -289,11 +293,11 @@ mod tests {
         let path_a = tmp("single_a.wal");
         let path_b = tmp("single_b.wal");
         let items = reversed(32);
-        let baseline = durable_sort(&path_a, items.clone(), 32).unwrap();
+        let baseline = durable_sort(&path_a, items.clone(), 32, &Tracer::disabled()).unwrap();
 
         // Crash roughly mid-journal.
         let k = baseline.journal_bytes / 2;
-        let crashed = sort_with_crashes(&path_b, items, 32, &[k]).unwrap();
+        let crashed = sort_with_crashes(&path_b, items, 32, &[k], &Tracer::disabled()).unwrap();
         assert_eq!(crashed.sorted, baseline.sorted);
         assert_eq!(crashed.crashes, 1);
         assert_eq!(crashed.recoveries, 1);
@@ -309,7 +313,7 @@ mod tests {
         let path_a = tmp("storm_a.wal");
         let path_b = tmp("storm_b.wal");
         let items: Vec<i64> = (0..48).map(|i| (i * 31) % 17).collect();
-        let baseline = durable_sort(&path_a, items.clone(), 48).unwrap();
+        let baseline = durable_sort(&path_a, items.clone(), 48, &Tracer::disabled()).unwrap();
 
         // Seven crashes spread over the journal, not in order of size —
         // including one at byte 0 (dies before anything persists) and
@@ -324,7 +328,7 @@ mod tests {
             total / 4,
             total * 10,
         ];
-        let run = sort_with_crashes(&path_b, items, 48, &storm).unwrap();
+        let run = sort_with_crashes(&path_b, items, 48, &storm, &Tracer::disabled()).unwrap();
         assert_eq!(run.sorted, baseline.sorted);
         assert!(run.crashes >= 5, "only {} crashes fired", run.crashes);
         assert_eq!(run.incarnations, run.crashes + 1);
@@ -338,7 +342,7 @@ mod tests {
         for (i, items) in [vec![], vec![7i64]].into_iter().enumerate() {
             let path = tmp(&format!("tiny_{i}.wal"));
             let expect = items.clone();
-            let run = sort_with_crashes(&path, items, 1, &[3]).unwrap();
+            let run = sort_with_crashes(&path, items, 1, &[3], &Tracer::disabled()).unwrap();
             assert_eq!(run.sorted, expect);
             std::fs::remove_file(&path).ok();
         }
@@ -349,9 +353,7 @@ mod tests {
         let path = tmp("events.wal");
         let items = reversed(16);
         let (tracer, buf) = st_trace::Tracer::in_memory();
-        st_trace::scoped(tracer, || {
-            sort_with_crashes(&path, items, 16, &[60]).unwrap();
-        });
+        sort_with_crashes(&path, items, 16, &[60], &tracer).unwrap();
         let events = buf.snapshot();
         assert!(events
             .iter()
@@ -376,7 +378,7 @@ mod tests {
         for logm in 1..=8 {
             let m = 1usize << logm;
             let path = tmp(&format!("budget_{logm}.wal"));
-            let run = durable_sort(&path, reversed(m as i64), m).unwrap();
+            let run = durable_sort(&path, reversed(m as i64), m, &Tracer::disabled()).unwrap();
             assert!(
                 run.usage.total_reversals() <= 16 * logm as u64 + 16,
                 "m=2^{logm}: {} reversals exceed 16·log m + 16",

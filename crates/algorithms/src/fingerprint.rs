@@ -70,6 +70,7 @@ use st_core::{ResourceUsage, StError};
 use st_problems::bitstr::pack_bits;
 use st_problems::instance::{first_invalid, rfind_hash};
 use st_problems::Instance;
+use st_trace::Tracer;
 
 /// The sampled randomness and derived moduli of one fingerprint run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,10 +211,19 @@ pub fn decide_multiset_equality<R: Rng>(
     inst: &Instance,
     rng: &mut R,
 ) -> Result<FingerprintRun, StError> {
+    run_fingerprint(inst, rng, &Tracer::disabled())
+}
+
+/// [`decide_multiset_equality`] with its machine tracing on `tracer`.
+pub fn run_fingerprint<R: Rng>(
+    inst: &Instance,
+    rng: &mut R,
+    tracer: &Tracer,
+) -> Result<FingerprintRun, StError> {
     // The batch entry point drives the resumable stepper with an
     // unlimited budget, so batch and incremental runs are the same code
     // path and account identically.
-    let mut stepper = FingerprintStepper::new(&mut *rng);
+    let mut stepper = FingerprintStepper::new_traced(&mut *rng, tracer.clone());
     let _ = stepper.feed_instance(inst)?;
     stepper.finish()?;
     let run = drive_to_verdict(&mut stepper)?;
@@ -234,15 +244,16 @@ pub fn decide_multiset_equality<R: Rng>(
 /// Empirical error estimation: run the decider `trials` times on `inst`
 /// and report the acceptance frequency. On a yes-instance this is exactly
 /// 1 (completeness is deterministic); on a no-instance it estimates the
-/// false-positive probability.
+/// false-positive probability. Every run traces on `tracer`.
 pub fn acceptance_frequency<R: Rng>(
     inst: &Instance,
     trials: u32,
     rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<f64, StError> {
     let mut acc = 0u32;
     for _ in 0..trials {
-        if decide_multiset_equality(inst, rng)?.accepted {
+        if run_fingerprint(inst, rng, tracer)?.accepted {
             acc += 1;
         }
     }
@@ -471,7 +482,7 @@ mod tests {
     fn false_positive_rate_at_most_half() {
         let mut rng = StdRng::seed_from_u64(31);
         let inst = generate::no_multiset_one_bit(12, 10, &mut rng);
-        let freq = acceptance_frequency(&inst, 300, &mut rng).unwrap();
+        let freq = acceptance_frequency(&inst, 300, &mut rng, &Tracer::disabled()).unwrap();
         assert!(freq <= 0.5, "false-positive frequency {freq} exceeds 1/2");
     }
 
@@ -554,7 +565,7 @@ mod tests {
         let yes = Instance::parse("0101#0101#").unwrap();
         assert!(decide_multiset_equality(&yes, &mut rng).unwrap().accepted);
         let no = Instance::parse("0101#0100#").unwrap();
-        let freq = acceptance_frequency(&no, 200, &mut rng).unwrap();
+        let freq = acceptance_frequency(&no, 200, &mut rng, &Tracer::disabled()).unwrap();
         assert!(freq <= 0.5);
     }
 
@@ -574,7 +585,7 @@ mod tests {
         // {a,a,b} vs {a,b,b}: sets equal, multisets differ — the case
         // separating MULTISET from SET equality.
         let inst = Instance::parse("01#01#10#01#10#10#").unwrap();
-        let freq = acceptance_frequency(&inst, 300, &mut rng).unwrap();
+        let freq = acceptance_frequency(&inst, 300, &mut rng, &Tracer::disabled()).unwrap();
         assert!(
             freq <= 0.5,
             "multiplicity difference accepted with frequency {freq}"

@@ -22,6 +22,7 @@ use st_core::{ResourceUsage, StError};
 use st_extmem::meter::bits_for;
 use st_extmem::TapeMachine;
 use st_problems::{BitStr, Instance};
+use st_trace::Tracer;
 
 /// One cell of the written string `u = π # v₁..v_m # v′₁..v′_m`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +63,7 @@ pub fn verify_multiset_certificate(
     inst: &Instance,
     pi: &[usize],
     check_sorted: bool,
+    tracer: &Tracer,
 ) -> Result<VerifierRun, StError> {
     let m = inst.m();
     if pi.len() != m {
@@ -80,7 +82,7 @@ pub fn verify_multiset_certificate(
     let copies = m * n_max + m;
     let cells_per_copy = 3 * m;
 
-    let mut machine: TapeMachine<UCell> = TapeMachine::new(inst.size());
+    let mut machine: TapeMachine<UCell> = TapeMachine::new(inst.size(), tracer.clone());
     let t1 = machine.add_tape("u-copies-1");
     let t2 = machine.add_tape("u-copies-2");
     let meter = machine.meter().clone();
@@ -232,8 +234,12 @@ pub fn verify_multiset_certificate(
 
 /// The NST acceptance condition: does *some* certificate make the
 /// verifier accept? Exhaustive over all `m!` permutations; guarded to
-/// `m ≤ 7` (5040 verifier runs).
-pub fn exists_certificate(inst: &Instance, check_sorted: bool) -> Result<bool, StError> {
+/// `m ≤ 7` (5040 verifier runs), each traced on `tracer`.
+pub fn exists_certificate(
+    inst: &Instance,
+    check_sorted: bool,
+    tracer: &Tracer,
+) -> Result<bool, StError> {
     let m = inst.m();
     if m > 7 {
         return Err(StError::Precondition(format!(
@@ -242,7 +248,7 @@ pub fn exists_certificate(inst: &Instance, check_sorted: bool) -> Result<bool, S
     }
     let mut perm: Vec<usize> = (0..m).collect();
     loop {
-        if verify_multiset_certificate(inst, &perm, check_sorted)?.accepted {
+        if verify_multiset_certificate(inst, &perm, check_sorted, tracer)?.accepted {
             return Ok(true);
         }
         if !next_permutation(&mut perm) {
@@ -288,7 +294,7 @@ mod tests {
         // ys is xs reversed: π(i) = m − i + 1.
         let i = inst("00#01#10#10#01#00#");
         let pi = vec![2usize, 1, 0];
-        let run = verify_multiset_certificate(&i, &pi, false).unwrap();
+        let run = verify_multiset_certificate(&i, &pi, false, &Tracer::disabled()).unwrap();
         assert!(run.accepted);
     }
 
@@ -297,7 +303,7 @@ mod tests {
         let i = inst("00#01#10#10#01#00#");
         let id = vec![0usize, 1, 2];
         assert!(
-            !verify_multiset_certificate(&i, &id, false)
+            !verify_multiset_certificate(&i, &id, false, &Tracer::disabled())
                 .unwrap()
                 .accepted
         );
@@ -309,17 +315,17 @@ mod tests {
         // All-same values: any *permutation* works, but a non-injective
         // map must be caught by the injectivity copies.
         assert!(
-            verify_multiset_certificate(&i, &[0, 1], false)
+            verify_multiset_certificate(&i, &[0, 1], false, &Tracer::disabled())
                 .unwrap()
                 .accepted
         );
         assert!(
-            !verify_multiset_certificate(&i, &[0, 0], false)
+            !verify_multiset_certificate(&i, &[0, 0], false, &Tracer::disabled())
                 .unwrap()
                 .accepted
         );
         assert!(
-            !verify_multiset_certificate(&i, &[0, 5], false)
+            !verify_multiset_certificate(&i, &[0, 5], false, &Tracer::disabled())
                 .unwrap()
                 .accepted
         );
@@ -328,7 +334,7 @@ mod tests {
     #[test]
     fn three_scans_two_tapes() {
         let i = inst("00#01#10#10#01#00#");
-        let run = verify_multiset_certificate(&i, &[2, 1, 0], false).unwrap();
+        let run = verify_multiset_certificate(&i, &[2, 1, 0], false, &Tracer::disabled()).unwrap();
         assert_eq!(run.usage.external_tapes, 2);
         assert_eq!(run.usage.scans(), 3, "{:?}", run.usage);
         // ℓ = m·n + m = 3·2 + 3 = 9 copies.
@@ -348,7 +354,7 @@ mod tests {
         ] {
             let i = inst(word);
             assert_eq!(
-                exists_certificate(&i, false).unwrap(),
+                exists_certificate(&i, false, &Tracer::disabled()).unwrap(),
                 predicates::is_multiset_equal(&i),
                 "{word}"
             );
@@ -366,7 +372,7 @@ mod tests {
         ] {
             let i = inst(word);
             assert_eq!(
-                exists_certificate(&i, true).unwrap(),
+                exists_certificate(&i, true, &Tracer::disabled()).unwrap(),
                 predicates::is_check_sorted(&i),
                 "{word}"
             );
@@ -379,7 +385,7 @@ mod tests {
         // lengths differ.
         let i = inst("0#00#");
         assert!(
-            !verify_multiset_certificate(&i, &[0], false)
+            !verify_multiset_certificate(&i, &[0], false, &Tracer::disabled())
                 .unwrap()
                 .accepted
         );
@@ -395,13 +401,13 @@ mod tests {
         // x_i = y_{φ(i)}: the correct certificate is φ itself (0-based).
         let pi = phi(4);
         assert!(
-            verify_multiset_certificate(&i, &pi, false)
+            verify_multiset_certificate(&i, &pi, false, &Tracer::disabled())
                 .unwrap()
                 .accepted
         );
         // And, φ being an involution, so is its inverse.
         assert!(
-            verify_multiset_certificate(&i, &inverse(&pi), false)
+            verify_multiset_certificate(&i, &inverse(&pi), false, &Tracer::disabled())
                 .unwrap()
                 .accepted
         );
@@ -414,7 +420,7 @@ mod tests {
             vec![BitStr::parse("0").unwrap(); 8],
         )
         .unwrap();
-        assert!(exists_certificate(&i, false).is_err());
+        assert!(exists_certificate(&i, false, &Tracer::disabled()).is_err());
     }
 
     #[test]

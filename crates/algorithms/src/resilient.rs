@@ -41,7 +41,7 @@ use st_extmem::meter::{bits_for, MemoryMeter};
 use st_extmem::sort::merge_sort;
 use st_extmem::{FaultPlan, FaultStats, Tape, TapeMachine};
 use st_problems::{BitStr, Instance};
-use st_trace::TraceEvent;
+use st_trace::{TraceEvent, Tracer};
 
 /// Independent fingerprint rounds per verification. Each round samples a
 /// fresh prime pair, so corruption slips through all rounds only with
@@ -148,6 +148,7 @@ fn fingerprints_match<R: Rng>(
 /// use st_core::RetryBudget;
 /// use st_extmem::FaultPlan;
 /// use st_problems::BitStr;
+/// use st_trace::Tracer;
 ///
 /// let items: Vec<BitStr> =
 ///     (0..8).rev().map(|v| BitStr::from_value(v, 4).unwrap()).collect();
@@ -158,6 +159,7 @@ fn fingerprints_match<R: Rng>(
 ///     &FaultPlan::new(7),     // no fault rates set: clean medium
 ///     RetryBudget::default(),
 ///     &mut rng,
+///     &Tracer::disabled(),
 /// )?;
 /// assert_eq!(run.attempts, 1, "clean media verify on the first attempt");
 /// assert!(run.verdict.is_verified());
@@ -169,8 +171,10 @@ pub fn resilient_sort<R: Rng>(
     plan: &FaultPlan,
     budget: RetryBudget,
     rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<ResilientRun<Vec<BitStr>>, StError> {
-    let mut machine: TapeMachine<BitStr> = TapeMachine::with_input(items.to_vec(), input_len);
+    let mut machine: TapeMachine<BitStr> =
+        TapeMachine::with_input(items.to_vec(), input_len, tracer.clone());
     let work = machine.add_tape("working");
     let s1 = machine.add_tape("scratch1");
     let s2 = machine.add_tape("scratch2");
@@ -180,7 +184,6 @@ pub fn resilient_sort<R: Rng>(
     let n_max = items.iter().map(BitStr::len).max().unwrap_or(0) as u64;
     refuse_unverifiable(m, n_max)?;
 
-    let tracer = machine.tracer().clone();
     let mut last_reason = String::from("never attempted");
     for attempt in 1..=budget.max_attempts {
         {
@@ -224,8 +227,8 @@ pub fn resilient_sort<R: Rng>(
 
 /// The shared machine of the resilient deciders: masters on tapes 0–1
 /// (fault-free), working copies on 2–3, merge scratch on 4–5 (faulted).
-fn decider_machine(inst: &Instance, plan: &FaultPlan) -> TapeMachine<BitStr> {
-    let mut m = TapeMachine::with_input(inst.xs.clone(), inst.size());
+fn decider_machine(inst: &Instance, plan: &FaultPlan, tracer: &Tracer) -> TapeMachine<BitStr> {
+    let mut m = TapeMachine::with_input(inst.xs.clone(), inst.size(), tracer.clone());
     m.add_tape_with("second", inst.ys.clone());
     m.add_tape("work-first");
     m.add_tape("work-second");
@@ -285,6 +288,7 @@ pub fn decide_multiset_equality_resilient<R: Rng>(
     plan: &FaultPlan,
     budget: RetryBudget,
     rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<ResilientRun<bool>, StError> {
     let m = inst.m() as u64;
     let n_max = inst
@@ -295,9 +299,8 @@ pub fn decide_multiset_equality_resilient<R: Rng>(
         .max()
         .unwrap_or(0) as u64;
     refuse_unverifiable(m, n_max)?;
-    let mut machine = decider_machine(inst, plan);
+    let mut machine = decider_machine(inst, plan, tracer);
 
-    let tracer = machine.tracer().clone();
     let mut last_reason = String::from("never attempted");
     for attempt in 1..=budget.max_attempts {
         let Some(candidate) = equality_attempt(&mut machine, m, n_max, rng, &mut last_reason)?
@@ -345,11 +348,12 @@ pub fn decide_check_sort_resilient<R: Rng>(
     plan: &FaultPlan,
     budget: RetryBudget,
     rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<ResilientRun<bool>, StError> {
     {
         // Probe the side-condition on a clean throwaway machine so a
         // rejected instance is not billed for the equality pipeline.
-        let mut probe = decider_machine(inst, plan);
+        let mut probe = decider_machine(inst, plan, tracer);
         let meter = probe.meter().clone();
         if !sorted_scan(probe.tape_mut(1), &meter) {
             return Ok(ResilientRun {
@@ -360,7 +364,7 @@ pub fn decide_check_sort_resilient<R: Rng>(
             });
         }
     }
-    decide_multiset_equality_resilient(inst, plan, budget, rng)
+    decide_multiset_equality_resilient(inst, plan, budget, rng, tracer)
 }
 
 #[cfg(test)]
@@ -395,6 +399,7 @@ mod tests {
             &FaultPlan::new(3),
             RetryBudget::default(),
             &mut rng,
+            &Tracer::disabled(),
         )
         .unwrap();
         assert_eq!(run.attempts, 1);
@@ -413,8 +418,15 @@ mod tests {
             for seed in 0..6u64 {
                 let plan = FaultPlan::uniform(1000 * i as u64 + seed, rate);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let run = resilient_sort(&items, items.len(), &plan, RetryBudget::new(4), &mut rng)
-                    .unwrap();
+                let run = resilient_sort(
+                    &items,
+                    items.len(),
+                    &plan,
+                    RetryBudget::new(4),
+                    &mut rng,
+                    &Tracer::disabled(),
+                )
+                .unwrap();
                 if let Verdict::Verified(v) = &run.verdict {
                     assert_eq!(
                         v, &expect,
@@ -436,6 +448,7 @@ mod tests {
             &FaultPlan::new(5),
             RetryBudget::default(),
             &mut rng,
+            &Tracer::disabled(),
         )
         .unwrap();
         assert_eq!(clean.attempts, 1);
@@ -448,6 +461,7 @@ mod tests {
             &FaultPlan::uniform(5, 0.05),
             RetryBudget::new(5),
             &mut rng,
+            &Tracer::disabled(),
         )
         .unwrap();
         assert!(
@@ -469,8 +483,15 @@ mod tests {
         // A brutal medium: half of all reads corrupted.
         let plan = FaultPlan::uniform(9, 0.5);
         let mut rng = StdRng::seed_from_u64(31);
-        let run =
-            resilient_sort(&items, items.len(), &plan, RetryBudget::new(3), &mut rng).unwrap();
+        let run = resilient_sort(
+            &items,
+            items.len(),
+            &plan,
+            RetryBudget::new(3),
+            &mut rng,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         match &run.verdict {
             Verdict::Unverified { attempts, reason } => {
                 assert_eq!(*attempts, 3);
@@ -505,6 +526,7 @@ mod tests {
                         &plan,
                         RetryBudget::new(4),
                         &mut rng,
+                        &Tracer::disabled(),
                     )
                     .unwrap();
                     if let Verdict::Verified(got) = run.verdict {
@@ -528,9 +550,14 @@ mod tests {
                     let truth = predicates::is_check_sorted(&inst);
                     let plan = FaultPlan::uniform(round + 7, rate);
                     let mut rng = StdRng::seed_from_u64(round + 200);
-                    let run =
-                        decide_check_sort_resilient(&inst, &plan, RetryBudget::new(4), &mut rng)
-                            .unwrap();
+                    let run = decide_check_sort_resilient(
+                        &inst,
+                        &plan,
+                        RetryBudget::new(4),
+                        &mut rng,
+                        &Tracer::disabled(),
+                    )
+                    .unwrap();
                     if let Verdict::Verified(got) = run.verdict {
                         assert_eq!(got, truth, "wrong verdict at rate {rate}, round {round}");
                     }
@@ -549,7 +576,14 @@ mod tests {
         assert!(!predicates::is_check_sorted(&inst));
         let plan = FaultPlan::uniform(1, 0.3);
         let mut rng = StdRng::seed_from_u64(61);
-        let run = decide_check_sort_resilient(&inst, &plan, RetryBudget::new(2), &mut rng).unwrap();
+        let run = decide_check_sort_resilient(
+            &inst,
+            &plan,
+            RetryBudget::new(2),
+            &mut rng,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(run.verdict, Verdict::Verified(false));
         assert_eq!(run.attempts, 1, "side-condition violation needs no retries");
     }
@@ -567,10 +601,23 @@ mod tests {
         assert!(matches!(batch, Err(StError::Precondition(_))), "{batch:?}");
         let plan = FaultPlan::new(3);
         let refusals = [
-            decide_multiset_equality_resilient(&inst, &plan, RetryBudget::new(1), &mut rng)
-                .map(|run| format!("{:?}", run.verdict)),
-            resilient_sort(&ones, ones.len(), &plan, RetryBudget::new(1), &mut rng)
-                .map(|run| format!("{:?}", run.verdict)),
+            decide_multiset_equality_resilient(
+                &inst,
+                &plan,
+                RetryBudget::new(1),
+                &mut rng,
+                &Tracer::disabled(),
+            )
+            .map(|run| format!("{:?}", run.verdict)),
+            resilient_sort(
+                &ones,
+                ones.len(),
+                &plan,
+                RetryBudget::new(1),
+                &mut rng,
+                &Tracer::disabled(),
+            )
+            .map(|run| format!("{:?}", run.verdict)),
         ];
         for refusal in refusals {
             match refusal {
@@ -585,9 +632,14 @@ mod tests {
         let inst = Instance::parse("").unwrap();
         let plan = FaultPlan::uniform(2, 0.1);
         let mut rng = StdRng::seed_from_u64(70);
-        let run =
-            decide_multiset_equality_resilient(&inst, &plan, RetryBudget::default(), &mut rng)
-                .unwrap();
+        let run = decide_multiset_equality_resilient(
+            &inst,
+            &plan,
+            RetryBudget::default(),
+            &mut rng,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(run.verdict, Verdict::Verified(true));
     }
 }

@@ -17,6 +17,7 @@
 use crate::stepper::{drive_to_verdict, SortRoute, SortRouteStepper, Stepper};
 use st_core::{ResourceUsage, StError};
 use st_problems::Instance;
+use st_trace::Tracer;
 
 /// A decider verdict plus its resource accounting.
 #[derive(Debug, Clone)]
@@ -33,9 +34,14 @@ pub struct DeciderRun {
 /// construction. The stepper takes the instance through
 /// [`Stepper::feed_instance`], whose default encodes it and parses the
 /// word again at [`Stepper::finish`]; only the fingerprint stepper skips
-/// that round trip.
-fn run_sort_route(inst: &Instance, route: SortRoute) -> Result<DeciderRun, StError> {
-    let mut stepper = SortRouteStepper::new(route);
+/// that round trip. The machine traces on `tracer`; the three batch
+/// deciders below run untraced.
+pub fn run_sort_route(
+    inst: &Instance,
+    route: SortRoute,
+    tracer: &Tracer,
+) -> Result<DeciderRun, StError> {
+    let mut stepper = SortRouteStepper::new_traced(route, tracer.clone());
     let _ = stepper.feed_instance(inst)?;
     stepper.finish()?;
     drive_to_verdict(&mut stepper)
@@ -43,20 +49,20 @@ fn run_sort_route(inst: &Instance, route: SortRoute) -> Result<DeciderRun, StErr
 
 /// Decide MULTISET-EQUALITY deterministically: sort both lists, compare.
 pub fn decide_multiset_equality(inst: &Instance) -> Result<DeciderRun, StError> {
-    run_sort_route(inst, SortRoute::Multiset)
+    run_sort_route(inst, SortRoute::Multiset, &Tracer::disabled())
 }
 
 /// Decide CHECK-SORT deterministically: sort the first list, then one
 /// parallel scan checks equality with the second list *and* that the
 /// second list is ascending.
 pub fn decide_check_sort(inst: &Instance) -> Result<DeciderRun, StError> {
-    run_sort_route(inst, SortRoute::CheckSort)
+    run_sort_route(inst, SortRoute::CheckSort, &Tracer::disabled())
 }
 
 /// Decide SET-EQUALITY deterministically: sort both lists, then compare
 /// the deduplicated streams in one parallel scan.
 pub fn decide_set_equality(inst: &Instance) -> Result<DeciderRun, StError> {
-    run_sort_route(inst, SortRoute::SetEquality)
+    run_sort_route(inst, SortRoute::SetEquality, &Tracer::disabled())
 }
 
 #[cfg(test)]

@@ -21,10 +21,14 @@ use st_core::{ResourceUsage, StError};
 use st_extmem::block::{tapes_equal, DEFAULT_BLOCK};
 use st_extmem::sort::sort_with_usage;
 use st_problems::{BitStr, Instance};
+use st_trace::Tracer;
 
 /// Sort the first list of `inst`; returns the sorted values and usage.
-pub fn sort_first_list(inst: &Instance) -> Result<(Vec<BitStr>, ResourceUsage), StError> {
-    sort_with_usage(inst.xs.clone(), inst.size())
+pub fn sort_first_list(
+    inst: &Instance,
+    tracer: &Tracer,
+) -> Result<(Vec<BitStr>, ResourceUsage), StError> {
+    sort_with_usage(inst.xs.clone(), inst.size(), tracer)
 }
 
 /// A Las-Vegas computation outcome (Definition 4(b)).
@@ -45,15 +49,19 @@ pub fn las_vegas_sort<R: Rng>(
     items: Vec<BitStr>,
     input_len: usize,
     _rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<(LasVegas<Vec<BitStr>>, ResourceUsage), StError> {
-    let (sorted, usage) = sort_with_usage(items, input_len)?;
+    let (sorted, usage) = sort_with_usage(items, input_len, tracer)?;
     Ok((LasVegas::Output(sorted), usage))
 }
 
 /// Corollary 10's reduction, executably: decide CHECK-SORT by sorting the
 /// first list and comparing with the second in one parallel scan.
-pub fn check_sort_via_sorting(inst: &Instance) -> Result<(bool, ResourceUsage), StError> {
-    let (sorted, mut usage) = sort_with_usage(inst.xs.clone(), inst.size())?;
+pub fn check_sort_via_sorting(
+    inst: &Instance,
+    tracer: &Tracer,
+) -> Result<(bool, ResourceUsage), StError> {
+    let (sorted, mut usage) = sort_with_usage(inst.xs.clone(), inst.size(), tracer)?;
     let meter = st_extmem::MemoryMeter::new();
     let mut a = st_extmem::Tape::from_items("sorted", sorted);
     let mut b = st_extmem::Tape::from_items("second", inst.ys.clone());
@@ -80,7 +88,7 @@ mod tests {
     #[test]
     fn sorting_first_list_is_correct() {
         let inst = Instance::parse("10#01#11#00#00#01#10#11#").unwrap();
-        let (sorted, usage) = sort_first_list(&inst).unwrap();
+        let (sorted, usage) = sort_first_list(&inst, &Tracer::disabled()).unwrap();
         let mut expect = inst.xs.clone();
         expect.sort();
         assert_eq!(sorted, expect);
@@ -91,7 +99,8 @@ mod tests {
     fn las_vegas_sorter_always_outputs() {
         let mut rng = StdRng::seed_from_u64(70);
         let inst = generate::yes_checksort(20, 6, &mut rng);
-        let (out, _) = las_vegas_sort(inst.xs.clone(), inst.size(), &mut rng).unwrap();
+        let (out, _) =
+            las_vegas_sort(inst.xs.clone(), inst.size(), &mut rng, &Tracer::disabled()).unwrap();
         match out {
             LasVegas::Output(sorted) => assert_eq!(sorted, inst.ys),
             LasVegas::DontKnow => panic!("deterministic sorter must not abstain"),
@@ -107,7 +116,7 @@ mod tests {
                 generate::no_checksort_sorted_but_wrong(10, 5, &mut rng),
                 generate::random_instance(8, 4, &mut rng),
             ] {
-                let (got, _) = check_sort_via_sorting(&inst).unwrap();
+                let (got, _) = check_sort_via_sorting(&inst, &Tracer::disabled()).unwrap();
                 assert_eq!(got, predicates::is_check_sorted(&inst));
             }
         }
@@ -120,7 +129,7 @@ mod tests {
         for logm in 3..=9 {
             let m = 1usize << logm;
             let inst = generate::yes_checksort(m, 8, &mut rng);
-            let (_, usage) = check_sort_via_sorting(&inst).unwrap();
+            let (_, usage) = check_sort_via_sorting(&inst, &Tracer::disabled()).unwrap();
             pts.push((inst.size(), usage.total_reversals() as f64));
         }
         let (slope, _, r2) = st_core::math::log_fit(&pts);

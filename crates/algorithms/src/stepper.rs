@@ -150,19 +150,16 @@ pub struct FingerprintStepper<R: Rng> {
 pub const DEFAULT_BACKWARD_BLOCK: usize = 512;
 
 impl<R: Rng> FingerprintStepper<R> {
-    /// A stepper drawing randomness from `rng`, tracing to the ambient
-    /// scope (if any).
+    /// An untraced stepper drawing randomness from `rng`.
     #[must_use]
     pub fn new(rng: R) -> Self {
-        Self::new_traced(rng, st_trace::current())
+        Self::new_traced(rng, Tracer::disabled())
     }
 
-    /// [`FingerprintStepper::new`] with an explicit tracer — sessions
-    /// run on worker threads where the ambient thread-local scope does
-    /// not travel.
+    /// [`FingerprintStepper::new`] with its machine tracing on `tracer`.
     #[must_use]
     pub fn new_traced(rng: R, tracer: Tracer) -> Self {
-        let mut machine = TapeMachine::new_traced(0, tracer);
+        let mut machine = TapeMachine::new(0, tracer);
         machine.add_tape("input");
         FingerprintStepper {
             machine,
@@ -548,13 +545,13 @@ pub struct SortRouteStepper {
 }
 
 impl SortRouteStepper {
-    /// A stepper for `route`, tracing to the ambient scope (if any).
+    /// An untraced stepper for `route`.
     #[must_use]
     pub fn new(route: SortRoute) -> Self {
-        Self::new_traced(route, st_trace::current())
+        Self::new_traced(route, Tracer::disabled())
     }
 
-    /// [`SortRouteStepper::new`] with an explicit tracer.
+    /// [`SortRouteStepper::new`] with its machine tracing on `tracer`.
     #[must_use]
     pub fn new_traced(route: SortRoute, tracer: Tracer) -> Self {
         SortRouteStepper {
@@ -591,7 +588,7 @@ impl SortRouteStepper {
         // The batch machine layout: tape 0 = first list, tape 1 =
         // second list, tapes 2–3 = merge scratch.
         let n = inst.size();
-        let mut machine = TapeMachine::with_input_traced(inst.xs, n, self.tracer.clone());
+        let mut machine = TapeMachine::with_input(inst.xs, n, self.tracer.clone());
         machine.add_tape_with("second", inst.ys);
         machine.add_tape("scratch1");
         machine.add_tape("scratch2");

@@ -24,6 +24,7 @@ use st_extmem::meter::MemoryMeter;
 use st_extmem::tape::Tape;
 use st_extmem::{block, scan, sort, TapeMachine};
 use st_problems::{generate, BitStr};
+use st_trace::Tracer;
 use std::time::Instant;
 
 const BLOCK: usize = 4096;
@@ -111,7 +112,7 @@ fn cell_merge_sort<S: Clone + Ord>(machine: &mut TapeMachine<S>) {
 /// the input order — so any fixed input is representative.
 fn sort_times<S: Clone + Ord>(data: &[S]) -> (f64, f64) {
     let mk = || {
-        let mut machine = TapeMachine::with_input(data.to_vec(), data.len());
+        let mut machine = TapeMachine::with_input(data.to_vec(), data.len(), Tracer::disabled());
         machine.add_tape("scratch1");
         machine.add_tape("scratch2");
         machine

@@ -11,6 +11,7 @@ use st_algo::sortcheck;
 use st_core::RetryBudget;
 use st_extmem::FaultPlan;
 use st_problems::{generate, BitStr};
+use st_trace::Tracer;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -40,8 +41,15 @@ fn bench_resilient_sort(c: &mut Criterion) {
                 seed += 1;
                 let plan = FaultPlan::uniform(seed, rate);
                 let mut rng = StdRng::seed_from_u64(seed);
-                resilient_sort(&items, items.len(), &plan, RetryBudget::new(4), &mut rng)
-                    .expect("resilient sort")
+                resilient_sort(
+                    &items,
+                    items.len(),
+                    &plan,
+                    RetryBudget::new(4),
+                    &mut rng,
+                    &Tracer::disabled(),
+                )
+                .expect("resilient sort")
             });
         });
     }
@@ -59,8 +67,14 @@ fn bench_decider_overhead(c: &mut Criterion) {
         let plan = FaultPlan::new(17);
         let mut rng = StdRng::seed_from_u64(17);
         b.iter(|| {
-            decide_multiset_equality_resilient(&inst, &plan, RetryBudget::default(), &mut rng)
-                .expect("resilient decider")
+            decide_multiset_equality_resilient(
+                &inst,
+                &plan,
+                RetryBudget::default(),
+                &mut rng,
+                &Tracer::disabled(),
+            )
+            .expect("resilient decider")
         });
     });
     group.bench_function("resilient_faulty", |b| {
@@ -69,8 +83,14 @@ fn bench_decider_overhead(c: &mut Criterion) {
             seed += 1;
             let plan = FaultPlan::uniform(seed, 1e-2);
             let mut rng = StdRng::seed_from_u64(seed);
-            decide_multiset_equality_resilient(&inst, &plan, RetryBudget::default(), &mut rng)
-                .expect("resilient decider")
+            decide_multiset_equality_resilient(
+                &inst,
+                &plan,
+                RetryBudget::default(),
+                &mut rng,
+                &Tracer::disabled(),
+            )
+            .expect("resilient decider")
         });
     });
     group.finish();

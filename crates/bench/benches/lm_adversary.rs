@@ -9,6 +9,7 @@ use st_lm::library;
 use st_lm::run::run_with_choices;
 use st_lm::skeleton::{compared_pairs, skeleton_of};
 use st_problems::perm::phi;
+use st_trace::Tracer;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -28,7 +29,8 @@ fn bench_lm_run(c: &mut Criterion) {
         let choices = vec![0u32; 1 << 14];
         group.bench_with_input(BenchmarkId::from_parameter(m), &input, |b, input| {
             b.iter(|| {
-                let run = run_with_choices(&nlm, input, &choices, 1 << 14).unwrap();
+                let run =
+                    run_with_choices(&nlm, input, &choices, 1 << 14, &Tracer::disabled()).unwrap();
                 compared_pairs(&skeleton_of(&run)).len()
             });
         });
@@ -43,7 +45,9 @@ fn bench_adversary(c: &mut Criterion) {
             let fam = WordFamily::new(8, 12).unwrap();
             let nlm = library::one_scan_matcher(8, phi(8));
             let mut rng = StdRng::seed_from_u64(1);
-            find_fooling_input(&nlm, &fam, &mut rng, 12).unwrap().i0
+            find_fooling_input(&nlm, &fam, &mut rng, 12, &Tracer::disabled())
+                .unwrap()
+                .i0
         })
     });
     group.finish();

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_algo::nst::verify_multiset_certificate;
 use st_problems::generate;
+use st_trace::Tracer;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -23,7 +24,7 @@ fn bench_verifier(c: &mut Criterion) {
         let id: Vec<usize> = (0..m).collect();
         group.bench_with_input(BenchmarkId::from_parameter(m), &inst, |b, inst| {
             b.iter(|| {
-                verify_multiset_certificate(inst, &id, false)
+                verify_multiset_certificate(inst, &id, false, &Tracer::disabled())
                     .unwrap()
                     .accepted
             });

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use st_tm::library as tmlib;
 use st_tm::prob::{estimate_acceptance, exact_acceptance};
+use st_trace::Tracer;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -26,7 +27,7 @@ fn bench_probability(c: &mut Criterion) {
     });
     group.bench_function("monte_carlo_500", |b| {
         b.iter(|| {
-            estimate_acceptance(&tm, &input, 500, 1 << 20, 42, 4)
+            estimate_acceptance(&tm, &input, 500, 1 << 20, 42, 4, &Tracer::disabled())
                 .unwrap()
                 .p_hat
         })

@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_problems::generate;
 use st_query::relalg::{evaluate, instance_database, sym_diff_query};
+use st_trace::Tracer;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -23,7 +24,7 @@ fn bench_sym_diff(c: &mut Criterion) {
         let db = instance_database(&inst);
         let q = sym_diff_query("R1", "R2");
         group.bench_with_input(BenchmarkId::from_parameter(m), &db, |b, db| {
-            b.iter(|| evaluate(&q, db).unwrap().0.is_empty());
+            b.iter(|| evaluate(&q, db, &Tracer::disabled()).unwrap().0.is_empty());
         });
     }
     group.finish();

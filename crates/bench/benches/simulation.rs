@@ -5,6 +5,7 @@ use st_lm::run::run_with_choices;
 use st_lm::simulate::{simulate_tm, tm_input_word};
 use st_tm::library as tmlib;
 use st_tm::run::run_deterministic;
+use st_trace::Tracer;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -21,7 +22,7 @@ fn bench_simulation(c: &mut Criterion) {
     group.bench_function("tm_direct", |b| {
         let word = tm_input_word(&values, 8);
         b.iter(|| {
-            run_deterministic(&tm, word.clone(), 1 << 20)
+            run_deterministic(&tm, word.clone(), 1 << 20, &Tracer::disabled())
                 .unwrap()
                 .accepted()
         });
@@ -29,9 +30,15 @@ fn bench_simulation(c: &mut Criterion) {
     group.bench_function("nlm_simulated", |b| {
         b.iter(|| {
             let sim = simulate_tm(&tm, 2, 8, 1, 1 << 20).unwrap();
-            run_with_choices(&sim.nlm, &values, &vec![0; 1 << 13], 1 << 13)
-                .unwrap()
-                .accepted()
+            run_with_choices(
+                &sim.nlm,
+                &values,
+                &vec![0; 1 << 13],
+                1 << 13,
+                &Tracer::disabled(),
+            )
+            .unwrap()
+            .accepted()
         });
     });
     group.finish();

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_lm::library;
 use st_lm::run::run_with_choices;
 use st_lm::skeleton::skeleton_of;
+use st_trace::Tracer;
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -21,7 +22,14 @@ fn bench_skeletons(c: &mut Criterion) {
         let m = 8usize;
         let nlm = library::zigzag_matcher(m, (0..m).collect(), passes);
         let input: Vec<u64> = (0..2 * m as u64).map(|i| 100 + i).collect();
-        let run = run_with_choices(&nlm, &input, &vec![0; 1 << 16], 1 << 16).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &input,
+            &vec![0; 1 << 16],
+            1 << 16,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         group.bench_with_input(BenchmarkId::new("extract", passes), &run, |b, run| {
             b.iter(|| skeleton_of(run));
         });

@@ -8,6 +8,7 @@ use st_algo::sortcheck;
 use st_algo::sorting::check_sort_via_sorting;
 use st_extmem::sort::sort_with_usage;
 use st_problems::generate;
+use st_trace::Tracer;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -23,7 +24,7 @@ fn bench_sort(c: &mut Criterion) {
         let m = 1usize << logm;
         let items: Vec<i64> = (0..m as i64).rev().collect();
         group.bench_with_input(BenchmarkId::from_parameter(m), &items, |b, items| {
-            b.iter(|| sort_with_usage(items.clone(), items.len()).unwrap());
+            b.iter(|| sort_with_usage(items.clone(), items.len(), &Tracer::disabled()).unwrap());
         });
     }
     group.finish();
@@ -44,7 +45,7 @@ fn bench_deciders(c: &mut Criterion) {
         b.iter(|| sortcheck::decide_check_sort(&cs).unwrap())
     });
     group.bench_function("check_sort_via_sorting", |b| {
-        b.iter(|| check_sort_via_sorting(&cs).unwrap())
+        b.iter(|| check_sort_via_sorting(&cs, &Tracer::disabled()).unwrap())
     });
     group.finish();
 }

@@ -22,13 +22,15 @@
 //! tracer; after the pool joins, each trace is read back and audited —
 //! the replayed `ResourceUsage` must match every checkpoint the
 //! substrates claimed. An audit mismatch is a hard failure, like a
-//! NOT-REPRODUCED verdict. Unknown experiment ids (`report e3 e99`) are
-//! an error, not a silent filter.
+//! NOT-REPRODUCED verdict. Unknown experiment ids (`report e3 e99`) and
+//! an `--out` path whose directory does not exist are usage errors
+//! (exit 2), caught before any experiment runs.
 
 use st_bench::all_experiments;
 use st_bench::cli::{take_jobs_flag, take_path_flag};
 use st_bench::report::{atomic_write, merge_json, save_json, save_text};
 use st_bench::runner::{run_experiments, select_experiments, RunOptions, TimingMode};
+use std::path::{Path, PathBuf};
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -51,6 +53,18 @@ fn main() {
         usage_error(&format!("unknown flag {stray}"));
     }
     let selected = select_experiments(registry, &args).unwrap_or_else(|e| usage_error(&e));
+    // `BENCH_report.json` and the text report land in `--out`'s directory:
+    // refuse a missing one before any experiment runs.
+    let out_dir = out_path
+        .as_deref()
+        .and_then(Path::parent)
+        .filter(|d| !d.as_os_str().is_empty());
+    if let Some(dir) = out_dir.filter(|d| !d.is_dir()) {
+        usage_error(&format!(
+            "--out: directory {} does not exist",
+            dir.display()
+        ));
+    }
     // The CLI wants durations in its artifacts; the determinism gates
     // compare suppressed-timing runs instead (see TimingMode).
     let opts = RunOptions {
@@ -78,14 +92,10 @@ fn main() {
     for report in &outcome.reports {
         println!("{report}");
     }
-    let json_path = out_path
-        .as_deref()
-        .and_then(std::path::Path::parent)
-        .filter(|d| !d.as_os_str().is_empty())
-        .map_or_else(
-            || std::path::PathBuf::from("BENCH_report.json"),
-            |d| d.join("BENCH_report.json"),
-        );
+    let json_path = out_dir.map_or_else(
+        || PathBuf::from("BENCH_report.json"),
+        |d| d.join("BENCH_report.json"),
+    );
     // A subset run (`report e3 e23`) merges into an existing document so
     // it never clobbers the other registry entries; a full run (or a
     // missing/corrupt document) rewrites it from scratch.

@@ -20,6 +20,7 @@
 
 use crate::report::Report;
 use st_algo::durable_sort::{durable_sort, sort_with_crashes};
+use st_trace::Tracer;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,7 +43,7 @@ fn workload(m: usize) -> Vec<i64> {
 
 /// E21 — sort under a crash storm vs fault-free: byte-identical output,
 /// charged replays.
-pub fn e21_crash_storm() -> Report {
+pub fn e21_crash_storm(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e21",
         "Durable sort under a crash storm vs fault-free",
@@ -67,7 +68,7 @@ pub fn e21_crash_storm() -> Report {
         expect.sort();
 
         let base_path = journal("e21_base");
-        let baseline = durable_sort(&base_path, items.clone(), m).expect("baseline sort");
+        let baseline = durable_sort(&base_path, items.clone(), m, tracer).expect("baseline sort");
         std::fs::remove_file(&base_path).ok();
         assert_eq!(baseline.sorted, expect, "baseline must sort");
 
@@ -76,7 +77,7 @@ pub fn e21_crash_storm() -> Report {
         let total = baseline.journal_bytes;
         let storm = [total / 7, total / 3, total / 2, 2 * total / 3, total - 1];
         let storm_path = journal("e21_storm");
-        let stormed = sort_with_crashes(&storm_path, items, m, &storm).expect("storm sort");
+        let stormed = sort_with_crashes(&storm_path, items, m, &storm, tracer).expect("storm sort");
         std::fs::remove_file(&storm_path).ok();
 
         let identical = stormed.sorted == baseline.sorted;
@@ -103,7 +104,7 @@ pub fn e21_crash_storm() -> Report {
 }
 
 /// E22 — recovery-overhead curve: total work vs number of crashes.
-pub fn e22_recovery_overhead() -> Report {
+pub fn e22_recovery_overhead(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e22",
         "Recovery overhead vs crash count",
@@ -125,7 +126,7 @@ pub fn e22_recovery_overhead() -> Report {
     expect.sort();
 
     let base_path = journal("e22_base");
-    let baseline = durable_sort(&base_path, items.clone(), m).expect("baseline sort");
+    let baseline = durable_sort(&base_path, items.clone(), m, tracer).expect("baseline sort");
     std::fs::remove_file(&base_path).ok();
     let total = baseline.journal_bytes;
     let base_steps = baseline.usage.steps;
@@ -137,7 +138,7 @@ pub fn e22_recovery_overhead() -> Report {
         // k planned crashes evenly spread over the committed journal.
         let points: Vec<u64> = (1..=k).map(|i| i as u64 * total / (k as u64 + 1)).collect();
         let path = journal("e22_storm");
-        let run = sort_with_crashes(&path, items.clone(), m, &points).expect("crash sweep");
+        let run = sort_with_crashes(&path, items.clone(), m, &points, tracer).expect("crash sweep");
         std::fs::remove_file(&path).ok();
 
         all_correct &= run.sorted == expect;
@@ -169,14 +170,14 @@ mod tests {
 
     #[test]
     fn e21_reproduces() {
-        let r = e21_crash_storm();
+        let r = e21_crash_storm(&Tracer::disabled());
         assert!(r.reproduced(), "{r}");
         assert_eq!(r.rows.len(), 3);
     }
 
     #[test]
     fn e22_reproduces() {
-        let r = e22_recovery_overhead();
+        let r = e22_recovery_overhead(&Tracer::disabled());
         assert!(r.reproduced(), "{r}");
         assert_eq!(r.rows.len(), 5);
     }
@@ -185,11 +186,11 @@ mod tests {
     fn reports_are_deterministic_across_runs() {
         // The parallel harness requires byte-identical artifacts across
         // --jobs; that reduces to run-to-run determinism of each report.
-        let a = format!("{}", e21_crash_storm());
-        let b = format!("{}", e21_crash_storm());
+        let a = format!("{}", e21_crash_storm(&Tracer::disabled()));
+        let b = format!("{}", e21_crash_storm(&Tracer::disabled()));
         assert_eq!(a, b);
-        let a = format!("{}", e22_recovery_overhead());
-        let b = format!("{}", e22_recovery_overhead());
+        let a = format!("{}", e22_recovery_overhead(&Tracer::disabled()));
+        let b = format!("{}", e22_recovery_overhead(&Tracer::disabled()));
         assert_eq!(a, b);
     }
 }

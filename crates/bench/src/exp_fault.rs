@@ -23,6 +23,7 @@ use st_algo::resilient::resilient_sort;
 use st_core::{RetryBudget, Verdict};
 use st_extmem::FaultPlan;
 use st_problems::BitStr;
+use st_trace::Tracer;
 
 /// Workload shared by both experiments: `count` random `bits`-bit values.
 fn workload(count: u64, bits: usize, seed: u64) -> Vec<BitStr> {
@@ -37,7 +38,7 @@ fn workload(count: u64, bits: usize, seed: u64) -> Vec<BitStr> {
 
 /// E19 — fault-rate sweep: detection and false-accept rates of the
 /// resilient sorter, with the retry cost in reversals.
-pub fn e19_fault_sweep() -> Report {
+pub fn e19_fault_sweep(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e19",
         "Fault injection: resilient sort across fault rates",
@@ -75,7 +76,7 @@ pub fn e19_fault_sweep() -> Report {
         for trial in 0..trials {
             let plan = FaultPlan::uniform(u64::from(trial) * 7919 + 1, rate);
             let mut rng = StdRng::seed_from_u64(u64::from(trial) + 100);
-            let run = resilient_sort(&items, items.len(), &plan, budget, &mut rng)
+            let run = resilient_sort(&items, items.len(), &plan, budget, &mut rng, tracer)
                 .expect("resilient sort");
             attempts += u64::from(run.attempts);
             reversals += run.usage.total_reversals();
@@ -118,7 +119,7 @@ pub fn e19_fault_sweep() -> Report {
 
 /// E20 — retry-budget sweep at a hostile fault rate, against the
 /// OR-amplification bound.
-pub fn e20_retry_budget() -> Report {
+pub fn e20_retry_budget(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e20",
         "Retry budgets vs the OR-amplification bound",
@@ -149,8 +150,15 @@ pub fn e20_retry_budget() -> Report {
     for trial in 0..probe_trials {
         let plan = FaultPlan::uniform(u64::from(trial) * 104_729 + 3, rate);
         let mut rng = StdRng::seed_from_u64(u64::from(trial) + 500);
-        let run = resilient_sort(&items, items.len(), &plan, RetryBudget::none(), &mut rng)
-            .expect("probe sort");
+        let run = resilient_sort(
+            &items,
+            items.len(),
+            &plan,
+            RetryBudget::none(),
+            &mut rng,
+            tracer,
+        )
+        .expect("probe sort");
         if !run.verdict.is_verified() {
             failures += 1;
         }
@@ -167,7 +175,7 @@ pub fn e20_retry_budget() -> Report {
         for trial in 0..trials {
             let plan = FaultPlan::uniform(u64::from(k * 1000 + trial) * 7919 + 5, rate);
             let mut rng = StdRng::seed_from_u64(u64::from(k * 100 + trial) + 900);
-            let run = resilient_sort(&items, items.len(), &plan, budget, &mut rng)
+            let run = resilient_sort(&items, items.len(), &plan, budget, &mut rng, tracer)
                 .expect("budgeted sort");
             reversals += run.usage.total_reversals();
             if !run.verdict.is_verified() {
@@ -181,8 +189,14 @@ pub fn e20_retry_budget() -> Report {
                 round += 1;
                 let plan = FaultPlan::uniform(u64::from(k * 1000 + trial) * 7919 + 5 + round, rate);
                 let mut rng = StdRng::seed_from_u64(u64::from(k * 100 + trial) + 900 + round);
-                let run =
-                    resilient_sort(&items, items.len(), &plan, RetryBudget::none(), &mut rng)?;
+                let run = resilient_sort(
+                    &items,
+                    items.len(),
+                    &plan,
+                    RetryBudget::none(),
+                    &mut rng,
+                    tracer,
+                )?;
                 Ok((run.verdict.is_verified(), run.usage))
             })
             .expect("amplified sort");

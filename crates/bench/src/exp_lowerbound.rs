@@ -10,10 +10,11 @@ use st_lm::machine::Movement;
 use st_lm::run::{run_with_choices, LmConfig};
 use st_lm::skeleton::{phi_pairs_compared, skeleton_of, Skeleton};
 use st_problems::perm::{phi, sortedness};
+use st_trace::Tracer;
 use std::collections::HashSet;
 
 /// E1 — the Lemma 21 adversary defeats honest bounded-scan machines.
-pub fn e1_adversary() -> Report {
+pub fn e1_adversary(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e1",
         "Theorem 6 / Lemma 21: the fooling-input adversary",
@@ -43,7 +44,7 @@ pub fn e1_adversary() -> Report {
         } else {
             library::one_scan_matcher(m, phi(m))
         };
-        let res = find_fooling_input(&nlm, &fam, &mut rng, 24).expect("pipeline");
+        let res = find_fooling_input(&nlm, &fam, &mut rng, 24, tracer).expect("pipeline");
         let is_no = !fam.holds(&res.u);
         let accepted = res.run_u.accepted();
         all_ok &= is_no && accepted;
@@ -67,7 +68,7 @@ pub fn e1_adversary() -> Report {
 
 /// E11 — Remark 20: sortedness of φ_m vs 2√m − 1, and the
 /// Erdős–Szekeres floor √m.
-pub fn e11_sortedness() -> Report {
+pub fn e11_sortedness(_: &Tracer) -> Report {
     let mut r = Report::new(
         "e11",
         "Remark 20: sortedness of the bit-reversal permutation",
@@ -104,7 +105,7 @@ pub fn e11_sortedness() -> Report {
 }
 
 /// E12 — Lemma 32: distinct skeletons observed vs the counting bound.
-pub fn e12_skeletons() -> Report {
+pub fn e12_skeletons(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e12",
         "Lemma 32: skeleton counting",
@@ -134,7 +135,8 @@ pub fn e12_skeletons() -> Report {
                     input[m + j] = fam.sample_interval(j, &mut rng);
                 }
             }
-            let run = run_with_choices(&nlm, &input, &vec![0; 1 << 14], 1 << 14).expect("run");
+            let run =
+                run_with_choices(&nlm, &input, &vec![0; 1 << 14], 1 << 14, tracer).expect("run");
             skels.insert(skeleton_of(&run));
         }
         // Machine parameters for the bound: m inputs = 2mk, k states ≈
@@ -165,7 +167,7 @@ pub fn e12_skeletons() -> Report {
 /// The one-scan matcher's single reversal realizes one monotone
 /// alignment; how many φ-pairs it hits depends entirely on how monotone
 /// φ is — exactly the merge-lemma geometry.
-pub fn e13_merge_lemma() -> Report {
+pub fn e13_merge_lemma(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e13",
         "Lemma 38: compared φ-pairs vs the merge-lemma budget",
@@ -194,7 +196,8 @@ pub fn e13_merge_lemma() -> Report {
             let ys: Vec<u64> = (0..m as u64).map(|j| 1000 + j).collect();
             let xs: Vec<u64> = (0..m).map(|i| ys[perm[i]]).collect();
             let input: Vec<u64> = xs.into_iter().chain(ys).collect();
-            let run = run_with_choices(&nlm, &input, &vec![0; 1 << 16], 1 << 16).expect("run");
+            let run =
+                run_with_choices(&nlm, &input, &vec![0; 1 << 16], 1 << 16, tracer).expect("run");
             assert!(run.accepted(), "yes-instance must be accepted");
             let compared = phi_pairs_compared(&skeleton_of(&run), &perm);
             let rr = run.scans() as u32;
@@ -221,7 +224,7 @@ pub fn e13_merge_lemma() -> Report {
         let ys: Vec<u64> = (0..m as u64).map(|j| 1000 + j).collect();
         let xs: Vec<u64> = (0..m).map(|i| ys[ph[i]]).collect();
         let input: Vec<u64> = xs.into_iter().chain(ys).collect();
-        let run = run_with_choices(&nlm, &input, &vec![0; 1 << 16], 1 << 16).expect("run");
+        let run = run_with_choices(&nlm, &input, &vec![0; 1 << 16], 1 << 16, tracer).expect("run");
         assert!(run.accepted());
         let compared = phi_pairs_compared(&skeleton_of(&run), &ph);
         let rr = run.scans() as u32;
@@ -251,7 +254,7 @@ pub fn e13_merge_lemma() -> Report {
 }
 
 /// F2 — the exact transition of Figure 2, executed.
-pub fn f2_figure2() -> Report {
+pub fn f2_figure2(_: &Tracer) -> Report {
     let mut r = Report::new(
         "f2",
         "Figure 2: one NLM transition, reproduced",

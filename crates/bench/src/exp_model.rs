@@ -4,6 +4,7 @@ use crate::report::Report;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_algo::fingerprint::residues_collide;
+use st_algo::SortRoute;
 use st_core::math::wilson_interval;
 use st_core::theorems::{lemma3_run_length_log2, theorem8a_k};
 use st_lm::run::{run_sampled, run_with_choices};
@@ -14,10 +15,11 @@ use st_problems::short::reduce_to_short;
 use st_tm::library as tmlib;
 use st_tm::prob::exact_acceptance;
 use st_tm::run::run_deterministic;
+use st_trace::Tracer;
 
 /// E10 — Lemma 16: TM → NLM simulation preserves acceptance and
 /// reversal bounds.
-pub fn e10_simulation() -> Report {
+pub fn e10_simulation(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e10",
         "Lemma 16: TM → NLM simulation",
@@ -42,9 +44,11 @@ pub fn e10_simulation() -> Report {
     for a in 0..8u64 {
         for b in 0..8u64 {
             let sim = simulate_tm(&tm, 2, 3, 1, 1 << 20).expect("sim");
-            let lm = run_with_choices(&sim.nlm, &[a, b], &vec![0; 1 << 13], 1 << 13).expect("run");
+            let lm = run_with_choices(&sim.nlm, &[a, b], &vec![0; 1 << 13], 1 << 13, tracer)
+                .expect("run");
             assert!(sim.take_error().is_none());
-            let tmr = run_deterministic(&tm, tm_input_word(&[a, b], 3), 1 << 20).expect("tm");
+            let tmr =
+                run_deterministic(&tm, tm_input_word(&[a, b], 3), 1 << 20, tracer).expect("tm");
             if lm.accepted() == tmr.accepted() {
                 agree += 1;
             }
@@ -72,7 +76,7 @@ pub fn e10_simulation() -> Report {
     let trials = 1200u64;
     let mut acc = 0u64;
     for _ in 0..trials {
-        if run_sampled(&sim.nlm, &[0b101, 0b101], &mut rng, 1 << 13)
+        if run_sampled(&sim.nlm, &[0b101, 0b101], &mut rng, 1 << 13, tracer)
             .expect("run")
             .accepted()
         {
@@ -95,7 +99,7 @@ pub fn e10_simulation() -> Report {
 }
 
 /// E14 — Claim 1: residue collision probability decays like O(1/m).
-pub fn e14_collisions() -> Report {
+pub fn e14_collisions(_: &Tracer) -> Report {
     let mut r = Report::new(
         "e14",
         "Claim 1: residue-fingerprint collision probability",
@@ -141,7 +145,7 @@ pub fn e14_collisions() -> Report {
 }
 
 /// E15 — Lemma 3: run lengths stay below `N·2^{O(r(t+s))}`.
-pub fn e15_run_length() -> Report {
+pub fn e15_run_length(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e15",
         "Lemma 3: run length of (r,s,t)-bounded machines",
@@ -180,7 +184,7 @@ pub fn e15_run_length() -> Report {
     ];
     for (name, tm, input) in cases {
         let n = input.len();
-        let run = run_deterministic(&tm, input, 1 << 22).expect("run");
+        let run = run_deterministic(&tm, input, 1 << 22, tracer).expect("run");
         let usage = &run.usage;
         let bound_log2 = lemma3_run_length_log2(
             n,
@@ -208,7 +212,7 @@ pub fn e15_run_length() -> Report {
 }
 
 /// E16 — the Appendix E reduction to the SHORT variants.
-pub fn e16_short_reduction() -> Report {
+pub fn e16_short_reduction(_: &Tracer) -> Report {
     let mut r = Report::new(
         "e16",
         "Corollary 7 (SHORT) / Appendix E: the reduction f",
@@ -262,7 +266,7 @@ pub fn e16_short_reduction() -> Report {
 /// E17 — (extension) disk economics: pricing measured runs on three
 /// device models. Not a paper table; quantifies the introduction's
 /// motivation that seeks dominate at Θ(log N) scans.
-pub fn e17_disk_economics() -> Report {
+pub fn e17_disk_economics(tracer: &Tracer) -> Report {
     use st_extmem::disk::DiskModel;
     let mut r = Report::new(
         "e17",
@@ -281,8 +285,8 @@ pub fn e17_disk_economics() -> Report {
     );
     let mut rng = rand::rngs::StdRng::seed_from_u64(51);
     let inst = st_problems::generate::yes_multiset(512, 24, &mut rng);
-    let fp = st_algo::fingerprint::decide_multiset_equality(&inst, &mut rng).expect("fp");
-    let det = st_algo::sortcheck::decide_multiset_equality(&inst).expect("det");
+    let fp = st_algo::fingerprint::run_fingerprint(&inst, &mut rng, tracer).expect("fp");
+    let det = st_algo::sortcheck::run_sort_route(&inst, SortRoute::Multiset, tracer).expect("det");
     let hdd = DiskModel::hdd_2006();
     let nvme = DiskModel::nvme();
     let tape = DiskModel::tape_library();
@@ -317,7 +321,7 @@ pub fn e17_disk_economics() -> Report {
 }
 
 /// E18 — Lemmas 26, 30, 31: the structural bookkeeping, measured.
-pub fn e18_structural_bounds() -> Report {
+pub fn e18_structural_bounds(tracer: &Tracer) -> Report {
     use st_lm::bounds::observe_run;
     use st_lm::lemma26::find_good_choice_sequence;
     use st_lm::{adversary::WordFamily, library};
@@ -336,7 +340,8 @@ pub fn e18_structural_bounds() -> Report {
     let fam = WordFamily::new(m, 8).expect("family");
     let nlm = library::coin_prefixed_matcher(m, st_problems::perm::phi(m));
     let inputs: Vec<Vec<u64>> = (0..16).map(|_| fam.sample_yes(&mut rng)).collect();
-    let good = find_good_choice_sequence(&nlm, &inputs, 1 << 10, 64, &mut rng).expect("search");
+    let good =
+        find_good_choice_sequence(&nlm, &inputs, 1 << 10, 64, &mut rng, tracer).expect("search");
     all_ok &= good.meets_lemma26();
     r.row(vec![
         "coin-matcher".into(),
@@ -396,7 +401,7 @@ pub fn failed_experiments() -> Vec<String> {
     crate::all_experiments()
         .into_iter()
         .filter_map(|e| {
-            let rep = (e.run)();
+            let rep = (e.run)(&Tracer::disabled());
             if rep.reproduced() {
                 None
             } else {

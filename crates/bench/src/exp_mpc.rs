@@ -37,11 +37,13 @@
 use crate::report::Report;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use st_algo::SortRoute;
 use st_mpc::{
     decide_check_sort, decide_multiset_equality, evaluate_sym_diff, MpcOptions, MpcRun,
     NetFaultPlan,
 };
 use st_problems::generate;
+use st_trace::Tracer;
 
 const WORKER_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -51,7 +53,7 @@ fn ceil_log2(p: usize) -> u64 {
 }
 
 /// E24 — flat round counts: fingerprint (1) and Q′ (2) at every p.
-pub fn e24_mpc_flat_rounds() -> Report {
+pub fn e24_mpc_flat_rounds(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e24",
         "MPC flat families: fingerprint and Q\u{2032} rounds vs workers",
@@ -78,11 +80,12 @@ pub fn e24_mpc_flat_rounds() -> Report {
     let seed = 77_2401u64;
 
     let single_yes =
-        st_algo::fingerprint::decide_multiset_equality(&inst_fp, &mut StdRng::seed_from_u64(seed))
+        st_algo::fingerprint::run_fingerprint(&inst_fp, &mut StdRng::seed_from_u64(seed), tracer)
             .expect("single-tape fingerprint");
-    let single_no = st_algo::fingerprint::decide_multiset_equality(
+    let single_no = st_algo::fingerprint::run_fingerprint(
         &inst_fp_no,
         &mut StdRng::seed_from_u64(seed),
+        tracer,
     )
     .expect("single-tape fingerprint");
 
@@ -91,7 +94,10 @@ pub fn e24_mpc_flat_rounds() -> Report {
     let mut residues_ok = true;
     let mut verdicts_ok = true;
     for p in WORKER_SWEEP {
-        let opts = MpcOptions::with_workers(p);
+        let opts = MpcOptions {
+            tracer: tracer.clone(),
+            ..MpcOptions::with_workers(p)
+        };
         let fp_yes = decide_multiset_equality(&inst_fp, &mut StdRng::seed_from_u64(seed), &opts)
             .expect("mpc fingerprint");
         let fp_no = decide_multiset_equality(&inst_fp_no, &mut StdRng::seed_from_u64(seed), &opts)
@@ -132,7 +138,7 @@ pub fn e24_mpc_flat_rounds() -> Report {
 }
 
 /// E25 — logarithmic round counts: the CHECK-SORT merge tree at ⌈log₂p⌉.
-pub fn e25_mpc_sort_rounds() -> Report {
+pub fn e25_mpc_sort_rounds(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e25",
         "MPC logarithmic family: CHECK-SORT merge-tree rounds vs workers",
@@ -152,13 +158,18 @@ pub fn e25_mpc_sort_rounds() -> Report {
     );
     let inst_yes = generate::yes_checksort(64, 10, &mut StdRng::seed_from_u64(2501));
     let inst_no = generate::no_checksort_sorted_but_wrong(64, 10, &mut StdRng::seed_from_u64(2502));
-    let single_yes = st_algo::sortcheck::decide_check_sort(&inst_yes).expect("single-tape");
-    let single_no = st_algo::sortcheck::decide_check_sort(&inst_no).expect("single-tape");
+    let single_yes = st_algo::sortcheck::run_sort_route(&inst_yes, SortRoute::CheckSort, tracer)
+        .expect("single-tape");
+    let single_no = st_algo::sortcheck::run_sort_route(&inst_no, SortRoute::CheckSort, tracer)
+        .expect("single-tape");
 
     let mut shape_ok = true;
     let mut verdicts_ok = true;
     for p in WORKER_SWEEP {
-        let opts = MpcOptions::with_workers(p);
+        let opts = MpcOptions {
+            tracer: tracer.clone(),
+            ..MpcOptions::with_workers(p)
+        };
         let yes = decide_check_sort(&inst_yes, &opts).expect("mpc check-sort");
         let no = decide_check_sort(&inst_no, &opts).expect("mpc check-sort");
         let predicted = ceil_log2(p);
@@ -195,7 +206,7 @@ fn transparent(clean: &MpcRun, faulted: &MpcRun) -> bool {
 
 /// E26 — retry overhead vs drop rate: transparency has a price, and it
 /// is billed entirely to the recovery counters.
-pub fn e26_mpc_retry_overhead() -> Report {
+pub fn e26_mpc_retry_overhead(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e26",
         "MPC under packet loss: retry overhead vs drop rate",
@@ -217,7 +228,10 @@ pub fn e26_mpc_retry_overhead() -> Report {
         ],
     );
     let inst = generate::yes_checksort(64, 10, &mut StdRng::seed_from_u64(2601));
-    let opts = MpcOptions::with_workers(8);
+    let opts = MpcOptions {
+        tracer: tracer.clone(),
+        ..MpcOptions::with_workers(8)
+    };
     let clean = decide_check_sort(&inst, &opts).expect("clean mpc check-sort");
 
     let mut ok = true;
@@ -259,7 +273,7 @@ pub fn e26_mpc_retry_overhead() -> Report {
 /// E27 — crash-at-every-round sweep: deterministic re-execution from
 /// the durable journal makes worker death invisible everywhere but the
 /// recovery bill.
-pub fn e27_mpc_crash_sweep() -> Report {
+pub fn e27_mpc_crash_sweep(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e27",
         "MPC worker crashes: kill-at-every-round recovery sweep",
@@ -280,7 +294,10 @@ pub fn e27_mpc_crash_sweep() -> Report {
     );
     let inst = generate::yes_checksort(64, 10, &mut StdRng::seed_from_u64(2701));
     let p = 8usize;
-    let opts = MpcOptions::with_workers(p);
+    let opts = MpcOptions {
+        tracer: tracer.clone(),
+        ..MpcOptions::with_workers(p)
+    };
     let fp_seed = 2702u64;
 
     let clean_cs = decide_check_sort(&inst, &opts).expect("clean check-sort");
@@ -343,25 +360,25 @@ mod tests {
 
     #[test]
     fn e24_reproduces() {
-        let r = e24_mpc_flat_rounds();
+        let r = e24_mpc_flat_rounds(&Tracer::disabled());
         assert!(r.reproduced(), "{}", r.verdict_line());
     }
 
     #[test]
     fn e25_reproduces() {
-        let r = e25_mpc_sort_rounds();
+        let r = e25_mpc_sort_rounds(&Tracer::disabled());
         assert!(r.reproduced(), "{}", r.verdict_line());
     }
 
     #[test]
     fn e26_reproduces() {
-        let r = e26_mpc_retry_overhead();
+        let r = e26_mpc_retry_overhead(&Tracer::disabled());
         assert!(r.reproduced(), "{}", r.verdict_line());
     }
 
     #[test]
     fn e27_reproduces() {
-        let r = e27_mpc_crash_sweep();
+        let r = e27_mpc_crash_sweep(&Tracer::disabled());
         assert!(r.reproduced(), "{}", r.verdict_line());
         // One row per (decider, round): 3 for the merge tree at p=8,
         // 2 for the query shuffle, 1 for the fingerprint.
@@ -371,20 +388,20 @@ mod tests {
     #[test]
     fn experiments_are_deterministic_run_to_run() {
         assert_eq!(
-            entry_json(&e24_mpc_flat_rounds()),
-            entry_json(&e24_mpc_flat_rounds())
+            entry_json(&e24_mpc_flat_rounds(&Tracer::disabled())),
+            entry_json(&e24_mpc_flat_rounds(&Tracer::disabled()))
         );
         assert_eq!(
-            entry_json(&e25_mpc_sort_rounds()),
-            entry_json(&e25_mpc_sort_rounds())
+            entry_json(&e25_mpc_sort_rounds(&Tracer::disabled())),
+            entry_json(&e25_mpc_sort_rounds(&Tracer::disabled()))
         );
         assert_eq!(
-            entry_json(&e26_mpc_retry_overhead()),
-            entry_json(&e26_mpc_retry_overhead())
+            entry_json(&e26_mpc_retry_overhead(&Tracer::disabled())),
+            entry_json(&e26_mpc_retry_overhead(&Tracer::disabled()))
         );
         assert_eq!(
-            entry_json(&e27_mpc_crash_sweep()),
-            entry_json(&e27_mpc_crash_sweep())
+            entry_json(&e27_mpc_crash_sweep(&Tracer::disabled())),
+            entry_json(&e27_mpc_crash_sweep(&Tracer::disabled()))
         );
     }
 }

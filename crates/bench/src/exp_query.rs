@@ -9,10 +9,11 @@ use st_query::relalg::{evaluate, instance_database, sym_diff_query};
 use st_query::xml::{instance_document, parse};
 use st_query::xpath::{figure1_query, set_equality_via_two_filter_runs, DocContext};
 use st_query::xquery::run_theorem12;
+use st_trace::Tracer;
 
 /// E7 — Theorem 11: relational algebra within Θ(log N) reversals; Q′
 /// decides SET-EQUALITY.
-pub fn e7_relalg() -> Report {
+pub fn e7_relalg(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e7",
         "Theorem 11: relational algebra on streams",
@@ -34,8 +35,8 @@ pub fn e7_relalg() -> Report {
         let yes = generate::yes_set_distinct(m, 12, &mut rng);
         let no = generate::random_instance(m, 12, &mut rng);
         let q = sym_diff_query("R1", "R2");
-        let (res_yes, usage) = evaluate(&q, &instance_database(&yes)).expect("eval");
-        let (res_no, _) = evaluate(&q, &instance_database(&no)).expect("eval");
+        let (res_yes, usage) = evaluate(&q, &instance_database(&yes), tracer).expect("eval");
+        let (res_no, _) = evaluate(&q, &instance_database(&no), tracer).expect("eval");
         let decides = res_yes.is_empty() == predicates::is_set_equal(&yes)
             && res_no.is_empty() == predicates::is_set_equal(&no);
         all_ok &= decides;
@@ -59,7 +60,7 @@ pub fn e7_relalg() -> Report {
 
 /// E8 — Theorem 12: the XQuery query computes set equality on the XML
 /// encoding.
-pub fn e8_xquery() -> Report {
+pub fn e8_xquery(_: &Tracer) -> Report {
     let mut r = Report::new(
         "e8",
         "Theorem 12: the XQuery query",
@@ -108,7 +109,7 @@ pub fn e8_xquery() -> Report {
 
 /// E9 — Theorem 13 / Figure 1: the XPath filter and the two-run
 /// reduction.
-pub fn e9_xpath() -> Report {
+pub fn e9_xpath(_: &Tracer) -> Report {
     let mut r = Report::new(
         "e9",
         "Theorem 13 / Figure 1: the XPath filter",

@@ -4,16 +4,18 @@ use crate::report::Report;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_algo::baseline::one_pass_multiset_equality;
-use st_algo::fingerprint::{acceptance_frequency, decide_multiset_equality};
+use st_algo::fingerprint::{acceptance_frequency, run_fingerprint};
 use st_algo::nst::{exists_certificate, verify_multiset_certificate};
 use st_algo::sortcheck;
 use st_algo::sorting::check_sort_via_sorting;
+use st_algo::SortRoute;
 use st_core::math::log_fit;
 use st_problems::generate;
+use st_trace::Tracer;
 
 /// E2 — Corollary 7: sort-based deterministic deciders use `Θ(log N)`
 /// scans and `O(1)` record buffers.
-pub fn e2_sort_deciders() -> Report {
+pub fn e2_sort_deciders(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e2",
         "Corollary 7: deterministic deciders at Θ(log N) scans",
@@ -33,9 +35,9 @@ pub fn e2_sort_deciders() -> Report {
     for logm in 3..=10 {
         let m = 1usize << logm;
         let inst = generate::yes_multiset(m, 16, &mut rng);
-        let a = sortcheck::decide_multiset_equality(&inst).expect("decider");
-        let b = sortcheck::decide_check_sort(&inst).expect("decider");
-        let c = sortcheck::decide_set_equality(&inst).expect("decider");
+        let a = sortcheck::run_sort_route(&inst, SortRoute::Multiset, tracer).expect("decider");
+        let b = sortcheck::run_sort_route(&inst, SortRoute::CheckSort, tracer).expect("decider");
+        let c = sortcheck::run_sort_route(&inst, SortRoute::SetEquality, tracer).expect("decider");
         pts.push((inst.size(), a.usage.scans() as f64));
         r.row(vec![
             m.to_string(),
@@ -56,7 +58,7 @@ pub fn e2_sort_deciders() -> Report {
 
 /// E3 — Theorem 8(a): two scans, O(log N) internal bits, one-sided error
 /// on the co-RST side.
-pub fn e3_fingerprint() -> Report {
+pub fn e3_fingerprint(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e3",
         "Theorem 8(a): fingerprinting multiset equality",
@@ -79,9 +81,9 @@ pub fn e3_fingerprint() -> Report {
         let m = 1usize << logm;
         let yes = generate::yes_multiset(m, 12, &mut rng);
         let no = generate::no_multiset_one_bit(m, 12, &mut rng);
-        let run = decide_multiset_equality(&yes, &mut rng).expect("run");
-        let yes_freq = acceptance_frequency(&yes, 100, &mut rng).expect("freq");
-        let no_freq = acceptance_frequency(&no, 200, &mut rng).expect("freq");
+        let run = run_fingerprint(&yes, &mut rng, tracer).expect("run");
+        let yes_freq = acceptance_frequency(&yes, 100, &mut rng, tracer).expect("freq");
+        let no_freq = acceptance_frequency(&no, 200, &mut rng, tracer).expect("freq");
         all_ok &= run.usage.scans() == 2
             && run.usage.external_tapes == 1
             && (yes_freq - 1.0).abs() < f64::EPSILON
@@ -106,7 +108,7 @@ pub fn e3_fingerprint() -> Report {
 }
 
 /// E4 — Theorem 8(b): the 3-scan verifier.
-pub fn e4_nst() -> Report {
+pub fn e4_nst(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e4",
         "Theorem 8(b): the NST(3, O(log N), 2) verifier",
@@ -128,13 +130,13 @@ pub fn e4_nst() -> Report {
         let yes = generate::yes_multiset(m, n, &mut rng);
         let no = generate::no_multiset_one_bit(m, n, &mut rng);
         let id: Vec<usize> = (0..m).collect();
-        let run = verify_multiset_certificate(&yes, &id, false).expect("verify");
-        let ok_ms = exists_certificate(&yes, false).expect("search")
-            && !exists_certificate(&no, false).expect("search");
+        let run = verify_multiset_certificate(&yes, &id, false, tracer).expect("verify");
+        let ok_ms = exists_certificate(&yes, false, tracer).expect("search")
+            && !exists_certificate(&no, false, tracer).expect("search");
         let cs_yes = generate::yes_checksort(m, n, &mut rng);
         let cs_no = generate::no_checksort_sorted_but_wrong(m, n, &mut rng);
-        let ok_cs = exists_certificate(&cs_yes, true).expect("search")
-            && !exists_certificate(&cs_no, true).expect("search");
+        let ok_cs = exists_certificate(&cs_yes, true, tracer).expect("search")
+            && !exists_certificate(&cs_no, true, tracer).expect("search");
         all_ok &= run.usage.scans() == 3 && run.usage.external_tapes == 2 && ok_ms && ok_cs;
         r.row(vec![
             m.to_string(),
@@ -154,7 +156,7 @@ pub fn e4_nst() -> Report {
 }
 
 /// E5 — Corollary 9: the separation table across machine models.
-pub fn e5_separation() -> Report {
+pub fn e5_separation(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e5",
         "Corollary 9: the separation table",
@@ -166,7 +168,7 @@ pub fn e5_separation() -> Report {
     let m = 512usize;
     let inst = generate::yes_multiset(m, 32, &mut rng);
 
-    let det = sortcheck::decide_multiset_equality(&inst).expect("det");
+    let det = sortcheck::run_sort_route(&inst, SortRoute::Multiset, tracer).expect("det");
     r.row(vec![
         "merge-sort compare".into(),
         "ST (deterministic)".into(),
@@ -174,7 +176,7 @@ pub fn e5_separation() -> Report {
         det.usage.internal_space.to_string(),
         "none".into(),
     ]);
-    let fp = decide_multiset_equality(&inst, &mut rng).expect("fp");
+    let fp = run_fingerprint(&inst, &mut rng, tracer).expect("fp");
     r.row(vec![
         "fingerprint".into(),
         "co-RST (no false negatives)".into(),
@@ -184,7 +186,7 @@ pub fn e5_separation() -> Report {
     ]);
     let small = generate::yes_multiset(4, 4, &mut rng);
     let id: Vec<usize> = (0..4).collect();
-    let nst = verify_multiset_certificate(&small, &id, false).expect("nst");
+    let nst = verify_multiset_certificate(&small, &id, false, tracer).expect("nst");
     r.row(vec![
         "ℓ-copies verifier".into(),
         "NST (nondeterministic)".into(),
@@ -192,7 +194,7 @@ pub fn e5_separation() -> Report {
         nst.usage.internal_space.to_string(),
         "none (∃ certificate)".into(),
     ]);
-    let (_, hash) = one_pass_multiset_equality(&inst).expect("hash");
+    let (_, hash) = one_pass_multiset_equality(&inst, tracer).expect("hash");
     r.row(vec![
         "one-pass hash".into(),
         "unbounded internal memory".into(),
@@ -212,7 +214,7 @@ pub fn e5_separation() -> Report {
 }
 
 /// E6 — Corollary 10: sorting and CHECK-SORT via sorting.
-pub fn e6_sorting() -> Report {
+pub fn e6_sorting(tracer: &Tracer) -> Report {
     let mut r = Report::new(
         "e6",
         "Corollary 10: sorting at Θ(log N) scans; CHECK-SORT reduces to sorting",
@@ -233,8 +235,8 @@ pub fn e6_sorting() -> Report {
         let m = 1usize << logm;
         let yes = generate::yes_checksort(m, 10, &mut rng);
         let no = generate::no_checksort_sorted_but_wrong(m, 10, &mut rng);
-        let (ok_yes, usage) = check_sort_via_sorting(&yes).expect("reduction");
-        let (ok_no, _) = check_sort_via_sorting(&no).expect("reduction");
+        let (ok_yes, usage) = check_sort_via_sorting(&yes, tracer).expect("reduction");
+        let (ok_no, _) = check_sort_via_sorting(&no, tracer).expect("reduction");
         let bound = 12.0 * (yes.size() as f64).log2() + 12.0;
         let correct = ok_yes && !ok_no;
         all_ok &= correct && (usage.total_reversals() as f64) <= bound;
@@ -268,7 +270,7 @@ const E23_FULL_FP: (usize, usize) = (1 << 14, 3052);
 /// (the committed `BENCH_report.json` row) keeps the registry-wide
 /// regression tests fast while still pinning the same log shape and
 /// bounds.
-pub fn e23_out_of_core() -> Report {
+pub fn e23_out_of_core(tracer: &Tracer) -> Report {
     use st_extmem::{sort, TapeMachine};
     let full = std::env::var("ST_E23_FULL").is_ok_and(|v| v != "0");
     let mut r = Report::new(
@@ -292,7 +294,7 @@ pub fn e23_out_of_core() -> Report {
         // Worst-case (reversed) input; the reversal count of the balanced
         // merge is data-oblivious, so one deterministic input suffices.
         let data: Vec<i64> = (0..n as i64).rev().collect();
-        let mut machine = TapeMachine::with_input(data, n);
+        let mut machine = TapeMachine::with_input(data, n, tracer.clone());
         machine.add_tape("scratch1");
         machine.add_tape("scratch2");
         sort::merge_sort(&mut machine, 0, 1, 2).expect("block sort");
@@ -320,7 +322,7 @@ pub fn e23_out_of_core() -> Report {
     let mut rng = StdRng::seed_from_u64(23);
     let (fp_m, fp_n) = if full { E23_FULL_FP } else { (1 << 13, 24) };
     let inst = generate::yes_multiset(fp_m, fp_n, &mut rng);
-    let run = decide_multiset_equality(&inst, &mut rng).expect("fingerprint");
+    let run = run_fingerprint(&inst, &mut rng, tracer).expect("fingerprint");
     let fp_ok = run.accepted
         && run.usage.scans() <= 2
         && run.usage.external_tapes <= 1

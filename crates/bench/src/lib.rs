@@ -23,6 +23,7 @@ pub mod report;
 pub mod runner;
 
 pub use report::Report;
+use st_trace::Tracer;
 
 /// One experiment registry entry.
 #[derive(Debug, Clone, Copy)]
@@ -37,14 +38,15 @@ pub struct Experiment {
     /// order) so a straggler started last cannot serialize the tail of
     /// the run; the hint never affects output order or content.
     pub cost: u32,
-    /// The experiment body.
-    pub run: fn() -> Report,
+    /// The experiment body; every machine, run and journal it builds
+    /// traces on the tracer it is handed.
+    pub run: fn(&Tracer) -> Report,
 }
 
 /// The experiment registry, in report order.
 #[must_use]
 pub fn all_experiments() -> Vec<Experiment> {
-    let e = |id, title, cost, run: fn() -> Report| Experiment {
+    let e = |id, title, cost, run: fn(&Tracer) -> Report| Experiment {
         id,
         title,
         cost,

@@ -18,10 +18,9 @@
 //!
 //! Isolation guarantees per experiment:
 //!
-//! * each experiment runs under its **own** [`st_trace::scoped`] tracer,
-//!   on whichever thread runs it (the scoped tracer is thread-local, so
-//!   concurrent experiments never share an event stream, and one run
-//!   inline never sees the caller's);
+//! * each experiment is handed its **own** tracer as an argument, so
+//!   concurrent experiments never share an event stream, whichever
+//!   thread runs them;
 //! * each experiment runs under a `catch_unwind` boundary — a panic
 //!   becomes an explicit `NOT REPRODUCED — panicked: …` verdict instead
 //!   of aborting the whole report;
@@ -204,7 +203,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one experiment under its own scoped tracer and unwind boundary.
+/// Run one experiment on its own tracer, inside an unwind boundary.
 fn run_one(
     exp: &Experiment,
     trace_dir: Option<&Path>,
@@ -216,7 +215,7 @@ fn run_one(
     };
     let run = exp.run;
     let started = std::time::Instant::now();
-    let result = st_trace::scoped(tracer.clone(), || catch_unwind(AssertUnwindSafe(run)));
+    let result = catch_unwind(AssertUnwindSafe(|| run(&tracer)));
     let elapsed = started.elapsed();
     tracer.flush();
     let mut report = match result {
@@ -301,8 +300,9 @@ pub fn run_experiments(selected: &[Experiment], opts: &RunOptions) -> Result<Run
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_trace::Tracer;
 
-    fn fake(id: &'static str, cost: u32, run: fn() -> Report) -> Experiment {
+    fn fake(id: &'static str, cost: u32, run: fn(&Tracer) -> Report) -> Experiment {
         Experiment {
             id,
             title: "fake",
@@ -311,14 +311,14 @@ mod tests {
         }
     }
 
-    fn ok_report() -> Report {
+    fn ok_report(_: &Tracer) -> Report {
         let mut r = Report::new("x", "fake", "claim", &["col"]);
         r.row(vec!["1".into()]);
         r.verdict(true, "fine");
         r
     }
 
-    fn panicky() -> Report {
+    fn panicky(_: &Tracer) -> Report {
         panic!("deliberate test panic");
     }
 
@@ -380,13 +380,13 @@ mod tests {
         assert_eq!(outcome.failures(), 2);
     }
 
-    fn report_a() -> Report {
+    fn report_a(_: &Tracer) -> Report {
         named_report("a")
     }
-    fn report_b() -> Report {
+    fn report_b(_: &Tracer) -> Report {
         named_report("b")
     }
-    fn report_c() -> Report {
+    fn report_c(_: &Tracer) -> Report {
         named_report("c")
     }
     fn named_report(id: &str) -> Report {
@@ -475,12 +475,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn traced_report() -> Report {
+    fn traced_report(tracer: &Tracer) -> Report {
         // Touch a real substrate so the trace has events to audit.
         let mut m: st_extmem::TapeMachine<u8> =
-            st_extmem::TapeMachine::with_input(vec![3, 1, 2], 3);
+            st_extmem::TapeMachine::with_input(vec![3, 1, 2], 3, tracer.clone());
         while m.tape_mut(0).read_fwd().is_some() {}
         let _ = m.usage();
-        ok_report()
+        ok_report(tracer)
     }
 }

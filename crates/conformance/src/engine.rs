@@ -278,9 +278,9 @@ pub fn fuzz_with(opts: &FuzzOptions, oracles: &[Oracle]) -> Result<FuzzReport, S
     })
 }
 
-/// Re-run both sides of `oracle` on the shrunk word under per-side
-/// scoped tracers so the disagreement ships with a JSONL record of each
-/// run. Panicking deciders simply leave a truncated trace behind.
+/// Re-run both sides of `oracle` on the shrunk word, each on its own
+/// JSONL tracer, so the disagreement ships with a record of each run.
+/// Panicking deciders simply leave a truncated trace behind.
 fn write_traces(
     dir: &std::path::Path,
     stem: &str,
@@ -303,6 +303,7 @@ mod tests {
     use crate::corpus::read_repro;
     use crate::oracle::{predicate_multiset, ErrorModel};
     use st_problems::Instance;
+    use st_trace::Tracer;
 
     #[test]
     fn registry_is_clean_and_reports_are_byte_identical_across_jobs() {
@@ -335,7 +336,7 @@ mod tests {
     }
 
     /// Off-by-one sort decider: never compares the smallest record pair.
-    fn broken_sort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+    fn broken_sort(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
         let Ok(inst) = Instance::parse(word) else {
             return Ok(None);
         };

@@ -24,6 +24,7 @@
 use crate::prng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use st_algo::SortRoute;
 use st_core::{RetryBudget, StError, Verdict};
 use st_extmem::fault::FaultPlan;
 use st_problems::{predicates, Instance};
@@ -31,8 +32,9 @@ use st_trace::Tracer;
 
 /// One side of an oracle: decide the word, or abstain (`Ok(None)`) when
 /// the pair does not apply. The `seed` is this side's private stream —
-/// implementations must derive all randomness from it.
-pub type Decider = fn(&str, u64) -> Result<Option<bool>, StError>;
+/// implementations must derive all randomness from it — and every
+/// machine, run and journal the side builds traces on the tracer.
+pub type Decider = fn(&str, u64, &Tracer) -> Result<Option<bool>, StError>;
 
 /// How the comparator treats verdict mismatches.
 #[derive(Debug, Clone, Copy)]
@@ -129,12 +131,12 @@ pub struct Comparison {
 /// draw from seed streams derived purely from `(seed, side, trial)`.
 #[must_use]
 pub fn compare(oracle: &Oracle, word: &str, seed: u64) -> Comparison {
-    compare_inner(oracle, word, seed, None)
+    let untraced = Tracer::disabled();
+    compare_traced(oracle, word, seed, &untraced, &untraced)
 }
 
-/// [`compare`], with each side running under its own scoped tracer so a
-/// disagreement ships with a JSONL trace of both runs. The tracers are
-/// thread-local scopes; concurrent comparisons never share a stream.
+/// [`compare`], with each side tracing on its own tracer so a
+/// disagreement ships with a JSONL trace of both runs.
 pub fn compare_traced(
     oracle: &Oracle,
     word: &str,
@@ -142,34 +144,23 @@ pub fn compare_traced(
     left_tracer: &Tracer,
     right_tracer: &Tracer,
 ) -> Comparison {
-    let c = compare_inner(oracle, word, seed, Some((left_tracer, right_tracer)));
+    let c = compare_inner(oracle, word, seed, left_tracer, right_tracer);
     left_tracer.flush();
     right_tracer.flush();
     c
-}
-
-fn run_side(
-    run: Decider,
-    word: &str,
-    seed: u64,
-    tracer: Option<&Tracer>,
-) -> Result<Option<bool>, StError> {
-    match tracer {
-        Some(t) => st_trace::scoped(t.clone(), || run(word, seed)),
-        None => run(word, seed),
-    }
 }
 
 fn compare_inner(
     oracle: &Oracle,
     word: &str,
     seed: u64,
-    tracers: Option<(&Tracer, &Tracer)>,
+    left_tracer: &Tracer,
+    right_tracer: &Tracer,
 ) -> Comparison {
     let left_seed = prng::derive_seed(seed, "left", 0);
     let right_seed = prng::derive_seed(seed, "right", 0);
-    let left = run_side(oracle.left_run, word, left_seed, tracers.map(|t| t.0));
-    let right = run_side(oracle.right_run, word, right_seed, tracers.map(|t| t.1));
+    let left = (oracle.left_run)(word, left_seed, left_tracer);
+    let right = (oracle.right_run)(word, right_seed, right_tracer);
     let (left, right) = match (left, right) {
         // A decider error on a word the registry fed it is itself a
         // conformance violation — the parse layer already filtered
@@ -253,7 +244,7 @@ fn compare_inner(
             let mut accepts = 0u32;
             for t in 0..trials {
                 let trial_seed = prng::derive_seed(seed, "amplify", u64::from(t));
-                match run_side(oracle.left_run, word, trial_seed, tracers.map(|t| t.0)) {
+                match (oracle.left_run)(word, trial_seed, left_tracer) {
                     Ok(Some(true)) => accepts += 1,
                     Ok(_) => {}
                     Err(e) => {
@@ -359,7 +350,11 @@ pub(crate) fn resilient_fp_ceiling(word: &str) -> Option<f64> {
     (eps4 < 0.99).then_some(eps4)
 }
 
-pub(crate) fn fingerprint_multiset(word: &str, seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn fingerprint_multiset(
+    word: &str,
+    seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
@@ -368,44 +363,62 @@ pub(crate) fn fingerprint_multiset(word: &str, seed: u64) -> Result<Option<bool>
     }
     let mut rng = StdRng::seed_from_u64(seed);
     Ok(Some(
-        st_algo::fingerprint::decide_multiset_equality(&inst, &mut rng)?.accepted,
+        st_algo::fingerprint::run_fingerprint(&inst, &mut rng, tracer)?.accepted,
     ))
 }
 
-pub(crate) fn sort_multiset(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn sort_multiset(
+    word: &str,
+    _seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
     Ok(Some(
-        st_algo::sortcheck::decide_multiset_equality(&inst)?.accepted,
+        st_algo::sortcheck::run_sort_route(&inst, SortRoute::Multiset, tracer)?.accepted,
     ))
 }
 
-pub(crate) fn sort_set(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn sort_set(word: &str, _seed: u64, tracer: &Tracer) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
     Ok(Some(
-        st_algo::sortcheck::decide_set_equality(&inst)?.accepted,
+        st_algo::sortcheck::run_sort_route(&inst, SortRoute::SetEquality, tracer)?.accepted,
     ))
 }
 
-pub(crate) fn sort_checksort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn sort_checksort(
+    word: &str,
+    _seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
-    Ok(Some(st_algo::sortcheck::decide_check_sort(&inst)?.accepted))
+    Ok(Some(
+        st_algo::sortcheck::run_sort_route(&inst, SortRoute::CheckSort, tracer)?.accepted,
+    ))
 }
 
-pub(crate) fn predicate_multiset(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn predicate_multiset(
+    word: &str,
+    _seed: u64,
+    _: &Tracer,
+) -> Result<Option<bool>, StError> {
     Ok(parse_inst(word).map(|i| predicates::is_multiset_equal(&i)))
 }
 
-pub(crate) fn predicate_set(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn predicate_set(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
     Ok(parse_inst(word).map(|i| predicates::is_set_equal(&i)))
 }
 
-pub(crate) fn predicate_checksort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn predicate_checksort(
+    word: &str,
+    _seed: u64,
+    _: &Tracer,
+) -> Result<Option<bool>, StError> {
     Ok(parse_inst(word).map(|i| predicates::is_check_sorted(&i)))
 }
 
@@ -424,41 +437,53 @@ fn tm_pair_params(word: &str) -> Option<(u64, u64, usize)> {
     Some((a, b, n))
 }
 
-pub(crate) fn tm_strings_equal(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn tm_strings_equal(
+    word: &str,
+    _seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some((a, b, n)) = tm_pair_params(word) else {
         return Ok(None);
     };
     let tm = st_tm::library::strings_equal_machine();
     let input = st_lm::simulate::tm_input_word(&[a, b], n);
-    let run = st_tm::run::run_deterministic(&tm, input, 1 << 20)?;
+    let run = st_tm::run::run_deterministic(&tm, input, 1 << 20, tracer)?;
     Ok(Some(run.accepted()))
 }
 
-pub(crate) fn nlm_strings_equal(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn nlm_strings_equal(
+    word: &str,
+    _seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some((a, b, n)) = tm_pair_params(word) else {
         return Ok(None);
     };
     let tm = st_tm::library::strings_equal_machine();
     let sim = st_lm::simulate::simulate_tm(&tm, 2, n, 1, 1 << 20)?;
     let choices = vec![0; 1 << 13];
-    let run = st_lm::run::run_with_choices(&sim.nlm, &[a, b], &choices, 1 << 13)?;
+    let run = st_lm::run::run_with_choices(&sim.nlm, &[a, b], &choices, 1 << 13, tracer)?;
     if let Some(err) = sim.take_error() {
         return Err(StError::Machine(format!("Lemma 16 simulation: {err}")));
     }
     Ok(Some(run.accepted()))
 }
 
-pub(crate) fn relalg_sym_diff(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn relalg_sym_diff(
+    word: &str,
+    _seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
     let q = st_query::relalg::sym_diff_query("R1", "R2");
     let db = st_query::relalg::instance_database(&inst);
-    let (result, _usage) = st_query::relalg::evaluate(&q, &db)?;
+    let (result, _usage) = st_query::relalg::evaluate(&q, &db, tracer)?;
     Ok(Some(result.is_empty()))
 }
 
-pub(crate) fn xpath_two_runs(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn xpath_two_runs(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
@@ -467,7 +492,11 @@ pub(crate) fn xpath_two_runs(word: &str, _seed: u64) -> Result<Option<bool>, StE
     )?))
 }
 
-pub(crate) fn xquery_theorem12(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn xquery_theorem12(
+    word: &str,
+    _seed: u64,
+    _: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
@@ -476,7 +505,11 @@ pub(crate) fn xquery_theorem12(word: &str, _seed: u64) -> Result<Option<bool>, S
     ))
 }
 
-pub(crate) fn resilient_multiset(word: &str, seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn resilient_multiset(
+    word: &str,
+    seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
@@ -487,6 +520,7 @@ pub(crate) fn resilient_multiset(word: &str, seed: u64) -> Result<Option<bool>, 
         &plan,
         RetryBudget::new(4),
         &mut rng,
+        tracer,
     )?;
     Ok(match run.verdict {
         Verdict::Verified(v) => Some(v),
@@ -529,7 +563,11 @@ fn record_keys(side: &[st_problems::BitStr]) -> Option<Vec<u64>> {
 /// conformance violation (returned as an error, which the comparator
 /// flags). The sweep re-runs the sort once per journal byte, so the
 /// decider abstains on instances with more than 4 records per side.
-pub(crate) fn crash_swept_multiset(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn crash_swept_multiset(
+    word: &str,
+    _seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
@@ -543,11 +581,11 @@ pub(crate) fn crash_swept_multiset(word: &str, _seed: u64) -> Result<Option<bool
     for keys in [xs, ys] {
         let len = keys.len().max(1);
         let path = crash_oracle_journal();
-        let baseline = st_algo::durable_sort(&path, keys.clone(), len)?;
+        let baseline = st_algo::durable_sort(&path, keys.clone(), len, tracer)?;
         std::fs::remove_file(&path).ok();
         for k in 0..baseline.journal_bytes {
             let path = crash_oracle_journal();
-            let run = st_algo::sort_with_crashes(&path, keys.clone(), len, &[k])?;
+            let run = st_algo::sort_with_crashes(&path, keys.clone(), len, &[k], tracer)?;
             std::fs::remove_file(&path).ok();
             if run.sorted != baseline.sorted {
                 return Err(StError::Machine(format!(
@@ -565,6 +603,14 @@ pub(crate) fn crash_swept_multiset(word: &str, _seed: u64) -> Result<Option<bool
 /// ragged merge tree.
 const MPC_ORACLE_SWEEP: [usize; 5] = [1, 2, 3, 4, 8];
 
+/// A `p`-worker cluster whose kill journals trace on `tracer`.
+fn mpc_options(p: usize, tracer: &Tracer) -> st_mpc::MpcOptions {
+    st_mpc::MpcOptions {
+        tracer: tracer.clone(),
+        ..st_mpc::MpcOptions::with_workers(p)
+    }
+}
+
 /// MULTISET-EQ on the simulated cluster, swept over worker counts. For
 /// *every* p the distributed verdict and the combined fingerprint
 /// residues must be bit-identical to the same-seed single-tape decider,
@@ -576,7 +622,11 @@ const MPC_ORACLE_SWEEP: [usize; 5] = [1, 2, 3, 4, 8];
 /// independently seeded randomized sides could each be wrong in ways a
 /// comparator cannot attribute, but here the randomness is sampled once
 /// and shared, and the cluster is pinned to it.
-pub(crate) fn mpc_swept_multiset(word: &str, seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn mpc_swept_multiset(
+    word: &str,
+    seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
@@ -584,12 +634,12 @@ pub(crate) fn mpc_swept_multiset(word: &str, seed: u64) -> Result<Option<bool>, 
         return Ok(None);
     }
     let single =
-        st_algo::fingerprint::decide_multiset_equality(&inst, &mut StdRng::seed_from_u64(seed))?;
+        st_algo::fingerprint::run_fingerprint(&inst, &mut StdRng::seed_from_u64(seed), tracer)?;
     for p in MPC_ORACLE_SWEEP {
         let run = st_mpc::decide_multiset_equality(
             &inst,
             &mut StdRng::seed_from_u64(seed),
-            &st_mpc::MpcOptions::with_workers(p),
+            &mpc_options(p, tracer),
         )?;
         if run.run.accepted != single.accepted || run.residues != single.residues {
             return Err(StError::Machine(format!(
@@ -612,13 +662,17 @@ pub(crate) fn mpc_swept_multiset(word: &str, seed: u64) -> Result<Option<bool>, 
 /// p must agree with the single-tape decider and climb its merge
 /// tree in exactly ⌈log₂p⌉ rounds; any drift is an error the comparator
 /// flags. Both sides are deterministic, so the pairing is exact.
-pub(crate) fn mpc_swept_checksort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn mpc_swept_checksort(
+    word: &str,
+    _seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
-    let reference = st_algo::sortcheck::decide_check_sort(&inst)?;
+    let reference = st_algo::sortcheck::run_sort_route(&inst, SortRoute::CheckSort, tracer)?;
     for p in MPC_ORACLE_SWEEP {
-        let run = st_mpc::decide_check_sort(&inst, &st_mpc::MpcOptions::with_workers(p))?;
+        let run = st_mpc::decide_check_sort(&inst, &mpc_options(p, tracer))?;
         if run.accepted != reference.accepted {
             return Err(StError::Machine(format!(
                 "mpc check-sort at p={p} diverged: {} vs single-tape {}",
@@ -646,13 +700,17 @@ pub(crate) fn mpc_swept_checksort(word: &str, _seed: u64) -> Result<Option<bool>
 /// any drift is an error the comparator flags as a disagreement. Both
 /// sides are deterministic, so the pairing against the single-tape
 /// decider stays exact.
-pub(crate) fn mpc_faulty_checksort(word: &str, seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn mpc_faulty_checksort(
+    word: &str,
+    seed: u64,
+    tracer: &Tracer,
+) -> Result<Option<bool>, StError> {
     let Some(inst) = parse_inst(word) else {
         return Ok(None);
     };
     let mut verdict = None;
     for p in MPC_ORACLE_SWEEP {
-        let opts = st_mpc::MpcOptions::with_workers(p);
+        let opts = mpc_options(p, tracer);
         let clean = st_mpc::decide_check_sort(&inst, &opts)?;
         let mut plan = st_mpc::NetFaultPlan::new(seed)
             .with_drop(0.2)
@@ -684,7 +742,7 @@ pub(crate) fn mpc_faulty_checksort(word: &str, seed: u64) -> Result<Option<bool>
 /// are fine, panics are not — a panic is caught by the engine and
 /// reported as a disagreement), and a well-formed XML word must survive
 /// a DOM → print → DOM round trip.
-pub(crate) fn parser_totality(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn parser_totality(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
     let _ = st_query::xpath_parser::parse_xpath(word);
     let _ = st_query::relalg_parser::parse_relalg(word);
     let _ = st_query::xquery_parser::parse_xquery(word);
@@ -697,7 +755,7 @@ pub(crate) fn parser_totality(word: &str, _seed: u64) -> Result<Option<bool>, St
     }
 }
 
-pub(crate) fn always_true(_word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+pub(crate) fn always_true(_word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
     Ok(Some(true))
 }
 
@@ -874,16 +932,16 @@ pub fn oracle_by_id(id: &str) -> Option<Oracle> {
 mod tests {
     use super::*;
 
-    fn yes(_w: &str, _s: u64) -> Result<Option<bool>, StError> {
+    fn yes(_w: &str, _s: u64, _: &Tracer) -> Result<Option<bool>, StError> {
         Ok(Some(true))
     }
-    fn no(_w: &str, _s: u64) -> Result<Option<bool>, StError> {
+    fn no(_w: &str, _s: u64, _: &Tracer) -> Result<Option<bool>, StError> {
         Ok(Some(false))
     }
-    fn abstain(_w: &str, _s: u64) -> Result<Option<bool>, StError> {
+    fn abstain(_w: &str, _s: u64, _: &Tracer) -> Result<Option<bool>, StError> {
         Ok(None)
     }
-    fn boom(_w: &str, _s: u64) -> Result<Option<bool>, StError> {
+    fn boom(_w: &str, _s: u64, _: &Tracer) -> Result<Option<bool>, StError> {
         Err(StError::Machine("deliberate".into()))
     }
 
@@ -1015,10 +1073,22 @@ mod tests {
 
     #[test]
     fn tm_pair_abstains_on_ragged_or_oversized_pairs() {
-        assert_eq!(tm_strings_equal("01#1#", 0).unwrap(), None);
-        assert_eq!(tm_strings_equal("", 0).unwrap(), None);
-        assert_eq!(nlm_strings_equal("01#1#", 0).unwrap(), None);
-        assert_eq!(tm_strings_equal("01#01#", 0).unwrap(), Some(true));
-        assert_eq!(tm_strings_equal("01#11#", 0).unwrap(), Some(false));
+        assert_eq!(
+            tm_strings_equal("01#1#", 0, &Tracer::disabled()).unwrap(),
+            None
+        );
+        assert_eq!(tm_strings_equal("", 0, &Tracer::disabled()).unwrap(), None);
+        assert_eq!(
+            nlm_strings_equal("01#1#", 0, &Tracer::disabled()).unwrap(),
+            None
+        );
+        assert_eq!(
+            tm_strings_equal("01#01#", 0, &Tracer::disabled()).unwrap(),
+            Some(true)
+        );
+        assert_eq!(
+            tm_strings_equal("01#11#", 0, &Tracer::disabled()).unwrap(),
+            Some(false)
+        );
     }
 }

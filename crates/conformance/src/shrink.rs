@@ -175,9 +175,10 @@ mod tests {
     use super::*;
     use crate::oracle::{predicate_multiset, sort_multiset, ErrorModel};
     use st_core::StError;
+    use st_trace::Tracer;
 
     /// Off-by-one sort decider: never compares the smallest record pair.
-    fn broken_sort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+    fn broken_sort(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
         let Ok(inst) = Instance::parse(word) else {
             return Ok(None);
         };
@@ -236,10 +237,10 @@ mod tests {
     fn text_shrinking_minimizes_raw_words() {
         // Against a decider that disagrees whenever the word contains a
         // 'λ', the minimal repro is exactly "λ".
-        fn hates_lambda(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+        fn hates_lambda(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
             Ok(Some(!word.contains('λ')))
         }
-        fn yes(_w: &str, _s: u64) -> Result<Option<bool>, StError> {
+        fn yes(_w: &str, _s: u64, _: &Tracer) -> Result<Option<bool>, StError> {
             Ok(Some(true))
         }
         let oracle = Oracle {

@@ -47,9 +47,8 @@ fn effective_jobs(jobs: usize, work: usize) -> usize {
 /// At one effective job `f` runs in index order on the calling thread:
 /// no thread, no channel, no slot vector, and no use for a schedule.
 /// Otherwise it runs on scoped threads spawned for this call. So `f`
-/// sees the caller's thread-locals (such as an ambient `st_trace`
-/// tracer) only at one job; a caller whose output must not depend on
-/// `jobs` either reads none in `f` or sets them inside `f`.
+/// takes what it needs, a tracer included, from its captures, never
+/// from a thread-local, or its output would depend on `jobs`.
 ///
 /// # Panics
 ///

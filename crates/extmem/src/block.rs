@@ -60,9 +60,8 @@ pub const DEFAULT_BLOCK: usize = 4096;
 /// The tracer a combinator's `ScanStart`/`ScanEnd` events go to: the
 /// first enabled tracer among the tapes being driven. A tape's tracer is
 /// its owner's, fixed when the machine was built, so a scan's events
-/// land in the trace of whatever owns the tapes — never in the thread's
-/// ambient [`st_trace::scoped`] tracer. Tapes that no traced machine
-/// owns emit nothing. Looking past the *source* tape matters for a
+/// land in the trace of whatever owns the tapes. Tapes that no traced
+/// machine owns emit nothing. Looking past the *source* tape matters for a
 /// cross-machine `copy_tape` whose destination alone is traced.
 #[must_use]
 pub fn scan_tracer(tapes: &[&Tracer]) -> Tracer {
@@ -659,26 +658,26 @@ mod tests {
     }
 
     #[test]
-    fn untraced_tapes_emit_nothing_even_inside_a_scope() {
+    fn untraced_tapes_emit_nothing_beside_a_traced_machine() {
         // One tracer rule: a scan's events go to the tracer of whatever
-        // owns its tapes. Neither tape here belongs to a traced machine,
-        // so an enabled ambient scope must receive nothing.
+        // owns its tapes. Neither tape here belongs to the traced
+        // machine, so its trace must receive nothing of the copy.
         let (tracer, buf) = st_trace::Tracer::in_memory();
-        st_trace::scoped(tracer, || {
-            let meter = MemoryMeter::new();
-            let mut src = tape(&[3, 1, 2]);
-            let mut dst: Tape<i32> = Tape::new("dst");
-            copy_tape(&mut src, &mut dst, &meter, DEFAULT_BLOCK).unwrap();
-            assert_eq!(dst.snapshot(), vec![3, 1, 2]);
-        });
-        assert!(buf.is_empty(), "events: {:?}", buf.snapshot());
+        let _traced: crate::TapeMachine<i32> = crate::TapeMachine::new(0, tracer);
+        let before = buf.len();
+        let meter = MemoryMeter::new();
+        let mut src = tape(&[3, 1, 2]);
+        let mut dst: Tape<i32> = Tape::new("dst");
+        copy_tape(&mut src, &mut dst, &meter, DEFAULT_BLOCK).unwrap();
+        assert_eq!(dst.snapshot(), vec![3, 1, 2]);
+        assert_eq!(buf.len(), before, "events: {:?}", buf.snapshot());
     }
 
     #[test]
-    fn explicitly_traced_tapes_still_emit_outside_any_scope() {
-        // Only the destination tape carries a tracer (e.g. its machine
-        // was built `_traced`); looking at the source alone would drop
-        // the events.
+    fn a_traced_destination_tape_still_emits() {
+        // Only the destination tape carries a tracer (its machine was
+        // built with one); looking at the source alone would drop the
+        // events.
         let (tracer, buf) = st_trace::Tracer::in_memory();
         let meter = MemoryMeter::new();
         let mut src = tape(&[1, 2]);

@@ -73,13 +73,14 @@ pub struct Wal {
     /// Set once the crash fired; every later write refuses.
     crashed: bool,
     /// Where this journal's `Recovery` and `CrashInjected` events go:
-    /// the thread's tracer when the handle was created or opened.
+    /// the tracer passed to [`Wal::create`] or [`Wal::open`].
     tracer: Tracer,
 }
 
 impl Wal {
-    /// Create a fresh journal at `path` (truncating any previous file).
-    pub fn create(path: &Path, crash_at: Option<u64>) -> Result<Self, StError> {
+    /// Create a fresh journal at `path` (truncating any previous file)
+    /// whose events go to `tracer`.
+    pub fn create(path: &Path, crash_at: Option<u64>, tracer: Tracer) -> Result<Self, StError> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -93,16 +94,20 @@ impl Wal {
             committed_len: 0,
             crash_at,
             crashed: false,
-            tracer: st_trace::current(),
+            tracer,
         })
     }
 
     /// Open an existing journal, roll back to the last commit, and
     /// return the handle plus what survived.
     ///
-    /// Emits [`TraceEvent::Recovery`] on the journal's tracer (the
-    /// thread's tracer at open) whenever a journal is reopened.
-    pub fn open(path: &Path, crash_at: Option<u64>) -> Result<(Self, Recovery), StError> {
+    /// Emits [`TraceEvent::Recovery`] on `tracer`, which the handle then
+    /// keeps, whenever a journal is reopened.
+    pub fn open(
+        path: &Path,
+        crash_at: Option<u64>,
+        tracer: Tracer,
+    ) -> Result<(Self, Recovery), StError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -142,7 +147,6 @@ impl Wal {
         file.seek(SeekFrom::Start(committed_len as u64))
             .map_err(|e| StError::Io(format!("seek journal {}: {e}", path.display())))?;
 
-        let tracer = st_trace::current();
         tracer.emit(|| TraceEvent::Recovery {
             committed: recovery.committed_bytes,
             discarded: recovery.discarded_bytes,
@@ -301,13 +305,13 @@ mod tests {
     #[test]
     fn records_survive_a_commit_and_reopen() {
         let path = tmp("basic.wal");
-        let mut wal = Wal::create(&path, None).unwrap();
+        let mut wal = Wal::create(&path, None, Tracer::disabled()).unwrap();
         wal.append_record(b"alpha").unwrap();
         wal.append_record(b"beta").unwrap();
         wal.commit(b"cp1").unwrap();
         drop(wal);
 
-        let (wal, rec) = Wal::open(&path, None).unwrap();
+        let (wal, rec) = Wal::open(&path, None, Tracer::disabled()).unwrap();
         assert_eq!(rec.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
         assert_eq!(rec.last_commit.as_deref(), Some(&b"cp1"[..]));
         assert_eq!(rec.discarded_bytes, 0);
@@ -324,7 +328,7 @@ mod tests {
         let frame_len = (super::super::frame::HEADER_LEN + 5) as u64;
         for k in [frame_len, frame_len + 1, 2 * frame_len - 1] {
             let path = tmp(&format!("clamp_{k}.wal"));
-            let mut wal = Wal::create(&path, Some(k)).unwrap();
+            let mut wal = Wal::create(&path, Some(k), Tracer::disabled()).unwrap();
             wal.append_record(b"aaaaa").unwrap();
             assert_eq!(wal.len(), frame_len);
             let err = wal.append_record(b"bbbbb").unwrap_err();
@@ -339,7 +343,7 @@ mod tests {
     #[test]
     fn uncommitted_tail_is_rolled_back_on_open() {
         let path = tmp("rollback.wal");
-        let mut wal = Wal::create(&path, None).unwrap();
+        let mut wal = Wal::create(&path, None, Tracer::disabled()).unwrap();
         wal.append_record(b"kept").unwrap();
         wal.commit(b"cp").unwrap();
         let committed = wal.len();
@@ -348,7 +352,7 @@ mod tests {
         let full = wal.len();
         drop(wal);
 
-        let (wal, rec) = Wal::open(&path, None).unwrap();
+        let (wal, rec) = Wal::open(&path, None, Tracer::disabled()).unwrap();
         assert_eq!(rec.records, vec![b"kept".to_vec()]);
         assert_eq!(rec.committed_bytes, committed);
         assert_eq!(rec.discarded_bytes, full - committed);
@@ -360,7 +364,7 @@ mod tests {
     #[test]
     fn reset_scopes_the_replay_to_the_latest_checkpoint() {
         let path = tmp("reset.wal");
-        let mut wal = Wal::create(&path, None).unwrap();
+        let mut wal = Wal::create(&path, None, Tracer::disabled()).unwrap();
         wal.append_record(b"old").unwrap();
         wal.commit(b"cp1").unwrap();
         wal.append_reset().unwrap();
@@ -368,7 +372,7 @@ mod tests {
         wal.commit(b"cp2").unwrap();
         drop(wal);
 
-        let (_, rec) = Wal::open(&path, None).unwrap();
+        let (_, rec) = Wal::open(&path, None, Tracer::disabled()).unwrap();
         assert_eq!(rec.records, vec![b"new".to_vec()]);
         assert_eq!(rec.last_commit.as_deref(), Some(&b"cp2"[..]));
         std::fs::remove_file(&path).ok();
@@ -377,7 +381,7 @@ mod tests {
     #[test]
     fn crash_cuts_the_file_at_exactly_the_planned_byte() {
         let path = tmp("crash.wal");
-        let mut wal = Wal::create(&path, None).unwrap();
+        let mut wal = Wal::create(&path, None, Tracer::disabled()).unwrap();
         wal.append_record(b"payload-zero").unwrap();
         wal.commit(b"").unwrap();
         let committed = wal.len();
@@ -385,7 +389,7 @@ mod tests {
 
         // Crash 3 bytes into whatever comes after the commit.
         let k = committed + 3;
-        let (mut wal, _) = Wal::open(&path, Some(k)).unwrap();
+        let (mut wal, _) = Wal::open(&path, Some(k), Tracer::disabled()).unwrap();
         let err = wal.append_record(b"doomed").unwrap_err();
         assert!(matches!(err, StError::Crashed(_)), "got {err}");
         assert!(wal.has_crashed());
@@ -398,7 +402,7 @@ mod tests {
         drop(wal);
 
         // Reopen: the torn 3 bytes are discarded, the commit survives.
-        let (_, rec) = Wal::open(&path, None).unwrap();
+        let (_, rec) = Wal::open(&path, None, Tracer::disabled()).unwrap();
         assert_eq!(rec.records, vec![b"payload-zero".to_vec()]);
         assert_eq!(rec.committed_bytes, committed);
         assert_eq!(rec.discarded_bytes, 3);
@@ -408,7 +412,7 @@ mod tests {
     #[test]
     fn crash_point_already_behind_the_cursor_fires_immediately() {
         let path = tmp("crash_behind.wal");
-        let mut wal = Wal::create(&path, None).unwrap();
+        let mut wal = Wal::create(&path, None, Tracer::disabled()).unwrap();
         wal.append_record(b"x").unwrap();
         wal.commit(b"").unwrap();
         let committed = wal.len();
@@ -416,7 +420,8 @@ mod tests {
 
         // k below the committed length: the next write must crash without
         // extending the file at all (saturating_sub keeps 0 new bytes).
-        let (mut wal, _) = Wal::open(&path, Some(committed.saturating_sub(1))).unwrap();
+        let (mut wal, _) =
+            Wal::open(&path, Some(committed.saturating_sub(1)), Tracer::disabled()).unwrap();
         assert!(matches!(wal.append_record(b"y"), Err(StError::Crashed(_))));
         assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
         std::fs::remove_file(&path).ok();
@@ -425,7 +430,7 @@ mod tests {
     #[test]
     fn crash_point_beyond_the_run_never_fires() {
         let path = tmp("crash_far.wal");
-        let mut wal = Wal::create(&path, Some(1 << 40)).unwrap();
+        let mut wal = Wal::create(&path, Some(1 << 40), Tracer::disabled()).unwrap();
         wal.append_record(b"fine").unwrap();
         wal.commit(b"").unwrap();
         assert!(!wal.has_crashed());
@@ -435,17 +440,15 @@ mod tests {
     #[test]
     fn recovery_emits_a_trace_event() {
         let path = tmp("traced.wal");
-        let mut wal = Wal::create(&path, None).unwrap();
+        let mut wal = Wal::create(&path, None, Tracer::disabled()).unwrap();
         wal.append_record(b"r").unwrap();
         wal.commit(b"").unwrap();
         wal.append_record(b"torn").unwrap();
         drop(wal);
 
-        let (tracer, buf) = st_trace::Tracer::in_memory();
-        st_trace::scoped(tracer, || {
-            let (_, rec) = Wal::open(&path, None).unwrap();
-            assert!(rec.discarded_bytes > 0);
-        });
+        let (tracer, buf) = Tracer::in_memory();
+        let (_, rec) = Wal::open(&path, None, tracer).unwrap();
+        assert!(rec.discarded_bytes > 0);
         let events = buf.snapshot();
         assert!(events
             .iter()
@@ -455,21 +458,16 @@ mod tests {
 
     #[test]
     fn a_crash_emits_on_the_tracer_taken_at_create() {
-        // The journal keeps the tracer it was built under: a crash that
-        // fires after that scope ended, or inside another one, still
-        // lands in the creating scope's trace.
+        // The journal keeps the tracer it was built with: a crash that
+        // fires on a later write lands in that trace.
         let path = tmp("crash_traced.wal");
-        let (tracer, buf) = st_trace::Tracer::in_memory();
-        let mut wal = st_trace::scoped(tracer, || Wal::create(&path, Some(3)).unwrap());
-        let (other, other_buf) = st_trace::Tracer::in_memory();
-        st_trace::scoped(other, || {
-            assert!(matches!(wal.append_record(b"x"), Err(StError::Crashed(_))));
-        });
+        let (tracer, buf) = Tracer::in_memory();
+        let mut wal = Wal::create(&path, Some(3), tracer).unwrap();
+        assert!(matches!(wal.append_record(b"x"), Err(StError::Crashed(_))));
         assert_eq!(
             buf.snapshot(),
             vec![TraceEvent::CrashInjected { at_byte: 3 }]
         );
-        assert!(other_buf.is_empty());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -27,33 +27,19 @@ impl<S: Clone> TapeMachine<S> {
     /// algorithms it equals `input.len()`, for record-level algorithms the
     /// caller passes the underlying symbol count.
     ///
-    /// The machine picks up the thread's [`st_trace::current`] tracer, so
-    /// wrapping the run in [`st_trace::scoped`] traces it without any
-    /// signature changes; outside a scope the tracer is disabled and the
-    /// machine behaves exactly as before.
+    /// Every event of the machine's tapes and meter goes to `tracer`;
+    /// pass [`Tracer::disabled`] for an untraced run.
     #[must_use]
-    pub fn with_input(input: Vec<S>, input_len: usize) -> Self {
-        Self::with_input_traced(input, input_len, st_trace::current())
-    }
-
-    /// [`TapeMachine::with_input`] with an explicit tracer.
-    #[must_use]
-    pub fn with_input_traced(input: Vec<S>, input_len: usize, tracer: Tracer) -> Self {
-        let mut m = Self::new_traced(input_len, tracer);
+    pub fn with_input(input: Vec<S>, input_len: usize, tracer: Tracer) -> Self {
+        let mut m = Self::new(input_len, tracer);
         m.push_tape(Tape::from_items("input", input));
         m
     }
 
-    /// An empty machine (no tapes yet); picks up the thread's
-    /// [`st_trace::current`] tracer like [`TapeMachine::with_input`].
+    /// An empty machine (no tapes yet) tracing on `tracer`, like
+    /// [`TapeMachine::with_input`].
     #[must_use]
-    pub fn new(input_len: usize) -> Self {
-        Self::new_traced(input_len, st_trace::current())
-    }
-
-    /// [`TapeMachine::new`] with an explicit tracer.
-    #[must_use]
-    pub fn new_traced(input_len: usize, tracer: Tracer) -> Self {
+    pub fn new(input_len: usize, tracer: Tracer) -> Self {
         tracer.emit(|| TraceEvent::RunBegin {
             substrate: "tape".to_string(),
             input_len,
@@ -159,8 +145,7 @@ impl<S: Clone> TapeMachine<S> {
         self.tracer.emit(|| TraceEvent::InputSize { input_len });
     }
 
-    /// The machine's tracer (disabled unless it was constructed inside a
-    /// [`st_trace::scoped`] scope or via a `_traced` constructor).
+    /// The machine's tracer, as passed to its constructor.
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -257,7 +242,7 @@ mod tests {
 
     #[test]
     fn usage_gathers_per_tape_reversals() {
-        let mut m: TapeMachine<u8> = TapeMachine::with_input(vec![1, 2, 3], 3);
+        let mut m: TapeMachine<u8> = TapeMachine::with_input(vec![1, 2, 3], 3, Tracer::disabled());
         m.add_tape("scratch");
         while m.tape_mut(0).read_fwd().is_some() {}
         m.tape_mut(0).rewind();
@@ -271,7 +256,7 @@ mod tests {
 
     #[test]
     fn pair_mut_gives_disjoint_tapes_either_order() {
-        let mut m: TapeMachine<u8> = TapeMachine::new(0);
+        let mut m: TapeMachine<u8> = TapeMachine::new(0, Tracer::disabled());
         m.add_tape_with("a", vec![1]);
         m.add_tape_with("b", vec![2]);
         {
@@ -288,7 +273,7 @@ mod tests {
 
     #[test]
     fn trio_mut_gives_three_disjoint_tapes_any_order() {
-        let mut m: TapeMachine<u8> = TapeMachine::new(0);
+        let mut m: TapeMachine<u8> = TapeMachine::new(0, Tracer::disabled());
         m.add_tape_with("a", vec![1]);
         m.add_tape_with("b", vec![2]);
         m.add_tape_with("c", vec![3]);
@@ -303,14 +288,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "distinct")]
     fn pair_mut_rejects_aliasing() {
-        let mut m: TapeMachine<u8> = TapeMachine::new(0);
+        let mut m: TapeMachine<u8> = TapeMachine::new(0, Tracer::disabled());
         m.add_tape("a");
         let _ = m.pair_mut(0, 0);
     }
 
     #[test]
     fn tape_budget_enforcement() {
-        let mut m: TapeMachine<u8> = TapeMachine::new(0);
+        let mut m: TapeMachine<u8> = TapeMachine::new(0, Tracer::disabled());
         m.add_tape("a");
         m.add_tape("b");
         assert!(m.require_tapes_at_most(2).is_ok());
@@ -319,7 +304,7 @@ mod tests {
 
     #[test]
     fn meter_feeds_usage() {
-        let m: TapeMachine<u8> = TapeMachine::new(10);
+        let m: TapeMachine<u8> = TapeMachine::new(10, Tracer::disabled());
         let _c = m.meter().charge(77);
         assert_eq!(m.usage().internal_space, 77);
     }
@@ -327,7 +312,7 @@ mod tests {
     #[test]
     fn traced_run_replays_to_the_machine_usage() {
         let (tracer, buf) = st_trace::Tracer::in_memory();
-        let mut m: TapeMachine<u8> = TapeMachine::with_input_traced(vec![1, 2, 3], 3, tracer);
+        let mut m: TapeMachine<u8> = TapeMachine::with_input(vec![1, 2, 3], 3, tracer);
         m.add_tape("scratch");
         while m.tape_mut(0).read_fwd().is_some() {}
         m.tape_mut(0).rewind();
@@ -348,16 +333,5 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<TapeMachine<u8>>();
         assert_send::<Tape<u8>>();
-    }
-
-    #[test]
-    fn scoped_tracer_is_picked_up_by_plain_constructors() {
-        let (tracer, buf) = st_trace::Tracer::in_memory();
-        let usage = st_trace::scoped(tracer, || {
-            let mut m: TapeMachine<u8> = TapeMachine::with_input(vec![5, 6], 2);
-            while m.tape_mut(0).read_fwd().is_some() {}
-            m.usage()
-        });
-        assert_eq!(st_trace::replay(&buf.snapshot()), usage);
     }
 }

@@ -16,6 +16,7 @@
 use crate::machine::TapeMachine;
 use crate::step::{SortStepper, StepBudget};
 use st_core::{ResourceUsage, StError};
+use st_trace::Tracer;
 
 /// Sort the contents of tape `data_idx` of `machine` in place, using tapes
 /// `scratch1_idx` and `scratch2_idx` as the merge scratch space.
@@ -49,12 +50,13 @@ pub fn merge_sort<S: Clone + Ord>(
 /// usage of the 3-tape machine that produced it. `input_len` is the
 /// Definition-1 input size `N` the usage record should carry (pass the
 /// symbol count of the encoded instance; for standalone use,
-/// `items.len()` is acceptable).
+/// `items.len()` is acceptable). The machine traces on `tracer`.
 ///
 /// ```
 /// use st_extmem::sort::sort_with_usage;
+/// use st_trace::Tracer;
 ///
-/// let (sorted, usage) = sort_with_usage(vec![3, 1, 4, 1, 5], 5)?;
+/// let (sorted, usage) = sort_with_usage(vec![3, 1, 4, 1, 5], 5, &Tracer::disabled())?;
 /// assert_eq!(sorted, vec![1, 1, 3, 4, 5]);
 /// // Θ(log N) reversals: at most 12·⌈log₂ 5⌉ + 12.
 /// assert!(usage.total_reversals() <= 12 * 3 + 12);
@@ -63,8 +65,9 @@ pub fn merge_sort<S: Clone + Ord>(
 pub fn sort_with_usage<S: Clone + Ord>(
     items: Vec<S>,
     input_len: usize,
+    tracer: &Tracer,
 ) -> Result<(Vec<S>, ResourceUsage), StError> {
-    let mut machine = TapeMachine::with_input(items, input_len);
+    let mut machine = TapeMachine::with_input(items, input_len, tracer.clone());
     let s1 = machine.add_tape("scratch1");
     let s2 = machine.add_tape("scratch2");
     merge_sort(&mut machine, 0, s1, s2)?;
@@ -79,7 +82,8 @@ mod tests {
     fn check_sorts(items: Vec<i64>) {
         let mut expect = items.clone();
         expect.sort();
-        let (got, usage) = sort_with_usage(items, expect.len().max(1)).unwrap();
+        let (got, usage) =
+            sort_with_usage(items, expect.len().max(1), &Tracer::disabled()).unwrap();
         assert_eq!(got, expect);
         assert_eq!(usage.external_tapes, 3);
     }
@@ -101,7 +105,7 @@ mod tests {
         for logm in 4..=12 {
             let m = 1usize << logm;
             let items: Vec<i64> = (0..m as i64).rev().collect();
-            let (_, usage) = sort_with_usage(items, m).unwrap();
+            let (_, usage) = sort_with_usage(items, m, &Tracer::disabled()).unwrap();
             samples.push((m, usage.total_reversals() as f64));
         }
         let (slope, _b, r2) = st_core::math::log_fit(&samples);
@@ -119,7 +123,7 @@ mod tests {
         for logm in 1..=12 {
             let m = 1usize << logm;
             let items: Vec<i64> = (0..m as i64).rev().collect();
-            let (_, usage) = sort_with_usage(items, m).unwrap();
+            let (_, usage) = sort_with_usage(items, m, &Tracer::disabled()).unwrap();
             assert!(
                 usage.total_reversals() <= 12 * logm as u64 + 12,
                 "m=2^{logm}: {} reversals exceeds 12·log m + 12",
@@ -136,7 +140,7 @@ mod tests {
         for logm in 4..=10 {
             let m = 1usize << logm;
             let items: Vec<i64> = (0..m as i64).rev().collect();
-            let (_, usage) = sort_with_usage(items, m).unwrap();
+            let (_, usage) = sort_with_usage(items, m, &Tracer::disabled()).unwrap();
             highs.push(usage.internal_space);
         }
         let max = *highs.iter().max().unwrap();
@@ -146,8 +150,8 @@ mod tests {
     #[test]
     fn sorting_is_deterministic_on_duplicates() {
         let items = vec![(2, 'a'), (1, 'b'), (2, 'c'), (1, 'd')];
-        let (got1, _) = sort_with_usage(items.clone(), 4).unwrap();
-        let (got2, _) = sort_with_usage(items, 4).unwrap();
+        let (got1, _) = sort_with_usage(items.clone(), 4, &Tracer::disabled()).unwrap();
+        let (got2, _) = sort_with_usage(items, 4, &Tracer::disabled()).unwrap();
         assert_eq!(got1, got2);
         assert!(got1.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -161,7 +165,7 @@ mod proptests {
     proptest! {
         #[test]
         fn merge_sort_agrees_with_std_sort(mut items in proptest::collection::vec(any::<i32>(), 0..300)) {
-            let (got, _) = sort_with_usage(items.clone(), items.len().max(1)).unwrap();
+            let (got, _) = sort_with_usage(items.clone(), items.len().max(1), &Tracer::disabled()).unwrap();
             items.sort();
             prop_assert_eq!(got, items);
         }
@@ -169,7 +173,7 @@ mod proptests {
         #[test]
         fn reversals_within_twelve_log_m(items in proptest::collection::vec(any::<u8>(), 2..400)) {
             let m = items.len();
-            let (_, usage) = sort_with_usage(items, m).unwrap();
+            let (_, usage) = sort_with_usage(items, m, &Tracer::disabled()).unwrap();
             let logm = (m as f64).log2().ceil() as u64;
             prop_assert!(usage.total_reversals() <= 12 * logm + 12);
         }

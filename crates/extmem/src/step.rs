@@ -117,8 +117,9 @@ enum Phase<S> {
 /// ```
 /// use st_extmem::step::{SortStepper, StepBudget, StepProgress};
 /// use st_extmem::TapeMachine;
+/// use st_trace::Tracer;
 ///
-/// let mut m = TapeMachine::with_input(vec![3, 1, 2], 3);
+/// let mut m = TapeMachine::with_input(vec![3, 1, 2], 3, Tracer::disabled());
 /// let s1 = m.add_tape("scratch1");
 /// let s2 = m.add_tape("scratch2");
 /// let mut stepper = SortStepper::new(0, s1, s2);
@@ -257,7 +258,7 @@ mod tests {
 
     fn machine_with(items: Vec<i64>) -> TapeMachine<i64> {
         let n = items.len().max(1);
-        let mut m = TapeMachine::with_input(items, n);
+        let mut m = TapeMachine::with_input(items, n, st_trace::Tracer::disabled());
         m.add_tape("scratch1");
         m.add_tape("scratch2");
         m
@@ -305,14 +306,14 @@ mod tests {
         let items: Vec<i64> = (0..23).rev().collect();
 
         let (batch_tracer, batch_buf) = st_trace::Tracer::in_memory();
-        let mut batch = TapeMachine::with_input_traced(items.clone(), items.len(), batch_tracer);
+        let mut batch = TapeMachine::with_input(items.clone(), items.len(), batch_tracer);
         batch.add_tape("scratch1");
         batch.add_tape("scratch2");
         crate::sort::merge_sort(&mut batch, 0, 1, 2).unwrap();
         let _ = batch.usage();
 
         let (inc_tracer, inc_buf) = st_trace::Tracer::in_memory();
-        let mut inc = TapeMachine::with_input_traced(items, 23, inc_tracer);
+        let mut inc = TapeMachine::with_input(items, 23, inc_tracer);
         inc.add_tape("scratch1");
         inc.add_tape("scratch2");
         let mut stepper = SortStepper::new(0, 1, 2);

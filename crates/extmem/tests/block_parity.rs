@@ -312,7 +312,7 @@ fn observe_sort(
     sort: impl FnOnce(&mut TapeMachine<i64>) -> Result<(), StError>,
 ) -> SortObserved {
     let (tracer, buf) = Tracer::in_memory();
-    let mut machine = TapeMachine::with_input_traced(items.to_vec(), items.len().max(1), tracer);
+    let mut machine = TapeMachine::with_input(items.to_vec(), items.len().max(1), tracer);
     machine.add_tape("scratch1");
     machine.add_tape("scratch2");
     if let Some(plan) = plan {

@@ -95,7 +95,7 @@ fn stats_bytes(s: FaultStats) -> Vec<u8> {
 /// value read and the final cells.
 fn fault_stream_hash(seed: u64) -> u64 {
     let plan = FaultPlan::uniform(seed, 0.3);
-    let mut m = TapeMachine::<u64>::new(0);
+    let mut m = TapeMachine::<u64>::new(0, st_trace::Tracer::disabled());
     let tapes = [m.add_tape("left"), m.add_tape("right")];
     for &t in &tapes {
         m.enable_faults(t, &plan);

@@ -27,6 +27,7 @@ use crate::Val;
 use rand::Rng;
 use st_core::StError;
 use st_problems::perm::{phi, sortedness};
+use st_trace::Tracer;
 use std::collections::HashMap;
 
 /// The CHECK-φ instance family over machine words: values are `n`-bit
@@ -174,12 +175,14 @@ pub struct FoolingResult {
 /// Errors if the machine breaks its contract (rejects a yes-instance),
 /// if every φ-pair is compared in the pinned skeleton (machine too
 /// powerful — pick a larger `m` per the Lemma 21 preconditions), or if
-/// skeleton pinning fails after retries.
+/// skeleton pinning fails after retries. Every run of the pipeline
+/// traces on `tracer`.
 pub fn find_fooling_input<R: Rng>(
     nlm: &Nlm,
     fam: &WordFamily,
     rng: &mut R,
     samples: usize,
+    tracer: &Tracer,
 ) -> Result<FoolingResult, StError> {
     if !nlm.is_deterministic() {
         return Err(StError::Precondition(
@@ -203,7 +206,7 @@ pub fn find_fooling_input<R: Rng>(
     let mut groups: HashMap<Skeleton, Vec<Vec<Val>>> = HashMap::new();
     for _ in 0..samples {
         let input = fam.sample_yes(rng);
-        let run = run_with_choices(nlm, &input, &zeros, max_steps)?;
+        let run = run_with_choices(nlm, &input, &zeros, max_steps, tracer)?;
         if !run.accepted() {
             return Err(StError::Machine(format!(
                 "machine '{}' rejected a yes-instance — it does not satisfy the Lemma 21 contract",
@@ -243,7 +246,7 @@ pub fn find_fooling_input<R: Rng>(
         }
         w[i0] = fresh;
         w[m + phi_i0] = fresh;
-        let run_w = run_with_choices(nlm, &w, &zeros, max_steps)?;
+        let run_w = run_with_choices(nlm, &w, &zeros, max_steps, tracer)?;
         if !run_w.accepted() {
             return Err(StError::Machine(format!(
                 "machine '{}' rejected a yes-instance — contract violated",
@@ -271,7 +274,7 @@ pub fn find_fooling_input<R: Rng>(
         fam.in_space(&u),
         "the splice must stay in the instance space"
     );
-    let run_u = run_with_choices(nlm, &u, &zeros, max_steps)?;
+    let run_u = run_with_choices(nlm, &u, &zeros, max_steps, tracer)?;
 
     Ok(FoolingResult {
         i0,
@@ -350,7 +353,8 @@ mod tests {
         let fam = WordFamily::new(4, 8).unwrap();
         let nlm = library::always_accept_machine(2, 8);
         let mut rng = StdRng::seed_from_u64(101);
-        let res = find_fooling_input(&nlm, &fam, &mut rng, 16).unwrap();
+        let res =
+            find_fooling_input(&nlm, &fam, &mut rng, 16, &st_trace::Tracer::disabled()).unwrap();
         assert!(res.run_u.accepted(), "the fooling input must be accepted");
         assert!(
             !fam.holds(&res.u),
@@ -368,7 +372,8 @@ mod tests {
         let ph = phi(m);
         let nlm = library::one_scan_matcher(m, ph);
         let mut rng = StdRng::seed_from_u64(102);
-        let res = find_fooling_input(&nlm, &fam, &mut rng, 24).unwrap();
+        let res =
+            find_fooling_input(&nlm, &fam, &mut rng, 24, &st_trace::Tracer::disabled()).unwrap();
         assert!(res.run_u.accepted());
         assert!(!fam.holds(&res.u));
         // Lemma 34's skeleton-preservation: the fooling run has skeleton ζ.
@@ -394,7 +399,7 @@ mod tests {
             }),
         };
         let mut rng = StdRng::seed_from_u64(103);
-        let err = find_fooling_input(&nlm, &fam, &mut rng, 4);
+        let err = find_fooling_input(&nlm, &fam, &mut rng, 4, &st_trace::Tracer::disabled());
         assert!(err.is_err());
     }
 

@@ -14,6 +14,7 @@ use crate::run::run_with_choices;
 use crate::{Choice, Val};
 use rand::Rng;
 use st_core::StError;
+use st_trace::Tracer;
 
 /// The result of the Lemma 26 search.
 #[derive(Debug, Clone)]
@@ -38,13 +39,15 @@ impl GoodSequence {
 ///
 /// `seq_len` must upper-bound the machine's run length. Tries up to
 /// `candidates` uniformly random sequences and returns the best found
-/// (early exit once the Lemma 26 threshold is met).
+/// (early exit once the Lemma 26 threshold is met). Every run traces on
+/// `tracer`.
 pub fn find_good_choice_sequence<R: Rng>(
     nlm: &Nlm,
     inputs: &[Vec<Val>],
     seq_len: usize,
     candidates: usize,
     rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<GoodSequence, StError> {
     if inputs.is_empty() {
         return Err(StError::Precondition(
@@ -58,7 +61,7 @@ pub fn find_good_choice_sequence<R: Rng>(
             .collect();
         let mut acc = 0usize;
         for v in inputs {
-            if run_with_choices(nlm, v, &c, seq_len)?.accepted() {
+            if run_with_choices(nlm, v, &c, seq_len, tracer)?.accepted() {
                 acc += 1;
             }
         }
@@ -94,7 +97,15 @@ mod tests {
         let nlm = library::coin_machine();
         let inputs: Vec<Vec<u64>> = (0..10u64).map(|v| vec![v]).collect();
         let mut rng = StdRng::seed_from_u64(1);
-        let good = find_good_choice_sequence(&nlm, &inputs, 8, 64, &mut rng).unwrap();
+        let good = find_good_choice_sequence(
+            &nlm,
+            &inputs,
+            8,
+            64,
+            &mut rng,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(good.meets_lemma26());
         assert_eq!(good.accepted, 10, "choice 0 accepts everything");
         assert_eq!(good.choices[0], 0);
@@ -111,7 +122,15 @@ mod tests {
         let nlm = library::coin_prefixed_matcher(m, st_problems::perm::phi(m));
         let mut rng = StdRng::seed_from_u64(2);
         let inputs: Vec<Vec<u64>> = (0..12).map(|_| fam.sample_yes(&mut rng)).collect();
-        let good = find_good_choice_sequence(&nlm, &inputs, 1 << 10, 64, &mut rng).unwrap();
+        let good = find_good_choice_sequence(
+            &nlm,
+            &inputs,
+            1 << 10,
+            64,
+            &mut rng,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(
             good.meets_lemma26(),
             "accepted {}/{}",
@@ -124,7 +143,15 @@ mod tests {
     fn empty_input_set_is_an_error() {
         let nlm = library::coin_machine();
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(find_good_choice_sequence(&nlm, &[], 8, 8, &mut rng).is_err());
+        assert!(find_good_choice_sequence(
+            &nlm,
+            &[],
+            8,
+            8,
+            &mut rng,
+            &st_trace::Tracer::disabled()
+        )
+        .is_err());
     }
 
     #[test]
@@ -134,7 +161,15 @@ mod tests {
         let nlm = library::one_scan_matcher(m, st_problems::perm::phi(m));
         let mut rng = StdRng::seed_from_u64(4);
         let inputs: Vec<Vec<u64>> = (0..8).map(|_| fam.sample_yes(&mut rng)).collect();
-        let good = find_good_choice_sequence(&nlm, &inputs, 1 << 10, 1, &mut rng).unwrap();
+        let good = find_good_choice_sequence(
+            &nlm,
+            &inputs,
+            1 << 10,
+            1,
+            &mut rng,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(good.accepted, 8);
     }
 }

@@ -381,7 +381,14 @@ mod tests {
     #[test]
     fn always_accept_accepts_immediately() {
         let nlm = always_accept_machine(2, 4);
-        let run = run_with_choices(&nlm, &[1, 2, 3, 4], &[0; 4], 4).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &[1, 2, 3, 4],
+            &[0; 4],
+            4,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(run.accepted());
         assert_eq!(run.len(), 1);
     }
@@ -392,22 +399,40 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(90);
         let mut acc = 0;
         for _ in 0..2000 {
-            if run_sampled(&nlm, &[1], &mut rng, 10).unwrap().accepted() {
+            if run_sampled(&nlm, &[1], &mut rng, 10, &st_trace::Tracer::disabled())
+                .unwrap()
+                .accepted()
+            {
                 acc += 1;
             }
         }
         let p = acc as f64 / 2000.0;
         assert!((p - 0.5).abs() < 0.05, "p = {p}");
         // And the two fixed-choice runs are deterministic:
-        assert!(run_with_choices(&nlm, &[1], &[0], 10).unwrap().accepted());
-        assert!(!run_with_choices(&nlm, &[1], &[1], 10).unwrap().accepted());
+        assert!(
+            run_with_choices(&nlm, &[1], &[0], 10, &st_trace::Tracer::disabled())
+                .unwrap()
+                .accepted()
+        );
+        assert!(
+            !run_with_choices(&nlm, &[1], &[1], 10, &st_trace::Tracer::disabled())
+                .unwrap()
+                .accepted()
+        );
     }
 
     #[test]
     fn zigzag_reversal_budget_is_exact() {
         for cycles in [0usize, 1, 2, 3] {
             let nlm = zigzag_machine(1, 4, cycles);
-            let run = run_with_choices(&nlm, &[1, 2, 3, 4], &[0; 4096], 4096).unwrap();
+            let run = run_with_choices(
+                &nlm,
+                &[1, 2, 3, 4],
+                &[0; 4096],
+                4096,
+                &st_trace::Tracer::disabled(),
+            )
+            .unwrap();
             assert!(run.accepted());
             assert_eq!(
                 run.reversals,
@@ -427,7 +452,14 @@ mod tests {
         let ys: Vec<Val> = (0..m as u64).map(|j| 100 + j).collect();
         let xs: Vec<Val> = (0..m).map(|i| ys[phi[i]]).collect();
         let input: Vec<Val> = xs.into_iter().chain(ys).collect();
-        let run = run_with_choices(&nlm, &input, &[0; 8192], 8192).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &input,
+            &[0; 8192],
+            8192,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(run.accepted());
         assert!(run.scans() <= 2, "scans = {}", run.scans());
     }
@@ -443,7 +475,14 @@ mod tests {
         let mut xs: Vec<Val> = (0..m).map(|i| ys[phi[i]]).collect();
         xs[2] = 999; // pair (2, m+φ(2)) is on the alignment
         let input: Vec<Val> = xs.into_iter().chain(ys).collect();
-        let run = run_with_choices(&nlm, &input, &[0; 8192], 8192).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &input,
+            &[0; 8192],
+            8192,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(!run.accepted());
     }
 
@@ -459,7 +498,14 @@ mod tests {
         let mut xs: Vec<Val> = (0..m).map(|i| ys[phi[i]]).collect();
         xs[0] = 999; // (0, m+0): x_0 is never co-visible with y cells
         let input: Vec<Val> = xs.into_iter().chain(ys).collect();
-        let run = run_with_choices(&nlm, &input, &[0; 8192], 8192).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &input,
+            &[0; 8192],
+            8192,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(
             run.accepted(),
             "no-instance accepted: the lower bound in action"
@@ -475,7 +521,14 @@ mod tests {
         let input: Vec<Val> = xs.into_iter().chain(ys).collect();
         for passes in [1usize, 2, 3, 4] {
             let nlm = multi_pass_matcher(m, phi.clone(), passes);
-            let run = crate::run::run_with_choices(&nlm, &input, &[0; 1 << 14], 1 << 14).unwrap();
+            let run = crate::run::run_with_choices(
+                &nlm,
+                &input,
+                &[0; 1 << 14],
+                1 << 14,
+                &st_trace::Tracer::disabled(),
+            )
+            .unwrap();
             assert!(run.accepted(), "passes = {passes}");
             assert_eq!(
                 run.scans(),
@@ -497,7 +550,14 @@ mod tests {
         let mut prev = 0usize;
         for passes in [1usize, 2, 3] {
             let nlm = multi_pass_matcher(m, phi.clone(), passes);
-            let run = crate::run::run_with_choices(&nlm, &input, &[0; 1 << 14], 1 << 14).unwrap();
+            let run = crate::run::run_with_choices(
+                &nlm,
+                &input,
+                &[0; 1 << 14],
+                1 << 14,
+                &st_trace::Tracer::disabled(),
+            )
+            .unwrap();
             let count = compared_pairs(&skeleton_of(&run)).len();
             assert!(count >= prev, "passes = {passes}: {count} < {prev}");
             prev = count;
@@ -516,7 +576,8 @@ mod tests {
         let fam = WordFamily::new(m, 16).unwrap();
         let nlm = multi_pass_matcher(m, st_problems::perm::phi(m), 2);
         let mut rng = StdRng::seed_from_u64(7);
-        let res = find_fooling_input(&nlm, &fam, &mut rng, 12).unwrap();
+        let res =
+            find_fooling_input(&nlm, &fam, &mut rng, 12, &st_trace::Tracer::disabled()).unwrap();
         assert!(res.run_u.accepted());
         assert!(!fam.holds(&res.u));
     }
@@ -528,8 +589,22 @@ mod tests {
         let input: Vec<Val> = (0..2 * m as u64).collect();
         let nlm1 = zigzag_matcher(m, phi.clone(), 1);
         let nlm3 = zigzag_matcher(m, phi.clone(), 3);
-        let r1 = run_with_choices(&nlm1, &input, &[0; 65536], 65536).unwrap();
-        let r3 = run_with_choices(&nlm3, &input, &[0; 65536], 65536).unwrap();
+        let r1 = run_with_choices(
+            &nlm1,
+            &input,
+            &[0; 65536],
+            65536,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
+        let r3 = run_with_choices(
+            &nlm3,
+            &input,
+            &[0; 65536],
+            65536,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         let s1 = crate::skeleton::skeleton_of(&r1);
         let s3 = crate::skeleton::skeleton_of(&r3);
         let c1 = crate::skeleton::compared_pairs(&s1).len();

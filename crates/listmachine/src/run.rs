@@ -24,7 +24,7 @@ use crate::machine::{Movement, Nlm};
 use crate::{Choice, LmState, Tok, Val};
 use rand::Rng;
 use st_core::{ResourceUsage, StError};
-use st_trace::RunTracer;
+use st_trace::{RunTracer, Tracer};
 
 /// A list cell: an identity tag plus its content string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,23 +305,18 @@ fn halted(nlm: &Nlm, state: LmState) -> Option<LmOutcome> {
 
 /// The one run loop: step from the initial configuration, drawing the
 /// choice of step `i` from `choose(i)`, until a final state or
-/// `max_steps`. Traces on the thread's current tracer the stream that
-/// replays to exactly [`LmRun::usage`]; NLMs have no internal memory,
-/// so it carries no memory events.
+/// `max_steps`. Traces on `tracer` the stream that replays to exactly
+/// [`LmRun::usage`]; NLMs have no internal memory, so it carries no
+/// memory events.
 fn run_with(
     nlm: &Nlm,
     input: &[Val],
     max_steps: usize,
+    tracer: &Tracer,
     mut choose: impl FnMut(usize) -> Result<Choice, StError>,
 ) -> Result<LmRun, StError> {
     let mut cfg = LmConfig::initial(nlm, input);
-    let mut trace = RunTracer::begin(
-        st_trace::current(),
-        "listmachine",
-        "list",
-        nlm.t,
-        input.len(),
-    );
+    let mut trace = RunTracer::begin(tracer.clone(), "listmachine", "list", nlm.t, input.len());
     let mut views = vec![cfg.local_view()];
     let mut moves = Vec::new();
     let mut used = Vec::new();
@@ -354,15 +349,16 @@ fn run_with(
 }
 
 /// Run `nlm` on `input`, drawing choices from the fixed sequence
-/// `choices` (the `ρ_M(v, c)` of Definition 15). Errors if the machine
-/// consumes more choices than provided.
+/// `choices` (the `ρ_M(v, c)` of Definition 15), tracing on `tracer`.
+/// Errors if the machine consumes more choices than provided.
 pub fn run_with_choices(
     nlm: &Nlm,
     input: &[Val],
     choices: &[Choice],
     max_steps: usize,
+    tracer: &Tracer,
 ) -> Result<LmRun, StError> {
-    run_with(nlm, input, max_steps, |step_idx| {
+    run_with(nlm, input, max_steps, tracer, |step_idx| {
         choices.get(step_idx).copied().ok_or_else(|| {
             StError::Machine(format!(
                 "NLM '{}' exhausted its choice sequence after {step_idx} steps",
@@ -374,13 +370,15 @@ pub fn run_with_choices(
 
 /// Run `nlm` on `input` with uniformly random choices (the randomized
 /// semantics of Section 5), recording the consumed choice sequence.
+/// Traces on `tracer`.
 pub fn run_sampled<R: Rng>(
     nlm: &Nlm,
     input: &[Val],
     rng: &mut R,
     max_steps: usize,
+    tracer: &Tracer,
 ) -> Result<LmRun, StError> {
-    run_with(nlm, input, max_steps, |_| {
+    run_with(nlm, input, max_steps, tracer, |_| {
         Ok(rng.gen_range(0..nlm.num_choices))
     })
 }
@@ -494,7 +492,14 @@ mod tests {
     #[test]
     fn sweep_right_visits_every_cell_without_reversals() {
         let nlm = library::sweep_right_machine(2, 4);
-        let run = run_with_choices(&nlm, &[1, 2, 3, 4], &[0; 64], 64).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &[1, 2, 3, 4],
+            &[0; 64],
+            64,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(run.accepted());
         assert_eq!(run.reversals, vec![0, 0]);
         assert_eq!(run.scans(), 1);
@@ -544,7 +549,14 @@ mod tests {
     #[test]
     fn direction_change_counts_one_reversal_and_parks_on_fresh_cell() {
         let nlm = library::zigzag_machine(1, 3, 1);
-        let run = run_with_choices(&nlm, &[5, 6, 7], &[0; 256], 256).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &[5, 6, 7],
+            &[0; 256],
+            256,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(run.accepted());
         assert_eq!(run.reversals, vec![2], "one full zigzag = 2 reversals");
         assert_eq!(run.scans(), 3);
@@ -553,14 +565,27 @@ mod tests {
     #[test]
     fn choice_exhaustion_is_an_error() {
         let nlm = library::sweep_right_machine(1, 5);
-        let err = run_with_choices(&nlm, &[1, 2, 3, 4, 5], &[0; 2], 64);
+        let err = run_with_choices(
+            &nlm,
+            &[1, 2, 3, 4, 5],
+            &[0; 2],
+            64,
+            &st_trace::Tracer::disabled(),
+        );
         assert!(err.is_err());
     }
 
     #[test]
     fn step_limit_reported() {
         let nlm = library::sweep_right_machine(1, 5);
-        let run = run_with_choices(&nlm, &[1, 2, 3, 4, 5], &[0; 3], 3).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &[1, 2, 3, 4, 5],
+            &[0; 3],
+            3,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(run.outcome, LmOutcome::StepLimit);
     }
 
@@ -569,9 +594,7 @@ mod tests {
         let nlm = library::zigzag_machine(1, 4, 2);
         let input: Vec<Val> = vec![5, 6, 7, 8];
         let (tracer, buf) = st_trace::Tracer::in_memory();
-        let run = st_trace::scoped(tracer, || {
-            run_with_choices(&nlm, &input, &[0; 1 << 12], 1 << 12).unwrap()
-        });
+        let run = run_with_choices(&nlm, &input, &[0; 1 << 12], 1 << 12, &tracer).unwrap();
         assert!(run.accepted());
         let events = buf.snapshot();
         assert_eq!(st_trace::replay(&events), run.usage(input.len()));
@@ -583,7 +606,8 @@ mod tests {
     #[test]
     fn pure_state_steps_record_zero_moves() {
         let nlm = library::countdown_machine(3);
-        let run = run_with_choices(&nlm, &[1], &[0; 16], 16).unwrap();
+        let run =
+            run_with_choices(&nlm, &[1], &[0; 16], 16, &st_trace::Tracer::disabled()).unwrap();
         assert!(run.accepted());
         assert!(run.moves.iter().all(|mv| mv.iter().all(|&x| x == 0)));
         assert_eq!(run.reversals, vec![0]);
@@ -628,7 +652,7 @@ mod proptests {
             let steps = script.len();
             let nlm = script_machine("prop", t, m, script);
             let input: Vec<Val> = (0..m as u64).collect();
-            let run = run_with_choices(&nlm, &input, &vec![0; steps + 2], steps + 2).unwrap();
+            let run = run_with_choices(&nlm, &input, &vec![0; steps + 2], steps + 2, &st_trace::Tracer::disabled()).unwrap();
             // Scripts always terminate in ACCEPT.
             prop_assert!(run.accepted());
             prop_assert_eq!(run.moves.len(), steps);
@@ -660,7 +684,7 @@ mod proptests {
         ) {
             let nlm = crate::library::zigzag_machine(1, m, cycles);
             let input: Vec<Val> = (0..m as u64).collect();
-            let run = run_with_choices(&nlm, &input, &vec![0; 1 << 12], 1 << 12).unwrap();
+            let run = run_with_choices(&nlm, &input, &vec![0; 1 << 12], 1 << 12, &st_trace::Tracer::disabled()).unwrap();
             prop_assert!(run.accepted());
             // moves(ρ) ≠ 0 exactly when a head changed cells; the zigzag
             // machine moves its head on every scripted step except turns

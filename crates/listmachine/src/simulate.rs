@@ -598,12 +598,19 @@ mod tests {
 
     fn check_deterministic_agreement(tm: &Tm, m: usize, n: usize, values: &[Val]) {
         let sim = simulate_tm(tm, m, n, 1, 1 << 20).unwrap();
-        let lm_run = run_with_choices(&sim.nlm, values, &vec![0; 1 << 14], 1 << 14).unwrap();
+        let lm_run = run_with_choices(
+            &sim.nlm,
+            values,
+            &vec![0; 1 << 14],
+            1 << 14,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         if let Some(e) = sim.take_error() {
             panic!("simulation error: {e}");
         }
         let word = tm_input_word(values, n);
-        let tm_run = run_deterministic(tm, word, 1 << 20).unwrap();
+        let tm_run = run_deterministic(tm, word, 1 << 20, &st_trace::Tracer::disabled()).unwrap();
         assert_eq!(
             lm_run.accepted(),
             tm_run.accepted(),
@@ -660,11 +667,19 @@ mod tests {
             let tm = tmlib::ping_pong_machine(cycles);
             let values = [0b1010u64];
             let sim = simulate_tm(&tm, 1, 4, 1, 1 << 20).unwrap();
-            let lm_run = run_with_choices(&sim.nlm, &values, &vec![0; 1 << 14], 1 << 14).unwrap();
+            let lm_run = run_with_choices(
+                &sim.nlm,
+                &values,
+                &vec![0; 1 << 14],
+                1 << 14,
+                &st_trace::Tracer::disabled(),
+            )
+            .unwrap();
             assert!(sim.take_error().is_none());
             assert!(lm_run.accepted());
             let word = tm_input_word(&values, 4);
-            let tm_run = run_deterministic(&tm, word, 1 << 20).unwrap();
+            let tm_run =
+                run_deterministic(&tm, word, 1 << 20, &st_trace::Tracer::disabled()).unwrap();
             assert_eq!(tm_run.usage.total_reversals(), 2 * u64::from(cycles));
             assert!(
                 lm_run.reversals.iter().sum::<u64>() <= 2 * u64::from(cycles),
@@ -684,7 +699,14 @@ mod tests {
         let mut acc = 0u32;
         let trials = 600;
         for _ in 0..trials {
-            let run = run_sampled(&sim.nlm, &[0b101, 0b101], &mut rng, 1 << 14).unwrap();
+            let run = run_sampled(
+                &sim.nlm,
+                &[0b101, 0b101],
+                &mut rng,
+                1 << 14,
+                &st_trace::Tracer::disabled(),
+            )
+            .unwrap();
             assert!(sim.take_error().is_none());
             if run.accepted() {
                 acc += 1;
@@ -693,7 +715,14 @@ mod tests {
         let p = f64::from(acc) / f64::from(trials);
         assert!((p - 0.5).abs() < 0.07, "yes-instance acceptance {p}");
         for _ in 0..100 {
-            let run = run_sampled(&sim.nlm, &[0b101, 0b100], &mut rng, 1 << 14).unwrap();
+            let run = run_sampled(
+                &sim.nlm,
+                &[0b101, 0b100],
+                &mut rng,
+                1 << 14,
+                &st_trace::Tracer::disabled(),
+            )
+            .unwrap();
             assert!(!run.accepted(), "false positive in the simulated RTM");
         }
     }
@@ -703,8 +732,14 @@ mod tests {
         let tm = tmlib::strings_equal_machine();
         let n = 6usize;
         let sim = simulate_tm(&tm, 2, n, 1, 1 << 20).unwrap();
-        let _ =
-            run_with_choices(&sim.nlm, &[0b101010, 0b101010], &vec![0; 1 << 14], 1 << 14).unwrap();
+        let _ = run_with_choices(
+            &sim.nlm,
+            &[0b101010, 0b101010],
+            &vec![0; 1 << 14],
+            1 << 14,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         let states = sim.states_materialized() as f64;
         // Equation (2) with d generous: log₂|A| ≤ d·t²·r·s + 3t·log(m(n+1)).
         let (log_main, additive) =

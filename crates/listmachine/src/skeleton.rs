@@ -202,8 +202,22 @@ mod tests {
         // Remark 29's flip side: two inputs inducing the same control flow
         // yield the same skeleton even with different values.
         let nlm = library::sweep_right_machine(2, 4);
-        let r1 = run_with_choices(&nlm, &[1, 2, 3, 4], &[0; 64], 64).unwrap();
-        let r2 = run_with_choices(&nlm, &[9, 8, 7, 6], &[0; 64], 64).unwrap();
+        let r1 = run_with_choices(
+            &nlm,
+            &[1, 2, 3, 4],
+            &[0; 64],
+            64,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
+        let r2 = run_with_choices(
+            &nlm,
+            &[9, 8, 7, 6],
+            &[0; 64],
+            64,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(skeleton_of(&r1), skeleton_of(&r2));
     }
 
@@ -211,15 +225,30 @@ mod tests {
     fn skeleton_distinguishes_different_control_flow() {
         let a = library::sweep_right_machine(1, 3);
         let b = library::zigzag_machine(1, 3, 1);
-        let ra = run_with_choices(&a, &[1, 2, 3], &[0; 256], 256).unwrap();
-        let rb = run_with_choices(&b, &[1, 2, 3], &[0; 256], 256).unwrap();
+        let ra = run_with_choices(
+            &a,
+            &[1, 2, 3],
+            &[0; 256],
+            256,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
+        let rb = run_with_choices(
+            &b,
+            &[1, 2, 3],
+            &[0; 256],
+            256,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert_ne!(skeleton_of(&ra), skeleton_of(&rb));
     }
 
     #[test]
     fn stationary_steps_are_wildcards() {
         let nlm = library::countdown_machine(3);
-        let run = run_with_choices(&nlm, &[1], &[0; 16], 16).unwrap();
+        let run =
+            run_with_choices(&nlm, &[1], &[0; 16], 16, &st_trace::Tracer::disabled()).unwrap();
         let skel = skeleton_of(&run);
         assert!(skel.entries[0].is_some(), "s₁ is always recorded");
         assert!(skel.entries[1..].iter().all(Option::is_none));
@@ -236,7 +265,14 @@ mod tests {
         // A yes-instance so the run completes (identity φ: xs = ys).
         let xs: Vec<u64> = (0..m as u64).map(|i| 100 + i).collect();
         let input: Vec<u64> = xs.iter().chain(xs.iter()).copied().collect();
-        let run = run_with_choices(&nlm, &input, &[0; 1024], 1024).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &input,
+            &[0; 1024],
+            1024,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(run.accepted());
         let pairs = compared_pairs(&skeleton_of(&run));
         let expect: std::collections::BTreeSet<(usize, usize)> = (1..m)
@@ -258,14 +294,28 @@ mod tests {
         let ys: Vec<u64> = (0..m as u64).map(|j| 50 + j).collect();
         let xs: Vec<u64> = (0..m).map(|i| ys[reversal[i]]).collect();
         let input: Vec<u64> = xs.into_iter().chain(ys).collect();
-        let run = run_with_choices(&nlm_rev, &input, &[0; 4096], 4096).unwrap();
+        let run = run_with_choices(
+            &nlm_rev,
+            &input,
+            &[0; 4096],
+            4096,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(run.accepted());
         let hits_rev = phi_pairs_compared(&skeleton_of(&run), &reversal);
 
         let nlm_id = library::one_scan_matcher(m, identity.clone());
         let xs: Vec<u64> = (0..m as u64).map(|i| 100 + i).collect();
         let input: Vec<u64> = xs.iter().chain(xs.iter()).copied().collect();
-        let run = run_with_choices(&nlm_id, &input, &[0; 4096], 4096).unwrap();
+        let run = run_with_choices(
+            &nlm_id,
+            &input,
+            &[0; 4096],
+            4096,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         assert!(run.accepted());
         let hits_id = phi_pairs_compared(&skeleton_of(&run), &identity);
 
@@ -291,8 +341,10 @@ mod tests {
         let xs2: Vec<u64> = (0..m as u64).map(|i| 900 + 7 * i).collect();
         let in1: Vec<u64> = xs1.iter().chain(xs1.iter()).copied().collect();
         let in2: Vec<u64> = xs2.iter().chain(xs2.iter()).copied().collect();
-        let r1 = run_with_choices(&nlm, &in1, &[0; 4096], 4096).unwrap();
-        let r2 = run_with_choices(&nlm, &in2, &[0; 4096], 4096).unwrap();
+        let r1 =
+            run_with_choices(&nlm, &in1, &[0; 4096], 4096, &st_trace::Tracer::disabled()).unwrap();
+        let r2 =
+            run_with_choices(&nlm, &in2, &[0; 4096], 4096, &st_trace::Tracer::disabled()).unwrap();
         assert_eq!(skeleton_of(&r1), skeleton_of(&r2), "shared control flow");
         assert_eq!(r1.views.len(), r2.views.len());
         for (v1, v2) in r1.views.iter().zip(&r2.views) {
@@ -307,7 +359,14 @@ mod tests {
         let phi = phi_m(m);
         let nlm = library::one_scan_matcher(m, phi.clone());
         let input: Vec<u64> = (0..2 * m as u64).collect();
-        let run = run_with_choices(&nlm, &input, &[0; 8192], 8192).unwrap();
+        let run = run_with_choices(
+            &nlm,
+            &input,
+            &[0; 8192],
+            8192,
+            &st_trace::Tracer::disabled(),
+        )
+        .unwrap();
         let t = 2u64;
         let r = run.scans() as u32; // r ≥ 1 + reversals, generous
         let hits = phi_pairs_compared(&skeleton_of(&run), &phi) as f64;

@@ -170,7 +170,7 @@ pub fn decide_check_sort(inst: &Instance, opts: &MpcOptions) -> Result<MpcRun, S
     let mut cluster = Cluster::new(opts, shards, move |_w, shard| {
         let (xs, ys) = crate::wire::split_shard(shard).map_err(StError::Machine)?;
         let (tracer, buf) = Tracer::in_memory();
-        let mut machine = TapeMachine::with_input_traced(xs, input_len, tracer);
+        let mut machine = TapeMachine::with_input(xs, input_len, tracer);
         machine.add_tape_with("second", ys);
         machine.add_tape("scratch1");
         machine.add_tape("scratch2");

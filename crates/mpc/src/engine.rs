@@ -68,6 +68,10 @@ pub struct MpcOptions {
     /// scheduled, superstep journaling). Verdicts and clean meters are
     /// bit-identical either way.
     pub fault_plan: Option<NetFaultPlan>,
+    /// Where the kill journals emit their `Recovery` events (disabled by
+    /// default). Each worker traces into its own buffer instead, which
+    /// the run hands back with its verdict.
+    pub tracer: Tracer,
 }
 
 impl Default for MpcOptions {
@@ -76,6 +80,7 @@ impl Default for MpcOptions {
             workers: 4,
             jobs: 1,
             fault_plan: None,
+            tracer: Tracer::disabled(),
         }
     }
 }
@@ -311,12 +316,9 @@ impl Exchange {
 /// Run one parallel phase: `f(w, &mut state)` for every worker on the
 /// work-stealing pool, states returned in worker order alongside the
 /// phase outputs. The first worker error (in worker order) aborts the
-/// step.
-///
-/// The whole phase runs under a disabled trace scope, so a step sees no
-/// ambient tracer whether [`pool_map`] runs it on the calling thread
-/// (one job: no thread is spawned, and so no glibc arena is left
-/// holding memory after it) or on a pool thread.
+/// step. At one job [`pool_map`] runs the phase on the calling thread,
+/// so no thread is spawned and no glibc arena is left holding memory
+/// after it.
 pub fn parallel_step<W, T>(
     states: Vec<W>,
     jobs: usize,
@@ -330,23 +332,21 @@ where
     // Each cell is taken exactly once by the worker claiming its index;
     // the mutex only satisfies the pool's `Sync` bound.
     let cells: Vec<Mutex<Option<W>>> = states.into_iter().map(|w| Mutex::new(Some(w))).collect();
-    let outcomes = st_trace::scoped(Tracer::disabled(), || {
-        pool_map(work, jobs, None, |i| {
-            let state = cells[i]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take();
-            match state {
-                None => (
-                    None,
-                    Err(StError::Machine("worker state claimed twice".into())),
-                ),
-                Some(mut state) => {
-                    let out = f(i, &mut state);
-                    (Some(state), out)
-                }
+    let outcomes = pool_map(work, jobs, None, |i| {
+        let state = cells[i]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take();
+        match state {
+            None => (
+                None,
+                Err(StError::Machine("worker state claimed twice".into())),
+            ),
+            Some(mut state) => {
+                let out = f(i, &mut state);
+                (Some(state), out)
             }
-        })
+        }
     });
     let mut states = Vec::with_capacity(work);
     let mut outs = Vec::with_capacity(work);
@@ -373,8 +373,8 @@ type StepFn<'a, W> =
 
 /// How a worker is (re)built: from its index and its journaled shard
 /// envelopes, returning the fresh state and its trace buffer. The
-/// worker's machine is built `_traced` on that buffer's tracer, so its
-/// events land there whatever thread or trace scope runs a step.
+/// worker's machine is built on that buffer's tracer, so its events land
+/// there whatever thread runs a step.
 type Factory<'a, W> =
     Box<dyn Fn(usize, &[Envelope]) -> Result<(W, TraceBuffer), StError> + Sync + Send + 'a>;
 
@@ -388,6 +388,8 @@ static JOURNAL_ID: AtomicU64 = AtomicU64::new(0);
 struct Journals {
     dir: PathBuf,
     wals: Vec<Wal>,
+    /// The tracer of every journal, reopened ones included.
+    tracer: Tracer,
 }
 
 /// Encode an envelope list as one journal record: a concatenation of
@@ -420,7 +422,7 @@ fn decode_envelopes(record: &[u8]) -> Result<Vec<Envelope>, StError> {
 }
 
 impl Journals {
-    fn create(shards: &[Vec<Envelope>]) -> Result<Self, StError> {
+    fn create(shards: &[Vec<Envelope>], tracer: &Tracer) -> Result<Self, StError> {
         let dir = std::env::temp_dir().join(format!(
             "st-mpc-journal-{}-{}",
             std::process::id(),
@@ -429,12 +431,16 @@ impl Journals {
         std::fs::create_dir_all(&dir)?;
         let mut wals = Vec::with_capacity(shards.len());
         for (w, shard) in shards.iter().enumerate() {
-            let mut wal = Wal::create(&dir.join(format!("worker-{w}.wal")), None)?;
+            let mut wal = Wal::create(&dir.join(format!("worker-{w}.wal")), None, tracer.clone())?;
             wal.append_record(&encode_envelopes(shard)?)?;
             wal.commit(b"shard")?;
             wals.push(wal);
         }
-        Ok(Journals { dir, wals })
+        Ok(Journals {
+            dir,
+            wals,
+            tracer: tracer.clone(),
+        })
     }
 
     fn append_inbox(&mut self, w: usize, inbox: &[Envelope]) -> Result<(), StError> {
@@ -447,7 +453,7 @@ impl Journals {
     /// shard and the per-superstep inbox history.
     fn recover(&mut self, w: usize) -> Result<(Vec<Envelope>, Vec<Vec<Envelope>>), StError> {
         let path = self.dir.join(format!("worker-{w}.wal"));
-        let (wal, recovery) = Wal::open(&path, None)?;
+        let (wal, recovery) = Wal::open(&path, None, self.tracer.clone())?;
         self.wals[w] = wal;
         let mut records = recovery.records.into_iter();
         let shard = decode_envelopes(&records.next().ok_or_else(|| {
@@ -508,7 +514,7 @@ impl<'a, W: Worker> Cluster<'a, W> {
         let p = shards.len().max(1);
         let plan = opts.fault_plan.clone();
         let journals = if plan.as_ref().is_some_and(NetFaultPlan::has_kills) {
-            Some(Journals::create(&shards)?)
+            Some(Journals::create(&shards, &opts.tracer)?)
         } else {
             None
         };
@@ -909,21 +915,6 @@ mod tests {
             })
             .unwrap_err();
             assert!(err.to_string().contains("worker 2"), "{err}");
-        }
-    }
-
-    #[test]
-    fn parallel_steps_run_outside_the_callers_trace_scope() {
-        for jobs in [1usize, 3] {
-            let (tracer, buf) = Tracer::in_memory();
-            st_trace::scoped(tracer, || {
-                parallel_step(vec![0u8; 3], jobs, |_w, _s| {
-                    st_trace::current().emit(|| st_trace::TraceEvent::StepBatch { steps: 1 });
-                    Ok(())
-                })
-            })
-            .unwrap();
-            assert_eq!(buf.len(), 0, "jobs={jobs}");
         }
     }
 

@@ -142,7 +142,7 @@ pub fn decide_multiset_equality<R: Rng>(
     let mut cluster = Cluster::new(opts, shards, |_w, shard| {
         let (xs, ys) = crate::wire::split_shard(shard).map_err(StError::Machine)?;
         let (tracer, buf) = Tracer::in_memory();
-        let mut machine = TapeMachine::new_traced(0, tracer);
+        let mut machine = TapeMachine::new(0, tracer);
         machine.add_tape("input");
         // The shard's tape word: first-half then second-half values.
         let mut word = Vec::new();

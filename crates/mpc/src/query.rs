@@ -140,7 +140,7 @@ pub fn evaluate_sym_diff(inst: &Instance, opts: &MpcOptions) -> Result<MpcQueryR
     let mut cluster = Cluster::new(opts, shards, move |_w, shard| {
         let (xs, ys) = crate::wire::split_shard(shard).map_err(StError::Machine)?;
         let (tracer, buf) = Tracer::in_memory();
-        let mut machine = TapeMachine::new_traced(input_len, tracer);
+        let mut machine = TapeMachine::new(input_len, tracer);
         machine.add_tape("r1");
         machine.add_tape("r2");
         machine.add_tape("scratch1");
@@ -260,8 +260,12 @@ mod tests {
                 1 => generate::no_multiset_one_bit(8, 6, &mut rng),
                 _ => generate::random_instance(8, 6, &mut rng),
             };
-            let (reference, _) =
-                evaluate(&sym_diff_query("R1", "R2"), &instance_database(&inst)).unwrap();
+            let (reference, _) = evaluate(
+                &sym_diff_query("R1", "R2"),
+                &instance_database(&inst),
+                &Tracer::disabled(),
+            )
+            .unwrap();
             for p in [1usize, 3, 8] {
                 let run = evaluate_sym_diff(&inst, &MpcOptions::with_workers(p)).unwrap();
                 assert_eq!(run.symdiff, reference.len() as u64, "p={p} trial={trial}");

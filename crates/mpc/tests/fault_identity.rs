@@ -187,11 +187,12 @@ fn crash_at_every_round_recovers_bit_identically() {
 
 /// One tracer rule: every worker event goes to the tracer of the machine
 /// that owns the tapes — the serial combine and a recovery replay
-/// included — so an outer trace scope changes no worker trace. The
-/// outer scope sees only what the cluster itself owns: the `Recovery`
-/// event of each killed worker's journal reopen.
+/// included — so the cluster's own tracer (`MpcOptions::tracer`) changes
+/// no worker trace. It sees only what the cluster itself owns: the
+/// `Recovery` event of each killed worker's journal reopen. Worker traces
+/// and journal events are byte-equal at one job and at three.
 #[test]
-fn an_outer_trace_scope_changes_no_worker_trace() {
+fn a_cluster_tracer_changes_no_worker_trace_at_any_jobs() {
     let inst = generate::yes_checksort(20, 8, &mut StdRng::seed_from_u64(9));
     let clean = MpcOptions::with_workers(4);
     let killed = clean
@@ -208,26 +209,39 @@ fn an_outer_trace_scope_changes_no_worker_trace() {
     };
     for (opts, kills) in [(&clean, 0), (&killed, 1)] {
         let bare = runs(opts);
-        let (tracer, outer) = Tracer::in_memory();
-        let scoped = st_trace::scoped(tracer, || runs(opts));
-        for (decider, (b, s)) in ["checksort", "fingerprint", "query"]
-            .iter()
-            .zip(bare.iter().zip(&scoped))
-        {
-            assert_eq!(s.traces, b.traces, "{decider} kills={kills}");
-            assert_eq!(s.comm.worker_crashes, kills as u64, "{decider}");
+        let mut journal_events = Vec::new();
+        for jobs in [1usize, 3] {
+            let (tracer, outer) = Tracer::in_memory();
+            let traced = runs(&MpcOptions {
+                jobs,
+                tracer,
+                ..opts.clone()
+            });
+            for (decider, (b, t)) in ["checksort", "fingerprint", "query"]
+                .iter()
+                .zip(bare.iter().zip(&traced))
+            {
+                assert_eq!(t.traces, b.traces, "{decider} kills={kills} jobs={jobs}");
+                assert_eq!(t.comm.worker_crashes, kills as u64, "{decider}");
+            }
+            journal_events.push(outer.snapshot());
         }
         assert!(
             bare[0].traces[0].contains("compare_sorted"),
             "the combine scan belongs to worker 0"
         );
-        let outer = outer.snapshot();
-        assert_eq!(outer.len(), 3 * kills, "outer scope got {outer:?}");
+        let outer = &journal_events[0];
+        assert_eq!(
+            st_trace::to_jsonl(outer),
+            st_trace::to_jsonl(&journal_events[1]),
+            "kills={kills}"
+        );
+        assert_eq!(outer.len(), 3 * kills, "cluster tracer got {outer:?}");
         assert!(
             outer
                 .iter()
                 .all(|e| matches!(e, TraceEvent::Recovery { .. })),
-            "outer scope got {outer:?}"
+            "cluster tracer got {outer:?}"
         );
     }
 }

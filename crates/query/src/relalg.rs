@@ -16,6 +16,7 @@ use st_core::{ResourceUsage, StError};
 use st_extmem::meter::bits_for;
 use st_extmem::sort::merge_sort;
 use st_extmem::TapeMachine;
+use st_trace::Tracer;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -160,8 +161,8 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn new(input_len: usize) -> Self {
-        let mut machine: TapeMachine<Tuple> = TapeMachine::new(input_len);
+    fn new(input_len: usize, tracer: &Tracer) -> Self {
+        let mut machine: TapeMachine<Tuple> = TapeMachine::new(input_len, tracer.clone());
         let data = machine.add_tape("data");
         let aux = machine.add_tape("aux");
         let s1 = machine.add_tape("scratch1");
@@ -198,10 +199,14 @@ impl Ctx {
 
 /// Evaluate `expr` against `db`, reporting the result relation and the
 /// full tape accounting. `N` (the usage record's input size) is the
-/// total stream size of the database.
-pub fn evaluate(expr: &RaExpr, db: &Database) -> Result<(Relation, ResourceUsage), StError> {
+/// total stream size of the database. The machine traces on `tracer`.
+pub fn evaluate(
+    expr: &RaExpr,
+    db: &Database,
+    tracer: &Tracer,
+) -> Result<(Relation, ResourceUsage), StError> {
     let n: usize = db.values().map(Relation::stream_size).sum();
-    let mut ctx = Ctx::new(n.max(1));
+    let mut ctx = Ctx::new(n.max(1), tracer);
     let rel = eval_rec(expr, db, &mut ctx)?;
     Ok((rel, ctx.machine.usage()))
 }
@@ -622,7 +627,7 @@ mod tests {
                 Box::new(RaExpr::Rel("R2".into())),
             ),
         ] {
-            let (got, _) = evaluate(&expr, &db).unwrap();
+            let (got, _) = evaluate(&expr, &db, &Tracer::disabled()).unwrap();
             let want = evaluate_reference(&expr, &db).unwrap();
             assert_eq!(got, want, "{expr}");
         }
@@ -631,12 +636,13 @@ mod tests {
     #[test]
     fn sym_diff_decides_set_equality() {
         let q = sym_diff_query("R1", "R2");
-        let (r, _) = evaluate(&q, &db2(&["a", "b"], &["b", "a"])).unwrap();
+        let (r, _) = evaluate(&q, &db2(&["a", "b"], &["b", "a"]), &Tracer::disabled()).unwrap();
         assert!(r.is_empty(), "equal sets → empty symmetric difference");
-        let (r, _) = evaluate(&q, &db2(&["a", "b"], &["b", "c"])).unwrap();
+        let (r, _) = evaluate(&q, &db2(&["a", "b"], &["b", "c"]), &Tracer::disabled()).unwrap();
         assert_eq!(r.len(), 2);
         // Duplicates collapse: {a,a,b} vs {a,b} are equal as sets.
-        let (r, _) = evaluate(&q, &db2(&["a", "a", "b"], &["a", "b"])).unwrap();
+        let (r, _) =
+            evaluate(&q, &db2(&["a", "a", "b"], &["a", "b"]), &Tracer::disabled()).unwrap();
         assert!(r.is_empty());
     }
 
@@ -662,7 +668,7 @@ mod tests {
                 Box::new(RaExpr::Rel("S".into())),
             )),
         );
-        let (got, _) = evaluate(&q, &db).unwrap();
+        let (got, _) = evaluate(&q, &db, &Tracer::disabled()).unwrap();
         assert_eq!(
             got,
             Relation::new(1, vec![vec!["1".into()], vec!["3".into()]]).unwrap()
@@ -681,7 +687,7 @@ mod tests {
             .unwrap(),
         );
         let q = RaExpr::Select(Pred::AttrEqAttr(0, 1), Box::new(RaExpr::Rel("S".into())));
-        let (got, _) = evaluate(&q, &db).unwrap();
+        let (got, _) = evaluate(&q, &db, &Tracer::disabled()).unwrap();
         assert_eq!(got.len(), 1);
     }
 
@@ -692,7 +698,7 @@ mod tests {
             Box::new(RaExpr::Rel("R1".into())),
             Box::new(RaExpr::Rel("R2".into())),
         );
-        let (got, _) = evaluate(&q, &db).unwrap();
+        let (got, _) = evaluate(&q, &db, &Tracer::disabled()).unwrap();
         let want = evaluate_reference(&q, &db).unwrap();
         assert_eq!(got, want);
         assert_eq!(got.len(), 6);
@@ -706,14 +712,14 @@ mod tests {
             Box::new(RaExpr::Rel("R1".into())),
             Box::new(RaExpr::Rel("R2".into())),
         );
-        let (got, _) = evaluate(&q, &db).unwrap();
+        let (got, _) = evaluate(&q, &db, &Tracer::disabled()).unwrap();
         assert!(got.is_empty());
     }
 
     #[test]
     fn errors_are_reported() {
         let db = db2(&["a"], &["b"]);
-        assert!(evaluate(&RaExpr::Rel("nope".into()), &db).is_err());
+        assert!(evaluate(&RaExpr::Rel("nope".into()), &db, &Tracer::disabled()).is_err());
         let mut db2m = db.clone();
         db2m.insert(
             "W".into(),
@@ -723,9 +729,12 @@ mod tests {
             Box::new(RaExpr::Rel("R1".into())),
             Box::new(RaExpr::Rel("W".into())),
         );
-        assert!(evaluate(&bad, &db2m).is_err(), "arity mismatch must error");
+        assert!(
+            evaluate(&bad, &db2m, &Tracer::disabled()).is_err(),
+            "arity mismatch must error"
+        );
         let bad = RaExpr::Project(vec![5], Box::new(RaExpr::Rel("R1".into())));
-        assert!(evaluate(&bad, &db2m).is_err());
+        assert!(evaluate(&bad, &db2m, &Tracer::disabled()).is_err());
     }
 
     #[test]
@@ -744,7 +753,8 @@ mod tests {
                 "R2".into(),
                 Relation::new(1, shifted.iter().map(|v| vec![v.clone()]).collect()).unwrap(),
             );
-            let (_, usage) = evaluate(&sym_diff_query("R1", "R2"), &db).unwrap();
+            let (_, usage) =
+                evaluate(&sym_diff_query("R1", "R2"), &db, &Tracer::disabled()).unwrap();
             pts.push((usage.input_len, usage.total_reversals() as f64));
         }
         let (slope, _, r2) = st_core::math::log_fit(&pts);
@@ -756,11 +766,11 @@ mod tests {
     fn instance_database_round_trip() {
         let inst = st_problems::Instance::parse("01#10#10#01#").unwrap();
         let db = instance_database(&inst);
-        let (r, _) = evaluate(&sym_diff_query("R1", "R2"), &db).unwrap();
+        let (r, _) = evaluate(&sym_diff_query("R1", "R2"), &db, &Tracer::disabled()).unwrap();
         assert!(r.is_empty());
         let inst = st_problems::Instance::parse("01#10#10#11#").unwrap();
         let db = instance_database(&inst);
-        let (r, _) = evaluate(&sym_diff_query("R1", "R2"), &db).unwrap();
+        let (r, _) = evaluate(&sym_diff_query("R1", "R2"), &db, &Tracer::disabled()).unwrap();
         assert!(!r.is_empty());
     }
 }
@@ -788,7 +798,7 @@ mod proptests {
                 RaExpr::Intersect(Box::new(RaExpr::Rel("R1".into())), Box::new(RaExpr::Rel("R2".into()))),
                 RaExpr::Product(Box::new(RaExpr::Rel("R1".into())), Box::new(RaExpr::Rel("R2".into()))),
             ] {
-                let (got, _) = evaluate(&expr, &db).unwrap();
+                let (got, _) = evaluate(&expr, &db, &Tracer::disabled()).unwrap();
                 let want = evaluate_reference(&expr, &db).unwrap();
                 prop_assert_eq!(got, want);
             }
@@ -799,7 +809,7 @@ mod proptests {
             let mut db = Database::new();
             db.insert("R1".into(), a.clone());
             db.insert("R2".into(), b.clone());
-            let (r, _) = evaluate(&sym_diff_query("R1", "R2"), &db).unwrap();
+            let (r, _) = evaluate(&sym_diff_query("R1", "R2"), &db, &Tracer::disabled()).unwrap();
             prop_assert_eq!(r.is_empty(), a == b);
         }
     }

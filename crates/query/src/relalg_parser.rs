@@ -155,7 +155,7 @@ mod tests {
         );
         for text in [SYM_DIFF_TEXT, "R1 intersect R2", "R1 x R2", "R1 - R2 - R2"] {
             let q = parse_relalg(text).unwrap();
-            let (got, _) = evaluate(&q, &db).unwrap();
+            let (got, _) = evaluate(&q, &db, &st_trace::Tracer::disabled()).unwrap();
             let want = evaluate_reference(&q, &db).unwrap();
             assert_eq!(got, want, "{text}");
         }

@@ -25,14 +25,18 @@ use st_extmem::meter::bits_for;
 use st_extmem::sort::merge_sort;
 use st_extmem::{Tape, TapeMachine};
 use st_problems::{BitStr, Instance};
+use st_trace::Tracer;
 
 /// Build the event tape for an instance's document, counting the scans
 /// of the production itself (one forward pass over the instance, one
-/// forward write of the event tape).
-pub fn document_tape(inst: &Instance) -> Result<(Tape<XmlEvent>, ResourceUsage), StError> {
+/// forward write of the event tape). The machine traces on `tracer`.
+pub fn document_tape(
+    inst: &Instance,
+    tracer: &Tracer,
+) -> Result<(Tape<XmlEvent>, ResourceUsage), StError> {
     let word: Vec<u8> = inst.encode_bytes();
     let n = word.len();
-    let mut machine: TapeMachine<u8> = TapeMachine::with_input(word, n.max(1));
+    let mut machine: TapeMachine<u8> = TapeMachine::with_input(word, n.max(1), tracer.clone());
     let mut events: Tape<XmlEvent> = Tape::new("events");
     let meter = machine.meter().clone();
     // Registers: a block counter and the current value buffer pointer.
@@ -133,13 +137,17 @@ fn extract_sets(
 }
 
 /// The streaming ST-side decider: one extraction scan over the event
-/// stream, then sort-based set equality — `Θ(log N)` scans total.
-pub fn streaming_set_equality(inst: &Instance) -> Result<(bool, ResourceUsage), StError> {
-    let (mut events, mut usage) = document_tape(inst)?;
+/// stream, then sort-based set equality — `Θ(log N)` scans total. Both
+/// machines trace on `tracer`.
+pub fn streaming_set_equality(
+    inst: &Instance,
+    tracer: &Tracer,
+) -> Result<(bool, ResourceUsage), StError> {
+    let (mut events, mut usage) = document_tape(inst, tracer)?;
     let meter = st_extmem::MemoryMeter::new();
     let (xs, ys, ev_revs) = extract_sets(&mut events, &meter)?;
 
-    let mut m = TapeMachine::with_input(xs, inst.size().max(1));
+    let mut m = TapeMachine::with_input(xs, inst.size().max(1), tracer.clone());
     m.add_tape_with("second", ys);
     m.add_tape("scratch1");
     m.add_tape("scratch2");
@@ -185,16 +193,18 @@ pub fn streaming_set_equality(inst: &Instance) -> Result<(bool, ResourceUsage), 
 }
 
 /// The streaming co-RST side: extract, then run the Theorem 8(a)
-/// fingerprint on the extracted multisets.
+/// fingerprint on the extracted multisets. Both machines trace on
+/// `tracer`.
 pub fn streaming_multiset_fingerprint<R: Rng>(
     inst: &Instance,
     rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<(bool, ResourceUsage), StError> {
-    let (mut events, mut usage) = document_tape(inst)?;
+    let (mut events, mut usage) = document_tape(inst, tracer)?;
     let meter = st_extmem::MemoryMeter::new();
     let (xs, ys, _) = extract_sets(&mut events, &meter)?;
     let extracted = Instance::new(xs, ys)?;
-    let run = st_algo::fingerprint::decide_multiset_equality(&extracted, rng)?;
+    let run = st_algo::fingerprint::run_fingerprint(&extracted, rng, tracer)?;
     usage.absorb(&run.usage);
     Ok((run.accepted, usage))
 }
@@ -209,7 +219,7 @@ mod tests {
     #[test]
     fn document_tape_round_trips_through_the_tokenizer() {
         let inst = Instance::parse("01#10#10#01#").unwrap();
-        let (events, usage) = document_tape(&inst).unwrap();
+        let (events, usage) = document_tape(&inst, &Tracer::disabled()).unwrap();
         let doc = crate::xml::write_events(&events.snapshot());
         assert_eq!(doc, crate::xml::instance_document(&inst));
         assert_eq!(crate::xml::tokenize(&doc).unwrap(), events.snapshot());
@@ -221,7 +231,7 @@ mod tests {
     fn document_tape_handles_empty_values_and_empty_instances() {
         for word in ["", "##", "#0##1#"] {
             let inst = Instance::parse(word).unwrap();
-            let (events, _) = document_tape(&inst).unwrap();
+            let (events, _) = document_tape(&inst, &Tracer::disabled()).unwrap();
             let doc = crate::xml::write_events(&events.snapshot());
             assert_eq!(doc, crate::xml::instance_document(&inst), "{word}");
         }
@@ -236,7 +246,7 @@ mod tests {
                 generate::random_instance(5, 4, &mut rng),
                 generate::yes_multiset(5, 4, &mut rng),
             ] {
-                let (got, _) = streaming_set_equality(&inst).unwrap();
+                let (got, _) = streaming_set_equality(&inst, &Tracer::disabled()).unwrap();
                 assert_eq!(got, predicates::is_set_equal(&inst), "{}", inst.encode());
             }
         }
@@ -248,7 +258,7 @@ mod tests {
         let mut pts = Vec::new();
         for logm in 3..=8 {
             let inst = generate::yes_set_distinct(1 << logm, 10, &mut rng);
-            let (_, usage) = streaming_set_equality(&inst).unwrap();
+            let (_, usage) = streaming_set_equality(&inst, &Tracer::disabled()).unwrap();
             pts.push((usage.input_len, usage.total_reversals() as f64));
         }
         let (_, _, r2) = st_core::math::log_fit(&pts);
@@ -260,7 +270,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(92);
         for _ in 0..20 {
             let inst = generate::yes_multiset(8, 8, &mut rng);
-            let (acc, usage) = streaming_multiset_fingerprint(&inst, &mut rng).unwrap();
+            let (acc, usage) =
+                streaming_multiset_fingerprint(&inst, &mut rng, &Tracer::disabled()).unwrap();
             assert!(acc, "no false negatives on streams either");
             // Production scan + extraction scan + two fingerprint scans:
             // a constant, far below the deterministic decider.

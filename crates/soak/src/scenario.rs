@@ -211,7 +211,7 @@ type ScenarioFailure = (String, Option<Repro>);
 
 /// Off-by-one sort decider: never compares the smallest record pair.
 /// (The same planted bug the conformance engine's acceptance test uses.)
-fn broken_sort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+fn broken_sort(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
     let Ok(inst) = Instance::parse(word) else {
         return Ok(None);
     };
@@ -223,7 +223,7 @@ fn broken_sort(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
 }
 
 /// Honest multiset-equality predicate, the broken decider's adversary.
-fn multiset_predicate(word: &str, _seed: u64) -> Result<Option<bool>, StError> {
+fn multiset_predicate(word: &str, _seed: u64, _: &Tracer) -> Result<Option<bool>, StError> {
     let Ok(inst) = Instance::parse(word) else {
         return Ok(None);
     };
@@ -339,7 +339,13 @@ fn run_crash_storm(
 
     // Crash-free reference run: fixes the expected output and the
     // journal length the storm draws its crash offsets from.
-    let reference = match sort_with_crashes(&ref_path, items.clone(), items.len(), &[]) {
+    let reference = match sort_with_crashes(
+        &ref_path,
+        items.clone(),
+        items.len(),
+        &[],
+        &Tracer::disabled(),
+    ) {
         Ok(run) => run,
         Err(e) => {
             cleanup(&ref_path, &storm_path);
@@ -362,9 +368,13 @@ fn run_crash_storm(
         .map(|_| rng.gen_range(1..=reference.journal_bytes.max(1)))
         .collect();
     let (tracer, buffer) = Tracer::in_memory();
-    let storm = st_trace::scoped(tracer.clone(), || {
-        sort_with_crashes(&storm_path, items.clone(), items.len(), &crash_points)
-    });
+    let storm = sort_with_crashes(
+        &storm_path,
+        items.clone(),
+        items.len(),
+        &crash_points,
+        &tracer,
+    );
     tracer.flush();
     cleanup(&ref_path, &storm_path);
     let storm = match storm {
@@ -425,7 +435,14 @@ fn run_fault_storm(master: u64, iteration: u64) -> (ScenarioStats, Option<Scenar
     };
     let budget = RetryBudget::new(rng.gen_range(2..=4u32));
 
-    let run = match resilient_sort(&items, items.len(), &plan, budget, &mut rng) {
+    let run = match resilient_sort(
+        &items,
+        items.len(),
+        &plan,
+        budget,
+        &mut rng,
+        &Tracer::disabled(),
+    ) {
         Ok(run) => run,
         Err(e) => return (stats, Some((format!("resilient sort errored: {e}"), None))),
     };
@@ -519,7 +536,7 @@ fn run_session(seed: u64, journal: &Path) -> (ScenarioStats, Option<String>) {
     // An offset past the journal's end simply never fires — sessions mix
     // crashing and crash-free runs without knowing the journal length.
     let crash_at = rng.gen_range(1..=256u64);
-    let run = sort_with_crashes(journal, items, m, &[crash_at]);
+    let run = sort_with_crashes(journal, items, m, &[crash_at], &Tracer::disabled());
     std::fs::remove_file(journal).ok();
     match run {
         Ok(run) => {

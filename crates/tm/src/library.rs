@@ -384,7 +384,8 @@ mod tests {
     #[test]
     fn copy_machine_copies() {
         let tm = copy_machine();
-        let r = run_deterministic(&tm, encode("0110#1"), 10_000).unwrap();
+        let r = run_deterministic(&tm, encode("0110#1"), 10_000, &st_trace::Tracer::disabled())
+            .unwrap();
         assert!(r.accepted());
         assert_eq!(
             r.final_config.tapes[1].content(),
@@ -406,7 +407,8 @@ mod tests {
             ("#", true), // two empty strings
             ("1#0", false),
         ] {
-            let r = run_deterministic(&tm, encode(input), 100_000).unwrap();
+            let r = run_deterministic(&tm, encode(input), 100_000, &st_trace::Tracer::disabled())
+                .unwrap();
             assert_eq!(r.accepted(), expect, "input {input:?} → {:?}", r.outcome);
         }
     }
@@ -416,7 +418,8 @@ mod tests {
         let v = "0110100101110010";
         let input = format!("{v}#{v}");
         let tm = strings_equal_machine();
-        let r = run_deterministic(&tm, encode(&input), 100_000).unwrap();
+        let r =
+            run_deterministic(&tm, encode(&input), 100_000, &st_trace::Tracer::disabled()).unwrap();
         assert!(r.accepted());
         // Tape 0: forward only. Tape 1: forward, back, forward.
         assert_eq!(r.usage.reversals_per_tape, vec![0, 2]);
@@ -452,7 +455,13 @@ mod tests {
     fn ping_pong_realizes_prescribed_reversals() {
         for cycles in [0u16, 1, 2, 5, 9] {
             let tm = ping_pong_machine(cycles);
-            let r = run_deterministic(&tm, encode("0110"), 1_000_000).unwrap();
+            let r = run_deterministic(
+                &tm,
+                encode("0110"),
+                1_000_000,
+                &st_trace::Tracer::disabled(),
+            )
+            .unwrap();
             assert!(r.accepted());
             assert_eq!(
                 r.usage.total_reversals(),
@@ -480,7 +489,7 @@ mod tests {
     #[test]
     fn diverging_machine_hits_step_limit() {
         let tm = diverging_machine();
-        let r = run_deterministic(&tm, encode("0"), 50).unwrap();
+        let r = run_deterministic(&tm, encode("0"), 50, &st_trace::Tracer::disabled()).unwrap();
         assert_eq!(r.outcome, crate::run::RunOutcome::StepLimit);
     }
 }

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_core::math::wilson_interval;
 use st_core::{pool_map, StError};
+use st_trace::Tracer;
 
 /// Exact probability masses of the three outcome groups.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,9 +65,9 @@ pub struct AcceptanceEstimate {
 
 /// Estimate `Pr(T accepts input)` from `trials` independent sampled runs,
 /// split into `threads` shares run on [`pool_map`] with `threads` jobs
-/// (deterministic given `seed`: share `i` uses seed `seed + i`). One
-/// share runs on the calling thread, so its runs trace into the caller's
-/// ambient tracer; more shares run on fresh threads, which have none.
+/// (deterministic given `seed`: share `i` uses seed `seed + i`). The runs
+/// of share 0, every run at one thread, trace on `tracer`; the other
+/// shares run untraced, so the trace never interleaves two threads.
 pub fn estimate_acceptance(
     tm: &Tm,
     input: &[Sym],
@@ -74,6 +75,7 @@ pub fn estimate_acceptance(
     max_steps: u64,
     seed: u64,
     threads: usize,
+    tracer: &Tracer,
 ) -> Result<AcceptanceEstimate, StError> {
     let threads = threads.max(1);
     let per = trials / threads as u64;
@@ -81,9 +83,11 @@ pub fn estimate_acceptance(
     let counts = pool_map(threads, threads, None, |i| -> Result<u64, StError> {
         let quota = per + u64::from((i as u64) < extra);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
+        let untraced = Tracer::disabled();
+        let tracer = if i == 0 { tracer } else { &untraced };
         let mut acc = 0u64;
         for _ in 0..quota {
-            let r = run_sampled(tm, input.to_vec(), max_steps, &mut rng)?;
+            let r = run_sampled(tm, input.to_vec(), max_steps, &mut rng, tracer)?;
             if r.accepted() {
                 acc += 1;
             }
@@ -146,7 +150,8 @@ mod tests {
         let exact = exact_acceptance(&tm, input.clone(), 100_000)
             .unwrap()
             .accept;
-        let est = estimate_acceptance(&tm, &input, 4000, 100_000, 42, 4).unwrap();
+        let est =
+            estimate_acceptance(&tm, &input, 4000, 100_000, 42, 4, &Tracer::disabled()).unwrap();
         assert!(
             est.interval.0 <= exact && exact <= est.interval.1,
             "exact {exact} outside interval {:?}",
@@ -158,8 +163,8 @@ mod tests {
     #[test]
     fn estimate_is_deterministic_given_seed() {
         let tm = library::coin_flip_machine();
-        let a = estimate_acceptance(&tm, &[1], 1000, 100, 7, 3).unwrap();
-        let b = estimate_acceptance(&tm, &[1], 1000, 100, 7, 3).unwrap();
+        let a = estimate_acceptance(&tm, &[1], 1000, 100, 7, 3, &Tracer::disabled()).unwrap();
+        let b = estimate_acceptance(&tm, &[1], 1000, 100, 7, 3, &Tracer::disabled()).unwrap();
         assert_eq!(a.accepted, b.accepted);
     }
 

@@ -16,7 +16,7 @@ use crate::tape::TmTape;
 use crate::{State, Sym};
 use rand::Rng;
 use st_core::{ResourceUsage, StError};
-use st_trace::RunTracer;
+use st_trace::{RunTracer, Tracer};
 use std::ops::ControlFlow;
 
 /// A machine configuration.
@@ -146,17 +146,18 @@ fn next_step(tm: &Tm, cfg: &Config, max_steps: u64) -> ControlFlow<RunOutcome, V
 
 /// The one run loop: from the initial configuration, take the successor
 /// that `pick(state, |Next_T(γ)|)` names until the run halts. Traces on
-/// the thread's current tracer.
+/// `tracer`.
 fn run_with(
     tm: &Tm,
     input: Vec<Sym>,
     max_steps: u64,
+    tracer: &Tracer,
     mut pick: impl FnMut(State, usize) -> Result<usize, StError>,
 ) -> Result<RunResult, StError> {
     let input_len = input.len();
     let t = tm.external_tapes;
     let mut cfg = Config::initial(tm, input);
-    let mut trace = RunTracer::begin(st_trace::current(), "tm", "ext", t, input_len);
+    let mut trace = RunTracer::begin(tracer.clone(), "tm", "ext", t, input_len);
     let outcome = loop {
         let succ = match next_step(tm, &cfg, max_steps) {
             ControlFlow::Continue(succ) => succ,
@@ -179,10 +180,15 @@ fn run_with(
     Ok(result)
 }
 
-/// Execute a deterministic machine. Errors if a configuration ever has
-/// more than one successor.
-pub fn run_deterministic(tm: &Tm, input: Vec<Sym>, max_steps: u64) -> Result<RunResult, StError> {
-    run_with(tm, input, max_steps, |state, n| {
+/// Execute a deterministic machine, tracing on `tracer`. Errors if a
+/// configuration ever has more than one successor.
+pub fn run_deterministic(
+    tm: &Tm,
+    input: Vec<Sym>,
+    max_steps: u64,
+    tracer: &Tracer,
+) -> Result<RunResult, StError> {
+    run_with(tm, input, max_steps, tracer, |state, n| {
         if n == 1 {
             Ok(0)
         } else {
@@ -196,14 +202,16 @@ pub fn run_deterministic(tm: &Tm, input: Vec<Sym>, max_steps: u64) -> Result<Run
 
 /// Execute one randomized run, resolving each step by a uniform choice
 /// over the successor set (the `Pr(γ →_T γ′) = 1/|Next|` semantics of
-/// Section 2). A step with one successor still draws from `rng`.
+/// Section 2). A step with one successor still draws from `rng`. Traces
+/// on `tracer`.
 pub fn run_sampled<R: Rng>(
     tm: &Tm,
     input: Vec<Sym>,
     max_steps: u64,
     rng: &mut R,
+    tracer: &Tracer,
 ) -> Result<RunResult, StError> {
-    run_with(tm, input, max_steps, |_, n| Ok(rng.gen_range(0..n)))
+    run_with(tm, input, max_steps, tracer, |_, n| Ok(rng.gen_range(0..n)))
 }
 
 /// Enumerate **all** runs of a (small) nondeterministic machine, calling
@@ -319,9 +327,8 @@ mod tests {
     fn traced_deterministic_run_replays_to_the_reported_usage() {
         let tm = library::strings_equal_machine();
         let (tracer, buf) = st_trace::Tracer::in_memory();
-        let result = st_trace::scoped(tracer, || {
-            run_deterministic(&tm, library::encode("0110#0110"), 1 << 16).unwrap()
-        });
+        let result =
+            run_deterministic(&tm, library::encode("0110#0110"), 1 << 16, &tracer).unwrap();
         let events = buf.snapshot();
         assert_eq!(st_trace::replay(&events), result.usage);
         let report = st_trace::audit(&events);
@@ -333,11 +340,11 @@ mod tests {
     fn parity_machine_accepts_even_number_of_ones() {
         let tm = library::parity_machine();
         // Alphabet: 1 = '0', 2 = '1'.
-        let r = run_deterministic(&tm, vec![2, 1, 2], 1000).unwrap();
+        let r = run_deterministic(&tm, vec![2, 1, 2], 1000, &Tracer::disabled()).unwrap();
         assert!(r.accepted(), "two ones = even");
-        let r = run_deterministic(&tm, vec![2, 1, 1], 1000).unwrap();
+        let r = run_deterministic(&tm, vec![2, 1, 1], 1000, &Tracer::disabled()).unwrap();
         assert!(!r.accepted(), "one one = odd");
-        let r = run_deterministic(&tm, vec![], 1000).unwrap();
+        let r = run_deterministic(&tm, vec![], 1000, &Tracer::disabled()).unwrap();
         assert!(r.accepted(), "zero ones = even");
     }
 
@@ -345,7 +352,7 @@ mod tests {
     fn parity_machine_uses_one_scan_and_constant_space() {
         let tm = library::parity_machine();
         let input: Vec<Sym> = (0..200).map(|i| 1 + (i % 2) as Sym).collect();
-        let r = run_deterministic(&tm, input, 100_000).unwrap();
+        let r = run_deterministic(&tm, input, 100_000, &Tracer::disabled()).unwrap();
         assert_eq!(r.usage.scans(), 1, "single forward scan");
         assert!(r.usage.internal_space <= 1);
     }
@@ -370,7 +377,10 @@ mod tests {
         let trials = 2000;
         let mut acc = 0;
         for _ in 0..trials {
-            if run_sampled(&tm, vec![1], 100, &mut rng).unwrap().accepted() {
+            if run_sampled(&tm, vec![1], 100, &mut rng, &Tracer::disabled())
+                .unwrap()
+                .accepted()
+            {
                 acc += 1;
             }
         }
@@ -383,7 +393,7 @@ mod tests {
         let tm = library::parity_machine();
         // Symbol 3 ('#') has no transition from the scanning state of the
         // parity machine; the machine jams.
-        let r = run_deterministic(&tm, vec![3], 100).unwrap();
+        let r = run_deterministic(&tm, vec![3], 100, &Tracer::disabled()).unwrap();
         assert_eq!(r.outcome, RunOutcome::Jam);
         assert!(!r.accepted());
     }
@@ -391,7 +401,7 @@ mod tests {
     #[test]
     fn step_limit_reported() {
         let tm = library::diverging_machine();
-        let r = run_deterministic(&tm, vec![1, 1, 1], 10).unwrap();
+        let r = run_deterministic(&tm, vec![1, 1, 1], 10, &Tracer::disabled()).unwrap();
         assert_eq!(r.outcome, RunOutcome::StepLimit);
     }
 }

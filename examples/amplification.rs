@@ -22,6 +22,7 @@ use st_lab::problems::perm::phi;
 use st_lab::tm::library::{encode, strings_equal_machine};
 use st_lab::tm::prob::exact_acceptance;
 use st_lab::tm::run::run_sampled;
+use st_trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. A (½,0)-RTM from a deterministic decider. -------------------
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut acc = 0;
         for _ in 0..trials {
             let (a, _) = amplify_no_false_positives(k, || {
-                let r = run_sampled(&rtm, yes.clone(), 1 << 20, &mut rng)?;
+                let r = run_sampled(&rtm, yes.clone(), 1 << 20, &mut rng, &Tracer::disabled())?;
                 Ok((r.accepted(), ResourceUsage::default()))
             })?;
             if a {
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fam = WordFamily::new(m, 8)?;
     let nlm = coin_prefixed_matcher(m, phi(m));
     let pool: Vec<Vec<u64>> = (0..16).map(|_| fam.sample_yes(&mut rng)).collect();
-    let good = find_good_choice_sequence(&nlm, &pool, 1 << 10, 64, &mut rng)?;
+    let good = find_good_choice_sequence(&nlm, &pool, 1 << 10, 64, &mut rng, &Tracer::disabled())?;
     println!(
         "\nLemma 26: fixed choice sequence accepts {}/{} of the yes-pool (target ≥ {})",
         good.accepted,

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use st_lab::algo::sorting::check_sort_via_sorting;
 use st_lab::extmem::sort::sort_with_usage;
 use st_lab::problems::generate;
+use st_trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("external merge sort (3 tapes): reversals vs N\n");
@@ -20,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for logm in 4..=14 {
         let m = 1usize << logm;
         let items: Vec<u64> = (0..m as u64).rev().collect();
-        let (sorted, usage) = sort_with_usage(items, m)?;
+        let (sorted, usage) = sort_with_usage(items, m, &Tracer::disabled())?;
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
         println!(
             "{:>8} {:>12} {:>14} {:>12.0}",
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             generate::no_checksort_sorted_but_wrong(256, 12, &mut rng),
         ),
     ] {
-        let (verdict, usage) = check_sort_via_sorting(&inst)?;
+        let (verdict, usage) = check_sort_via_sorting(&inst, &Tracer::disabled())?;
         println!(
             "  {label:<22} verdict = {verdict:<5}  scans = {:<4} internal = {} bits",
             usage.scans(),

@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use st_lab::lm::adversary::{find_fooling_input, WordFamily};
 use st_lab::lm::library::one_scan_matcher;
 use st_lab::problems::perm::phi;
+use st_trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = 8usize;
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut rng = StdRng::seed_from_u64(42);
-    let res = find_fooling_input(&nlm, &fam, &mut rng, 24)?;
+    let res = find_fooling_input(&nlm, &fam, &mut rng, 24, &Tracer::disabled())?;
 
     println!("\npinned skeleton group size: {}", res.group_size);
     println!(

@@ -7,6 +7,7 @@
 //! ```
 
 use st_lab::query::relalg::{evaluate, sym_diff_query, Database, Relation};
+use st_trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = Database::new();
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let q = sym_diff_query("R1", "R2");
     println!("query: {q}");
-    let (result, usage) = evaluate(&q, &db)?;
+    let (result, usage) = evaluate(&q, &db, &Tracer::disabled())?;
     println!("\nresult ({} tuple(s)):", result.len());
     for t in &result.tuples {
         println!("  {t:?}");

@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_lab::algo::{fingerprint, nst, sortcheck};
 use st_lab::problems::{generate, Instance};
+use st_lab::trace::Tracer;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,10 +78,11 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             (r.accepted, r.usage)
         }
         ("multiset", "nst") => {
-            let acc = nst::exists_certificate(&inst, false).map_err(|e| e.to_string())?;
+            let acc = nst::exists_certificate(&inst, false, &Tracer::disabled())
+                .map_err(|e| e.to_string())?;
             let id: Vec<usize> = (0..inst.m()).collect();
-            let r =
-                nst::verify_multiset_certificate(&inst, &id, false).map_err(|e| e.to_string())?;
+            let r = nst::verify_multiset_certificate(&inst, &id, false, &Tracer::disabled())
+                .map_err(|e| e.to_string())?;
             (acc, r.usage)
         }
         ("set", "sort") => {
@@ -88,8 +90,8 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             (r.accepted, r.usage)
         }
         ("set", "stream") => {
-            let (v, u) =
-                st_lab::query::stream::streaming_set_equality(&inst).map_err(|e| e.to_string())?;
+            let (v, u) = st_lab::query::stream::streaming_set_equality(&inst, &Tracer::disabled())
+                .map_err(|e| e.to_string())?;
             (v, u)
         }
         ("checksort", "sort") => {
@@ -97,8 +99,8 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             (r.accepted, r.usage)
         }
         ("disjoint", "sort") => {
-            let (v, u) =
-                st_lab::algo::disjoint::decide_disjoint_det(&inst).map_err(|e| e.to_string())?;
+            let (v, u) = st_lab::algo::disjoint::decide_disjoint_det(&inst, &Tracer::disabled())
+                .map_err(|e| e.to_string())?;
             (v, u)
         }
         (p, a) => return Err(format!("unsupported problem/algorithm pair {p}/{a}")),
@@ -120,7 +122,8 @@ fn cmd_fool(args: &[String]) -> Result<(), String> {
     let fam = WordFamily::new(m, n).map_err(|e| e.to_string())?;
     let nlm = one_scan_matcher(m, phi(m));
     let mut rng = StdRng::seed_from_u64(seed);
-    let res = find_fooling_input(&nlm, &fam, &mut rng, 24).map_err(|e| e.to_string())?;
+    let res = find_fooling_input(&nlm, &fam, &mut rng, 24, &Tracer::disabled())
+        .map_err(|e| e.to_string())?;
     println!("uncompared i0 = {}", res.i0);
     println!("fooling input u = {:?}", res.u);
     println!("u is a yes-instance: {}", fam.holds(&res.u));

@@ -6,6 +6,7 @@ use rand::SeedableRng;
 use st_lab::algo::{fingerprint, nst, sortcheck};
 use st_lab::core::{Bound, ClassSpec, ErrorSide, TapeCount};
 use st_lab::problems::generate;
+use st_trace::Tracer;
 
 #[test]
 fn fingerprint_witnesses_theorem8a_class() {
@@ -31,7 +32,7 @@ fn nst_verifier_witnesses_theorem8b_class() {
     for m in [2usize, 4, 6] {
         let inst = generate::yes_multiset(m, 6, &mut rng);
         let id: Vec<usize> = (0..m).collect();
-        let run = nst::verify_multiset_certificate(&inst, &id, false).unwrap();
+        let run = nst::verify_multiset_certificate(&inst, &id, false, &Tracer::disabled()).unwrap();
         let check = spec.check_usage(&run.usage);
         assert!(check.within_bounds(), "m={m}: {:?}", check.violations);
     }
@@ -68,8 +69,9 @@ fn error_side_semantics_match_measured_frequencies() {
     let mut rng = StdRng::seed_from_u64(103);
     let yes = generate::yes_multiset(10, 10, &mut rng);
     let no = generate::no_multiset_one_bit(10, 10, &mut rng);
-    let p_yes = fingerprint::acceptance_frequency(&yes, 150, &mut rng).unwrap();
-    let p_no = fingerprint::acceptance_frequency(&no, 300, &mut rng).unwrap();
+    let p_yes =
+        fingerprint::acceptance_frequency(&yes, 150, &mut rng, &Tracer::disabled()).unwrap();
+    let p_no = fingerprint::acceptance_frequency(&no, 300, &mut rng, &Tracer::disabled()).unwrap();
     // The fingerprint decider is the co-RST side: never a false negative.
     assert!(
         ErrorSide::NoFalseNegatives.admits(p_yes, p_no),

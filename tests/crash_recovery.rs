@@ -12,6 +12,7 @@ use st_core::ResourceUsage;
 use st_extmem::block::DEFAULT_BLOCK;
 use st_extmem::durable::frame::HEADER_LEN;
 use st_extmem::durable::{decode_frames, FrameTag};
+use st_trace::Tracer;
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -32,14 +33,15 @@ fn crash_at_every_journal_byte_recovers_byte_identically() {
     let mut expect = items.clone();
     expect.sort();
 
-    let baseline = durable_sort(&dir.join("base.wal"), items.clone(), m).unwrap();
+    let baseline =
+        durable_sort(&dir.join("base.wal"), items.clone(), m, &Tracer::disabled()).unwrap();
     assert_eq!(baseline.sorted, expect, "the uninterrupted run must sort");
     assert!(baseline.journal_bytes > 0);
 
     // Exhaustive: one run per journal byte, killed at exactly that byte.
     let path = dir.join("crash.wal");
     for k in 0..baseline.journal_bytes {
-        let run = sort_with_crashes(&path, items.clone(), m, &[k]).unwrap();
+        let run = sort_with_crashes(&path, items.clone(), m, &[k], &Tracer::disabled()).unwrap();
         assert_eq!(
             run.sorted, baseline.sorted,
             "crash at journal byte {k} recovered to a different output"
@@ -62,9 +64,7 @@ fn audited_storm(
     storm: &[u64],
 ) -> (DurableSortRun<i64>, st_trace::Aggregator) {
     let (tracer, buf) = st_trace::Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        sort_with_crashes(path, items.to_vec(), items.len(), storm).unwrap()
-    });
+    let run = sort_with_crashes(path, items.to_vec(), items.len(), storm, &tracer).unwrap();
     let events = buf.snapshot();
     let report = st_trace::audit(&events);
     assert!(report.ok(), "storm {storm:?}: {report}");
@@ -89,7 +89,13 @@ fn recovered_run_trace_replays_to_the_measured_usage() {
     let m = 32usize;
     let items = workload(m as i64);
 
-    let probe = durable_sort(&dir.join("probe.wal"), items.clone(), m).unwrap();
+    let probe = durable_sort(
+        &dir.join("probe.wal"),
+        items.clone(),
+        m,
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let storm = [probe.journal_bytes / 4, probe.journal_bytes / 2];
 
     let (run, agg) = audited_storm(&dir.join("storm.wal"), &items, &storm);
@@ -117,7 +123,7 @@ fn crashes_inside_every_frame_of_a_multi_block_checkpoint_recover() {
     let m = 2 * DEFAULT_BLOCK + 3;
     let items = workload(m as i64);
     let base_path = dir.join("base.wal");
-    let baseline = durable_sort(&base_path, items.clone(), m).unwrap();
+    let baseline = durable_sort(&base_path, items.clone(), m, &Tracer::disabled()).unwrap();
     let mut expect = items.clone();
     expect.sort();
     assert_eq!(baseline.sorted, expect);

@@ -10,6 +10,7 @@ use st_lab::lm::simulate::{simulate_tm, tm_input_word};
 use st_lab::problems::{generate, predicates, Instance};
 use st_lab::tm::library as tmlib;
 use st_lab::tm::run::run_deterministic;
+use st_trace::Tracer;
 
 /// The deterministic TM for string equality, its Lemma 16 NLM simulation,
 /// and the m = 1 multiset decider all answer identically.
@@ -24,10 +25,19 @@ fn tm_nlm_and_algorithms_agree_on_string_equality() {
     ] {
         let n = 4usize;
         // TM verdict.
-        let tm_run = run_deterministic(&tm, tm_input_word(&[a, b], n), 1 << 20).unwrap();
+        let tm_run =
+            run_deterministic(&tm, tm_input_word(&[a, b], n), 1 << 20, &Tracer::disabled())
+                .unwrap();
         // NLM (Lemma 16 simulation) verdict.
         let sim = simulate_tm(&tm, 2, n, 1, 1 << 20).unwrap();
-        let lm_run = run_with_choices(&sim.nlm, &[a, b], &vec![0; 1 << 13], 1 << 13).unwrap();
+        let lm_run = run_with_choices(
+            &sim.nlm,
+            &[a, b],
+            &vec![0; 1 << 13],
+            1 << 13,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert!(sim.take_error().is_none());
         // Algorithm-layer verdict on the same word as an m=1-pair instance.
         let inst = Instance::parse(&format!(
@@ -62,7 +72,10 @@ fn all_deciders_agree_with_reference_semantics() {
                 truth
             );
             // NST exhaustive certificate search.
-            assert_eq!(nst::exists_certificate(&inst, false).unwrap(), truth);
+            assert_eq!(
+                nst::exists_certificate(&inst, false, &Tracer::disabled()).unwrap(),
+                truth
+            );
             // Fingerprint: completeness always; soundness only one-sided,
             // so we can only assert the yes-direction.
             if truth {

@@ -14,6 +14,7 @@ use st_algo::resilient::{
 use st_core::{RetryBudget, Verdict};
 use st_extmem::{Corrupt, FaultPlan, TapeMachine};
 use st_problems::{generate, predicates, BitStr};
+use st_trace::Tracer;
 
 fn workload(count: u64, bits: usize, seed: u64) -> Vec<BitStr> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -26,7 +27,8 @@ fn workload(count: u64, bits: usize, seed: u64) -> Vec<BitStr> {
 fn corrupt_impl_reaches_the_tape_layer_across_crates() {
     // st-problems provides Corrupt for BitStr; st-extmem consumes it.
     let items = workload(16, 6, 1);
-    let mut machine: TapeMachine<BitStr> = TapeMachine::with_input(items.clone(), 16);
+    let mut machine: TapeMachine<BitStr> =
+        TapeMachine::with_input(items.clone(), 16, Tracer::disabled());
     machine.enable_faults(0, &FaultPlan::uniform(3, 0.5));
     let mut read_back = Vec::new();
     while let Some(v) = machine.tape_mut(0).read_fwd() {
@@ -61,8 +63,15 @@ fn resilient_sort_is_correct_or_explicitly_unverified() {
         for seed in 0..4u64 {
             let plan = FaultPlan::uniform(100 * i as u64 + seed, rate);
             let mut rng = StdRng::seed_from_u64(seed + 40);
-            let run =
-                resilient_sort(&items, items.len(), &plan, RetryBudget::new(4), &mut rng).unwrap();
+            let run = resilient_sort(
+                &items,
+                items.len(),
+                &plan,
+                RetryBudget::new(4),
+                &mut rng,
+                &Tracer::disabled(),
+            )
+            .unwrap();
             match &run.verdict {
                 Verdict::Verified(v) => {
                     assert_eq!(
@@ -90,6 +99,7 @@ fn retry_reversals_show_up_in_the_scan_count() {
         &FaultPlan::new(1),
         RetryBudget::default(),
         &mut rng,
+        &Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(clean.attempts, 1);
@@ -102,6 +112,7 @@ fn retry_reversals_show_up_in_the_scan_count() {
         &FaultPlan::uniform(2, 0.05),
         RetryBudget::new(5),
         &mut rng,
+        &Tracer::disabled(),
     )
     .unwrap();
     assert!(
@@ -131,14 +142,25 @@ fn resilient_deciders_never_contradict_the_reference_predicates() {
             for inst in &instances {
                 let plan = FaultPlan::uniform(round * 31 + 11, rate);
                 let mut rng = StdRng::seed_from_u64(round + 70);
-                let eq =
-                    decide_multiset_equality_resilient(inst, &plan, RetryBudget::new(4), &mut rng)
-                        .unwrap();
+                let eq = decide_multiset_equality_resilient(
+                    inst,
+                    &plan,
+                    RetryBudget::new(4),
+                    &mut rng,
+                    &Tracer::disabled(),
+                )
+                .unwrap();
                 if let Verdict::Verified(got) = eq.verdict {
                     assert_eq!(got, predicates::is_multiset_equal(inst), "rate {rate}");
                 }
-                let cs = decide_check_sort_resilient(inst, &plan, RetryBudget::new(4), &mut rng)
-                    .unwrap();
+                let cs = decide_check_sort_resilient(
+                    inst,
+                    &plan,
+                    RetryBudget::new(4),
+                    &mut rng,
+                    &Tracer::disabled(),
+                )
+                .unwrap();
                 if let Verdict::Verified(got) = cs.verdict {
                     assert_eq!(got, predicates::is_check_sorted(inst), "rate {rate}");
                 }
@@ -161,7 +183,7 @@ proptest! {
         expect.sort();
         let plan = FaultPlan::uniform(plan_seed, rate_mil as f64 / 1e6);
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let run = resilient_sort(&items, items.len(), &plan, RetryBudget::new(3), &mut rng)
+        let run = resilient_sort(&items, items.len(), &plan, RetryBudget::new(3), &mut rng, &Tracer::disabled())
             .unwrap();
         if let Verdict::Verified(v) = &run.verdict {
             prop_assert_eq!(v, &expect);

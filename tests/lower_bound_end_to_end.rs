@@ -11,6 +11,7 @@ use st_lab::lm::library::one_scan_matcher;
 use st_lab::problems::{perm::phi, predicates};
 use st_lab::query::relalg::{evaluate, instance_database, sym_diff_query};
 use st_lab::query::xquery::run_theorem12;
+use st_trace::Tracer;
 
 #[test]
 fn fooling_input_fools_only_the_bounded_scan_machine() {
@@ -18,7 +19,7 @@ fn fooling_input_fools_only_the_bounded_scan_machine() {
     let fam = WordFamily::new(m, 12).unwrap();
     let nlm = one_scan_matcher(m, phi(m));
     let mut rng = StdRng::seed_from_u64(2006);
-    let res = find_fooling_input(&nlm, &fam, &mut rng, 24).unwrap();
+    let res = find_fooling_input(&nlm, &fam, &mut rng, 24, &Tracer::disabled()).unwrap();
 
     // The bounded-scan machine says YES…
     assert!(res.run_u.accepted());
@@ -44,14 +45,20 @@ fn fooling_input_fools_only_the_bounded_scan_machine() {
     // Even the "natural" certificate φ fails the NST verifier (m = 8 is
     // beyond the exhaustive-search guard, and on the CHECK-φ instance
     // space no certificate can exist for a no-instance).
-    let cert = nst::verify_multiset_certificate(&inst, &phi(m), false).unwrap();
+    let cert =
+        nst::verify_multiset_certificate(&inst, &phi(m), false, &Tracer::disabled()).unwrap();
     assert!(
         !cert.accepted,
         "the φ certificate must fail on a no-instance"
     );
 
     // The query layer agrees (Theorems 11 and 12 reductions).
-    let (q, _) = evaluate(&sym_diff_query("R1", "R2"), &instance_database(&inst)).unwrap();
+    let (q, _) = evaluate(
+        &sym_diff_query("R1", "R2"),
+        &instance_database(&inst),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     assert!(!q.is_empty(), "symmetric difference is nonempty");
     assert!(!run_theorem12(&inst).unwrap().contains("<true>"));
 }
@@ -68,7 +75,12 @@ fn yes_instances_pass_everywhere() {
     assert!(predicates::is_set_equal(&inst));
     assert!(sortcheck::decide_multiset_equality(&inst).unwrap().accepted);
     assert!(sortcheck::decide_check_sort(&inst).unwrap().accepted);
-    let (q, _) = evaluate(&sym_diff_query("R1", "R2"), &instance_database(&inst)).unwrap();
+    let (q, _) = evaluate(
+        &sym_diff_query("R1", "R2"),
+        &instance_database(&inst),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     assert!(q.is_empty());
     assert!(run_theorem12(&inst).unwrap().contains("<true>"));
 }

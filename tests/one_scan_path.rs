@@ -16,6 +16,7 @@ use st_algo::{durable_sort, sort_with_crashes};
 use st_core::{ResourceUsage, RetryBudget, StError, Verdict};
 use st_extmem::{FaultPlan, FaultStats};
 use st_problems::{generate, BitStr, Instance};
+use st_trace::Tracer;
 
 /// FNV-1a over `bytes`.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -104,15 +105,14 @@ fn resilient_sort_under_faults_keeps_its_output_usage_and_trace() {
         .map(|i| BitStr::from_value((i * 37 + 11) % 53, 6).unwrap())
         .collect();
     let (tracer, buf) = st_trace::Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        resilient_sort(
-            &items,
-            items.len() * 7,
-            &FaultPlan::uniform(100, 0.08),
-            RetryBudget::default(),
-            &mut StdRng::seed_from_u64(42),
-        )
-    })
+    let run = resilient_sort(
+        &items,
+        items.len() * 7,
+        &FaultPlan::uniform(100, 0.08),
+        RetryBudget::default(),
+        &mut StdRng::seed_from_u64(42),
+        &tracer,
+    )
     .unwrap();
     assert_eq!(
         run.verdict,
@@ -157,9 +157,22 @@ fn durable_sort_with_one_crash_keeps_its_output_and_journal() {
     let dir = std::env::temp_dir().join(format!("st_one_scan_path_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let items: Vec<i64> = (0..40).map(|i| (i * 37 + 5) % 40).collect();
-    let base = durable_sort(&dir.join("base.wal"), items.clone(), 40).unwrap();
+    let base = durable_sort(
+        &dir.join("base.wal"),
+        items.clone(),
+        40,
+        &Tracer::disabled(),
+    )
+    .unwrap();
     assert_eq!(base.journal_bytes, 3633);
-    let run = sort_with_crashes(&dir.join("crash.wal"), items, 40, &[3633 / 3]).unwrap();
+    let run = sort_with_crashes(
+        &dir.join("crash.wal"),
+        items,
+        40,
+        &[3633 / 3],
+        &Tracer::disabled(),
+    )
+    .unwrap();
     assert_eq!(run.sorted, (0..40).collect::<Vec<i64>>());
     // The resumed incarnation starts from the recovered commit and
     // journals only what the crash cut off: the journal ends byte for

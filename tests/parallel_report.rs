@@ -11,6 +11,7 @@
 use st_bench::report::{to_json, write_text};
 use st_bench::runner::{run_experiments, select_experiments, RunOptions, RunOutcome, TimingMode};
 use st_bench::{all_experiments, Experiment, Report};
+use st_trace::Tracer;
 use std::path::PathBuf;
 
 fn run(jobs: usize, trace_dir: PathBuf, ids: &[&str]) -> RunOutcome {
@@ -80,7 +81,7 @@ fn jobs_1_and_jobs_4_produce_byte_identical_artifacts() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-fn deliberate_panic() -> Report {
+fn deliberate_panic(_: &Tracer) -> Report {
     panic!("deliberate parallel_report test panic");
 }
 

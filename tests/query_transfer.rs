@@ -7,6 +7,7 @@ use st_lab::problems::{generate, predicates};
 use st_lab::query::relalg::{evaluate, instance_database, sym_diff_query};
 use st_lab::query::xpath::set_equality_via_two_filter_runs;
 use st_lab::query::xquery::run_theorem12;
+use st_trace::Tracer;
 
 #[test]
 fn three_query_systems_agree_on_set_equality() {
@@ -19,8 +20,12 @@ fn three_query_systems_agree_on_set_equality() {
         ] {
             let truth = predicates::is_set_equal(&inst);
             // Theorem 11: relational algebra.
-            let (res, _) =
-                evaluate(&sym_diff_query("R1", "R2"), &instance_database(&inst)).unwrap();
+            let (res, _) = evaluate(
+                &sym_diff_query("R1", "R2"),
+                &instance_database(&inst),
+                &Tracer::disabled(),
+            )
+            .unwrap();
             assert_eq!(res.is_empty(), truth, "relalg on {}", inst.encode());
             // Theorem 12: XQuery.
             let xq = run_theorem12(&inst).unwrap().contains("<true>");
@@ -38,7 +43,12 @@ fn relalg_reversals_grow_logarithmically_as_theorem11a_promises() {
     let mut pts = Vec::new();
     for logm in 3..=8 {
         let inst = generate::yes_set_distinct(1 << logm, 10, &mut rng);
-        let (_, usage) = evaluate(&sym_diff_query("R1", "R2"), &instance_database(&inst)).unwrap();
+        let (_, usage) = evaluate(
+            &sym_diff_query("R1", "R2"),
+            &instance_database(&inst),
+            &Tracer::disabled(),
+        )
+        .unwrap();
         pts.push((usage.input_len, usage.total_reversals() as f64));
     }
     let (slope, _, r2) = st_lab::core::math::log_fit(&pts);
@@ -51,7 +61,12 @@ fn empty_and_degenerate_instances() {
     let empty = st_lab::problems::Instance::parse("").unwrap();
     assert!(set_equality_via_two_filter_runs(&empty).unwrap());
     assert!(run_theorem12(&empty).unwrap().contains("<true>"));
-    let (res, _) = evaluate(&sym_diff_query("R1", "R2"), &instance_database(&empty)).unwrap();
+    let (res, _) = evaluate(
+        &sym_diff_query("R1", "R2"),
+        &instance_database(&empty),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     assert!(res.is_empty());
 
     let single = st_lab::problems::Instance::parse("0#1#").unwrap();

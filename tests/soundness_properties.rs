@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use st_lab::algo::nst::verify_multiset_certificate;
 use st_lab::problems::{predicates, BitStr, Instance};
 use st_lab::query::stream::streaming_set_equality;
+use st_trace::Tracer;
 
 fn arb_instance(max_m: usize, max_n: usize) -> impl Strategy<Value = Instance> {
     proptest::collection::vec(
@@ -55,7 +56,7 @@ proptest! {
             p
         };
         use rand::RngCore;
-        let run = verify_multiset_certificate(&inst, &pi, false).unwrap();
+        let run = verify_multiset_certificate(&inst, &pi, false, &Tracer::disabled()).unwrap();
         let valid = {
             let mut seen = vec![false; m];
             let injective = pi.iter().all(|&p| {
@@ -73,7 +74,7 @@ proptest! {
     /// arbitrary instances (including ragged and empty values).
     #[test]
     fn streaming_set_equality_matches_reference(inst in arb_instance(6, 4)) {
-        let (got, usage) = streaming_set_equality(&inst).unwrap();
+        let (got, usage) = streaming_set_equality(&inst, &Tracer::disabled()).unwrap();
         prop_assert_eq!(got, predicates::is_set_equal(&inst), "{}", inst.encode());
         prop_assert!(usage.total_reversals() > 0 || inst.m() <= 1);
     }
@@ -103,7 +104,7 @@ proptest! {
             ys[o] = xs[i].clone();
         }
         let inst = Instance::new(xs, ys).unwrap();
-        let run = verify_multiset_certificate(&inst, &order, false).unwrap();
+        let run = verify_multiset_certificate(&inst, &order, false, &Tracer::disabled()).unwrap();
         prop_assert!(run.accepted);
     }
 }

@@ -27,13 +27,14 @@ fn bitstr_workload(count: u64, bits: usize, seed: u64) -> Vec<BitStr> {
 fn merge_sort_trace_replays_bit_for_bit() {
     let items = bitstr_workload(48, 8, 11);
     let (tracer, buf) = Tracer::in_memory();
-    let (usage, sorted) = st_trace::scoped(tracer, || {
-        let mut machine: TapeMachine<BitStr> = TapeMachine::with_input(items.clone(), items.len());
+    let (usage, sorted) = {
+        let mut machine: TapeMachine<BitStr> =
+            TapeMachine::with_input(items.clone(), items.len(), tracer.clone());
         let s1 = machine.add_tape("scratch1");
         let s2 = machine.add_tape("scratch2");
         sort::merge_sort(&mut machine, 0, s1, s2).unwrap();
         (machine.usage(), machine.tape(0).snapshot())
-    });
+    };
     let mut expect = items;
     expect.sort();
     assert_eq!(sorted, expect, "the traced sort must still sort");
@@ -68,11 +69,17 @@ fn merge_sort_trace_replays_bit_for_bit() {
 fn resilient_pipeline_trace_replays_and_records_retries() {
     let items = bitstr_workload(40, 8, 2);
     let (tracer, buf) = Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        let plan = FaultPlan::uniform(100, 0.08);
-        let mut rng = StdRng::seed_from_u64(42);
-        resilient_sort(&items, items.len(), &plan, RetryBudget::new(4), &mut rng).unwrap()
-    });
+    let plan = FaultPlan::uniform(100, 0.08);
+    let mut rng = StdRng::seed_from_u64(42);
+    let run = resilient_sort(
+        &items,
+        items.len(),
+        &plan,
+        RetryBudget::new(4),
+        &mut rng,
+        &tracer,
+    )
+    .unwrap();
 
     let events = buf.snapshot();
     assert_eq!(
@@ -108,9 +115,9 @@ fn resilient_pipeline_trace_replays_and_records_retries() {
 fn tm_library_machine_trace_replays_bit_for_bit() {
     let tm = st_tm::library::strings_equal_machine();
     let (tracer, buf) = Tracer::in_memory();
-    let result = st_trace::scoped(tracer, || {
-        st_tm::run::run_deterministic(&tm, st_tm::library::encode("10011#10011"), 1 << 16).unwrap()
-    });
+    let result =
+        st_tm::run::run_deterministic(&tm, st_tm::library::encode("10011#10011"), 1 << 16, &tracer)
+            .unwrap();
     let events = buf.snapshot();
     assert_eq!(replay(&events), result.usage);
     let report = audit(&events);
@@ -122,9 +129,7 @@ fn list_machine_trace_replays_bit_for_bit() {
     let nlm = st_lm::library::zigzag_machine(1, 5, 2);
     let input: Vec<u64> = vec![3, 1, 4, 1, 5];
     let (tracer, buf) = Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        st_lm::run::run_with_choices(&nlm, &input, &[0; 1 << 12], 1 << 12).unwrap()
-    });
+    let run = st_lm::run::run_with_choices(&nlm, &input, &[0; 1 << 12], 1 << 12, &tracer).unwrap();
     assert!(run.accepted());
     let events = buf.snapshot();
     assert_eq!(replay(&events), run.usage(input.len()));
@@ -138,20 +143,18 @@ fn one_stream_audits_many_substrates_as_separate_segments() {
     // keep their accounting separate (each RunBegin opens a segment) and
     // every per-segment checkpoint must still match.
     let (tracer, buf) = Tracer::in_memory();
-    st_trace::scoped(tracer, || {
-        let items = bitstr_workload(16, 6, 7);
-        let mut machine: TapeMachine<BitStr> = TapeMachine::with_input(items, 16);
-        let s1 = machine.add_tape("s1");
-        let s2 = machine.add_tape("s2");
-        sort::merge_sort(&mut machine, 0, s1, s2).unwrap();
-        let _ = machine.usage();
+    let items = bitstr_workload(16, 6, 7);
+    let mut machine: TapeMachine<BitStr> = TapeMachine::with_input(items, 16, tracer.clone());
+    let s1 = machine.add_tape("s1");
+    let s2 = machine.add_tape("s2");
+    sort::merge_sort(&mut machine, 0, s1, s2).unwrap();
+    let _ = machine.usage();
 
-        let tm = st_tm::library::parity_machine();
-        st_tm::run::run_deterministic(&tm, vec![2, 1, 2], 1000).unwrap();
+    let tm = st_tm::library::parity_machine();
+    st_tm::run::run_deterministic(&tm, vec![2, 1, 2], 1000, &tracer).unwrap();
 
-        let nlm = st_lm::library::sweep_right_machine(2, 4);
-        st_lm::run::run_with_choices(&nlm, &[1, 2, 3, 4], &[0; 64], 64).unwrap();
-    });
+    let nlm = st_lm::library::sweep_right_machine(2, 4);
+    st_lm::run::run_with_choices(&nlm, &[1, 2, 3, 4], &[0; 64], 64, &tracer).unwrap();
     let events = buf.snapshot();
     let report = audit(&events);
     assert!(report.ok(), "{report}");
@@ -172,14 +175,14 @@ fn jsonl_round_trip_preserves_the_audit() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.jsonl");
     let tracer = Tracer::jsonl(&path).unwrap();
-    let usage = st_trace::scoped(tracer.clone(), || {
+    let usage = {
         let items = bitstr_workload(24, 6, 3);
-        let mut machine: TapeMachine<BitStr> = TapeMachine::with_input(items, 24);
+        let mut machine: TapeMachine<BitStr> = TapeMachine::with_input(items, 24, tracer.clone());
         let s1 = machine.add_tape("s1");
         let s2 = machine.add_tape("s2");
         sort::merge_sort(&mut machine, 0, s1, s2).unwrap();
         machine.usage()
-    });
+    };
     tracer.flush();
     let events = st_trace::read_jsonl(&path).unwrap();
     assert_eq!(replay(&events), usage);
@@ -208,10 +211,13 @@ fn long_equal_word(len: usize) -> String {
 fn tm_deterministic_run_keeps_its_trace_bytes() {
     let tm = st_tm::library::strings_equal_machine();
     let (tracer, buf) = Tracer::in_memory();
-    let result = st_trace::scoped(tracer, || {
-        st_tm::run::run_deterministic(&tm, st_tm::library::encode(&long_equal_word(400)), 1 << 16)
-            .unwrap()
-    });
+    let result = st_tm::run::run_deterministic(
+        &tm,
+        st_tm::library::encode(&long_equal_word(400)),
+        1 << 16,
+        &tracer,
+    )
+    .unwrap();
     assert!(result.accepted());
     assert!(result.usage.steps > 1024, "{}", result.usage.steps);
     let events = buf.snapshot();
@@ -227,10 +233,14 @@ fn tm_sampled_run_keeps_its_trace_bytes_and_draws() {
     let tm = st_tm::library::randomized_strings_equal_machine();
     let mut rng = StdRng::seed_from_u64(3);
     let (tracer, buf) = Tracer::in_memory();
-    let result = st_trace::scoped(tracer, || {
-        st_tm::run::run_sampled(&tm, st_tm::library::encode("0110#0110"), 1 << 16, &mut rng)
-            .unwrap()
-    });
+    let result = st_tm::run::run_sampled(
+        &tm,
+        st_tm::library::encode("0110#0110"),
+        1 << 16,
+        &mut rng,
+        &tracer,
+    )
+    .unwrap();
     let events = buf.snapshot();
     assert_eq!(replay(&events), result.usage);
     assert_eq!(
@@ -248,9 +258,7 @@ fn lm_run_with_choices_keeps_its_trace_bytes() {
     let nlm = st_lm::library::zigzag_machine(2, 40, 12);
     let input: Vec<u64> = (0..40).map(|i| i * 7 % 11).collect();
     let (tracer, buf) = Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        st_lm::run::run_with_choices(&nlm, &input, &[0; 1 << 12], 1 << 12).unwrap()
-    });
+    let run = st_lm::run::run_with_choices(&nlm, &input, &[0; 1 << 12], 1 << 12, &tracer).unwrap();
     assert!(run.accepted());
     assert!(run.moves.len() > 1024, "{}", run.moves.len());
     let events = buf.snapshot();
@@ -268,9 +276,7 @@ fn lm_sampled_run_keeps_its_trace_bytes_and_draws() {
     let input: Vec<u64> = (0..m).map(|i| ys[phi[i]]).chain(ys.clone()).collect();
     let mut rng = StdRng::seed_from_u64(3);
     let (tracer, buf) = Tracer::in_memory();
-    let run = st_trace::scoped(tracer, || {
-        st_lm::run::run_sampled(&nlm, &input, &mut rng, 1 << 12).unwrap()
-    });
+    let run = st_lm::run::run_sampled(&nlm, &input, &mut rng, 1 << 12, &tracer).unwrap();
     let events = buf.snapshot();
     assert_eq!(replay(&events), run.usage(input.len()));
     assert_eq!(
